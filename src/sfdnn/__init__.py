@@ -4,7 +4,8 @@ Estimators for scalar responses with spatial dependence and functional
 predictors: a maximum-likelihood linear model on functional principal
 component scores, a functional network on spline features, and the
 two-stage combination that first estimates the spatial dependence
-parameter and then trains the network on filtered pre-activations.
+parameter and then trains the network on filtered pre-activations; the
+filter is linear and fixed, so it is applied once to the network inputs.
 """
 
 from .basis import (

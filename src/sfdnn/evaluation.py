@@ -324,7 +324,7 @@ def _run_replication(scenario, kinds, rep_seed, arch, config, variance_threshold
             train_m = compute_metrics(train.response, predict_model(model, train), "train")
             test_m = compute_metrics(test.response, predict_model(model, test), "test")
             out[kind] = ((train_m.mse, train_m.r2, test_m.mse, test_m.r2), model.at_boundary)
-        except SfdnnError as exc:
+        except (SfdnnError, np.linalg.LinAlgError) as exc:
             out[kind] = exc
     return out
 

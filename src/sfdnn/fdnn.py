@@ -1,11 +1,11 @@
 """Functional network: spline-projected curves and scalars through dense layers.
 
 The first layer mixes precomputed basis inner products of the functional
-predictors with the scalar covariates.  When a spatial context is supplied,
-the first-layer pre-activations are passed through the filter solve
-(I - rho W)^{-1} before bias and activation; the backward pass applies the
-transpose solve.  Because the filter couples rows globally, training always
-evaluates the network on all rows and restricts the loss to the mini-batch.
+predictors with the scalar covariates.  A spatial context filters the
+first-layer pre-activations through the fixed linear map S = (I - rho W)^{-1}
+before bias and activation; since S (F A' + Z B') = (S F) A' + (S Z) B', the
+inputs are filtered once, in one solve, and the plain network runs on them.
+Training steps therefore touch only their own mini-batch rows.
 
 Training uses Adam (beta1=0.9, beta2=0.999, eps=1e-8) over shuffled
 mini-batches, an epoch-loss improvement stopping rule, and an optional
@@ -156,7 +156,7 @@ class TrainConfig:
 
 
 class SpatialContext:
-    """Fixed spatial filter applied inside the first layer."""
+    """Fixed spatial filter (I - rho W)^{-1}, applied to the network inputs."""
 
     def __init__(self, W: SpatialWeightMatrix, rho_hat: float):
         self.W = W
@@ -166,8 +166,13 @@ class SpatialContext:
     def solve(self, b):
         return self._factor.solve(b)
 
-    def solve_transpose(self, b):
-        return self._factor.solve_transpose(b)
+
+def _tensor_shapes(arch):
+    """Shapes of the learnable tensors in canonical order, weights first."""
+    sizes = list(arch.hidden_sizes) + [1]
+    shapes = [(sizes[0], arch.feature_width), (sizes[0], arch.num_scalar)]
+    shapes += [(nxt, prev) for prev, nxt in zip(sizes[:-1], sizes[1:])]
+    return shapes + [(s,) for s in sizes]
 
 
 class NetworkParameters:
@@ -177,24 +182,37 @@ class NetworkParameters:
     coefficient blocks concatenated over predictors.  ``hidden_weights``
     holds the transition matrices between consecutive layers, ending with
     the (1, n_R) output map.  ``biases`` has one vector per hidden layer
-    plus the output bias.
+    plus the output bias.  Every tensor is a view into the contiguous
+    vector ``flat``, in :meth:`tensors` order; its first ``num_weights``
+    entries are the weights.
     """
 
     def __init__(self, arch, func_weights, scalar_weights, hidden_weights, biases):
-        self.arch = arch
-        self.func_weights = func_weights
-        self.scalar_weights = scalar_weights
-        self.hidden_weights = list(hidden_weights)
-        self.biases = list(biases)
+        tensors = [func_weights, scalar_weights, *hidden_weights, *biases]
+        if [np.shape(t) for t in tensors] != _tensor_shapes(arch):
+            raise DimensionError("parameter tensor shapes do not match the architecture")
+        self._bind(arch, np.concatenate([np.ravel(t) for t in tensors]).astype(float))
+
+    def _bind(self, arch, flat):
+        self.arch, self.flat = arch, flat
+        shapes = _tensor_shapes(arch)
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        views = [v.reshape(s) for v, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        k = len(arch.hidden_sizes)
+        self.func_weights, self.scalar_weights, *self.hidden_weights = views[: 2 + k]
+        self.biases = views[2 + k :]
+        self.num_weights = sum(sizes[: 2 + k])
+
+    @classmethod
+    def _from_flat(cls, arch, flat) -> "NetworkParameters":
+        params = cls.__new__(cls)
+        params._bind(arch, flat)
+        return params
 
     def functional_coeff_blocks(self):
         """Per-predictor views of the first-layer spline coefficients."""
-        blocks = []
-        start = 0
-        for m in self.arch.basis_sizes:
-            blocks.append(self.func_weights[:, start : start + m])
-            start += m
-        return blocks
+        ends = np.cumsum(self.arch.basis_sizes)
+        return [self.func_weights[:, e - m : e] for m, e in zip(self.arch.basis_sizes, ends)]
 
     def tensors(self):
         """(name, array, is_weight) triples in a fixed canonical order."""
@@ -209,40 +227,24 @@ class NetworkParameters:
         return out
 
     def copy(self) -> "NetworkParameters":
-        return NetworkParameters(
-            self.arch,
-            self.func_weights.copy(),
-            self.scalar_weights.copy(),
-            [w.copy() for w in self.hidden_weights],
-            [b.copy() for b in self.biases],
-        )
+        return self._from_flat(self.arch, self.flat.copy())
 
     @classmethod
     def zeros_like(cls, params: "NetworkParameters") -> "NetworkParameters":
-        return cls(
-            params.arch,
-            np.zeros_like(params.func_weights),
-            np.zeros_like(params.scalar_weights),
-            [np.zeros_like(w) for w in params.hidden_weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
+        return cls._from_flat(params.arch, np.zeros_like(params.flat))
 
 
 def init_parameters(arch: NetworkArchitecture, seed: int) -> NetworkParameters:
     """Uniform Glorot initialization; biases start at zero."""
     rng = np.random.default_rng(seed)
-    n1 = arch.hidden_sizes[0]
-    fan_in = arch.feature_width + arch.num_scalar
-    bound = np.sqrt(6.0 / (fan_in + n1))
-    func_w = rng.uniform(-bound, bound, size=(n1, arch.feature_width))
-    scalar_w = rng.uniform(-bound, bound, size=(n1, arch.num_scalar))
-    hidden = []
-    sizes = list(arch.hidden_sizes) + [1]
-    for prev, nxt in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / (prev + nxt))
-        hidden.append(rng.uniform(-bound, bound, size=(nxt, prev)))
-    biases = [np.zeros(s) for s in sizes]
-    return NetworkParameters(arch, func_w, scalar_w, hidden, biases)
+    params = NetworkParameters._from_flat(arch, np.zeros(arch.num_parameters))
+    bound = np.sqrt(6.0 / (arch.feature_width + arch.num_scalar + arch.hidden_sizes[0]))
+    params.func_weights[...] = rng.uniform(-bound, bound, size=params.func_weights.shape)
+    params.scalar_weights[...] = rng.uniform(-bound, bound, size=params.scalar_weights.shape)
+    for w in params.hidden_weights:
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _check_inputs(params, features, scalars):
@@ -262,6 +264,20 @@ def _check_inputs(params, features, scalars):
     return features, scalars
 
 
+def _prefilter(ctx: SpatialContext, features, scalars):
+    """Solve [features | scalars] through the filter in one call and split it.
+
+    The filter is linear and acts before the first bias, so filtering the
+    inputs equals filtering the first-layer pre-activations.
+    """
+    if ctx.W.n != features.shape[0]:
+        raise DimensionError(
+            f"spatial context has {ctx.W.n} sites but inputs have {features.shape[0]} rows"
+        )
+    filtered = ctx.solve(np.hstack([features, scalars]))
+    return [np.ascontiguousarray(part) for part in np.hsplit(filtered, [features.shape[1]])]
+
+
 @dataclass
 class ForwardCache:
     features: np.ndarray
@@ -271,24 +287,21 @@ class ForwardCache:
 
 
 def forward(params: NetworkParameters, features, scalars, ctx: SpatialContext | None = None):
-    """Evaluate the network, returning (predictions, cache for backprop)."""
+    """Evaluate the network, returning (predictions, cache for backprop).
+
+    With a spatial context the inputs are pre-filtered and the cache holds
+    the filtered inputs.
+    """
     features, scalars = _check_inputs(params, features, scalars)
-    if ctx is not None and ctx.W.n != features.shape[0]:
-        raise DimensionError(
-            f"spatial context has {ctx.W.n} sites but inputs have {features.shape[0]} rows"
-        )
-    arch = params.arch
-    cache = ForwardCache(features=features, scalars=scalars)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_layers(params, arch, cache, ctx)
-
-
-def _forward_layers(params, arch, cache, ctx):
-    features, scalars = cache.features, cache.scalars
-    pre = features @ params.func_weights.T + scalars @ params.scalar_weights.T
     if ctx is not None:
-        pre = ctx.solve(pre)
+        features, scalars = _prefilter(ctx, features, scalars)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forward_layers(params, ForwardCache(features=features, scalars=scalars))
+
+
+def _forward_layers(params, cache):
+    arch = params.arch
+    pre = cache.features @ params.func_weights.T + cache.scalars @ params.scalar_weights.T
     pre = pre + params.biases[0]
     act, _ = ACTIVATIONS[arch.activations[0]]
     h = act(pre)
@@ -322,44 +335,29 @@ def loss(predictions, y) -> float:
     return float(np.mean((predictions - y) ** 2))
 
 
-def _backprop(params, features, scalars, y, ctx, batch_rows):
-    """Loss over ``batch_rows`` and its exact gradients.
-
-    The forward pass always covers every row (the spatial filter couples
-    rows); the residual is masked to the batch.
-    """
-    predictions, cache = forward(params, features, scalars, ctx)
-    n_batch = batch_rows.size
-    residual = np.zeros_like(predictions)
-    residual[batch_rows] = predictions[batch_rows] - y[batch_rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _backprop_from_residual(params, cache, ctx, residual, n_batch)
-
-
-def _backprop_from_residual(params, cache, ctx, residual, n_batch):
-    batch_loss = float(residual @ residual) / n_batch
-
+def _backprop(params, features, scalars, y):
+    """Mean-squared loss over the given (already filtered) rows and its exact gradients."""
+    predictions, cache = forward(params, features, scalars)
     grads = NetworkParameters.zeros_like(params)
     arch = params.arch
-    n_hidden = len(arch.hidden_sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = predictions - y
+        n_rows = residual.size
+        batch_loss = float(residual @ residual) / n_rows
+        g = (2.0 / n_rows) * residual[:, None]  # dL/d out
+        grads.hidden_weights[-1][...] = g.T @ cache.post_activations[-1]
+        grads.biases[-1][...] = g.sum(axis=0)
+        g = g @ params.hidden_weights[-1]  # dL/d h_R
 
-    g = (2.0 / n_batch) * residual[:, None]  # dL/d out
-    grads.hidden_weights[-1][...] = g.T @ cache.post_activations[-1]
-    grads.biases[-1][...] = g.sum(axis=0)
-    g = g @ params.hidden_weights[-1]  # dL/d h_R
-
-    for r in range(n_hidden - 1, -1, -1):
-        _, deriv = ACTIVATIONS[arch.activations[r]]
-        g_pre = g * deriv(cache.pre_activations[r])
-        grads.biases[r][...] = g_pre.sum(axis=0)
-        if r > 0:
-            grads.hidden_weights[r - 1][...] = g_pre.T @ cache.post_activations[r - 1]
-            g = g_pre @ params.hidden_weights[r - 1]
-        else:
-            if ctx is not None:
-                g_pre = ctx.solve_transpose(g_pre)
-            grads.func_weights[...] = g_pre.T @ cache.features
-            grads.scalar_weights[...] = g_pre.T @ cache.scalars
+        for r in range(len(arch.hidden_sizes) - 1, -1, -1):
+            _, deriv = ACTIVATIONS[arch.activations[r]]
+            g_pre = g * deriv(cache.pre_activations[r])
+            grads.biases[r][...] = g_pre.sum(axis=0)
+            if r > 0:
+                grads.hidden_weights[r - 1][...] = g_pre.T @ cache.post_activations[r - 1]
+                g = g_pre @ params.hidden_weights[r - 1]
+        grads.func_weights[...] = g_pre.T @ cache.features
+        grads.scalar_weights[...] = g_pre.T @ cache.scalars
     return batch_loss, grads
 
 
@@ -371,8 +369,9 @@ def gradients(params: NetworkParameters, features, scalars, y, ctx: SpatialConte
         raise DimensionError("response length does not match inputs")
     if y.size == 0:
         raise DimensionError("batch must be nonempty")
-    _, grads = _backprop(params, features, scalars, y, ctx, np.arange(y.size))
-    return grads
+    if ctx is not None:
+        features, scalars = _prefilter(ctx, features, scalars)
+    return _backprop(params, features, scalars, y)[1]
 
 
 @dataclass
@@ -385,9 +384,8 @@ class TrainingTrace:
     stopped_early: bool = False
 
 
-def _masked_loss(params, features, scalars, y, ctx, rows):
-    predictions, _ = forward(params, features, scalars, ctx)
-    diff = predictions[rows] - y[rows]
+def _rows_loss(params, features, scalars, y, rows):
+    diff = forward(params, features[rows], scalars[rows])[0] - y[rows]
     return float(diff @ diff) / rows.size
 
 
@@ -401,10 +399,11 @@ def train(
 ):
     """Fit the network with Adam; returns (parameters, trace).
 
-    Stops when the absolute change in epoch loss drops below the early-stop
-    threshold (the first epoch's delta is the loss itself), or at
-    ``max_epochs``.  With a validation split, the parameters from the best
-    validation epoch are restored at the end.
+    A spatial context pre-filters the inputs once; every step then touches
+    only its own rows.  Stops when the absolute change in epoch loss drops
+    below the early-stop threshold (the first epoch's delta is the loss
+    itself), or at ``max_epochs``.  With a validation split, the parameters
+    from the best validation epoch are restored at the end.
     """
     params = init_parameters(arch, config.seed)
     features, scalars = _check_inputs(params, features, scalars)
@@ -412,6 +411,8 @@ def train(
     n = y.size
     if features.shape[0] != n:
         raise DimensionError("response length does not match inputs")
+    if ctx is not None:
+        features, scalars = _prefilter(ctx, features, scalars)
 
     shuffle_rng = np.random.default_rng([config.seed, 1])
     split_rng = np.random.default_rng([config.seed, 2])
@@ -425,8 +426,9 @@ def train(
         val_rows = np.empty(0, dtype=int)
         train_rows = np.arange(n)
 
-    moments_m = NetworkParameters.zeros_like(params)
-    moments_v = NetworkParameters.zeros_like(params)
+    moment_m = np.zeros_like(params.flat)
+    moment_v = np.zeros_like(params.flat)
+    decayed = slice(0, params.num_weights)
     step = 0
     trace = TrainingTrace()
     best_params = None
@@ -438,26 +440,24 @@ def train(
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
             try:
-                batch_loss, grads = _backprop(params, features, scalars, y, ctx, batch)
+                batch_loss, grads = _backprop(params, features[batch], scalars[batch], y[batch])
             except NumericOverflowError as exc:
                 raise TrainingDivergedError(str(exc), trace=trace) from exc
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError("batch loss became non-finite", trace=trace)
             step += 1
-            corr1 = 1.0 - ADAM_BETA1**step
-            corr2 = 1.0 - ADAM_BETA2**step
-            for (_, p, is_w), (_, g, _), (_, m, _), (_, v, _) in zip(
-                params.tensors(), grads.tensors(), moments_m.tensors(), moments_v.tensors()
-            ):
-                m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-                v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-                update = (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-                if is_w and config.weight_decay > 0.0:
-                    update = update + config.weight_decay * p
-                p -= config.learning_rate * update
+            g = grads.flat
+            moment_m = ADAM_BETA1 * moment_m + (1.0 - ADAM_BETA1) * g
+            moment_v = ADAM_BETA2 * moment_v + (1.0 - ADAM_BETA2) * g * g
+            update = (moment_m / (1.0 - ADAM_BETA1**step)) / (
+                np.sqrt(moment_v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS
+            )
+            if config.weight_decay > 0.0:
+                update[decayed] += config.weight_decay * params.flat[decayed]
+            params.flat -= config.learning_rate * update
 
         try:
-            epoch_loss = _masked_loss(params, features, scalars, y, ctx, train_rows)
+            epoch_loss = _rows_loss(params, features, scalars, y, train_rows)
         except NumericOverflowError as exc:
             raise TrainingDivergedError(str(exc), trace=trace) from exc
         if not np.isfinite(epoch_loss):
@@ -465,7 +465,7 @@ def train(
         trace.epoch_losses.append(epoch_loss)
 
         if val_rows.size:
-            val_loss = _masked_loss(params, features, scalars, y, ctx, val_rows)
+            val_loss = _rows_loss(params, features, scalars, y, val_rows)
             trace.validation_losses.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss

@@ -5,7 +5,9 @@ response on FPCA scores and scalar covariates inside the spatially lagged
 likelihood; the network estimators project curves onto spline bases and
 train the functional network, the two-stage variant first estimating the
 dependence parameter by maximum likelihood and then holding it fixed while
-the network trains on spatially filtered pre-activations.
+the network trains on spatially filtered pre-activations.  With the estimate
+fixed the filter is a constant linear map ahead of the first bias, so it is
+applied once to the network inputs before training.
 
 Network features, scalar covariates, and the response are standardized with
 training-set statistics; predictions are mapped back to the original scale.
@@ -78,6 +80,11 @@ class RegressionDataset:
             raise DimensionError("scalar covariate rows do not match the response")
         if self.weights is not None and self.weights.n != n:
             raise DimensionError("weight matrix size does not match the response")
+        inputs = [("response", self.response), ("scalar covariates", self.scalars)]
+        inputs += [(f"functional predictor {i}", c) for i, c in enumerate(self.functional)]
+        for name, values in inputs:
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{name} contains NaN or infinite values")
 
     @property
     def n(self) -> int:

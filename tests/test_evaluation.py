@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sfdnn import evaluation
 from sfdnn.basis import make_bspline_basis
 from sfdnn.errors import DegenerateVarianceError, FoldSizeError, InvalidSizeError
 from sfdnn.evaluation import (
@@ -214,6 +215,20 @@ class TestMonteCarloStudy:
         text = table.format_text()
         assert "ml:mspe" in text
         assert "(" in text
+
+    def test_linear_algebra_failure_recorded_per_replication(self, monkeypatch):
+        def singular_fit(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(evaluation, "fit_fdnn_model", singular_fit)
+        scenario = small_scenarios()[0]
+        table = monte_carlo_study([scenario], ("ml", "fdnn"), num_replications=1, base_seed=3)
+        failed = table.report(scenario, "fdnn")
+        assert failed.num_ok == 0
+        assert failed.failures == [(0, "LinAlgError: Singular matrix")]
+        assert table.report(scenario, "ml").num_ok == 1
+        fdnn_rows = [line for line in table.to_csv_lines() if ",fdnn," in line]
+        assert all(line.split(",")[-2] == "1" for line in fdnn_rows)  # n_failed
 
     def test_replication_count_validated(self):
         with pytest.raises(InvalidSizeError):

@@ -10,9 +10,15 @@ from sfdnn.errors import (
     TrainingDivergedError,
 )
 from sfdnn.fdnn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     NetworkArchitecture,
+    NetworkParameters,
     SpatialContext,
     TrainConfig,
+    _backprop,
+    _prefilter,
     forward,
     gradients,
     init_parameters,
@@ -296,6 +302,35 @@ class TestTrain:
         for (_, a, _), (_, b, _) in zip(p_plain.tensors(), p_ctx.tensors()):
             np.testing.assert_array_equal(a, b)
 
+    def test_flat_adam_matches_per_tensor_reference(self):
+        arch = toy_arch("tanh")
+        features, scalars, y = toy_inputs(20, arch, 179)
+        config = TrainConfig(max_epochs=6, batch_size=6, weight_decay=1e-2, seed=17)
+        params, _ = train(arch, config, features, scalars, y)
+
+        ref = init_parameters(arch, config.seed)
+        moments_m, moments_v = NetworkParameters.zeros_like(ref), NetworkParameters.zeros_like(ref)
+        shuffle_rng = np.random.default_rng([config.seed, 1])
+        step = 0
+        for _ in range(config.max_epochs):
+            order = shuffle_rng.permutation(np.arange(y.size))
+            for start in range(0, y.size, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                grads = gradients(ref, features[batch], scalars[batch], y[batch])
+                step += 1
+                corr1, corr2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+                for (_, p, is_w), (_, g, _), (_, m, _), (_, v, _) in zip(
+                    ref.tensors(), grads.tensors(), moments_m.tensors(), moments_v.tensors()
+                ):
+                    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+                    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+                    update = (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+                    if is_w:
+                        update = update + config.weight_decay * p
+                    p -= config.learning_rate * update
+        for (_, a, _), (_, b, _) in zip(params.tensors(), ref.tensors()):
+            np.testing.assert_array_equal(a, b)
+
     def test_small_learning_rate_near_monotone_loss(self):
         arch = toy_arch("tanh")
         features, scalars, y = toy_inputs(30, arch, 89)
@@ -334,6 +369,64 @@ class TestTrain:
         assert trace.epoch_losses[-1] < trace.epoch_losses[0]
 
 
+class TestPrefilterIdentity:
+    """Filtering the inputs once equals filtering the first-layer pre-activations."""
+
+    def test_forward_matches_dense_preactivation_filter(self):
+        arch = toy_arch("tanh")
+        params = init_parameters(arch, 151)
+        features, scalars, _ = toy_inputs(14, arch, 157)
+        W = build_inverse_distance_weights(14)
+        rho = 0.7
+        pre = np.linalg.solve(
+            np.eye(14) - rho * W.toarray(),
+            features @ params.func_weights.T + scalars @ params.scalar_weights.T,
+        )
+        h = np.tanh(pre + params.biases[0])
+        h = np.tanh(h @ params.hidden_weights[0].T + params.biases[1])
+        expected = (h @ params.hidden_weights[1].T + params.biases[2]).ravel()
+        got, _ = forward(params, features, scalars, SpatialContext(W, rho))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_minibatch_gradient_matches_masked_loss(self):
+        arch = toy_arch("sigmoid")
+        params = init_parameters(arch, 163)
+        features, scalars, y = toy_inputs(12, arch, 167)
+        W = build_inverse_distance_weights(12)
+        ctx = SpatialContext(W, 0.6)
+        rows = np.array([1, 4, 5, 10])
+
+        filtered_f, filtered_z = _prefilter(ctx, features, scalars)
+        _, grads = _backprop(params, filtered_f[rows], filtered_z[rows], y[rows])
+        analytic = [(n, g) for n, g, _ in grads.tensors()]
+
+        def masked_loss():
+            residual = predict(params, features, scalars, ctx) - y
+            return float(np.mean(residual[rows] ** 2))
+
+        numeric = []
+        step = 1e-5
+        for name, tensor, _ in params.tensors():
+            g = np.zeros_like(tensor)
+            for idx in np.ndindex(tensor.shape):
+                orig = tensor[idx]
+                tensor[idx] = orig + step
+                lp = masked_loss()
+                tensor[idx] = orig - step
+                lm = masked_loss()
+                tensor[idx] = orig
+                g[idx] = (lp - lm) / (2.0 * step)
+            numeric.append((name, g))
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_train_rejects_context_of_wrong_size(self):
+        arch = toy_arch()
+        features, scalars, y = toy_inputs(10, arch, 173)
+        ctx = SpatialContext(build_inverse_distance_weights(12), 0.5)
+        with pytest.raises(DimensionError):
+            train(arch, TrainConfig(max_epochs=2, seed=0), features, scalars, y, ctx)
+
+
 class TestPermutationEquivariance:
     def test_predictions_permute_with_rows_and_weights(self):
         arch = toy_arch("tanh")
@@ -361,6 +454,14 @@ class TestSerialization:
         assert back.arch == arch
         for (_, a, _), (_, b, _) in zip(params.tensors(), back.tensors()):
             np.testing.assert_array_equal(a, b)
+
+    def test_tensor_shapes_must_match_header(self, tmp_path):
+        params = init_parameters(toy_arch("tanh"), 181)
+        path = tmp_path / "net.txt"
+        save_parameters(params, path)
+        path.write_text(path.read_text().replace("hidden 5 3\n", "hidden 5 4\n"))
+        with pytest.raises(DimensionError):
+            load_parameters(path)
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         arch = NetworkArchitecture(2, (3, 5), 1, (4, 2), ("relu", "tanh"))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfdnn.errors import DimensionError, MissingWeightsError
+from sfdnn.errors import DataError, DimensionError, MissingWeightsError
 from sfdnn.fdnn import NetworkArchitecture, TrainConfig
 from sfdnn.fpca import fit_fpca, project_scores
 from sfdnn.pipeline import (
@@ -34,6 +34,22 @@ def gaussian_data():
     cfg = ScenarioConfig(n_train=150, n_test=120, rho=0.4, error_dist="gaussian", replication_seed=8)
     train, test, _ = generate_scenario_dataset(cfg)
     return train, test
+
+
+class TestDatasetValidation:
+    @pytest.mark.parametrize("field", ["functional", "scalars", "response"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, field, bad, gaussian_data):
+        train, _ = gaussian_data
+        parts = dict(
+            functional=[c.copy() for c in train.functional],
+            scalars=train.scalars.copy(),
+            response=train.response.copy(),
+        )
+        target = parts[field][1] if field == "functional" else parts[field]
+        target.flat[7] = bad
+        with pytest.raises(DataError):
+            RegressionDataset(grid=train.grid, weights=train.weights, **parts)
 
 
 class TestMlBaseline:
