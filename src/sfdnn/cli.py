@@ -4,7 +4,8 @@ Configuration is a flat ``key = value`` text file ('#' starts a comment).
 Every subcommand honors ``--out-dir`` and writes nothing outside it.  On
 failure a machine-readable JSON object {code, message, context} goes to
 stderr and the exit status encodes the failure class: 2 configuration,
-3 data, 4 numerical.
+3 data (an unreadable or unwritable file included), 4 numerical (a stray
+``numpy.linalg.LinAlgError`` included).
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from .basis import Grid
 from .errors import (
     ConfigError,
     DataError,
+    DimensionError,
+    FoldSizeError,
+    InsufficientDataError,
+    InvalidArchitectureError,
+    InvalidSizeError,
+    MissingWeightsError,
     SfdnnError,
 )
 from .fdnn import ACTIVATIONS, NetworkArchitecture, TrainConfig
@@ -739,42 +746,23 @@ def run(subcommand: str, config: RunConfig) -> None:
     _COMMANDS[subcommand](config, out)
 
 
-def _exit_code_for(exc: SfdnnError) -> int:
-    from .errors import (
-        AdmissibilityError,
-        DegenerateBandwidthError,
-        DegenerateVarianceError,
-        DesignRankError,
-        DimensionError,
-        FoldSizeError,
-        InsufficientDataError,
-        InvalidArchitectureError,
-        InvalidSizeError,
-        MissingWeightsError,
-        NumericOverflowError,
-        TrainingDivergedError,
-    )
-
-    if isinstance(exc, ConfigError):
+def _exit_code_for(exc: Exception) -> int:
+    if isinstance(exc, (ConfigError, InvalidArchitectureError, InvalidSizeError)):
         return EXIT_CONFIG
-    if isinstance(exc, (InvalidArchitectureError, InvalidSizeError)):
-        return EXIT_CONFIG
-    if isinstance(
-        exc, (DataError, DimensionError, MissingWeightsError, InsufficientDataError, FoldSizeError)
-    ):
-        return EXIT_DATA
     if isinstance(
         exc,
         (
-            AdmissibilityError,
-            DegenerateBandwidthError,
-            DegenerateVarianceError,
-            DesignRankError,
-            NumericOverflowError,
-            TrainingDivergedError,
+            OSError,
+            DataError,
+            DimensionError,
+            MissingWeightsError,
+            InsufficientDataError,
+            FoldSizeError,
         ),
     ):
-        return EXIT_NUMERIC
+        return EXIT_DATA
+    # admissibility, bandwidth, variance, rank, overflow, divergence, and a
+    # stray numpy.linalg.LinAlgError
     return EXIT_NUMERIC
 
 
@@ -811,7 +799,7 @@ def main(argv=None) -> int:
             if problems:
                 raise ConfigError(problems)
         run(args.subcommand, config)
-    except SfdnnError as exc:
+    except (SfdnnError, np.linalg.LinAlgError, OSError) as exc:
         code = _exit_code_for(exc)
         payload = {
             "code": code,

@@ -6,11 +6,17 @@ evaluation, profile-likelihood estimation of the dependence parameter, and
 local Moran's I diagnostics.
 
 Matrices with at most ``DENSE_LIMIT`` rows are stored dense; larger ones use
-CSR storage with sparse triangular factorizations.
+CSR storage with sparse triangular factorizations, whose log-determinant
+sign comes from the permutation parities, (n - number of cycles) mod 2.
+KNN neighbors are searched with a KD-tree on unit-sphere points.  Up to
+``_EIG_LIMIT`` rows the likelihood uses the full spectrum of W: real, from
+a symmetric eigensolver, when W = D^{-1} S with S symmetric (every
+inverse-distance W), and from the general nonsymmetric solver otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +25,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import (
     AdmissibilityError,
@@ -147,9 +155,23 @@ class SpatialWeightMatrix:
         return SpatialWeightMatrix(sub, row_normalized=False)
 
     def eigenvalues(self):
-        """Full eigenvalue set (complex), or None when too large to compute."""
+        """Full eigenvalue set, or None when too large to compute.
+
+        Real (``eigvalsh``) when W is similar to a symmetric matrix, i.e.
+        W = D^{-1} S with S symmetric (Ord 1975): then D^{1/2} W D^{-1/2}
+        is symmetric and has the same spectrum.  Otherwise from the general
+        ``eigvals``, complex in general.
+        """
         if self._eigenvalues is None and self.n <= _EIG_LIMIT:
-            self._eigenvalues = np.linalg.eigvals(self.toarray())
+            a = self.toarray()
+            scale = _symmetrizing_scale(a)
+            if scale is None:
+                self._eigenvalues = np.linalg.eigvals(a)
+            else:
+                root = np.sqrt(scale)
+                sym = root[:, None] * a
+                sym /= root
+                self._eigenvalues = np.linalg.eigvalsh(sym)
         return self._eigenvalues
 
     def admissible_interval(self) -> tuple[float, float]:
@@ -171,6 +193,24 @@ class SpatialWeightMatrix:
         hi = 1.0 / real.max() if np.any(real > 0) else 1.0
         self._interval = (max(lo, -1.0), min(hi, 1.0))
         return self._interval
+
+
+def _symmetrizing_scale(a: np.ndarray):
+    """Diagonal d with diag(d) W symmetric, or None.
+
+    Tried only when every off-diagonal weight is positive: then W = D^{-1} S
+    with S symmetric forces d_j = W_0j / W_j0 (up to a common factor).
+    """
+    n = a.shape[0]
+    if n < 2 or np.count_nonzero(a) != n * (n - 1):
+        return None
+    d = np.ones(n)
+    d[1:] = a[0, 1:] / a[1:, 0]
+    m = d[:, None] * a
+    gap = m - m.T
+    np.abs(gap, out=gap)
+    m *= 1e-12
+    return d if np.all(gap <= m) else None
 
 
 def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
@@ -202,6 +242,8 @@ def _coords_array(coords) -> np.ndarray:
     arr = np.asarray(coords, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DimensionError("coordinates must be a sequence of (lat, lon) pairs")
+    if not np.all(np.isfinite(arr)):
+        raise DataError("coordinates must be finite")
     return arr
 
 
@@ -213,6 +255,11 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
     The h-th neighbor itself receives raw kernel weight zero, so rows where
     every retained neighbor is exactly at the bandwidth (equidistant ties)
     fall back to uniform weights.  Rows are normalized to sum to one.
+
+    Candidates come from a KD-tree on unit-sphere points: chord length is
+    monotone in great-circle distance, so every site within the bandwidth
+    lies within a slightly widened chord of the h-th nearest one.  Only
+    those candidate pairs get a haversine distance.
     """
     pts = _coords_array(coords)
     n = pts.shape[0]
@@ -221,48 +268,57 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
     if n < h + 1:
         raise InvalidSizeError(f"need at least h+1={h + 1} sites, got {n}")
 
-    sparse_out = n > DENSE_LIMIT
+    lat, lon = np.radians(pts[:, 0]), np.radians(pts[:, 1])
+    xyz = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+    tree = cKDTree(xyz)
     rows_i: list[np.ndarray] = []
     rows_j: list[np.ndarray] = []
     rows_w: list[np.ndarray] = []
-    dense = None if sparse_out else np.zeros((n, n))
 
     block = 512
     for start in range(0, n, block):
         stop = min(start + block, n)
-        d = great_circle_km(
-            pts[start:stop, 0:1], pts[start:stop, 1:2], pts[None, :, 0], pts[None, :, 1]
-        )
-        for local, i in enumerate(range(start, stop)):
-            di = d[local].copy()
-            di[i] = np.inf
-            bandwidth = np.partition(di, h - 1)[h - 1]
-            if bandwidth <= 0.0:
-                raise DegenerateBandwidthError(
-                    f"site {i} has a zero bandwidth (duplicate coordinates)"
-                )
-            neighbors = np.flatnonzero(di <= bandwidth * (1.0 + 1e-12))
-            ratio = np.minimum(di[neighbors] / bandwidth, 1.0)
-            raw = (1.0 - ratio**2) ** 2
-            total = raw.sum()
-            if total < 1e-20:
-                # every retained neighbor sits exactly at the bandwidth
-                raw = np.full(neighbors.size, 1.0 / neighbors.size)
-            else:
-                raw = raw / total
-            if sparse_out:
-                rows_i.append(np.full(neighbors.size, i))
-                rows_j.append(neighbors)
-                rows_w.append(raw)
-            else:
-                dense[i, neighbors] = raw
+        # the query site itself is its own 0-th neighbor
+        chord = tree.query(xyz[start:stop], k=h + 1)[0][:, h]
+        # 1e-6 relative covers the 1e-12 tie window and rounding in both the
+        # chord and the haversine; 1e-12 absolute covers near-coincident sites
+        radius = chord * (1.0 + 1e-6) + 1e-12
+        found = tree.query_ball_point(xyz[start:stop], radius, return_sorted=True)
+        found_per_row = np.fromiter(map(len, found), dtype=np.intp, count=stop - start)
+        i = np.repeat(np.arange(start, stop), found_per_row)
+        j = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=i.size)
+        d = great_circle_km(pts[i, 0], pts[i, 1], pts[j, 0], pts[j, 1])
+        d[i == j] = np.inf
+        # h-th smallest distance per row, from a (row, distance) sort
+        order = np.lexsort((d, i))
+        bandwidth = d[order[np.cumsum(found_per_row) - found_per_row + h - 1]]
+        if np.any(bandwidth <= 0.0):
+            site = start + int(np.flatnonzero(bandwidth <= 0.0)[0])
+            raise DegenerateBandwidthError(
+                f"site {site} has a zero bandwidth (duplicate coordinates)"
+            )
+        bw = bandwidth[i - start]
+        keep = d <= bw * (1.0 + 1e-12)
+        i, j, d, bw = i[keep], j[keep], d[keep], bw[keep]
+        ratio = np.minimum(d / bw, 1.0)
+        raw = (1.0 - ratio**2) ** 2
+        kept_per_row = np.bincount(i - start)
+        ends = np.cumsum(kept_per_row)
+        # ndarray.sum per row: np.add.reduceat would round differently
+        total = np.array([raw[a:b].sum() for a, b in zip(ends - kept_per_row, ends)])
+        # rows whose retained neighbors all sit exactly at the bandwidth are uniform
+        uniform = total < 1e-20
+        raw[np.repeat(uniform, kept_per_row)] = 1.0
+        total[uniform] = kept_per_row[uniform]
+        rows_i.append(i)
+        rows_j.append(j)
+        rows_w.append(raw / np.repeat(total, kept_per_row))
 
-    if sparse_out:
-        mat = sp.csr_matrix(
-            (np.concatenate(rows_w), (np.concatenate(rows_i), np.concatenate(rows_j))),
-            shape=(n, n),
-        )
-        return SpatialWeightMatrix(mat, row_normalized=True)
+    i, j, w = np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
+    if n > DENSE_LIMIT:
+        return SpatialWeightMatrix(sp.csr_matrix((w, (i, j)), shape=(n, n)), row_normalized=True)
+    dense = np.zeros((n, n))
+    dense[i, j] = w
     return SpatialWeightMatrix(dense, row_normalized=True)
 
 
@@ -279,19 +335,11 @@ def local_morans_i(W: SpatialWeightMatrix, y: np.ndarray) -> np.ndarray:
 
 
 def _perm_parity(perm: np.ndarray) -> int:
-    seen = np.zeros(perm.size, dtype=bool)
-    parity = 0
-    for i in range(perm.size):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    """Parity of a permutation: (n - number of cycles) mod 2."""
+    n = perm.size
+    graph = sp.csr_matrix((np.ones(n), perm, np.arange(n + 1)), shape=(n, n))
+    cycles, _ = connected_components(graph, directed=True, connection="weak")
+    return (n - cycles) & 1
 
 
 def _slogdet_sparse(lu) -> tuple[float, float]:

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from sfdnn import spatial
 from sfdnn.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     RunConfig,
     main,
     parse_config,
@@ -254,6 +256,41 @@ class TestSubcommands:
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error_type"] == "ConfigError"
         assert err["context"]["problems"]
+
+    def test_os_error_is_data_error_with_json(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        sim_cfg = write(tmp_path / "sim.cfg", base_config_text(out))
+        assert main(["simulate", "--config", sim_cfg]) == 0
+        fit_cfg = write(
+            tmp_path / "fit.cfg",
+            base_config_text(
+                tmp_path / "fit",
+                kind="ml",
+                train_functional=out / "train_functional.csv",
+                train_scalars=out / "train_scalars.csv",
+                train_weights=out,
+            ),
+        )
+        capsys.readouterr()
+        assert main(["fit", "--config", fit_cfg]) == EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == EXIT_DATA
+        assert err["context"] == {"subcommand": "fit", "error_type": "IsADirectoryError"}
+        assert str(out) in err["message"]
+
+    def test_lin_alg_error_is_numeric_error_with_json(self, tmp_path, capsys, monkeypatch):
+        def singular(n):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(spatial, "build_inverse_distance_weights", singular)
+        cfg = write(tmp_path / "w.cfg", f"n_sites = 4\nout_dir = {tmp_path / 'w'}\n")
+        assert main(["weights", "--config", cfg]) == EXIT_NUMERIC
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "code": EXIT_NUMERIC,
+            "message": "Singular matrix",
+            "context": {"subcommand": "weights", "error_type": "LinAlgError"},
+        }
 
     def test_missing_input_paths_reported(self, tmp_path, capsys):
         cfg = write(

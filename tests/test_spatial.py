@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfdnn.errors import (
     AdmissibilityError,
+    DataError,
     DegenerateBandwidthError,
     DegenerateVarianceError,
     DesignRankError,
     InvalidSizeError,
 )
 from sfdnn.spatial import (
+    DENSE_LIMIT,
     EARTH_RADIUS_KM,
     Coordinates,
     SpatialWeightMatrix,
@@ -27,6 +31,7 @@ from sfdnn.spatial import (
     log_det_filter,
     save_weights,
 )
+from sfdnn.spatial import _perm_parity
 
 
 def cofactor_det(a):
@@ -99,6 +104,116 @@ class TestGreatCircle:
             lon1, lon2 = rng.uniform(-179, 179, 2)
             d = float(great_circle_km(lat1, lon1, lat2, lon2))
             assert abs(d - haversine_oracle(lat1, lon1, lat2, lon2)) < 1e-9
+
+
+def knn_bisquare_reference(coords, h):
+    """All-pairs KNN bi-square builder: haversine to every site, row by row."""
+    pts = np.asarray(coords, dtype=float)
+    n = pts.shape[0]
+    rows_i, rows_j, rows_w = [], [], []
+    dense = None if n > DENSE_LIMIT else np.zeros((n, n))
+    block = 512
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d = great_circle_km(
+            pts[start:stop, 0:1], pts[start:stop, 1:2], pts[None, :, 0], pts[None, :, 1]
+        )
+        for local, i in enumerate(range(start, stop)):
+            di = d[local].copy()
+            di[i] = np.inf
+            bandwidth = np.partition(di, h - 1)[h - 1]
+            if bandwidth <= 0.0:
+                raise DegenerateBandwidthError(f"site {i} has a zero bandwidth")
+            neighbors = np.flatnonzero(di <= bandwidth * (1.0 + 1e-12))
+            ratio = np.minimum(di[neighbors] / bandwidth, 1.0)
+            raw = (1.0 - ratio**2) ** 2
+            total = raw.sum()
+            if total < 1e-20:
+                raw = np.full(neighbors.size, 1.0 / neighbors.size)
+            else:
+                raw = raw / total
+            if dense is None:
+                rows_i.append(np.full(neighbors.size, i))
+                rows_j.append(neighbors)
+                rows_w.append(raw)
+            else:
+                dense[i, neighbors] = raw
+    if dense is None:
+        return sp.csr_matrix(
+            (np.concatenate(rows_w), (np.concatenate(rows_i), np.concatenate(rows_j))),
+            shape=(n, n),
+        )
+    return dense
+
+
+def lattice(step, rows, cols):
+    """Regular lat/lon grid: equal steps give exact and near (1e-12) distance ties."""
+    lat = -4.0 + step * np.arange(rows)
+    lon = 10.0 + step * np.arange(cols)
+    return np.array([(a, b) for a in lat for b in lon])
+
+
+def knn_clouds():
+    rng = np.random.default_rng(71)
+    sign = rng.choice([-1.0, 1.0], 400)
+    return {
+        "sparse-4000": (
+            np.column_stack([rng.uniform(25.0, 50.0, 4000), rng.uniform(-125.0, -65.0, 4000)]),
+            4,
+        ),
+        "dense-300": (np.column_stack([rng.uniform(-30, 30, 300), rng.uniform(-60, 40, 300)]), 4),
+        "antimeridian": (
+            np.column_stack([rng.uniform(-5, 5, 400), sign * rng.uniform(179.0, 180.0, 400)]),
+            5,
+        ),
+        "antimeridian-179.9": (
+            np.column_stack([rng.uniform(-1, 1, 60), np.tile([179.9, -179.9], 30)]),
+            3,
+        ),
+        "polar-cap": (
+            np.column_stack([rng.uniform(89.0, 90.0, 300), rng.uniform(-180, 180, 300)]),
+            6,
+        ),
+        "lattice-ties": (lattice(1.0, 8, 10), 4),
+        # sparse storage keeps the zero weight of a neighbor tied at the bandwidth
+        "lattice-ties-sparse": (lattice(0.25, 56, 56), 2),
+        "h-is-n-minus-1": (
+            np.column_stack([rng.uniform(-80, 80, 150), rng.uniform(-180, 180, 150)]),
+            149,
+        ),
+    }
+
+
+class TestKnnOracle:
+    @pytest.mark.parametrize("name", list(knn_clouds()))
+    def test_bit_identical_to_all_pairs_builder(self, name):
+        pts, h = knn_clouds()[name]
+        W = build_knn_bisquare_weights(pts, h)
+        ref = knn_bisquare_reference(pts, h)
+        assert W.is_sparse == sp.issparse(ref)
+        if W.is_sparse:
+            assert np.array_equal(W.weights.indptr, ref.indptr)
+            assert np.array_equal(W.weights.indices, ref.indices)
+            assert np.array_equal(W.weights.data, ref.data)
+        else:
+            assert np.array_equal(W.weights, ref)
+
+    def test_duplicates_inside_a_cloud_degenerate(self):
+        rng = np.random.default_rng(73)
+        pts = np.column_stack([rng.uniform(0, 10, 200), rng.uniform(0, 10, 200)])
+        pts[150] = pts[17]
+        with pytest.raises(DegenerateBandwidthError, match="site 17 "):
+            build_knn_bisquare_weights(pts, h=1)
+        # with h=2 a site needs two others at its own position
+        build_knn_bisquare_weights(pts, h=2)
+        pts[90] = pts[17]
+        with pytest.raises(DegenerateBandwidthError, match="site 17 "):
+            build_knn_bisquare_weights(pts, h=2)
+
+    def test_non_finite_coordinates_rejected(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 2.0], [3.0, 3.0]])
+        with pytest.raises(DataError):
+            build_knn_bisquare_weights(pts, h=1)
 
 
 class TestKnnBisquare:
@@ -398,3 +513,97 @@ class TestSubset:
         full = W.toarray()[np.ix_(rows, rows)]
         full /= full.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(sub.toarray(), full, atol=1e-14)
+
+
+def spectrum_interval(eigs):
+    """Admissible interval of a W whose spectrum is ``eigs``."""
+    W = SpatialWeightMatrix(np.zeros((1, 1)), row_normalized=False)
+    W._eigenvalues = eigs
+    return W.admissible_interval()
+
+
+def real_route_cases(tmp_path):
+    cases = {f"inverse-distance-{n}": build_inverse_distance_weights(n) for n in (2, 3, 50, 500)}
+    cases["subset"] = build_inverse_distance_weights(60).subset(np.arange(0, 60, 3))
+    path = tmp_path / "w.txt"
+    save_weights(build_inverse_distance_weights(40), path)
+    cases["round-trip"] = load_weights(path)
+    return cases
+
+
+class TestSpectrumRoute:
+    def test_symmetrizable_weights_take_real_route(self, tmp_path, monkeypatch):
+        cases = real_route_cases(tmp_path)
+        oracle = {name: np.linalg.eigvals(W.toarray()) for name, W in cases.items()}
+
+        def refuse(_):
+            raise AssertionError("eigvals called on a symmetrizable W")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for name, W in cases.items():
+            eigs = W.eigenvalues()
+            assert np.isrealobj(eigs), name
+            np.testing.assert_allclose(
+                np.sort(eigs), np.sort(oracle[name].real), rtol=0, atol=1e-12, err_msg=name
+            )
+            np.testing.assert_allclose(
+                W.admissible_interval(), spectrum_interval(oracle[name]), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.filterwarnings("error")
+    def test_other_weights_fall_back_to_eigvals(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        nonsymmetric = random_row_normalized(40, rng)
+        pts = np.column_stack([rng.uniform(0, 10, 80), rng.uniform(0, 10, 80)])
+        knn = build_knn_bisquare_weights(pts, h=4)
+        oracle = [np.linalg.eigvals(W.toarray()) for W in (nonsymmetric, knn)]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("eigvalsh called on a W that is not symmetrizable")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for W, eigs in zip((nonsymmetric, knn), oracle):
+            assert np.array_equal(W.eigenvalues(), eigs)
+            assert W.admissible_interval() == spectrum_interval(eigs)
+
+
+def perm_parity_reference(perm):
+    """Parity of a permutation by walking each cycle."""
+    seen = np.zeros(perm.size, dtype=bool)
+    parity = 0
+    for i in range(perm.size):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        parity ^= (length - 1) & 1
+    return parity
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda n: st.permutations(range(n))))
+    @example([0])
+    @example(list(range(25)))
+    def test_perm_parity_matches_cycle_walk(self, perm):
+        perm = np.array(perm, dtype=np.int32)
+        assert _perm_parity(perm) == perm_parity_reference(perm)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.1, 1.0),
+        frac=st.floats(0.01, 0.99),
+    )
+    def test_sparse_log_det_matches_dense(self, n, seed, density, frac):
+        W_dense = random_row_normalized(n, np.random.default_rng(seed), density)
+        W_sparse = SpatialWeightMatrix(sp.csr_matrix(W_dense.toarray()), row_normalized=True)
+        lo, hi = W_dense.admissible_interval()
+        rho = lo + frac * (hi - lo)
+        dense, sparse = log_det_filter(W_dense, rho), log_det_filter(W_sparse, rho)
+        assert abs(sparse - dense) <= 1e-10 * max(1.0, abs(dense))
