@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import evaluation, pipeline, simgen, spatial
+from . import _textio, evaluation, pipeline, simgen, spatial
 from .basis import Grid
 from .errors import (
     ConfigError,
@@ -319,71 +319,57 @@ def _require_inputs(config: RunConfig, names) -> None:
         raise ConfigError(problems)
 
 
-def _fmt17(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_functional_csv(path, functional, grid: Grid) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("location_id,predictor_id,u,value\n")
-        for p, curves in enumerate(functional, start=1):
-            for i in range(curves.shape[0]):
-                for u, v in zip(grid.points, curves[i]):
-                    fh.write(f"{i},{p},{_fmt17(u)},{_fmt17(v)}\n")
+    curves = np.stack(functional)
+    p, n, g = curves.shape
+    _textio.write_table(
+        path, "location_id,predictor_id,u,value", "%d,%d,%.17g,%.17g\n",
+        np.tile(np.repeat(np.arange(n), g), p), np.repeat(np.arange(1, p + 1), n * g),
+        np.tile(grid.points, p * n), curves.ravel(),
+    )
+
+
+def _csv_columns(fh, path, kinds):
+    columns = _textio.read_rows(fh, path, kinds, ",", f"expected {len(kinds)} fields", "malformed row")
+    if columns[0].size == 0:
+        raise DataError(f"{path}: no data rows")
+    return columns
 
 
 def read_functional_csv(path):
-    rows = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "location_id,predictor_id,u,value":
             raise DataError(f"{path}: unexpected header '{header}'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                loc, p = int(parts[0]), int(parts[1])
-                u, v = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row") from exc
-            rows.setdefault(p, {}).setdefault(loc, []).append((u, v))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    predictors = sorted(rows)
-    grid_points = None
-    functional = []
-    for p in predictors:
-        locs = sorted(rows[p])
-        curves = []
-        for loc in locs:
-            pairs = sorted(rows[p][loc])
-            us = np.array([u for u, _ in pairs])
-            if grid_points is None:
-                grid_points = us
-            elif us.shape != grid_points.shape or not np.array_equal(us, grid_points):
+        loc, pred, u, value = _csv_columns(fh, path, "iiff")
+    # one curve per (predictor, location), each sorted by (u, value)
+    order = np.lexsort((value, u, loc, pred))
+    loc, pred, u, value = loc[order], pred[order], u[order], value[order]
+    starts = np.flatnonzero(np.r_[True, (loc[1:] != loc[:-1]) | (pred[1:] != pred[:-1])])
+    sizes = np.diff(np.r_[starts, loc.size])
+    g = sizes[0]
+    if not (np.all(sizes == g) and np.all(u.reshape(-1, g)[1:] == u[:g])):
+        for s, size in zip(starts[1:], sizes[1:]):
+            if size != g or not np.array_equal(u[s : s + size], u[:g]):
                 raise DataError(
-                    f"{path}: location {loc} of predictor {p} is not on the shared grid"
+                    f"{path}: location {loc[s]} of predictor {pred[s]} is not on the shared grid"
                 )
-            curves.append([v for _, v in pairs])
-        functional.append(np.array(curves))
-    n = functional[0].shape[0]
-    for p, curves in zip(predictors, functional):
-        if curves.shape[0] != n:
-            raise DataError(f"{path}: predictor {p} covers a different location set")
-    return functional, Grid(grid_points)
+    predictors, counts = np.unique(pred[starts], return_counts=True)
+    if np.any(counts != counts[0]):
+        p = predictors[np.argmax(counts != counts[0])]
+        raise DataError(f"{path}: predictor {p} covers a different location set")
+    return list(value.reshape(predictors.size, counts[0], g)), Grid(u[:g].copy())
+
+
+def _write_location_csv(path, header, *columns) -> None:
+    """One row per location: its index, then each column to 17 digits."""
+    row_format = "%d" + ",%.17g" * len(columns) + "\n"
+    _textio.write_table(path, header, row_format, np.arange(len(columns[0])), *columns)
 
 
 def write_scalars_csv(path, scalars, response) -> None:
-    j = scalars.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("location_id," + ",".join(f"z{k + 1}" for k in range(j)) + ",y\n")
-        for i in range(scalars.shape[0]):
-            cells = [str(i)] + [_fmt17(v) for v in scalars[i]] + [_fmt17(response[i])]
-            fh.write(",".join(cells) + "\n")
+    names = "".join(f"z{k + 1}," for k in range(scalars.shape[1]))
+    _write_location_csv(path, f"location_id,{names}y", *scalars.T, response)
 
 
 def read_scalars_csv(path):
@@ -391,24 +377,9 @@ def read_scalars_csv(path):
         header = fh.readline().strip().split(",")
         if header[0] != "location_id" or header[-1] != "y" or len(header) < 2:
             raise DataError(f"{path}: expected header 'location_id,z1..zJ,y'")
-        j = len(header) - 2
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != j + 2:
-                raise DataError(f"{path}:{lineno}: expected {j + 2} fields")
-            try:
-                rows.append((int(parts[0]), [float(v) for v in parts[1:]]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    data = np.array([r[1] for r in rows])
-    return data[:, :j], data[:, j]
+        ids, *values = _csv_columns(fh, path, "i" + "f" * (len(header) - 1))
+    data = np.column_stack(values)[np.argsort(ids, kind="stable")]
+    return data[:, :-1], data[:, -1]
 
 
 def read_coords_csv(path):
@@ -416,29 +387,13 @@ def read_coords_csv(path):
         header = fh.readline().strip()
         if header != "location_id,lat,lon":
             raise DataError(f"{path}: expected header 'location_id,lat,lon'")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    return np.array([[lat, lon] for _, lat, lon in rows])
+        ids, lat, lon = _csv_columns(fh, path, "iff")
+    return np.column_stack([lat, lon])[np.argsort(ids, kind="stable")]
 
 
 def write_metrics_csv(path, metrics: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        for key in sorted(metrics):
-            fh.write(f"{key},{_fmt17(metrics[key])}\n")
+    keys = sorted(metrics)
+    _textio.write_table(path, "metric,value", "%s,%.17g\n", keys, [float(metrics[k]) for k in keys])
 
 
 def _log_transform_dataset(data: pipeline.RegressionDataset, mode: str, label: str):
@@ -513,47 +468,30 @@ def _train_config_from_config(config: RunConfig) -> TrainConfig:
     )
 
 
-def _load_train_dataset(config: RunConfig, need_weights: bool):
-    needed = ["train_functional", "train_scalars"]
-    if need_weights:
-        needed.append("train_weights")
-    _require_inputs(config, needed)
-    functional, grid = read_functional_csv(config.train_functional)
-    scalars, response = read_scalars_csv(config.train_scalars)
-    weights = spatial.load_weights(config.train_weights) if need_weights else None
+def _load_dataset(config: RunConfig, role: str, need_weights: bool, log_mode: str):
+    """Read the ``role`` ("train" or "test") files the configuration names."""
+    names = [f"{role}_functional", f"{role}_scalars"] + ([f"{role}_weights"] if need_weights else [])
+    _require_inputs(config, names)
+    functional, grid = read_functional_csv(getattr(config, names[0]))
+    scalars, response = read_scalars_csv(getattr(config, names[1]))
+    weights = spatial.load_weights(getattr(config, names[2])) if need_weights else None
     data = pipeline.RegressionDataset(
         functional=functional, grid=grid, scalars=scalars, response=response, weights=weights,
     )
-    return _log_transform_dataset(data, config.log_transform, "training data")
-
-
-def _load_test_dataset(config: RunConfig, need_weights: bool, log_mode: str):
-    needed = ["test_functional", "test_scalars"]
-    if need_weights:
-        needed.append("test_weights")
-    _require_inputs(config, needed)
-    functional, grid = read_functional_csv(config.test_functional)
-    scalars, response = read_scalars_csv(config.test_scalars)
-    weights = spatial.load_weights(config.test_weights) if need_weights else None
-    data = pipeline.RegressionDataset(
-        functional=functional, grid=grid, scalars=scalars, response=response, weights=weights,
-    )
-    return _log_transform_dataset(data, log_mode, "test data")
+    return _log_transform_dataset(data, log_mode, "training data" if role == "train" else "test data")
 
 
 def _cmd_simulate(config: RunConfig, out):
     train, test, _ = simgen.generate_scenario_dataset(_scenario_from_config(config))
-    write_functional_csv(out("train_functional.csv"), train.functional, train.grid)
-    write_scalars_csv(out("train_scalars.csv"), train.scalars, train.response)
-    spatial.save_weights(train.weights, out("train_weights.txt"))
-    write_functional_csv(out("test_functional.csv"), test.functional, test.grid)
-    write_scalars_csv(out("test_scalars.csv"), test.scalars, test.response)
-    spatial.save_weights(test.weights, out("test_weights.txt"))
+    for role, data in (("train", train), ("test", test)):
+        write_functional_csv(out(f"{role}_functional.csv"), data.functional, data.grid)
+        write_scalars_csv(out(f"{role}_scalars.csv"), data.scalars, data.response)
+        spatial.save_weights(data.weights, out(f"{role}_weights.txt"))
 
 
 def _cmd_fit(config: RunConfig, out):
     spatial_kind = config.kind in ("ml", "sfdnn")
-    data = _load_train_dataset(config, need_weights=spatial_kind)
+    data = _load_dataset(config, "train", spatial_kind, config.log_transform)
     if config.kind == "ml":
         model = pipeline.fit_ml_baseline(data, config.variance_threshold)
     else:
@@ -575,19 +513,16 @@ def _cmd_predict(config: RunConfig, out):
     model = pipeline.load_model(config.model_file)
     log_mode = model.metadata.get("log_transform", "none")
     need_weights = model.kind in ("ml", "sfdnn")
-    data = _load_test_dataset(config, need_weights, log_mode)
+    data = _load_dataset(config, "test", need_weights, log_mode)
     preds = pipeline.predict_model(model, data)
-    with open(out("predictions.csv"), "w", encoding="utf-8") as fh:
-        fh.write("location_id,predicted\n")
-        for i, v in enumerate(preds):
-            fh.write(f"{i},{_fmt17(v)}\n")
+    _write_location_csv(out("predictions.csv"), "location_id,predicted", preds)
     m = evaluation.compute_metrics(data.response, preds, "test")
     write_metrics_csv(out("test_metrics.csv"), {"mspe": m.mse, "r2_test": m.r2})
 
 
 def _cmd_tune(config: RunConfig, out):
     spatial_kind = config.kind in ("ml", "sfdnn")
-    data = _load_train_dataset(config, need_weights=spatial_kind)
+    data = _load_dataset(config, "train", spatial_kind, config.log_transform)
     coords = None
     if any(h is not None for h in config.tune_neighbor_counts):
         _require_inputs(config, ["coords_file"])
@@ -605,20 +540,22 @@ def _cmd_tune(config: RunConfig, out):
     best, table = evaluation.kfold_tune(
         data, config.kind, grid, config.tune_folds, config.seed, coords
     )
-    with open(out("cv_table.csv"), "w", encoding="utf-8") as fh:
-        fh.write(
-            "index,hidden_sizes,activation,learning_rate,batch_size,basis_size,"
-            "weight_decay,max_epochs,neighbor_count,num_parameters,cv_mspe\n"
-        )
-        for row in table:
-            c = row["candidate"]
-            fh.write(
-                f"{row['index']},{'x'.join(str(h) for h in c.hidden_sizes)},{c.activation},"
-                f"{_fmt17(c.learning_rate)},{c.batch_size},{c.basis_size},"
-                f"{_fmt17(c.weight_decay)},{c.max_epochs},"
-                f"{'none' if c.neighbor_count is None else c.neighbor_count},"
-                f"{row['size']},{_fmt17(row['cv_mspe'])}\n"
-            )
+    rows = []
+    for row in table:
+        c = row["candidate"]
+        rows.append((
+            row["index"], "x".join(str(h) for h in c.hidden_sizes), c.activation,
+            c.learning_rate, c.batch_size, c.basis_size, c.weight_decay, c.max_epochs,
+            "none" if c.neighbor_count is None else str(c.neighbor_count),
+            row["size"], row["cv_mspe"],
+        ))
+    _textio.write_table(
+        out("cv_table.csv"),
+        "index,hidden_sizes,activation,learning_rate,batch_size,basis_size,"
+        "weight_decay,max_epochs,neighbor_count,num_parameters,cv_mspe",
+        "%d,%s,%s,%.17g,%d,%d,%.17g,%d,%s,%d,%.17g\n",
+        *zip(*rows),
+    )
     with open(out("best_config.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"hidden_sizes = {','.join(str(h) for h in best.hidden_sizes)}\n")
         fh.write(f"activations = {best.activation}\n")
@@ -654,11 +591,7 @@ def _cmd_moran(config: RunConfig, out):
                 f"log transform needs positive responses; row {bad[0]} has {response[bad[0]]}"
             )
         response = np.log(response)
-    values = spatial.local_morans_i(W, response)
-    with open(out("moran.csv"), "w", encoding="utf-8") as fh:
-        fh.write("location_id,moran_i\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{_fmt17(v)}\n")
+    _write_location_csv(out("moran.csv"), "location_id,moran_i", spatial.local_morans_i(W, response))
 
 
 def _cmd_mc_bench(config: RunConfig, out):
@@ -700,26 +633,20 @@ def _cmd_plotdata(config: RunConfig, out):
     log_mode = model.metadata.get("log_transform", "none")
     need_weights = model.kind in ("ml", "sfdnn")
     taylor_rows = []
-    for role, loader in (("train", _load_train_dataset), ("test", _load_test_dataset)):
-        if role == "train":
-            data = loader(config, need_weights)
-            if log_mode != "none" and config.log_transform == "none":
-                data = _log_transform_dataset(data, log_mode, "training data")
-        else:
-            data = loader(config, need_weights, log_mode)
+    for role in ("train", "test"):
+        # a log transform set in the configuration overrides the model's for training data
+        mode = config.log_transform if role == "train" and config.log_transform != "none" else log_mode
+        data = _load_dataset(config, role, need_weights, mode)
         preds = pipeline.predict_model(model, data)
-        with open(out(f"plotdata_{role}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("location_id,observed,predicted\n")
-            for i, (obs, pred) in enumerate(zip(data.response, preds)):
-                fh.write(f"{i},{_fmt17(obs)},{_fmt17(pred)}\n")
-        t = evaluation.taylor_stats(data.response, preds)
-        taylor_rows.append(
-            f"{role},{_fmt17(t.correlation)},{_fmt17(t.sd_observed)},"
-            f"{_fmt17(t.sd_predicted)},{_fmt17(t.centered_rmsd)}"
+        _write_location_csv(
+            out(f"plotdata_{role}.csv"), "location_id,observed,predicted", data.response, preds
         )
-    with open(out("taylor.csv"), "w", encoding="utf-8") as fh:
-        fh.write("role,correlation,sd_observed,sd_predicted,centered_rmsd\n")
-        fh.write("\n".join(taylor_rows) + "\n")
+        t = evaluation.taylor_stats(data.response, preds)
+        taylor_rows.append((role, t.correlation, t.sd_observed, t.sd_predicted, t.centered_rmsd))
+    _textio.write_table(
+        out("taylor.csv"), "role,correlation,sd_observed,sd_predicted,centered_rmsd",
+        "%s,%.17g,%.17g,%.17g,%.17g\n", *zip(*taylor_rows),
+    )
 
 
 _COMMANDS = {
@@ -782,17 +709,8 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config) if args.config else RunConfig()
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out_dir is not None:
-            overrides["out_dir"] = args.out_dir
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        if args.kind is not None:
-            overrides["kind"] = args.kind
-        if args.log_transform is not None:
-            overrides["log_transform"] = args.log_transform
+        flags = {key: getattr(args, key) for key in ("seed", "out_dir", "jobs", "kind", "log_transform")}
+        overrides = {key: value for key, value in flags.items() if value is not None}
         if overrides:
             config = replace(config, **overrides)
             problems = _validate(config)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DimensionError,
@@ -58,8 +57,13 @@ def _relu_deriv(x):
     return (x > 0.0).astype(float)
 
 
+def _sigmoid(x):
+    from scipy.special import expit  # slow to import; only sigmoid networks need it
+    return expit(x)
+
+
 def _sigmoid_deriv(x):
-    s = expit(x)
+    s = _sigmoid(x)
     return s * (1.0 - s)
 
 
@@ -69,7 +73,7 @@ def _tanh_deriv(x):
 
 ACTIVATIONS = {
     "relu": (_relu, _relu_deriv),
-    "sigmoid": (expit, _sigmoid_deriv),
+    "sigmoid": (_sigmoid, _sigmoid_deriv),
     "tanh": (np.tanh, _tanh_deriv),
     "identity": (lambda x: x, lambda x: np.ones_like(x)),
 }

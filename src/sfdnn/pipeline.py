@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Grid, functional_inner_products, make_bspline_basis
-from .errors import DataError, DimensionError, MissingWeightsError
+from .errors import DataError, DimensionError, MissingWeightsError, SfdnnError
 from .fdnn import (
     NetworkArchitecture,
     NetworkParameters,
@@ -355,12 +355,20 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`; a garbled file raises DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MODEL_TAG:
         raise DataError(f"{path}: not a recognized model file")
+    try:
+        return _model_from_lines(lines, path)
+    except SfdnnError:
+        raise
+    except (IndexError, KeyError, ValueError) as exc:
+        raise DataError(f"{path}: truncated or malformed model file ({exc!r})") from exc
 
+
+def _model_from_lines(lines, path) -> FittedModel:
     def parse_opt(token):
         return None if token == "none" else float(token)
 

@@ -12,6 +12,9 @@ KNN neighbors are searched with a KD-tree on unit-sphere points.  Up to
 ``_EIG_LIMIT`` rows the likelihood uses the full spectrum of W: real, from
 a symmetric eigensolver, when W = D^{-1} S with S symmetric (every
 inverse-distance W), and from the general nonsymmetric solver otherwise.
+
+scipy modules needed only by some routes are imported where they are used,
+because they account for much of the package's import time.
 """
 
 from __future__ import annotations
@@ -23,11 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.optimize import minimize_scalar
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
+from ._textio import read_rows, write_table
 from .errors import (
     AdmissibilityError,
     DataError,
@@ -261,6 +261,7 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
     lies within a slightly widened chord of the h-th nearest one.  Only
     those candidate pairs get a haversine distance.
     """
+    from scipy.spatial import cKDTree
     pts = _coords_array(coords)
     n = pts.shape[0]
     if h < 1:
@@ -336,6 +337,7 @@ def local_morans_i(W: SpatialWeightMatrix, y: np.ndarray) -> np.ndarray:
 
 def _perm_parity(perm: np.ndarray) -> int:
     """Parity of a permutation: (n - number of cycles) mod 2."""
+    from scipy.sparse.csgraph import connected_components
     n = perm.size
     graph = sp.csr_matrix((np.ones(n), perm, np.arange(n + 1)), shape=(n, n))
     cycles, _ = connected_components(graph, directed=True, connection="weak")
@@ -360,8 +362,9 @@ class SpatialFilterFactor:
             self.log_det = 0.0
             return
         if W.is_sparse:
+            from scipy.sparse.linalg import splu
             a = (sp.identity(W.n, format="csr") - self.rho * W.weights).tocsc()
-            self._lu = spla.splu(a, options=dict(Equil=False))
+            self._lu = splu(a, options=dict(Equil=False))
             sign, logdet = _slogdet_sparse(self._lu)
         else:
             a = np.eye(W.n) - self.rho * W.weights
@@ -511,6 +514,7 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
                 break
             rho_hat = nxt
     else:
+        from scipy.optimize import minimize_scalar
         res = minimize_scalar(
             lambda r: -concentrated(r),
             bounds=(b_lo, b_hi),
@@ -541,48 +545,38 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
 
 def save_weights(W: SpatialWeightMatrix, path) -> None:
     """Write a weight matrix as coordinate-list text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {W.n} row_normalized {1 if W.row_normalized else 0}\n")
-        if W.is_sparse:
-            coo = W.weights.tocoo()
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v:.17g}\n")
-        else:
-            rows, cols = np.nonzero(W.weights)
-            for i, j in zip(rows, cols):
-                fh.write(f"{i} {j} {W.weights[i, j]:.17g}\n")
+    coo = sp.coo_matrix(W.weights)
+    header = f"n {W.n} row_normalized {1 if W.row_normalized else 0}"
+    write_table(path, header, "%d %d %.17g\n", coo.row, coo.col, coo.data)
 
 
 def load_weights(path) -> SpatialWeightMatrix:
-    """Read a weight matrix written by :func:`save_weights`."""
+    """Read a weight matrix written by :func:`save_weights`.
+
+    Duplicate entries, non-finite weights, and an invalid weight matrix raise
+    a DataError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "n" or header[2] != "row_normalized":
-            raise DataError(f"{path}: malformed weight-matrix header")
         try:
-            n = int(header[1])
-            normalized = bool(int(header[3]))
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed weight-matrix header") from exc
-        ii, jj, vv = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'i j w' triple")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: expected 'i j w' triple") from exc
-            if not (0 <= i < n and 0 <= j < n):
-                raise DataError(f"{path}:{lineno}: index outside [0, {n})")
-            ii.append(i)
-            jj.append(j)
-            vv.append(v)
-    if n > DENSE_LIMIT:
-        mat = sp.csr_matrix((vv, (ii, jj)), shape=(n, n))
-        return SpatialWeightMatrix(mat, row_normalized=normalized)
-    dense = np.zeros((n, n))
-    dense[ii, jj] = vv
-    return SpatialWeightMatrix(dense, row_normalized=normalized)
+            n, normalized = int(header[1]), bool(int(header[3]))
+        except (IndexError, ValueError):
+            n = -1
+        if n < 0 or len(header) != 4 or header[0] != "n" or header[2] != "row_normalized":
+            raise DataError(f"{path}: malformed weight-matrix header")
+        triple = "expected 'i j w' triple"
+        in_range = (lambda i, j, w: (i >= 0) & (i < n) & (j >= 0) & (j < n), f"index outside [0, {n})")
+        ii, jj, vv = read_rows(fh, path, "iif", None, triple, triple, in_range)
+    if not np.all(np.isfinite(vv)):
+        k = np.argmin(np.isfinite(vv))
+        raise DataError(f"{path}: weight at i={ii[k]} j={jj[k]} is not finite")
+    mat = sp.csr_matrix((vv, (ii, jj)), shape=(n, n))
+    if mat.nnz != vv.size:
+        order = np.lexsort((jj, ii))
+        i, j = ii[order], jj[order]
+        k = np.argmax((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+        raise DataError(f"{path}: duplicate entry i={i[k]} j={j[k]}")
+    try:
+        return SpatialWeightMatrix(mat if n > DENSE_LIMIT else mat.toarray(), row_normalized=normalized)
+    except InvalidSizeError as exc:
+        raise DataError(f"{path}: {exc}") from exc

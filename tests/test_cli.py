@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -383,3 +385,123 @@ class TestSubcommands:
         lines = (out / "mc_table.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 4  # three kinds, four metrics
         assert (out / "mc_table.txt").read_text().strip()
+
+
+FUNCTIONAL_HEADER = "location_id,predictor_id,u,value\n"
+GOOD_FILES = {
+    "functional": FUNCTIONAL_HEADER + "0,1,0,1.5\n0,1,1,2.5\n1,1,0,0.5\n1,1,1,-1\n",
+    "scalars": "location_id,z1,y\n0,0.5,1\n1,-0.5,2\n",
+    "coords": "location_id,lat,lon\n0,0.0,0.0\n1,0.0,1.0\n2,1.0,0.0\n3,1.0,1.0\n",
+    "weights": "n 2 row_normalized 1\n0 1 1\n1 0 1\n",
+}
+
+
+def run_on_input(tmp_path, capsys, role, text):
+    """Run the subcommand that reads ``role`` first; return (code, message, path)."""
+    paths = {}
+    for name, good in GOOD_FILES.items():
+        paths[name] = write(tmp_path / f"{name}.txt", text if name == role else good)
+    out = tmp_path / "out"
+    if role in ("functional", "scalars"):
+        argv = ["fit", "--kind", "fdnn"]
+        keys = {"train_functional": paths["functional"], "train_scalars": paths["scalars"]}
+    elif role == "coords":
+        argv = ["weights"]
+        keys = {"coords_file": paths["coords"], "neighbor_count": 2}
+    else:
+        argv = ["moran"]
+        keys = {"train_scalars": paths["scalars"], "train_weights": paths["weights"]}
+    cfg = write(tmp_path / "run.cfg", base_config_text(out, max_epochs=2, **keys))
+    capsys.readouterr()
+    code = main([*argv, "--config", cfg])
+    err = json.loads(capsys.readouterr().err) if code else None
+    return code, err, paths[role]
+
+
+# (role, file text, expected message after the path)
+MALFORMED_INPUTS = [
+    ("functional", "location_id,predictor,u,value\n0,1,0,1\n",
+     ": unexpected header 'location_id,predictor,u,value'"),
+    ("functional", GOOD_FILES["functional"] + "2,1,0\n", ":6: expected 4 fields"),
+    ("functional", FUNCTIONAL_HEADER + "0,1,0,1.5\n0,x,1,2.5\n", ":3: malformed row"),
+    ("functional", FUNCTIONAL_HEADER + "0,1,0,1.5\n\n0,1,1,2.5e\n", ":4: malformed row"),
+    ("functional", FUNCTIONAL_HEADER, ": no data rows"),
+    ("functional", FUNCTIONAL_HEADER + "0,1,0,1\n0,1,1,2\n1,1,0,3\n1,1,0.5,4\n",
+     ": location 1 of predictor 1 is not on the shared grid"),
+    ("functional", GOOD_FILES["functional"] + "1,1,1,-1\n",
+     ": location 1 of predictor 1 is not on the shared grid"),
+    ("functional", GOOD_FILES["functional"] + "0,2,0,1\n0,2,1,2\n",
+     ": predictor 2 covers a different location set"),
+    ("scalars", "id,z1,y\n0,0.5,1\n", ": expected header 'location_id,z1..zJ,y'"),
+    ("scalars", "location_id,z1,y\n0,0.5,1\n1,-0.5\n", ":3: expected 3 fields"),
+    ("scalars", "location_id,z1,y\n0,0.5,1\n1,abc,2\n", ":3: malformed row"),
+    ("scalars", "location_id,z1,y\n", ": no data rows"),
+    ("coords", "location_id,lon,lat\n0,0.0,0.0\n", ": expected header 'location_id,lat,lon'"),
+    ("coords", "location_id,lat,lon\n0,0.0\n", ":2: expected 3 fields"),
+    ("coords", "location_id,lat,lon\n0,0.0,1.0\n1.5,0.0,east\n", ":3: malformed row"),
+    ("coords", "location_id,lat,lon\n", ": no data rows"),
+    ("weights", "n 2 normalized 1\n0 1 1\n", ": malformed weight-matrix header"),
+    ("weights", "n 2 row_normalized 1\n0 1\n1 0 1\n", ":2: expected 'i j w' triple"),
+    ("weights", "n 2 row_normalized 1\n0 1 one\n1 0 1\n", ":2: expected 'i j w' triple"),
+    ("weights", "n 2 row_normalized 1\n0 1 1\n\n1 2 1\n", ":4: index outside [0, 2)"),
+]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("role,text,suffix", MALFORMED_INPUTS)
+    def test_malformed_input_exits_3_with_location(self, tmp_path, capsys, role, text, suffix):
+        code, err, path = run_on_input(tmp_path, capsys, role, text)
+        assert code == EXIT_DATA
+        assert err["message"] == path + suffix
+        assert err["context"]["error_type"] == "DataError"
+
+    @pytest.mark.parametrize("role", sorted(GOOD_FILES))
+    def test_good_inputs_pass(self, tmp_path, capsys, role):
+        assert run_on_input(tmp_path, capsys, role, GOOD_FILES[role])[0] == 0
+
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ("n 3 row_normalized 0\n0 1 0.25\n0 1 0.5\n", "duplicate"),
+            ("n 3001 row_normalized 0\n0 1 0.25\n2 1 1\n0 1 0.5\n", "duplicate"),
+            ("n 2 row_normalized 0\n0 1 nan\n1 0 1\n", "finite"),
+            ("n 2 row_normalized 0\n0 1 1\n1 0 -inf\n", "finite"),
+            ("n 2 row_normalized 0\n0 0 1\n1 0 1\n", "diagonal"),
+            ("n 2 row_normalized 0\n0 1 -0.5\n1 0 1\n", "nonnegative"),
+            ("n 2 row_normalized 1\n0 1 0.5\n1 0 1\n", "sum to 1"),
+        ],
+    )
+    def test_bad_weight_values_exit_3_naming_the_file(self, tmp_path, capsys, text, needle):
+        code, err, path = run_on_input(tmp_path, capsys, "weights", text)
+        assert code == EXIT_DATA
+        assert err["context"]["error_type"] == "DataError"
+        assert err["message"].startswith(path + ":")
+        assert needle in err["message"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SFDNN-MODEL 1\nkind ml\n",
+            "SFDNN-MODEL 1\nkind ml\nrho_hat x\n",
+            "SFDNN-MODEL 1\nkind fdnn\nrho_hat none\nat_boundary 0\nvariance_threshold none\n"
+            "train_metrics 1 0\ngrid 2 0 1\nfeature_mean 1\n",
+        ],
+    )
+    def test_truncated_model_file_exits_3_naming_the_file(self, tmp_path, capsys, text):
+        model = write(tmp_path / "model.txt", text)
+        cfg = write(tmp_path / "p.cfg", f"model_file = {model}\nout_dir = {tmp_path / 'p'}\n")
+        assert main(["predict", "--config", cfg]) == EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error_type"] == "DataError"
+        assert err["message"].startswith(model + ":")
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    lazy = ["scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.spatial", "scipy.special"]
+    code = f"import sys, sfdnn.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -76,6 +76,18 @@ def toy_inputs(n, arch, seed):
     return features, scalars, y
 
 
+def test_sigmoid_forward_is_bit_identical_to_expit():
+    # a numpy 1 / (1 + exp(-x)) differs from expit by 1 ulp on about 2% of inputs
+    from scipy.special import expit
+
+    arch = toy_arch("sigmoid")
+    params = init_parameters(arch, 5)
+    features, scalars, _ = toy_inputs(2000, arch, 6)
+    _, cache = forward(params, 3.0 * features, scalars)
+    for pre, post in zip(cache.pre_activations, cache.post_activations):
+        assert post.tobytes() == expit(pre).tobytes()
+
+
 class TestInit:
     def test_deterministic_per_seed(self):
         arch = toy_arch()
