@@ -358,7 +358,11 @@ def read_functional_csv(path):
     if np.any(counts != counts[0]):
         p = predictors[np.argmax(counts != counts[0])]
         raise DataError(f"{path}: predictor {p} covers a different location set")
-    return list(value.reshape(predictors.size, counts[0], g)), Grid(u[:g].copy())
+    try:
+        grid = Grid(u[:g].copy())
+    except InvalidSizeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return list(value.reshape(predictors.size, counts[0], g)), grid
 
 
 def _write_location_csv(path, header, *columns) -> None:

@@ -6,9 +6,13 @@ evaluation, profile-likelihood estimation of the dependence parameter, and
 local Moran's I diagnostics.
 
 Matrices with at most ``DENSE_LIMIT`` rows are stored dense; larger ones use
-CSR storage with sparse triangular factorizations, whose log-determinant
-sign comes from the permutation parities, (n - number of cycles) mod 2.
-KNN neighbors are searched with a KD-tree on unit-sphere points.  Up to
+CSR storage with sparse triangular factorizations.  When |rho| times the
+largest row sum of W is below 1, I - rho W is strictly diagonally dominant
+with a positive diagonal, so it is factored without pivoting in one reverse
+Cuthill-McKee ordering computed once per W, and every pivot is positive.
+Any other sparse W gets a pivoted factorization whose log-determinant sign
+comes from the permutation parities, (n - number of cycles) mod 2.  KNN
+neighbors are searched with a KD-tree on unit-sphere points.  Up to
 ``_EIG_LIMIT`` rows the likelihood uses the full spectrum of W: real, from
 a symmetric eigensolver, when W = D^{-1} S with S symmetric (every
 inverse-distance W), and from the general nonsymmetric solver otherwise.
@@ -114,6 +118,7 @@ class SpatialWeightMatrix:
                 raise InvalidSizeError("row-normalized flag set but rows do not sum to 1")
         self._eigenvalues = None
         self._interval = None
+        self._ordering = None
 
     @property
     def is_sparse(self) -> bool:
@@ -173,6 +178,14 @@ class SpatialWeightMatrix:
                 sym /= root
                 self._eigenvalues = np.linalg.eigvalsh(sym)
         return self._eigenvalues
+
+    def _ordered(self):
+        """Reverse Cuthill-McKee ordering of W + W' and W permuted by it, as CSC."""
+        if self._ordering is None:
+            from scipy.sparse.csgraph import reverse_cuthill_mckee
+            perm = reverse_cuthill_mckee((self.weights + self.weights.T).tocsr(), symmetric_mode=True)
+            self._ordering = (perm, self.weights[perm][:, perm].tocsc())
+        return self._ordering
 
     def admissible_interval(self) -> tuple[float, float]:
         """Open interval of dependence parameters keeping I - rho W invertible.
@@ -358,14 +371,26 @@ class SpatialFilterFactor:
         self.W = W
         self.rho = float(rho)
         self._lu = None
+        self._perm = None
         if self.rho == 0.0:
             self.log_det = 0.0
             return
         if W.is_sparse:
             from scipy.sparse.linalg import splu
-            a = (sp.identity(W.n, format="csr") - self.rho * W.weights).tocsc()
-            self._lu = splu(a, options=dict(Equil=False))
-            sign, logdet = _slogdet_sparse(self._lu)
+            if abs(self.rho) * np.max(W.row_sums(), initial=0.0) < 1.0:
+                # strictly diagonally dominant with a positive diagonal: the
+                # diagonal pivots are the ratios of positive leading minors, and
+                # a symmetric permutation leaves the determinant's sign alone
+                self._perm, wp = W._ordered()
+                a = sp.identity(W.n, format="csc") - self.rho * wp
+                self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
+                diag = self._lu.U.diagonal()
+                sign = 1.0 if np.all(diag > 0.0) else -1.0
+                logdet = float(np.sum(np.log(np.abs(diag))))
+            else:
+                a = (sp.identity(W.n, format="csr") - self.rho * W.weights).tocsc()
+                self._lu = splu(a, options=dict(Equil=False))
+                sign, logdet = _slogdet_sparse(self._lu)
         else:
             a = np.eye(W.n) - self.rho * W.weights
             self._lu = sla.lu_factor(a, check_finite=False)
@@ -379,23 +404,31 @@ class SpatialFilterFactor:
             )
         self.log_det = logdet
 
+    def _sparse_solve(self, b: np.ndarray, trans: str) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if self._perm is None:
+            return self._lu.solve(b, trans=trans)
+        x = np.empty_like(b)
+        x[self._perm] = self._lu.solve(b[self._perm], trans=trans)
+        return x
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.rho == 0.0:
             return b
         if self.W.is_sparse:
-            return self._lu.solve(np.asarray(b, dtype=float))
+            return self._sparse_solve(b, "N")
         return sla.lu_solve(self._lu, b, check_finite=False)
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
         if self.rho == 0.0:
             return b
         if self.W.is_sparse:
-            return self._lu.solve(np.asarray(b, dtype=float), trans="T")
+            return self._sparse_solve(b, "T")
         return sla.lu_solve(self._lu, b, trans=1, check_finite=False)
 
 
 def log_det_filter(W: SpatialWeightMatrix, rho: float) -> float:
-    """ln det(I - rho W) via pivoted triangular factorization with sign check."""
+    """ln det(I - rho W) via triangular factorization with sign check."""
     if rho == 0.0:
         return 0.0
     return SpatialFilterFactor(W, rho).log_det
@@ -421,22 +454,95 @@ class RhoEstimate:
     at_boundary: bool
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-9):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+def _newton_max(slope, a: float, x: float, b: float) -> float:
+    """Maximizer near x of a function whose slope and curvature ``slope`` gives.
+
+    The slope's sign at x picks the half of [a, b] that must hold the
+    stationary point; if the slope at that half's far end has the same sign
+    there is none (x is at the end of the interval) and x is returned.
+    Newton steps stay inside the sign-change bracket, and a step that would
+    leave it, or a non-negative curvature, is replaced by bisection.
+    """
+    g, h = slope(x)
+    if g > 0.0:
+        a, far = x, b
+    else:
+        b, far = x, a
+    if g == 0.0 or far == x or (slope(far)[0] > 0.0) == (g > 0.0):
+        return x
+    for _ in range(200):
+        nxt = x - g / h if h < 0.0 else math.nan
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+        if abs(nxt - x) < 1e-14:
+            return nxt
+        x = nxt
+        g, h = slope(x)
+        if g == 0.0:
+            return x
+        if g > 0.0:
+            a = x
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            b = x
+    return x
+
+
+def _brent_max(f, xs, fs, xatol: float) -> float:
+    """Maximize f on [xs[0], xs[-1]] by Brent's method (Brent 1973, ch. 5).
+
+    ``xs`` holds two or three ascending points and ``fs`` their values; the
+    search starts from the best of them, with the others as the first
+    parabola's points.  Parabolic steps through the three best points,
+    golden-section steps when a parabola is not trusted.  It stops when the
+    bracket lies within 2 tol of the best point, tol = sqrt(eps) |x| +
+    xatol / 3: closer than sqrt(eps) |x| to a smooth maximum, values of f
+    differ by rounding only.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    rel = math.sqrt(np.finfo(float).eps)
+    a, b = xs[0], xs[-1]
+    ranked = sorted(zip(fs, xs), reverse=True) * 2
+    (fx, x), (fw, w), (fv, v) = ranked[:3]
+    d = e = b - a
+    while True:
+        tol = rel * abs(x) + xatol / 3.0
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return x
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                    d = tol if x < mid else -tol
+        if not parabolic:
+            e = b - x if x < mid else a - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> RhoEstimate:
@@ -445,7 +551,10 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     For fixed rho the coefficient vector is the least-squares fit of
     (y - rho W y) on ``Xc`` and sigma^2 the residual mean square, leaving a
     one-dimensional search of ln|I - rho W| - (n/2) ln sigma^2(rho) over the
-    admissible interval (golden section, then bounded local refinement).
+    admissible interval.  A coarse scan brackets the global optimum (the
+    profile can be multimodal); one refinement inside the scan bracket
+    follows: safeguarded Newton with exact derivatives when the spectrum of
+    W is known, Brent's parabolic search on the profile otherwise.
     ``Xc`` must have full column rank with a leading column of ones.
     """
     y = np.asarray(y, dtype=float).ravel()
@@ -472,11 +581,15 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     lo_s, hi_s = lo + margin, hi - margin
 
     eigs = W.eigenvalues()
+    # sparse log-dets by rho, so the final likelihood reuses the chosen point's
+    log_dets: dict[float, float] = {}
 
     def log_det(rho: float) -> float:
         if eigs is not None:
             return float(np.sum(np.log(np.abs(1.0 - rho * eigs))))
-        return log_det_filter(W, rho)
+        if rho not in log_dets:
+            log_dets[rho] = log_det_filter(W, rho)
+        return log_dets[rho]
 
     def concentrated(rho: float) -> float:
         ssr = ss00 - 2.0 * rho * ss01 + rho * rho * ss11
@@ -484,45 +597,29 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
             return -np.inf
         return log_det(rho) - 0.5 * n * math.log(ssr / n)
 
-    # coarse scan brackets the global optimum (the profile likelihood can be
-    # multimodal), golden section narrows it, Newton polishes
     n_scan = 101 if eigs is not None else 21
     scan = np.linspace(lo_s, hi_s, n_scan)
     scan_vals = np.array([concentrated(r) for r in scan])
     best = int(np.argmax(scan_vals))
-    b_lo = scan[max(best - 1, 0)]
-    b_hi = scan[min(best + 1, n_scan - 1)]
-    rho_hat = _golden_section_max(concentrated, b_lo, b_hi, tol=1e-7)
+    near = slice(max(best - 1, 0), best + 2)
 
     if eigs is not None:
-        for _ in range(60):
-            ssr = ss00 - 2.0 * rho_hat * ss01 + rho_hat * rho_hat * ss11
+        def slope(rho: float) -> tuple[float, float]:
+            ssr = ss00 - 2.0 * rho * ss01 + rho * rho * ss11
             if ssr <= 0.0:
-                break
-            resid_term = 1.0 - rho_hat * eigs
-            grad = float(np.sum((-eigs / resid_term).real)) + n * (ss01 - rho_hat * ss11) / ssr
+                # an exact fit: the profile is unbounded there
+                return 0.0, -1.0
+            resid_term = 1.0 - rho * eigs
+            grad = float(np.sum((-eigs / resid_term).real)) + n * (ss01 - rho * ss11) / ssr
             hess = (
                 -float(np.sum((eigs / resid_term) ** 2).real)
-                + n * (-ss11 * ssr + 2.0 * (ss01 - rho_hat * ss11) ** 2) / ssr**2
+                + n * (-ss11 * ssr + 2.0 * (ss01 - rho * ss11) ** 2) / ssr**2
             )
-            if hess >= 0.0:
-                break
-            step = grad / hess
-            nxt = min(max(rho_hat - step, b_lo), b_hi)
-            if abs(nxt - rho_hat) < 1e-14:
-                rho_hat = nxt
-                break
-            rho_hat = nxt
+            return grad, hess
+
+        rho_hat = _newton_max(slope, scan[near][0], scan[best], scan[near][-1])
     else:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(
-            lambda r: -concentrated(r),
-            bounds=(b_lo, b_hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if concentrated(float(res.x)) >= concentrated(rho_hat):
-            rho_hat = float(res.x)
+        rho_hat = _brent_max(concentrated, scan[near].tolist(), scan_vals[near].tolist(), 1e-10)
 
     target = y - rho_hat * ylag
     theta_hat, *_ = np.linalg.lstsq(Xc, target, rcond=None)

@@ -432,6 +432,11 @@ MALFORMED_INPUTS = [
      ": location 1 of predictor 1 is not on the shared grid"),
     ("functional", GOOD_FILES["functional"] + "0,2,0,1\n0,2,1,2\n",
      ": predictor 2 covers a different location set"),
+    ("functional", FUNCTIONAL_HEADER + "0,1,0,1\n0,1,0.5,2\n1,1,0,3\n1,1,0.5,4\n",
+     ": grid endpoints must be exactly 0 and 1"),
+    ("functional", FUNCTIONAL_HEADER + "0,1,0,1\n0,1,0,2\n1,1,0,3\n1,1,0,4\n",
+     ": grid points must be strictly ascending"),
+    ("functional", FUNCTIONAL_HEADER + "0,1,0,1\n1,1,0,3\n", ": grid needs at least 2 points"),
     ("scalars", "id,z1,y\n0,0.5,1\n", ": expected header 'location_id,z1..zJ,y'"),
     ("scalars", "location_id,z1,y\n0,0.5,1\n1,-0.5\n", ":3: expected 3 fields"),
     ("scalars", "location_id,z1,y\n0,0.5,1\n1,abc,2\n", ":3: malformed row"),
@@ -496,12 +501,33 @@ class TestInputFiles:
         assert err["message"].startswith(model + ":")
 
 
-def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    lazy = ["scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.spatial", "scipy.special"]
-    code = f"import sys, sfdnn.cli; print([m for m in {lazy!r} if m in sys.modules])"
+def run_python(code):
+    """Standard output of ``code`` run in a fresh interpreter on the package source."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    lazy = ["scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.spatial", "scipy.special"]
+    assert run_python(f"import sys, sfdnn.cli; print([m for m in {lazy!r} if m in sys.modules])") == "[]"
+
+
+def test_sparse_ml_fit_leaves_scipy_optimize_unloaded():
+    # beyond DENSE_LIMIT sites W is sparse and the likelihood takes the LU route
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from sfdnn import spatial\n"
+        "rng = np.random.default_rng(3)\n"
+        "W = spatial.build_knn_bisquare_weights(rng.uniform(-20.0, 20.0, (3100, 2)), 4)\n"
+        "X = np.column_stack([np.ones(W.n), rng.normal(size=W.n)])\n"
+        "y = spatial.apply_spatial_filter(W, 0.5, X @ np.array([1.0, 2.0]) + rng.normal(size=W.n))\n"
+        "assert W.is_sparse and W.eigenvalues() is None\n"
+        "spatial.estimate_rho_ml(y, X, W)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    assert run_python(code) == "False"

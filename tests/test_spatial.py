@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sfdnn import spatial
 from sfdnn.errors import (
     AdmissibilityError,
     DataError,
@@ -20,6 +21,7 @@ from sfdnn.spatial import (
     DENSE_LIMIT,
     EARTH_RADIUS_KM,
     Coordinates,
+    SpatialFilterFactor,
     SpatialWeightMatrix,
     apply_spatial_filter,
     build_inverse_distance_weights,
@@ -328,6 +330,13 @@ class TestLogDet:
         with pytest.raises(AdmissibilityError):
             log_det_filter(W, 1.5)
 
+    def test_sparse_pivoted_route_hand_values(self):
+        # |rho| times the largest row sum is at least 1: not diagonally dominant
+        W = SpatialWeightMatrix(sp.csr_matrix([[0.0, 2.0], [0.1, 0.0]]), row_normalized=False)
+        np.testing.assert_allclose(log_det_filter(W, 0.6), math.log(0.928), atol=1e-14)
+        with pytest.raises(AdmissibilityError):
+            log_det_filter(W, 3.0)
+
 
 class TestApplyFilter:
     def test_rho_zero_identity(self):
@@ -434,6 +443,43 @@ class TestEstimateRho:
         vals = np.array([conc(r) for r in grid])
         best = grid[np.argmax(vals)]
         assert abs(best - est.rho_hat) <= (grid[1] - grid[0]) + 1e-12
+
+    def test_grid_oracle_confirms_optimum_on_lu_route(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        pts = rng.uniform(-5.0, 5.0, (150, 2))
+        knn = build_knn_bisquare_weights(pts, 4)
+        W = SpatialWeightMatrix(sp.csr_matrix(knn.toarray()), row_normalized=True)
+        X = np.column_stack([np.ones(150), rng.normal(size=(150, 3))])
+        y = apply_spatial_filter(W, 0.6, X @ np.array([0.5, 1.0, -1.5, 2.0]) + rng.normal(size=150))
+        monkeypatch.setattr(spatial, "_EIG_LIMIT", 100)
+        exact = spatial.log_det_filter
+        calls = []
+
+        def counted(W, rho):
+            calls.append(rho)
+            return exact(W, rho)
+
+        monkeypatch.setattr(spatial, "log_det_filter", counted)
+        est = estimate_rho_ml(y, X, W)
+        assert W.eigenvalues() is None
+        # a 21-point scan and one refinement: the evaluation budget
+        assert len(calls) <= 40
+
+        lo, hi = est.admissible_interval
+        grid = np.linspace(lo + 1e-6, hi - 1e-6, 201)
+        q, _ = np.linalg.qr(X, mode="reduced")
+        ylag = W.matvec(y)
+        e0 = y - q @ (q.T @ y)
+        e1 = ylag - q @ (q.T @ ylag)
+
+        def conc(rho):
+            resid = e0 - rho * e1
+            return exact(W, rho) - 0.5 * len(y) * np.log(resid @ resid / len(y))
+
+        vals = np.array([conc(r) for r in grid])
+        best = grid[np.argmax(vals)]
+        assert abs(best - est.rho_hat) <= (grid[1] - grid[0]) + 1e-12
+        assert conc(est.rho_hat) >= vals.max() - 1e-9
 
     def test_column_scaling_invariance(self):
         rng = np.random.default_rng(37)
@@ -607,3 +653,52 @@ class TestProperties:
         rho = lo + frac * (hi - lo)
         dense, sparse = log_det_filter(W_dense, rho), log_det_filter(W_sparse, rho)
         assert abs(sparse - dense) <= 1e-10 * max(1.0, abs(dense))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(3, 30),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.1, 1.0),
+        frac=st.floats(0.01, 0.99),
+        cols=st.integers(1, 3),
+    )
+    def test_sparse_solves_invert_row_normalized_filter(self, n, seed, density, frac, cols):
+        W = random_row_normalized(n, np.random.default_rng(seed), density)
+        lo, hi = W.admissible_interval()
+        assert_solves_invert_filter(W.toarray(), lo + frac * (hi - lo), cols, seed, pivoted=False)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(3, 30),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1.5, 3.0),
+        frac=st.floats(0.01, 0.99),
+        cols=st.integers(1, 3),
+    )
+    def test_sparse_solves_invert_unnormalized_filter(self, n, seed, scale, frac, cols):
+        # every row sums to scale > 1; rho below -1 / scale is admissible
+        # (a positive W has its smallest eigenvalue above -scale) but
+        # leaves I - rho W without diagonal dominance
+        a = scale * random_row_normalized(n, np.random.default_rng(seed)).toarray()
+        lo, _ = SpatialWeightMatrix(a, row_normalized=False).admissible_interval()
+        rho = lo + frac * (-1.0 / scale - lo)
+        assert_solves_invert_filter(a, rho, cols, seed, pivoted=True)
+
+
+def assert_solves_invert_filter(a, rho, cols, seed, pivoted):
+    """Sparse solve and solve_transpose against dense solves of I - rho W.
+
+    The route follows from the row sums, not from the row-normalized flag.
+    """
+    W = SpatialWeightMatrix(sp.csr_matrix(a), row_normalized=False)
+    factor = SpatialFilterFactor(W, rho)
+    assert (factor._perm is None) == pivoted
+    filt = np.eye(W.n) - rho * a
+    rng = np.random.default_rng(seed)
+    for b in (rng.normal(size=W.n), rng.normal(size=(W.n, cols))):
+        for got, ref in (
+            (factor.solve(b), np.linalg.solve(filt, b)),
+            (factor.solve_transpose(b), np.linalg.solve(filt.T, b)),
+        ):
+            assert got.shape == b.shape
+            assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
