@@ -64,8 +64,8 @@ class RunConfig:
     double_filter_errors: bool = False
     replication_seed: int = 0
     # architecture
-    hidden_sizes: tuple = (32, 16)
-    activations: tuple = ("relu",)
+    hidden_sizes: tuple[int, ...] = (32, 16)
+    activations: tuple[str, ...] = ("relu",)
     basis_size: int = 7
     basis_degree: int = 3
     # training
@@ -80,19 +80,19 @@ class RunConfig:
     neighbor_count: int = 4
     n_sites: int = 0
     # tuning grid
-    tune_hidden_sizes: tuple = ((32, 16),)
-    tune_activations: tuple = ("relu",)
-    tune_learning_rates: tuple = (0.01,)
-    tune_batch_sizes: tuple = (32,)
-    tune_basis_sizes: tuple = (7,)
-    tune_weight_decays: tuple = (0.0,)
-    tune_max_epochs: tuple = (200,)
-    tune_neighbor_counts: tuple = (None,)
+    tune_hidden_sizes: tuple[tuple[int, ...], ...] = ((32, 16),)
+    tune_activations: tuple[str, ...] = ("relu",)
+    tune_learning_rates: tuple[float, ...] = (0.01,)
+    tune_batch_sizes: tuple[int, ...] = (32,)
+    tune_basis_sizes: tuple[int, ...] = (7,)
+    tune_weight_decays: tuple[float, ...] = (0.0,)
+    tune_max_epochs: tuple[int, ...] = (200,)
+    tune_neighbor_counts: tuple[int | None, ...] = (None,)
     tune_folds: int = 5
     # benchmark
-    mc_n_trains: tuple = (500,)
-    mc_rhos: tuple = (0.1, 0.5, 0.9)
-    mc_error_dists: tuple = ("gaussian",)
+    mc_n_trains: tuple[int, ...] = (500,)
+    mc_rhos: tuple[float, ...] = (0.1, 0.5, 0.9)
+    mc_error_dists: tuple[str, ...] = ("gaussian",)
     mc_replications: int = 25
     # file paths (unset when empty)
     train_functional: str = ""
@@ -145,59 +145,30 @@ def _parse_opt_int_tuple(text):
     return tuple(out)
 
 
-_PARSERS = {
-    "seed": int,
-    "out_dir": str,
-    "kind": str,
-    "jobs": int,
-    "log_transform": str,
-    "n_train": int,
-    "n_test": int,
-    "rho": float,
-    "error_dist": str,
-    "grid_points": int,
-    "beta0": float,
-    "double_filter_errors": _parse_bool,
-    "replication_seed": int,
-    "hidden_sizes": _parse_int_tuple,
-    "activations": _parse_str_tuple,
-    "basis_size": int,
-    "basis_degree": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "early_stop_threshold": float,
-    "weight_decay": float,
-    "validation_fraction": float,
-    "variance_threshold": float,
-    "neighbor_count": int,
-    "n_sites": int,
-    "tune_hidden_sizes": _parse_hidden_groups,
-    "tune_activations": _parse_str_tuple,
-    "tune_learning_rates": _parse_float_tuple,
-    "tune_batch_sizes": _parse_int_tuple,
-    "tune_basis_sizes": _parse_int_tuple,
-    "tune_weight_decays": _parse_float_tuple,
-    "tune_max_epochs": _parse_int_tuple,
-    "tune_neighbor_counts": _parse_opt_int_tuple,
-    "tune_folds": int,
-    "mc_n_trains": _parse_int_tuple,
-    "mc_rhos": _parse_float_tuple,
-    "mc_error_dists": _parse_str_tuple,
-    "mc_replications": int,
-    "train_functional": str,
-    "train_scalars": str,
-    "train_weights": str,
-    "test_functional": str,
-    "test_scalars": str,
-    "test_weights": str,
-    "coords_file": str,
-    "model_file": str,
+# annotation text (``from __future__ import annotations``) -> parser; a
+# RunConfig field whose annotation is missing here fails at import
+_PARSERS_BY_TYPE = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[float, ...]": _parse_float_tuple,
+    "tuple[str, ...]": _parse_str_tuple,
+    "tuple[tuple[int, ...], ...]": _parse_hidden_groups,
+    "tuple[int | None, ...]": _parse_opt_int_tuple,
 }
+_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(RunConfig)}
 
 
 def _validate(config: RunConfig) -> list:
     problems = []
+
+    def violated(name, bad):
+        # a grid list is checked value by value by the rule of its scalar key
+        value = getattr(config, name)
+        return any(v is not None and bad(v) for v in (value if isinstance(value, tuple) else (value,)))
+
     if config.kind not in pipeline.KINDS:
         problems.append(f"key 'kind': must be one of {'/'.join(pipeline.KINDS)}")
     if config.log_transform not in ("none", "response", "all"):
@@ -214,31 +185,37 @@ def _validate(config: RunConfig) -> list:
         if v not in simgen.ERROR_DISTS:
             problems.append(f"key 'mc_error_dists': unknown distribution '{v}'")
     for name, minimum in (
-        ("jobs", 1), ("n_train", 2), ("n_test", 2), ("grid_points", 2),
-        ("basis_size", 1), ("basis_degree", 1), ("batch_size", 1),
-        ("max_epochs", 1), ("neighbor_count", 1), ("tune_folds", 2),
-        ("mc_replications", 1),
+        ("jobs", 1), ("n_train", 2), ("mc_n_trains", 2), ("n_test", 2), ("grid_points", 2),
+        ("basis_size", 1), ("basis_degree", 1), ("batch_size", 1), ("tune_batch_sizes", 1),
+        ("max_epochs", 1), ("tune_max_epochs", 1), ("neighbor_count", 1),
+        ("tune_neighbor_counts", 1), ("tune_folds", 2), ("mc_replications", 1),
     ):
-        if getattr(config, name) < minimum:
+        if violated(name, lambda v: v < minimum):
             problems.append(f"key '{name}': must be at least {minimum}")
-    if config.learning_rate <= 0:
-        problems.append("key 'learning_rate': must be positive")
-    for name in ("early_stop_threshold", "weight_decay"):
-        if getattr(config, name) < 0:
+    for name in ("learning_rate", "tune_learning_rates"):
+        if violated(name, lambda v: v <= 0):
+            problems.append(f"key '{name}': must be positive")
+    for name in ("early_stop_threshold", "weight_decay", "tune_weight_decays"):
+        if violated(name, lambda v: v < 0):
             problems.append(f"key '{name}': must be nonnegative")
     if not 0.0 <= config.validation_fraction <= 0.5:
         problems.append("key 'validation_fraction': must be in [0, 0.5]")
     if not 0.0 < config.variance_threshold <= 1.0:
         problems.append("key 'variance_threshold': must be in (0, 1]")
-    for tag in config.activations + config.tune_activations:
-        if tag not in ACTIVATIONS:
-            problems.append(f"key 'activations': unknown activation '{tag}'")
+    for name in ("activations", "tune_activations"):
+        for tag in getattr(config, name):
+            if tag not in ACTIVATIONS:
+                problems.append(f"key '{name}': unknown activation '{tag}'")
     if any(h < 1 for group in config.tune_hidden_sizes for h in group):
         problems.append("key 'tune_hidden_sizes': sizes must be >= 1")
     if any(h < 1 for h in config.hidden_sizes):
         problems.append("key 'hidden_sizes': sizes must be >= 1")
-    if config.basis_size < config.basis_degree + 1:
-        problems.append("key 'basis_size': must be at least basis_degree + 1")
+    for name in ("basis_size", "tune_basis_sizes"):
+        if violated(name, lambda v: v < config.basis_degree + 1):
+            problems.append(f"key '{name}': must be at least basis_degree + 1")
+    for f in fields(config):
+        if getattr(config, f.name) == ():
+            problems.append(f"key '{f.name}': must list at least one value")
     return problems
 
 
@@ -355,14 +332,17 @@ def read_functional_csv(path):
                     f"{path}: location {loc[s]} of predictor {pred[s]} is not on the shared grid"
                 )
     predictors, counts = np.unique(pred[starts], return_counts=True)
-    if np.any(counts != counts[0]):
-        p = predictors[np.argmax(counts != counts[0])]
-        raise DataError(f"{path}: predictor {p} covers a different location set")
+    ids = loc[starts[: counts[0]]]
+    same = counts == counts[0]
+    if same.all():
+        same = np.all(loc[starts].reshape(predictors.size, -1) == ids, axis=1)
+    if not same.all():
+        raise DataError(f"{path}: predictor {predictors[np.argmin(same)]} covers a different location set")
     try:
         grid = Grid(u[:g].copy())
     except InvalidSizeError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return list(value.reshape(predictors.size, counts[0], g)), grid
+    return list(value.reshape(predictors.size, counts[0], g)), grid, ids
 
 
 def _write_location_csv(path, header, *columns) -> None:
@@ -382,8 +362,9 @@ def read_scalars_csv(path):
         if header[0] != "location_id" or header[-1] != "y" or len(header) < 2:
             raise DataError(f"{path}: expected header 'location_id,z1..zJ,y'")
         ids, *values = _csv_columns(fh, path, "i" + "f" * (len(header) - 1))
-    data = np.column_stack(values)[np.argsort(ids, kind="stable")]
-    return data[:, :-1], data[:, -1]
+    order = np.argsort(ids, kind="stable")
+    data = np.column_stack(values)[order]
+    return data[:, :-1], data[:, -1], ids[order]
 
 
 def read_coords_csv(path):
@@ -461,23 +442,17 @@ def _architecture_from_config(config: RunConfig, num_functional, num_scalar) -> 
 
 
 def _train_config_from_config(config: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        max_epochs=config.max_epochs,
-        early_stop_threshold=config.early_stop_threshold,
-        weight_decay=config.weight_decay,
-        validation_fraction=config.validation_fraction,
-        seed=config.seed,
-    )
+    return TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
 
 
 def _load_dataset(config: RunConfig, role: str, need_weights: bool, log_mode: str):
     """Read the ``role`` ("train" or "test") files the configuration names."""
     names = [f"{role}_functional", f"{role}_scalars"] + ([f"{role}_weights"] if need_weights else [])
     _require_inputs(config, names)
-    functional, grid = read_functional_csv(getattr(config, names[0]))
-    scalars, response = read_scalars_csv(getattr(config, names[1]))
+    functional, grid, ids = read_functional_csv(getattr(config, names[0]))
+    scalars, response, scalar_ids = read_scalars_csv(getattr(config, names[1]))
+    if not np.array_equal(scalar_ids, ids):
+        raise DataError(f"{getattr(config, names[1])}: location ids differ from the functional file's")
     weights = spatial.load_weights(getattr(config, names[2])) if need_weights else None
     data = pipeline.RegressionDataset(
         functional=functional, grid=grid, scalars=scalars, response=response, weights=weights,
@@ -532,17 +507,11 @@ def _cmd_tune(config: RunConfig, out):
         _require_inputs(config, ["coords_file"])
         coords = read_coords_csv(config.coords_file)
     grid = evaluation.TuneGrid(
-        hidden_sizes=list(config.tune_hidden_sizes),
-        activations=list(config.tune_activations),
-        learning_rates=list(config.tune_learning_rates),
-        batch_sizes=list(config.tune_batch_sizes),
-        basis_sizes=list(config.tune_basis_sizes),
-        weight_decays=list(config.tune_weight_decays),
-        max_epochs=list(config.tune_max_epochs),
-        neighbor_counts=list(config.tune_neighbor_counts),
+        **{f.name: list(getattr(config, "tune_" + f.name)) for f in fields(evaluation.TuneGrid)}
     )
     best, table = evaluation.kfold_tune(
-        data, config.kind, grid, config.tune_folds, config.seed, coords
+        data, config.kind, grid, config.tune_folds, config.seed, coords,
+        config.variance_threshold, config.basis_degree,
     )
     rows = []
     for row in table:
@@ -561,15 +530,11 @@ def _cmd_tune(config: RunConfig, out):
         *zip(*rows),
     )
     with open(out("best_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"hidden_sizes = {','.join(str(h) for h in best.hidden_sizes)}\n")
-        fh.write(f"activations = {best.activation}\n")
-        fh.write(f"learning_rate = {best.learning_rate!r}\n")
-        fh.write(f"batch_size = {best.batch_size}\n")
-        fh.write(f"basis_size = {best.basis_size}\n")
-        fh.write(f"weight_decay = {best.weight_decay!r}\n")
-        fh.write(f"max_epochs = {best.max_epochs}\n")
-        if best.neighbor_count is not None:
-            fh.write(f"neighbor_count = {best.neighbor_count}\n")
+        for f in fields(best):
+            value = getattr(best, f.name)
+            if value is not None:
+                key = "activations" if f.name == "activation" else f.name
+                fh.write(f"{key} = {_format_value(key, value)}\n")
 
 
 def _cmd_weights(config: RunConfig, out):
@@ -586,7 +551,7 @@ def _cmd_weights(config: RunConfig, out):
 
 def _cmd_moran(config: RunConfig, out):
     _require_inputs(config, ["train_scalars", "train_weights"])
-    _, response = read_scalars_csv(config.train_scalars)
+    _, response, _ = read_scalars_csv(config.train_scalars)
     W = spatial.load_weights(config.train_weights)
     if config.log_transform != "none":
         bad = np.flatnonzero(response <= 0)
@@ -599,16 +564,9 @@ def _cmd_moran(config: RunConfig, out):
 
 
 def _cmd_mc_bench(config: RunConfig, out):
+    base = replace(_scenario_from_config(config), replication_seed=0)
     scenarios = [
-        simgen.ScenarioConfig(
-            n_train=n_train,
-            n_test=config.n_test,
-            rho=rho,
-            error_dist=dist,
-            num_grid_points=config.grid_points,
-            beta0=config.beta0,
-            double_filter_errors=config.double_filter_errors,
-        )
+        replace(base, n_train=n_train, rho=rho, error_dist=dist)
         for dist in config.mc_error_dists
         for n_train in config.mc_n_trains
         for rho in config.mc_rhos

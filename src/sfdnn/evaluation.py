@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -162,35 +162,17 @@ class TuneGrid:
     neighbor_counts: list = field(default_factory=lambda: [None])
 
     def __post_init__(self):
-        for name in (
-            "hidden_sizes", "activations", "learning_rates", "batch_sizes",
-            "basis_sizes", "weight_decays", "max_epochs", "neighbor_counts",
-        ):
-            if not getattr(self, name):
-                raise InvalidSizeError(f"tuning grid field '{name}' must be nonempty")
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise InvalidSizeError(f"tuning grid field '{f.name}' must be nonempty")
 
     def candidates(self) -> list:
-        out = []
-        for combo in itertools.product(
-            self.hidden_sizes, self.activations, self.learning_rates, self.batch_sizes,
-            self.basis_sizes, self.weight_decays, self.max_epochs, self.neighbor_counts,
-        ):
-            out.append(
-                CandidateConfig(
-                    hidden_sizes=tuple(combo[0]),
-                    activation=combo[1],
-                    learning_rate=combo[2],
-                    batch_size=combo[3],
-                    basis_size=combo[4],
-                    weight_decay=combo[5],
-                    max_epochs=combo[6],
-                    neighbor_count=combo[7],
-                )
-            )
-        return out
+        # one CandidateConfig field per grid list, in the same order
+        lists = (getattr(self, f.name) for f in fields(self))
+        return [CandidateConfig(tuple(hidden), *rest) for hidden, *rest in itertools.product(*lists)]
 
 
-def _fit_kind(kind, data, candidate, seed, variance_threshold=0.95, basis_degree=3):
+def _fit_kind(kind, data, candidate, seed, variance_threshold, basis_degree):
     if kind == "ml":
         return fit_ml_baseline(data, variance_threshold)
     arch = candidate.architecture(data.num_functional, data.num_scalar)
@@ -209,13 +191,16 @@ def kfold_tune(
     num_folds: int,
     seed: int,
     coords=None,
+    variance_threshold: float = 0.95,
+    basis_degree: int = 3,
 ):
     """Exhaustive grid search by K-fold cross-validated prediction error.
 
     Returns the winning candidate and the full table (one dict per
     candidate).  Ties break toward the smaller model, then grid order.
     Candidates with a ``neighbor_count`` rebuild the weight matrix from
-    ``coords`` before splitting.
+    ``coords`` before splitting.  Every fit takes ``variance_threshold``
+    and ``basis_degree``, as in :func:`monte_carlo_study`.
     """
     n = data.n
     if num_folds < 2:
@@ -245,7 +230,9 @@ def kfold_tune(
         for fold in folds:
             held = np.sort(fold)
             rest = np.sort(np.setdiff1d(perm, fold))
-            fit = _fit_kind(kind, cand_data.subset(rest), cand, seed)
+            fit = _fit_kind(
+                kind, cand_data.subset(rest), cand, seed, variance_threshold, basis_degree
+            )
             preds = predict_model(fit, cand_data.subset(held))
             total_sq += float(np.sum((preds - cand_data.response[held]) ** 2))
         cv_mspe = total_sq / n

@@ -25,7 +25,7 @@ from .errors import (
     NumericOverflowError,
     TrainingDivergedError,
 )
-from .spatial import SpatialFilterFactor, SpatialWeightMatrix
+from .spatial import SpatialFilterFactor
 
 __all__ = [
     "ACTIVATIONS",
@@ -159,16 +159,8 @@ class TrainConfig:
             raise InvalidArchitectureError("validation_fraction must be in [0, 0.5]")
 
 
-class SpatialContext:
-    """Fixed spatial filter (I - rho W)^{-1}, applied to the network inputs."""
-
-    def __init__(self, W: SpatialWeightMatrix, rho_hat: float):
-        self.W = W
-        self.rho_hat = float(rho_hat)
-        self._factor = SpatialFilterFactor(W, self.rho_hat)
-
-    def solve(self, b):
-        return self._factor.solve(b)
+# the fixed spatial filter (I - rho W)^{-1} applied to the network inputs
+SpatialContext = SpatialFilterFactor
 
 
 def _tensor_shapes(arch):
@@ -516,18 +508,17 @@ def parameters_from_lines(lines) -> NetworkParameters:
     """Rebuild parameters from the text-format lines."""
     if not lines or lines[0] != _FORMAT_TAG:
         raise DimensionError("not a recognized network parameter block")
-    func_line = lines[1].split()
-    p = int(func_line[1])
-    basis_sizes = tuple(int(v) for v in func_line[2 : 2 + p])
-    num_scalar = int(lines[2].split()[1])
-    hidden_sizes = tuple(int(v) for v in lines[3].split()[1:])
-    activations = tuple(lines[4].split()[1:])
+    header = [line.split() for line in lines[1:5]]
+    keys = ["functional", "scalars", "hidden", "activations"]
+    if [h[:1] for h in header] != [[key] for key in keys]:
+        raise DimensionError(f"network parameter header must be the lines {', '.join(keys)}")
+    (_, p, *basis_sizes), (_, num_scalar), (_, *hidden_sizes), (_, *activations) = header
     arch = NetworkArchitecture(
-        num_functional=p,
-        basis_sizes=basis_sizes,
-        num_scalar=num_scalar,
-        hidden_sizes=hidden_sizes,
-        activations=activations,
+        num_functional=int(p),
+        basis_sizes=tuple(int(v) for v in basis_sizes),
+        num_scalar=int(num_scalar),
+        hidden_sizes=tuple(int(v) for v in hidden_sizes),
+        activations=tuple(activations),
     )
     tensors = {}
     for line in lines[5:]:
@@ -541,7 +532,7 @@ def parameters_from_lines(lines) -> NetworkParameters:
         shape = tuple(int(v) for v in parts[3 : 3 + ndim])
         values = np.array([float(v) for v in parts[3 + ndim :]])
         tensors[name] = values.reshape(shape)
-    n_transitions = len(hidden_sizes)
+    n_transitions = len(arch.hidden_sizes)
     hidden = [tensors[f"hidden_weights_{i}"] for i in range(n_transitions)]
     biases = [tensors[f"bias_{i}"] for i in range(n_transitions + 1)]
     return NetworkParameters(

@@ -362,108 +362,106 @@ def load_model(path) -> FittedModel:
         raise DataError(f"{path}: not a recognized model file")
     try:
         return _model_from_lines(lines, path)
-    except SfdnnError:
+    except DataError:
         raise
-    except (IndexError, KeyError, ValueError) as exc:
+    except (SfdnnError, IndexError, KeyError, ValueError) as exc:
         raise DataError(f"{path}: truncated or malformed model file ({exc!r})") from exc
 
 
 def _model_from_lines(lines, path) -> FittedModel:
+    pos = 1
+
+    def take(key, size=None, counted=False):
+        """Values on the next line, which must start with ``key``.
+
+        ``size`` pins the value count; a ``counted`` line states it first.
+        """
+        nonlocal pos
+        if pos >= len(lines):
+            raise DataError(f"{path}: truncated model file, expected a '{key}' line")
+        parts = lines[pos].split()
+        pos += 1
+        if parts[:1] != [key]:
+            raise DataError(f"{path}:{pos}: expected a '{key}' line")
+        values = parts[1:]
+        if counted:
+            size, values = int(values[0]), values[1:]
+        if size is not None and len(values) != size:
+            raise DataError(f"{path}:{pos}: '{key}' holds {len(values)} values, expected {size}")
+        return values
+
+    def floats(values):
+        return np.array([float(v) for v in values])
+
     def parse_opt(token):
         return None if token == "none" else float(token)
 
-    kind = lines[1].split()[1]
-    rho_hat = parse_opt(lines[2].split()[1])
-    at_boundary = bool(int(lines[3].split()[1]))
-    variance_threshold = parse_opt(lines[4].split()[1])
-    metric_parts = lines[5].split()
-    train_metrics = {"mse": float(metric_parts[1]), "r2": float(metric_parts[2])}
-    idx = 6
-    metadata = {}
-    while lines[idx].startswith("meta "):
-        _, key, value = lines[idx].split(" ", 2)
-        metadata[key] = value
-        idx += 1
-    grid_parts = lines[idx].split()
-    g = int(grid_parts[1])
-    grid = Grid(np.array([float(v) for v in grid_parts[2 : 2 + g]]))
-    idx += 1
+    (kind,) = take("kind", 1)
+    if kind not in KINDS:
+        raise DataError(f"{path}:{pos}: unknown model kind '{kind}'")
+    (rho_hat,) = take("rho_hat", 1)
+    (at_boundary,) = take("at_boundary", 1)
+    (variance_threshold,) = take("variance_threshold", 1)
+    mse, r2 = take("train_metrics", 2)
+    common = dict(
+        kind=kind,
+        train_metrics={"mse": float(mse), "r2": float(r2)},
+        rho_hat=parse_opt(rho_hat),
+        at_boundary=bool(int(at_boundary)),
+        variance_threshold=parse_opt(variance_threshold),
+        metadata={},
+    )
+    while pos < len(lines) and lines[pos].startswith("meta "):
+        _, key, value = lines[pos].split(" ", 2)
+        common["metadata"][key] = value
+        pos += 1
+    grid = Grid(floats(take("grid", counted=True)))
+    g = grid.num_points
 
     if kind == "ml":
-        theta_parts = lines[idx].split()
-        theta = np.array([float(v) for v in theta_parts[2:]])
-        idx += 1
-        count = int(lines[idx].split()[1])
-        idx += 1
+        theta = floats(take("theta", counted=True))
+        (count,) = take("fpca_count", 1)
         models = []
-        for _ in range(count):
-            k, thr = lines[idx].split()[1:]
+        for _ in range(int(count)):
+            k, thr = take("fpca", 2)
             k = int(k)
-            idx += 1
-            mean = np.array([float(v) for v in lines[idx].split()[1:]])
-            idx += 1
-            evals = np.array([float(v) for v in lines[idx].split()[1:]])
-            idx += 1
-            funcs = []
-            for _ in range(k):
-                funcs.append([float(v) for v in lines[idx].split()[1:]])
-                idx += 1
+            mean = floats(take("mean", g))
+            evals = floats(take("eigenvalues", k))
+            funcs = np.array([floats(take("eigenfunction", g)) for _ in range(k)])
             models.append(
                 FpcaModel(
                     mean_curve=mean,
                     eigenvalues=evals,
-                    eigenfunctions=np.array(funcs),
+                    eigenfunctions=funcs,
                     k_retained=k,
                     variance_threshold=float(thr),
                     grid=grid,
                 )
             )
-        return FittedModel(
-            kind=kind,
-            grid=grid,
-            train_metrics=train_metrics,
-            rho_hat=rho_hat,
-            at_boundary=at_boundary,
-            variance_threshold=variance_threshold,
-            fpca_models=models,
-            theta=theta,
-            metadata=metadata,
-        )
+        return FittedModel(grid=grid, fpca_models=models, theta=theta, **common)
 
-    def vec(line):
-        return np.array([float(v) for v in line.split()[1:]])
-
-    feature_mean = vec(lines[idx]); idx += 1
-    feature_sd = vec(lines[idx]); idx += 1
-    scalar_mean = vec(lines[idx]); idx += 1
-    scalar_sd = vec(lines[idx]); idx += 1
-    y_parts = lines[idx].split(); idx += 1
+    feature_mean = floats(take("feature_mean"))
+    feature_sd = floats(take("feature_sd"))
+    scalar_mean = floats(take("scalar_mean"))
+    scalar_sd = floats(take("scalar_sd"))
+    y_mean, y_sd = take("response_scale", 2)
+    (count,) = take("basis_count", 1)
+    bases = [make_bspline_basis(*(int(v) for v in take("basis", 2))) for _ in range(int(count))]
+    take("parameters", 0)
+    params = parameters_from_lines(lines[pos:])
+    arch = params.arch
+    widths = (feature_mean.size, feature_sd.size, scalar_mean.size, scalar_sd.size)
+    bases_match = tuple(b.num_basis for b in bases) == arch.basis_sizes
+    if not bases_match or widths != (arch.feature_width,) * 2 + (arch.num_scalar,) * 2:
+        raise DataError(f"{path}: standardization or bases do not match the parameter block")
     standardization = Standardization(
         feature_mean=feature_mean,
         feature_sd=feature_sd,
         scalar_mean=scalar_mean,
         scalar_sd=scalar_sd,
-        y_mean=float(y_parts[1]),
-        y_sd=float(y_parts[2]),
+        y_mean=float(y_mean),
+        y_sd=float(y_sd),
     )
-    count = int(lines[idx].split()[1]); idx += 1
-    bases = []
-    for _ in range(count):
-        degree, m = (int(v) for v in lines[idx].split()[1:])
-        bases.append(make_bspline_basis(degree, m))
-        idx += 1
-    if lines[idx] != "parameters":
-        raise DataError(f"{path}: expected parameter block at line {idx + 1}")
-    params = parameters_from_lines(lines[idx + 1 :])
     return FittedModel(
-        kind=kind,
-        grid=grid,
-        train_metrics=train_metrics,
-        rho_hat=rho_hat,
-        at_boundary=at_boundary,
-        variance_threshold=variance_threshold,
-        bases=bases,
-        parameters=params,
-        standardization=standardization,
-        metadata=metadata,
+        grid=grid, bases=bases, parameters=params, standardization=standardization, **common
     )

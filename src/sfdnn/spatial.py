@@ -372,9 +372,6 @@ class SpatialFilterFactor:
         self.rho = float(rho)
         self._lu = None
         self._perm = None
-        if self.rho == 0.0:
-            self.log_det = 0.0
-            return
         if W.is_sparse:
             from scipy.sparse.linalg import splu
             if abs(self.rho) * np.max(W.row_sums(), initial=0.0) < 1.0:
@@ -413,15 +410,11 @@ class SpatialFilterFactor:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.rho == 0.0:
-            return b
         if self.W.is_sparse:
             return self._sparse_solve(b, "N")
         return sla.lu_solve(self._lu, b, check_finite=False)
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
-        if self.rho == 0.0:
-            return b
         if self.W.is_sparse:
             return self._sparse_solve(b, "T")
         return sla.lu_solve(self._lu, b, trans=1, check_finite=False)

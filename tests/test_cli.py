@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -69,13 +70,40 @@ class TestParseConfig:
     def test_round_trip(self, tmp_path):
         path = write(
             tmp_path / "full.cfg",
-            "n_train = 77\nrho = -0.3\nhidden_sizes = 5,3\nactivations = tanh\n"
-            "tune_hidden_sizes = 8,4|16\ntune_neighbor_counts = none,4\n"
+            "n_train = 77\nrho = -0.3\nhidden_sizes = 5,3\nactivations = tanh,sigmoid\n"
+            "tune_hidden_sizes = 8,4|16\ntune_activations = tanh,relu\n"
+            "tune_learning_rates = 0.05,0.001\ntune_batch_sizes = 8,16\ntune_basis_sizes = 5,9\n"
+            "tune_weight_decays = 0.0,1e-4\ntune_max_epochs = 10,20\ntune_neighbor_counts = none,4\n"
+            "mc_n_trains = 100,250\nmc_rhos = -0.2,0.7\nmc_error_dists = t3,exp1\n"
             "learning_rate = 0.025\ndouble_filter_errors = true\nkind = fdnn\n",
         )
         cfg = parse_config(path)
+        # every tuple key leaves its default, so each annotation's parser runs
+        for f in fields(RunConfig):
+            if f.type.startswith("tuple"):
+                assert getattr(cfg, f.name) != f.default, f.name
         again = write(tmp_path / "again.cfg", serialize_config(cfg))
         assert parse_config(again) == cfg
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("tune_batch_sizes = 16,0", "key 'tune_batch_sizes': must be at least 1"),
+            ("tune_max_epochs = 0,5", "key 'tune_max_epochs': must be at least 1"),
+            ("tune_learning_rates = 0.01,0", "key 'tune_learning_rates': must be positive"),
+            ("tune_weight_decays = 0,-1e-3", "key 'tune_weight_decays': must be nonnegative"),
+            ("tune_basis_sizes = 7,3", "key 'tune_basis_sizes': must be at least basis_degree + 1"),
+            ("tune_neighbor_counts = none,0", "key 'tune_neighbor_counts': must be at least 1"),
+            ("mc_n_trains = 100,1", "key 'mc_n_trains': must be at least 2"),
+            ("tune_activations = relu,swish", "key 'tune_activations': unknown activation 'swish'"),
+            ("tune_batch_sizes = ,", "key 'tune_batch_sizes': must list at least one value"),
+            ("mc_rhos =", "key 'mc_rhos': must list at least one value"),
+        ],
+    )
+    def test_bad_grid_value_names_its_list_key(self, tmp_path, text, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path / "bad.cfg", text + "\n"))
+        assert err.value.problems == [problem]
 
     def test_round_trip_of_defaults(self, tmp_path):
         cfg = RunConfig()
@@ -325,8 +353,41 @@ class TestSubcommands:
         assert main(["tune", "--config", tune_cfg]) == 0
         lines = (out / "cv_table.csv").read_text().splitlines()
         assert len(lines) == 3  # header + two candidates
-        best = (out / "best_config.txt").read_text()
-        assert "hidden_sizes" in best
+        rows = [line.split(",") for line in lines[1:]]
+        winner = min(rows, key=lambda r: (float(r[10]), int(r[9]), int(r[0])))
+        assert winner[1] == "8"
+        assert (out / "best_config.txt").read_text() == (
+            "hidden_sizes = 8\nactivations = relu\nlearning_rate = 0.01\nbatch_size = 16\n"
+            "basis_size = 5\nweight_decay = 0.0\nmax_epochs = 15\n"
+        )
+        best = parse_config(str(out / "best_config.txt"))
+        assert (best.hidden_sizes, best.activations, best.learning_rate, best.batch_size) == (
+            (8,), ("relu",), 0.01, 16,
+        )
+        assert (best.basis_size, best.weight_decay, best.max_epochs) == (5, 0.0, 15)
+
+    def test_tune_honours_basis_degree(self, tmp_path):
+        # basis size 3 is below the cubic minimum but fits at basis_degree = 2
+        out = tmp_path / "t"
+        sim_cfg = write(tmp_path / "sim.cfg", base_config_text(out, n_train=30, n_test=20))
+        assert main(["simulate", "--config", sim_cfg]) == 0
+        tune_cfg = write(
+            tmp_path / "tune.cfg",
+            base_config_text(
+                out,
+                kind="fdnn",
+                train_functional=out / "train_functional.csv",
+                train_scalars=out / "train_scalars.csv",
+                basis_degree=2,
+                basis_size=3,
+                tune_basis_sizes="3",
+                tune_hidden_sizes="4",
+                tune_max_epochs="2",
+                tune_folds="2",
+            ),
+        )
+        assert main(["tune", "--config", tune_cfg]) == 0
+        assert (out / "best_config.txt").read_text().count("basis_size = 3\n") == 1
 
     def test_plotdata_outputs(self, tmp_path):
         out = tmp_path / "p"
@@ -432,6 +493,8 @@ MALFORMED_INPUTS = [
      ": location 1 of predictor 1 is not on the shared grid"),
     ("functional", GOOD_FILES["functional"] + "0,2,0,1\n0,2,1,2\n",
      ": predictor 2 covers a different location set"),
+    ("functional", GOOD_FILES["functional"] + "0,2,0,1\n0,2,1,2\n2,2,0,1\n2,2,1,2\n",
+     ": predictor 2 covers a different location set"),
     ("functional", FUNCTIONAL_HEADER + "0,1,0,1\n0,1,0.5,2\n1,1,0,3\n1,1,0.5,4\n",
      ": grid endpoints must be exactly 0 and 1"),
     ("functional", FUNCTIONAL_HEADER + "0,1,0,1\n0,1,0,2\n1,1,0,3\n1,1,0,4\n",
@@ -441,6 +504,7 @@ MALFORMED_INPUTS = [
     ("scalars", "location_id,z1,y\n0,0.5,1\n1,-0.5\n", ":3: expected 3 fields"),
     ("scalars", "location_id,z1,y\n0,0.5,1\n1,abc,2\n", ":3: malformed row"),
     ("scalars", "location_id,z1,y\n", ": no data rows"),
+    ("scalars", "location_id,z1,y\n0,0.5,1\n2,-0.5,2\n", ": location ids differ from the functional file's"),
     ("coords", "location_id,lon,lat\n0,0.0,0.0\n", ": expected header 'location_id,lat,lon'"),
     ("coords", "location_id,lat,lon\n0,0.0\n", ":2: expected 3 fields"),
     ("coords", "location_id,lat,lon\n0,0.0,1.0\n1.5,0.0,east\n", ":3: malformed row"),
@@ -499,6 +563,80 @@ class TestInputFiles:
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error_type"] == "DataError"
         assert err["message"].startswith(model + ":")
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """A predict config's path entries and the model.txt lines of one ml and one fdnn fit."""
+    root = tmp_path_factory.mktemp("models")
+    sim = root / "sim"
+    assert main(["simulate", "--config", write(root / "sim.cfg", base_config_text(sim))]) == 0
+    inputs = {f"{role}_{name}": sim / f"{role}_{name}.{ext}"
+              for role in ("train", "test") for name, ext in
+              (("functional", "csv"), ("scalars", "csv"), ("weights", "txt"))}
+    models = {}
+    for kind in ("ml", "fdnn"):
+        cfg = write(root / f"{kind}.cfg", base_config_text(root / kind, kind=kind, max_epochs=2, **inputs))
+        assert main(["fit", "--config", cfg]) == 0
+        models[kind] = (root / kind / "model.txt").read_text().splitlines()
+    return inputs, models
+
+
+def line_index(lines, key):
+    return [line.split()[:1] for line in lines].index([key])
+
+
+def edit_line(key, edit):
+    def garble(lines):
+        i = line_index(lines, key)
+        return lines[:i] + [edit(lines[i].split())] + lines[i + 1:]
+    return garble
+
+
+def swap_lines(a, b):
+    def garble(lines):
+        lines = list(lines)
+        i, j = line_index(lines, a), line_index(lines, b)
+        lines[i], lines[j] = lines[j], lines[i]
+        return lines
+    return garble
+
+
+GARBLED_MODELS = {
+    "ml theta one value short": ("ml", edit_line("theta", lambda p: " ".join(p[:-1]))),
+    "ml grid count one too low": (
+        "ml", edit_line("grid", lambda p: " ".join([p[0], str(int(p[1]) - 1), *p[2:]]))
+    ),
+    "ml mean one value long": ("ml", edit_line("mean", lambda p: " ".join(p + ["0"]))),
+    "ml unknown kind": ("ml", edit_line("kind", lambda p: "kind spline")),
+    "fdnn feature_mean and feature_sd swapped": ("fdnn", swap_lines("feature_mean", "feature_sd")),
+    "fdnn scalar_sd one value short": ("fdnn", edit_line("scalar_sd", lambda p: " ".join(p[:-1]))),
+    "fdnn basis below its minimum size": ("fdnn", edit_line("basis", lambda p: "basis 3 2")),
+    "fdnn parameter header out of order": ("fdnn", swap_lines("scalars", "hidden")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBLED_MODELS))
+def test_garbled_model_file_exits_3_naming_the_file(tmp_path, capsys, saved_models, case):
+    inputs, models = saved_models
+    kind, garble = GARBLED_MODELS[case]
+    lines = garble(models[kind])
+    assert lines != models[kind]
+    model = write(tmp_path / "model.txt", "\n".join(lines) + "\n")
+    cfg = write(tmp_path / "p.cfg", base_config_text(tmp_path / "p", model_file=model, **inputs))
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg]) == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["context"]["error_type"] == "DataError"
+    assert err["message"].startswith(model + ":")
+
+
+def test_saved_models_predict(tmp_path, saved_models):
+    inputs, models = saved_models
+    for kind, lines in models.items():
+        model = write(tmp_path / f"{kind}.txt", "\n".join(lines) + "\n")
+        cfg = write(tmp_path / f"{kind}.cfg", base_config_text(tmp_path / kind, model_file=model, **inputs))
+        assert main(["predict", "--config", cfg]) == 0
 
 
 def run_python(code):

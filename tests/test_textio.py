@@ -158,7 +158,7 @@ class TestTables:
         reference_write_functional_csv(tmp_path / "ref.csv", functional, scenario.grid)
         assert same_bytes(path, tmp_path / "ref.csv")
         for source in (path, shuffle_rows(path, 5)):
-            back, grid = cli.read_functional_csv(source)
+            back, grid, _ = cli.read_functional_csv(source)
             assert same_bits(grid.points, scenario.grid.points)
             assert len(back) == len(functional)
             for got, want in zip(back, functional):
@@ -172,7 +172,7 @@ class TestTables:
         reference_write_scalars_csv(tmp_path / "ref.csv", scalars, scenario.response)
         assert same_bytes(path, tmp_path / "ref.csv")
         for source in (path, shuffle_rows(path, 6)):
-            got_scalars, got_response = cli.read_scalars_csv(source)
+            got_scalars, got_response, _ = cli.read_scalars_csv(source)
             assert same_bits(got_scalars, scalars)
             assert same_bits(got_response, scenario.response)
 
@@ -182,13 +182,13 @@ class TestTables:
         path = tmp_path / "s.csv"
         cli.write_scalars_csv(path, np.empty((3, 0)), response)
         assert path.read_text().splitlines()[0] == "location_id,y"
-        scalars, back = cli.read_scalars_csv(path)
+        scalars, back, _ = cli.read_scalars_csv(path)
         assert scalars.shape == (3, 0) and same_bits(back, response)
 
     def test_scalars_duplicate_ids_keep_file_order(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("location_id,z1,y\n1,5,6\n0,1,2\n1,3,4\n")
-        scalars, response = cli.read_scalars_csv(path)
+        scalars, response, _ = cli.read_scalars_csv(path)
         assert scalars.ravel().tolist() == [1.0, 5.0, 3.0]
         assert response.tolist() == [2.0, 6.0, 4.0]
 
@@ -251,6 +251,6 @@ class TestRoundTripProperties:
         functional = [np.array(values[k * n * g:(k + 1) * n * g]).reshape(n, g) for k in range(p)]
         path = tmp_path_factory.mktemp("f") / "f.csv"
         cli.write_functional_csv(path, functional, grid)
-        back, back_grid = cli.read_functional_csv(path)
+        back, back_grid, _ = cli.read_functional_csv(path)
         assert same_bits(back_grid.points, grid.points)
         assert all(same_bits(a, b) for a, b in zip(back, functional)) and len(back) == p
