@@ -373,7 +373,8 @@ def read_coords_csv(path):
         if header != "location_id,lat,lon":
             raise DataError(f"{path}: expected header 'location_id,lat,lon'")
         ids, lat, lon = _csv_columns(fh, path, "iff")
-    return np.column_stack([lat, lon])[np.argsort(ids, kind="stable")]
+    order = np.argsort(ids, kind="stable")
+    return np.column_stack([lat, lon])[order], ids[order]
 
 
 def write_metrics_csv(path, metrics: dict) -> None:
@@ -446,7 +447,10 @@ def _train_config_from_config(config: RunConfig) -> TrainConfig:
 
 
 def _load_dataset(config: RunConfig, role: str, need_weights: bool, log_mode: str):
-    """Read the ``role`` ("train" or "test") files the configuration names."""
+    """Read the ``role`` ("train" or "test") files the configuration names.
+
+    Returns the dataset and its sorted location ids.
+    """
     names = [f"{role}_functional", f"{role}_scalars"] + ([f"{role}_weights"] if need_weights else [])
     _require_inputs(config, names)
     functional, grid, ids = read_functional_csv(getattr(config, names[0]))
@@ -457,7 +461,8 @@ def _load_dataset(config: RunConfig, role: str, need_weights: bool, log_mode: st
     data = pipeline.RegressionDataset(
         functional=functional, grid=grid, scalars=scalars, response=response, weights=weights,
     )
-    return _log_transform_dataset(data, log_mode, "training data" if role == "train" else "test data")
+    label = "training data" if role == "train" else "test data"
+    return _log_transform_dataset(data, log_mode, label), ids
 
 
 def _cmd_simulate(config: RunConfig, out):
@@ -470,7 +475,7 @@ def _cmd_simulate(config: RunConfig, out):
 
 def _cmd_fit(config: RunConfig, out):
     spatial_kind = config.kind in ("ml", "sfdnn")
-    data = _load_dataset(config, "train", spatial_kind, config.log_transform)
+    data, _ = _load_dataset(config, "train", spatial_kind, config.log_transform)
     if config.kind == "ml":
         model = pipeline.fit_ml_baseline(data, config.variance_threshold)
     else:
@@ -492,7 +497,7 @@ def _cmd_predict(config: RunConfig, out):
     model = pipeline.load_model(config.model_file)
     log_mode = model.metadata.get("log_transform", "none")
     need_weights = model.kind in ("ml", "sfdnn")
-    data = _load_dataset(config, "test", need_weights, log_mode)
+    data, _ = _load_dataset(config, "test", need_weights, log_mode)
     preds = pipeline.predict_model(model, data)
     _write_location_csv(out("predictions.csv"), "location_id,predicted", preds)
     m = evaluation.compute_metrics(data.response, preds, "test")
@@ -501,11 +506,13 @@ def _cmd_predict(config: RunConfig, out):
 
 def _cmd_tune(config: RunConfig, out):
     spatial_kind = config.kind in ("ml", "sfdnn")
-    data = _load_dataset(config, "train", spatial_kind, config.log_transform)
+    data, ids = _load_dataset(config, "train", spatial_kind, config.log_transform)
     coords = None
     if any(h is not None for h in config.tune_neighbor_counts):
         _require_inputs(config, ["coords_file"])
-        coords = read_coords_csv(config.coords_file)
+        coords, coord_ids = read_coords_csv(config.coords_file)
+        if not np.array_equal(coord_ids, ids):
+            raise DataError(f"{config.coords_file}: location ids differ from the training files'")
     grid = evaluation.TuneGrid(
         **{f.name: list(getattr(config, "tune_" + f.name)) for f in fields(evaluation.TuneGrid)}
     )
@@ -540,7 +547,7 @@ def _cmd_tune(config: RunConfig, out):
 def _cmd_weights(config: RunConfig, out):
     if config.coords_file:
         _require_inputs(config, ["coords_file"])
-        coords = read_coords_csv(config.coords_file)
+        coords, _ = read_coords_csv(config.coords_file)
         W = spatial.build_knn_bisquare_weights(coords, config.neighbor_count)
     elif config.n_sites >= 2:
         W = spatial.build_inverse_distance_weights(config.n_sites)
@@ -598,7 +605,7 @@ def _cmd_plotdata(config: RunConfig, out):
     for role in ("train", "test"):
         # a log transform set in the configuration overrides the model's for training data
         mode = config.log_transform if role == "train" and config.log_transform != "none" else log_mode
-        data = _load_dataset(config, role, need_weights, mode)
+        data, _ = _load_dataset(config, role, need_weights, mode)
         preds = pipeline.predict_model(model, data)
         _write_location_csv(
             out(f"plotdata_{role}.csv"), "location_id,observed,predicted", data.response, preds

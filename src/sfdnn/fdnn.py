@@ -10,11 +10,15 @@ Training steps therefore touch only their own mini-batch rows.
 Training uses Adam (beta1=0.9, beta2=0.999, eps=1e-8) over shuffled
 mini-batches, an epoch-loss improvement stopping rule, and an optional
 validation split with best-epoch restoration.  Everything is deterministic
-given the seed.
+given the seed.  The parameter layout is bound once per architecture, and a
+training step allocates no parameter-sized arrays: one gradient buffer and
+the Adam moments are reused and updated in place.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,6 +175,16 @@ def _tensor_shapes(arch):
     return shapes + [(s,) for s in sizes]
 
 
+@functools.cache
+def _layout(arch):
+    """((start, stop, shape) per tensor in canonical order, number of weights)."""
+    spans, stop = [], 0
+    for shape in _tensor_shapes(arch):
+        start, stop = stop, stop + math.prod(shape)
+        spans.append((start, stop, shape))
+    return tuple(spans), spans[1 + len(arch.hidden_sizes)][1]
+
+
 class NetworkParameters:
     """All learnable tensors; gradient containers reuse this layout.
 
@@ -190,14 +204,12 @@ class NetworkParameters:
         self._bind(arch, np.concatenate([np.ravel(t) for t in tensors]).astype(float))
 
     def _bind(self, arch, flat):
+        spans, self.num_weights = _layout(arch)
         self.arch, self.flat = arch, flat
-        shapes = _tensor_shapes(arch)
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        views = [v.reshape(s) for v, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        views = [flat[start:stop].reshape(shape) for start, stop, shape in spans]
         k = len(arch.hidden_sizes)
         self.func_weights, self.scalar_weights, *self.hidden_weights = views[: 2 + k]
         self.biases = views[2 + k :]
-        self.num_weights = sum(sizes[: 2 + k])
 
     @classmethod
     def _from_flat(cls, arch, flat) -> "NetworkParameters":
@@ -331,10 +343,15 @@ def loss(predictions, y) -> float:
     return float(np.mean((predictions - y) ** 2))
 
 
-def _backprop(params, features, scalars, y):
-    """Mean-squared loss over the given (already filtered) rows and its exact gradients."""
+def _backprop(params, features, scalars, y, grads=None):
+    """Mean-squared loss over the given (already filtered) rows and its exact gradients.
+
+    Every tensor of ``grads`` is overwritten, so a caller may pass the same
+    container on every step; without one a fresh container is returned.
+    """
     predictions, cache = forward(params, features, scalars)
-    grads = NetworkParameters.zeros_like(params)
+    if grads is None:
+        grads = NetworkParameters.zeros_like(params)
     arch = params.arch
     with np.errstate(over="ignore", invalid="ignore"):
         residual = predictions - y
@@ -422,8 +439,12 @@ def train(
         val_rows = np.empty(0, dtype=int)
         train_rows = np.arange(n)
 
+    grads = NetworkParameters.zeros_like(params)
+    g = grads.flat
     moment_m = np.zeros_like(params.flat)
     moment_v = np.zeros_like(params.flat)
+    scratch = np.empty_like(params.flat)
+    update = np.empty_like(params.flat)
     decayed = slice(0, params.num_weights)
     step = 0
     trace = TrainingTrace()
@@ -436,21 +457,28 @@ def train(
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
             try:
-                batch_loss, grads = _backprop(params, features[batch], scalars[batch], y[batch])
+                batch_loss, _ = _backprop(params, features[batch], scalars[batch], y[batch], grads)
             except NumericOverflowError as exc:
                 raise TrainingDivergedError(str(exc), trace=trace) from exc
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError("batch loss became non-finite", trace=trace)
             step += 1
-            g = grads.flat
-            moment_m = ADAM_BETA1 * moment_m + (1.0 - ADAM_BETA1) * g
-            moment_v = ADAM_BETA2 * moment_v + (1.0 - ADAM_BETA2) * g * g
-            update = (moment_m / (1.0 - ADAM_BETA1**step)) / (
-                np.sqrt(moment_v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS
-            )
+            # in place, in the order of m = b1 m + (1 - b1) g,
+            # v = b2 v + (1 - b2) g g and (m / c1) / (sqrt(v / c2) + eps)
+            moment_m *= ADAM_BETA1
+            moment_m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+            moment_v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+            moment_v += np.multiply(scratch, g, out=scratch)
+            np.sqrt(np.divide(moment_v, 1.0 - ADAM_BETA2**step, out=scratch), out=scratch)
+            scratch += ADAM_EPS
+            np.divide(np.divide(moment_m, 1.0 - ADAM_BETA1**step, out=update), scratch, out=update)
             if config.weight_decay > 0.0:
-                update[decayed] += config.weight_decay * params.flat[decayed]
-            params.flat -= config.learning_rate * update
+                update[decayed] += np.multiply(
+                    params.flat[decayed], config.weight_decay, out=scratch[decayed]
+                )
+            update *= config.learning_rate
+            params.flat -= update
 
         try:
             epoch_loss = _rows_loss(params, features, scalars, y, train_rows)

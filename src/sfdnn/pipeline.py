@@ -283,8 +283,22 @@ def predict_model(model: FittedModel, newdata: RegressionDataset) -> np.ndarray:
     Spatial kinds filter with the new data's own weight matrix and the
     stored training dependence estimate; the plain network ignores weights.
     """
+    if model.kind not in KINDS:
+        raise DataError(f"unknown model kind '{model.kind}'")
     if not np.array_equal(newdata.grid.points, model.grid.points):
         raise DimensionError("prediction grid differs from the training grid")
+    if model.kind == "ml":
+        num_functional = len(model.fpca_models)
+        num_scalar = model.theta.size - 1 - sum(m.k_retained for m in model.fpca_models)
+    else:
+        num_functional = model.parameters.arch.num_functional
+        num_scalar = model.parameters.arch.num_scalar
+    for what, expected, actual in (
+        ("functional predictors", num_functional, newdata.num_functional),
+        ("scalar covariates", num_scalar, newdata.num_scalar),
+    ):
+        if actual != expected:
+            raise DimensionError(f"the model expects {expected} {what}, the data has {actual}")
     if model.kind == "ml":
         if newdata.weights is None:
             raise MissingWeightsError("ML predictions need the test set's weight matrix")
@@ -297,14 +311,12 @@ def predict_model(model: FittedModel, newdata: RegressionDataset) -> np.ndarray:
 
     features = _spline_features(newdata.functional, newdata.grid, model.bases)
     f_std, s_std = model.standardization.apply(features, newdata.scalars)
-    if model.kind == "fdnn":
-        return model.standardization.invert_y(predict(model.parameters, f_std, s_std))
+    ctx = None
     if model.kind == "sfdnn":
         if newdata.weights is None:
             raise MissingWeightsError("two-stage predictions need the test set's weight matrix")
         ctx = SpatialContext(newdata.weights, model.rho_hat)
-        return model.standardization.invert_y(predict(model.parameters, f_std, s_std, ctx))
-    raise DataError(f"unknown model kind '{model.kind}'")
+    return model.standardization.invert_y(predict(model.parameters, f_std, s_std, ctx))
 
 
 _MODEL_TAG = "SFDNN-MODEL 1"

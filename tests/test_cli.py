@@ -4,10 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfdnn import spatial
 from sfdnn.cli import (
@@ -366,6 +370,28 @@ class TestSubcommands:
         )
         assert (best.basis_size, best.weight_decay, best.max_epochs) == (5, 0.0, 15)
 
+    def test_tune_reads_coords_by_location_id(self, tmp_path):
+        out = tmp_path / "t"
+        sim_cfg = write(tmp_path / "sim.cfg", base_config_text(out, n_train=60, n_test=20))
+        assert main(["simulate", "--config", sim_cfg]) == 0
+        lat_lon = np.random.default_rng(5).uniform(-10.0, 10.0, size=(60, 2))
+        tables = []
+        for order in (np.arange(60), np.random.default_rng(6).permutation(60)):
+            rows = "".join(f"{i},{lat_lon[i, 0]:.17g},{lat_lon[i, 1]:.17g}\n" for i in order)
+            coords = write(tmp_path / "coords.csv", "location_id,lat,lon\n" + rows)
+            tune_cfg = write(
+                tmp_path / "tune.cfg",
+                base_config_text(
+                    out, kind="ml", train_functional=out / "train_functional.csv",
+                    train_scalars=out / "train_scalars.csv", train_weights=out / "train_weights.txt",
+                    coords_file=coords, tune_neighbor_counts="4,6", tune_folds="3",
+                ),
+            )
+            assert main(["tune", "--config", tune_cfg]) == 0
+            tables.append((out / "cv_table.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 3
+
     def test_tune_honours_basis_degree(self, tmp_path):
         # basis size 3 is below the cubic minimum but fits at basis_degree = 2
         out = tmp_path / "t"
@@ -447,6 +473,31 @@ class TestSubcommands:
         assert len(lines) == 1 + 3 * 4  # three kinds, four metrics
         assert (out / "mc_table.txt").read_text().strip()
 
+    @settings(deadline=None, max_examples=4)
+    @given(seed=st.integers(0, 2**31 - 1), rho=st.sampled_from(["-0.3", "0.2", "0.7"]))
+    def test_mc_bench_tables_independent_of_jobs(self, seed, rho):
+        tables = []
+        with tempfile.TemporaryDirectory() as root:
+            for jobs in ("1", "2"):
+                out = os.path.join(root, f"jobs{jobs}")
+                cfg = write(
+                    Path(root) / "mc.cfg",
+                    "\n".join([
+                        "mc_n_trains = 40",
+                        f"mc_rhos = {rho}",
+                        "mc_error_dists = gaussian",
+                        "mc_replications = 3",
+                        "n_test = 30",
+                        "max_epochs = 4",
+                        "basis_size = 5",
+                        "hidden_sizes = 6",
+                        f"out_dir = {out}",
+                    ]) + "\n",
+                )
+                assert main(["mc-bench", "--config", cfg, "--seed", str(seed), "--jobs", jobs]) == 0
+                tables.append([Path(out, name).read_bytes() for name in ("mc_table.csv", "mc_table.txt")])
+        assert tables[0] == tables[1]
+
 
 FUNCTIONAL_HEADER = "location_id,predictor_id,u,value\n"
 GOOD_FILES = {
@@ -458,12 +509,21 @@ GOOD_FILES = {
 
 
 def run_on_input(tmp_path, capsys, role, text):
-    """Run the subcommand that reads ``role`` first; return (code, message, path)."""
+    """Run the subcommand that reads ``role`` first; return (code, message, path).
+
+    The role ``tune_coords`` is the coords file as ``tune`` reads it, after
+    the training files.
+    """
+    file_role = "coords" if role == "tune_coords" else role
     paths = {}
     for name, good in GOOD_FILES.items():
-        paths[name] = write(tmp_path / f"{name}.txt", text if name == role else good)
+        paths[name] = write(tmp_path / f"{name}.txt", text if name == file_role else good)
     out = tmp_path / "out"
-    if role in ("functional", "scalars"):
+    if role == "tune_coords":
+        argv = ["tune", "--kind", "fdnn"]
+        keys = {"train_functional": paths["functional"], "train_scalars": paths["scalars"],
+                "coords_file": paths["coords"], "tune_neighbor_counts": 2}
+    elif role in ("functional", "scalars"):
         argv = ["fit", "--kind", "fdnn"]
         keys = {"train_functional": paths["functional"], "train_scalars": paths["scalars"]}
     elif role == "coords":
@@ -476,7 +536,7 @@ def run_on_input(tmp_path, capsys, role, text):
     capsys.readouterr()
     code = main([*argv, "--config", cfg])
     err = json.loads(capsys.readouterr().err) if code else None
-    return code, err, paths[role]
+    return code, err, paths[file_role]
 
 
 # (role, file text, expected message after the path)
@@ -509,6 +569,9 @@ MALFORMED_INPUTS = [
     ("coords", "location_id,lat,lon\n0,0.0\n", ":2: expected 3 fields"),
     ("coords", "location_id,lat,lon\n0,0.0,1.0\n1.5,0.0,east\n", ":3: malformed row"),
     ("coords", "location_id,lat,lon\n", ": no data rows"),
+    ("tune_coords", "location_id,lat,lon\n100,0.0,0.0\n101,0.0,1.0\n",
+     ": location ids differ from the training files'"),
+    ("tune_coords", "location_id,lat,lon\n1,0.0,1.0\n", ": location ids differ from the training files'"),
     ("weights", "n 2 normalized 1\n0 1 1\n", ": malformed weight-matrix header"),
     ("weights", "n 2 row_normalized 1\n0 1\n1 0 1\n", ":2: expected 'i j w' triple"),
     ("weights", "n 2 row_normalized 1\n0 1 one\n1 0 1\n", ":2: expected 'i j w' triple"),
@@ -637,6 +700,50 @@ def test_saved_models_predict(tmp_path, saved_models):
         model = write(tmp_path / f"{kind}.txt", "\n".join(lines) + "\n")
         cfg = write(tmp_path / f"{kind}.cfg", base_config_text(tmp_path / kind, model_file=model, **inputs))
         assert main(["predict", "--config", cfg]) == 0
+
+
+def widen_scalars(text):
+    """Repeat the first scalar column as an extra column ``z4`` before ``y``."""
+    header, *rows = text.splitlines()
+    lines = [header.replace(",y", ",z4,y")]
+    for row in rows:
+        values = row.split(",")
+        lines.append(",".join(values[:-1] + [values[1], values[-1]]))
+    return "\n".join(lines) + "\n"
+
+
+def widen_functional(text):
+    """Repeat predictor 1 as an extra predictor 4."""
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    extra = [",".join([loc, "4", u, value]) for loc, pred, u, value in rows if pred == "1"]
+    return "\n".join(lines + extra) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["ml", "fdnn"])
+@pytest.mark.parametrize(
+    "role, widen, what, expected",
+    [
+        ("test_scalars", widen_scalars, "scalar covariates", 3),
+        ("test_functional", widen_functional, "functional predictors", 3),
+    ],
+    ids=["extra-z4", "extra-predictor"],
+)
+def test_predict_rejects_test_data_of_another_width(
+    tmp_path, capsys, saved_models, kind, role, widen, what, expected
+):
+    inputs, models = saved_models
+    model = write(tmp_path / "model.txt", "\n".join(models[kind]) + "\n")
+    wide = write(tmp_path / f"{role}.csv", widen(inputs[role].read_text()))
+    cfg = write(
+        tmp_path / "p.cfg",
+        base_config_text(tmp_path / "p", model_file=model, **{**inputs, role: wide}),
+    )
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg]) == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["context"]["error_type"] == "DimensionError"
+    assert err["message"] == f"the model expects {expected} {what}, the data has {expected + 1}"
 
 
 def run_python(code):

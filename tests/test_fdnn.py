@@ -1,5 +1,7 @@
 """Tests for the functional network: forward, gradients, training, serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sfdnn.fdnn import (
     NetworkParameters,
     SpatialContext,
     TrainConfig,
+    TrainingTrace,
     _backprop,
     _prefilter,
     forward,
@@ -74,6 +77,65 @@ def toy_inputs(n, arch, seed):
     scalars = rng.normal(size=(n, arch.num_scalar))
     y = rng.normal(size=n)
     return features, scalars, y
+
+
+def reference_train(arch, config, features, scalars, y, ctx=None):
+    """The per-step-allocating training loop that ``train`` must reproduce bit for bit.
+
+    Each step takes a fresh zeroed gradient container and runs Adam out of
+    place on whole-vector temporaries.
+    """
+    params = init_parameters(arch, config.seed)
+    y = np.asarray(y, dtype=float).ravel()
+    n = y.size
+    if ctx is not None:
+        features, scalars = _prefilter(ctx, features, scalars)
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    split_rng = np.random.default_rng([config.seed, 2])
+    if config.validation_fraction > 0.0:
+        n_val = min(int(round(config.validation_fraction * n)), n - 1)
+        perm = split_rng.permutation(n)
+        val_rows, train_rows = np.sort(perm[:n_val]), np.sort(perm[n_val:])
+    else:
+        val_rows, train_rows = np.empty(0, dtype=int), np.arange(n)
+
+    def rows_loss(rows):
+        diff = predict(params, features[rows], scalars[rows]) - y[rows]
+        return float(diff @ diff) / rows.size
+
+    moment_m = np.zeros_like(params.flat)
+    moment_v = np.zeros_like(params.flat)
+    step = 0
+    trace = TrainingTrace()
+    best_params, best_val, prev_loss = None, np.inf, None
+    for epoch in range(config.max_epochs):
+        order = shuffle_rng.permutation(train_rows)
+        for start in range(0, order.size, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            _, grads = _backprop(params, features[batch], scalars[batch], y[batch])  # zeros_like inside
+            step += 1
+            g = grads.flat
+            moment_m = ADAM_BETA1 * moment_m + (1.0 - ADAM_BETA1) * g
+            moment_v = ADAM_BETA2 * moment_v + (1.0 - ADAM_BETA2) * g * g
+            update = (moment_m / (1.0 - ADAM_BETA1**step)) / (
+                np.sqrt(moment_v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS
+            )
+            if config.weight_decay > 0.0:
+                update[: params.num_weights] += config.weight_decay * params.flat[: params.num_weights]
+            params.flat -= config.learning_rate * update
+        epoch_loss = rows_loss(train_rows)
+        trace.epoch_losses.append(epoch_loss)
+        if val_rows.size:
+            val_loss = rows_loss(val_rows)
+            trace.validation_losses.append(val_loss)
+            if val_loss < best_val:
+                best_val, best_params, trace.best_epoch = val_loss, params.copy(), epoch
+        delta = epoch_loss if epoch == 0 else abs(prev_loss - epoch_loss)
+        prev_loss = epoch_loss
+        if delta < config.early_stop_threshold:
+            trace.stopped_early = True
+            break
+    return (best_params if best_params is not None else params), trace
 
 
 def test_sigmoid_forward_is_bit_identical_to_expit():
@@ -343,6 +405,29 @@ class TestTrain:
         for (_, a, _), (_, b, _) in zip(params.tensors(), ref.tensors()):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "activation, changes, spatial",
+        [
+            ("relu", {}, False),
+            ("tanh", {}, False),
+            ("sigmoid", {}, False),
+            ("tanh", {"weight_decay": 3e-2}, False),
+            ("relu", {"validation_fraction": 0.25}, False),
+            ("sigmoid", {"early_stop_threshold": 3e-3}, False),
+            ("relu", {"weight_decay": 1e-2, "validation_fraction": 0.2}, True),
+        ],
+        ids=["relu", "tanh", "sigmoid", "weight-decay", "validation", "early-stop", "spatial"],
+    )
+    def test_matches_per_step_allocating_reference(self, activation, changes, spatial):
+        arch = toy_arch(activation)
+        features, scalars, y = toy_inputs(30, arch, 191)
+        ctx = SpatialContext(build_inverse_distance_weights(30), 0.7) if spatial else None
+        config = replace(TrainConfig(learning_rate=0.03, batch_size=7, max_epochs=15, seed=23), **changes)
+        params, trace = train(arch, config, features, scalars, y, ctx)
+        ref_params, ref_trace = reference_train(arch, config, features, scalars, y, ctx)
+        np.testing.assert_array_equal(params.flat, ref_params.flat)
+        assert trace == ref_trace
+
     def test_small_learning_rate_near_monotone_loss(self):
         arch = toy_arch("tanh")
         features, scalars, y = toy_inputs(30, arch, 89)
@@ -379,6 +464,39 @@ class TestTrain:
         config = TrainConfig(learning_rate=0.01, batch_size=10, max_epochs=40, seed=7)
         _, trace = train(arch, config, features, scalars, y, ctx)
         assert trace.epoch_losses[-1] < trace.epoch_losses[0]
+
+
+class TestParameterStorage:
+    def test_tensor_views_alias_flat(self):
+        params = init_parameters(toy_arch(), 193)
+        for _, tensor, _ in params.tensors():
+            assert np.shares_memory(tensor, params.flat)
+        params.func_weights[0, 0] = 123.0
+        params.biases[-1][...] = -7.0
+        assert params.flat[0] == 123.0
+        assert params.flat[-1] == -7.0
+        assert params.num_weights == params.flat.size - sum(b.size for b in params.biases)
+
+    def test_copy_and_zeros_like_do_not_alias_source(self):
+        params = init_parameters(toy_arch(), 197)
+        snapshot = params.flat.copy()
+        for other in (params.copy(), NetworkParameters.zeros_like(params)):
+            assert not np.shares_memory(other.flat, params.flat)
+            other.flat += 1.0
+            for _, tensor, _ in other.tensors():
+                tensor[...] = 5.0
+        np.testing.assert_array_equal(params.flat, snapshot)
+
+    def test_gradients_calls_return_independent_containers(self):
+        arch = toy_arch("tanh")
+        params = init_parameters(arch, 199)
+        features, scalars, y = toy_inputs(9, arch, 211)
+        first = gradients(params, features, scalars, y)
+        kept = first.flat.copy()
+        second = gradients(params, features[:4], scalars[:4], y[:4])
+        assert not np.shares_memory(first.flat, second.flat)
+        np.testing.assert_array_equal(first.flat, kept)
+        assert not np.array_equal(first.flat, second.flat)
 
 
 class TestPrefilterIdentity:

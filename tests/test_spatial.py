@@ -655,6 +655,16 @@ class TestProperties:
         assert abs(sparse - dense) <= 1e-10 * max(1.0, abs(dense))
 
     @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(2, 150), frac=st.floats(0.001, 0.999))
+    @example(n=2, frac=0.5)
+    def test_inverse_distance_log_det_matches_spectrum(self, n, frac):
+        W = build_inverse_distance_weights(n)
+        lo, hi = W.admissible_interval()
+        rho = lo + frac * (hi - lo)
+        spectral = float(np.sum(np.log(1.0 - rho * W.eigenvalues())))
+        assert abs(log_det_filter(W, rho) - spectral) <= 1e-10 * max(1.0, abs(spectral))
+
+    @settings(deadline=None, max_examples=60)
     @given(
         n=st.integers(3, 30),
         seed=st.integers(0, 2**32 - 1),

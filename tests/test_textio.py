@@ -199,7 +199,9 @@ class TestTables:
             "location_id,lat,lon\n"
             + "".join(f"{i},{_fmt17(a)},{_fmt17(b)}\n" for i, (a, b) in enumerate(coords))
         )
-        assert same_bits(cli.read_coords_csv(shuffle_rows(path, 9)), coords)
+        back, ids = cli.read_coords_csv(shuffle_rows(path, 9))
+        assert same_bits(back, coords)
+        assert ids.tolist() == list(range(40))
 
     def test_predictions_bytes(self, tmp_path):
         preds = np.concatenate([SPECIALS, np.random.default_rng(2).normal(size=200)])
