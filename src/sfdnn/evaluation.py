@@ -184,6 +184,19 @@ def _fit_kind(kind, data, candidate, seed, variance_threshold, basis_degree):
     raise InvalidSizeError(f"unknown estimator kind '{kind}'")
 
 
+def _effective_candidate(kind, candidate):
+    """The part of ``candidate`` that ``kind``'s fit depends on.
+
+    ``ml`` reads only the weight matrix, so only the neighbor count;
+    ``fdnn`` ignores the weight matrix, so everything but the neighbor count.
+    """
+    if kind == "ml":
+        return candidate.neighbor_count
+    if kind == "fdnn":
+        return replace(candidate, neighbor_count=None)
+    return candidate
+
+
 def kfold_tune(
     data: RegressionDataset,
     kind: str,
@@ -199,8 +212,10 @@ def kfold_tune(
     Returns the winning candidate and the full table (one dict per
     candidate).  Ties break toward the smaller model, then grid order.
     Candidates with a ``neighbor_count`` rebuild the weight matrix from
-    ``coords`` before splitting.  Every fit takes ``variance_threshold``
-    and ``basis_degree``, as in :func:`monte_carlo_study`.
+    ``coords`` before splitting, once per neighbor count.  Candidates that
+    differ only in settings ``kind`` ignores share one cross-validation.
+    Every fit takes ``variance_threshold`` and ``basis_degree``, as in
+    :func:`monte_carlo_study`.
     """
     n = data.n
     if num_folds < 2:
@@ -210,32 +225,36 @@ def kfold_tune(
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, num_folds)
 
+    datasets = {None: data}
+    scores = {}
     table = []
     best = None
     best_key = None
     for index, cand in enumerate(grid.candidates()):
-        if cand.neighbor_count is not None:
+        count = cand.neighbor_count
+        if count not in datasets:
             if coords is None:
                 raise InvalidSizeError(
                     "tuning neighbor_count requires site coordinates"
                 )
-            weights = build_knn_bisquare_weights(coords, cand.neighbor_count)
-            cand_data = RegressionDataset(
+            datasets[count] = RegressionDataset(
                 functional=data.functional, grid=data.grid, scalars=data.scalars,
-                response=data.response, weights=weights,
+                response=data.response, weights=build_knn_bisquare_weights(coords, count),
             )
-        else:
-            cand_data = data
-        total_sq = 0.0
-        for fold in folds:
-            held = np.sort(fold)
-            rest = np.sort(np.setdiff1d(perm, fold))
-            fit = _fit_kind(
-                kind, cand_data.subset(rest), cand, seed, variance_threshold, basis_degree
-            )
-            preds = predict_model(fit, cand_data.subset(held))
-            total_sq += float(np.sum((preds - cand_data.response[held]) ** 2))
-        cv_mspe = total_sq / n
+        effective = _effective_candidate(kind, cand)
+        if effective not in scores:
+            cand_data = datasets[count]
+            total_sq = 0.0
+            for fold in folds:
+                held = np.sort(fold)
+                rest = np.sort(np.setdiff1d(perm, fold))
+                fit = _fit_kind(
+                    kind, cand_data.subset(rest), cand, seed, variance_threshold, basis_degree
+                )
+                preds = predict_model(fit, cand_data.subset(held))
+                total_sq += float(np.sum((preds - cand_data.response[held]) ** 2))
+            scores[effective] = total_sq / n
+        cv_mspe = scores[effective]
         size = cand.num_parameters(data.num_functional, data.num_scalar)
         table.append({"index": index, "candidate": cand, "cv_mspe": cv_mspe, "size": size})
         key = (cv_mspe, size, index)

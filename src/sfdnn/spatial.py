@@ -16,6 +16,9 @@ neighbors are searched with a KD-tree on unit-sphere points.  Up to
 ``_EIG_LIMIT`` rows the likelihood uses the full spectrum of W: real, from
 a symmetric eigensolver, when W = D^{-1} S with S symmetric (every
 inverse-distance W), and from the general nonsymmetric solver otherwise.
+An inverse-distance W depends only on n, so it is built once per size and
+shared read-only: every replication of a study cell reuses one matrix,
+and with it the spectrum cached on it.
 
 scipy modules needed only by some routes are imported where they are used,
 because they account for much of the package's import time.
@@ -23,6 +26,7 @@ because they account for much of the package's import time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,7 +91,8 @@ class SpatialWeightMatrix:
     """Nonnegative, zero-diagonal spatial weights, optionally row-normalized.
 
     Treated as immutable after construction; derived quantities (eigenvalues,
-    admissible interval) are cached lazily.
+    admissible interval) are cached lazily.  Inverse-distance matrices are
+    shared between callers and hold read-only weights.
     """
 
     def __init__(self, weights, row_normalized: bool):
@@ -226,10 +231,16 @@ def _symmetrizing_scale(a: np.ndarray):
     return d if np.all(gap <= m) else None
 
 
+@functools.lru_cache(maxsize=2)
 def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     """Row-normalized inverse index-distance weights 1 / (1 + |i - i'|).
 
     Every pair of sites is connected, so the matrix stays dense at any size.
+    The matrix depends only on n, so it is built once per size and shared:
+    the same n returns the same object, its weights are read-only, and the
+    spectrum and interval cached on it are computed once per process.  The
+    two most recent sizes are kept, the train and test sizes of one
+    replication.
     """
     if n < 2:
         raise InvalidSizeError("need at least 2 sites")
@@ -237,6 +248,7 @@ def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     raw = 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :]))
     np.fill_diagonal(raw, 0.0)
     raw /= raw.sum(axis=1, keepdims=True)
+    raw.flags.writeable = False
     return SpatialWeightMatrix(raw, row_normalized=True)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from sfdnn.basis import (
@@ -118,6 +120,17 @@ class TestEvaluateBasis:
         for degree, m in [(1, 5), (2, 7), (3, 8), (4, 11)]:
             values = evaluate_basis(make_bspline_basis(degree, m), grid)
             np.testing.assert_allclose(values.sum(axis=0), 1.0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        degree=st.integers(1, 6),
+        extra=st.integers(0, 20),
+        interior=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=50),
+    )
+    def test_partition_of_unity_property(self, degree, extra, interior):
+        grid = Grid(np.concatenate([[0.0], np.unique(interior), [1.0]]))
+        values = evaluate_basis(make_bspline_basis(degree, degree + 1 + extra), grid)
+        np.testing.assert_allclose(values.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_values_nonnegative(self):
         grid = Grid.uniform(501)

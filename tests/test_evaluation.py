@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfdnn import evaluation
+from sfdnn import evaluation, spatial
 from sfdnn.basis import make_bspline_basis
 from sfdnn.errors import DegenerateVarianceError, FoldSizeError, InvalidSizeError
 from sfdnn.evaluation import (
@@ -15,8 +15,9 @@ from sfdnn.evaluation import (
     taylor_stats,
 )
 from sfdnn.fdnn import TrainConfig, init_parameters, predict
-from sfdnn.pipeline import RegressionDataset, _spline_features
+from sfdnn.pipeline import RegressionDataset, _spline_features, fit_ml_baseline, predict_model
 from sfdnn.simgen import ScenarioConfig, generate_scenario_dataset
+from sfdnn.spatial import build_inverse_distance_weights, build_knn_bisquare_weights
 
 
 class TestComputeMetrics:
@@ -154,6 +155,73 @@ class TestKfoldTune:
         with pytest.raises(InvalidSizeError):
             kfold_tune(data, "sfdnn", grid, num_folds=3, seed=0)
 
+    @pytest.mark.parametrize("kind", ["ml", "fdnn"])
+    def test_neighbor_count_requires_coords_for_every_kind(self, kind):
+        data = tiny_dataset(5)
+        grid = TuneGrid(hidden_sizes=[(2,)], max_epochs=[5], neighbor_counts=[None, 3])
+        with pytest.raises(InvalidSizeError, match="requires site coordinates"):
+            kfold_tune(data, kind, grid, num_folds=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "kind, neighbor_counts, distinct",
+        [
+            # ml reads only the weights: one cross-validation per neighbor count
+            ("ml", [4, 6], 2),
+            ("ml", [None, 4, None], 2),
+            # fdnn ignores the weights: one per network setting
+            ("fdnn", [None, 4, 6], 4),
+            # sfdnn reads both: every candidate is distinct
+            ("sfdnn", [None, 4], 8),
+        ],
+    )
+    def test_distinct_candidates_fit_once(self, monkeypatch, kind, neighbor_counts, distinct):
+        data = tiny_dataset(6, n=40)
+        coords = np.random.default_rng(6).uniform(-10.0, 10.0, (40, 2))
+        grid = TuneGrid(
+            hidden_sizes=[(3,), (4,)], learning_rates=[0.01, 0.02], batch_sizes=[16],
+            basis_sizes=[5], max_epochs=[4], neighbor_counts=neighbor_counts,
+        )
+        expected = brute_force_tune(data, kind, grid, 3, 2, coords)
+        fits = []
+        fit_kind = evaluation._fit_kind
+
+        def counted(*args):
+            fits.append(args[2])
+            return fit_kind(*args)
+
+        monkeypatch.setattr(evaluation, "_fit_kind", counted)
+        best, table = kfold_tune(data, kind, grid, num_folds=3, seed=2, coords=coords)
+        assert len(fits) == 3 * distinct
+        assert (best, table) == expected
+
+
+def brute_force_tune(data, kind, grid, num_folds, seed, coords):
+    """Every candidate cross-validated on its own weights, in grid order."""
+    perm = np.random.default_rng(seed).permutation(data.n)
+    folds = np.array_split(perm, num_folds)
+    table, best, best_key = [], None, None
+    for index, cand in enumerate(grid.candidates()):
+        cand_data = data
+        if cand.neighbor_count is not None:
+            cand_data = RegressionDataset(
+                functional=data.functional, grid=data.grid, scalars=data.scalars,
+                response=data.response,
+                weights=build_knn_bisquare_weights(coords, cand.neighbor_count),
+            )
+        total_sq = 0.0
+        for fold in folds:
+            held = np.sort(fold)
+            rest = np.sort(np.setdiff1d(perm, fold))
+            fit = evaluation._fit_kind(kind, cand_data.subset(rest), cand, seed, 0.95, 3)
+            preds = predict_model(fit, cand_data.subset(held))
+            total_sq += float(np.sum((preds - cand_data.response[held]) ** 2))
+        cv_mspe = total_sq / data.n
+        size = cand.num_parameters(data.num_functional, data.num_scalar)
+        table.append({"index": index, "candidate": cand, "cv_mspe": cv_mspe, "size": size})
+        if best_key is None or (cv_mspe, size, index) < best_key:
+            best_key, best = (cv_mspe, size, index), cand
+    return best, table
+
 
 def small_scenarios():
     return [
@@ -233,3 +301,49 @@ class TestMonteCarloStudy:
     def test_replication_count_validated(self):
         with pytest.raises(InvalidSizeError):
             monte_carlo_study(small_scenarios(), ("ml",), num_replications=0, base_seed=1)
+
+
+class TestSharedInverseDistanceWeights:
+    def test_one_spectrum_per_size(self, monkeypatch):
+        build_inverse_distance_weights.cache_clear()
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for seed in (1, 2):
+            cfg = ScenarioConfig(
+                n_train=70, n_test=50, rho=0.5, error_dist="gaussian", replication_seed=seed
+            )
+            train, test, _ = generate_scenario_dataset(cfg)
+            predict_model(fit_ml_baseline(train), test)
+        assert shapes == [(70, 70)]
+
+    def test_study_table_independent_of_the_cache(self, monkeypatch):
+        scenarios = [
+            ScenarioConfig(n_train=60, n_test=50, rho=rho, error_dist="gaussian")
+            for rho in (0.3, 0.8)
+        ]
+
+        def study(jobs=1):
+            table = monte_carlo_study(
+                scenarios, ("ml", "sfdnn"), num_replications=3, base_seed=21,
+                config=quick_config(), jobs=jobs,
+            )
+            return table.to_csv_lines(), table.format_text()
+
+        for n in (60, 50):
+            build_inverse_distance_weights(n).eigenvalues()
+        warm = study()
+        generate = evaluation.generate_scenario_dataset
+
+        def cold_generate(cfg):
+            spatial.build_inverse_distance_weights.cache_clear()
+            return generate(cfg)
+
+        monkeypatch.setattr(evaluation, "generate_scenario_dataset", cold_generate)
+        assert study() == warm
+        assert study(jobs=2) == warm

@@ -1,7 +1,12 @@
 """Tests for the end-to-end estimators and their serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfdnn.errors import DataError, DimensionError, MissingWeightsError
 from sfdnn.fdnn import NetworkArchitecture, TrainConfig
@@ -234,3 +239,36 @@ class TestModelSerialization:
         assert back.metadata == {"log_transform": "none"}
         assert back.train_metrics == model.train_metrics
         np.testing.assert_array_equal(predict_model(back, test), predict_model(model, test))
+
+
+class TestModelFileProperties:
+    @pytest.mark.parametrize("kind", ["ml", "fdnn", "sfdnn"])
+    @settings(deadline=None, max_examples=15)
+    @given(
+        replication_seed=st.integers(0, 2**31 - 1),
+        rho=st.floats(0.0, 0.9),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        activation=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_save_load_save_is_bit_exact(self, kind, replication_seed, rho, hidden, activation, seed):
+        cfg = ScenarioConfig(
+            n_train=40, n_test=25, rho=rho, error_dist="gaussian", replication_seed=replication_seed
+        )
+        train, test, _ = generate_scenario_dataset(cfg)
+        arch = NetworkArchitecture(3, (5, 5, 5), 3, tuple(hidden), (activation,) * len(hidden))
+        config = small_config(max_epochs=3, batch_size=16, seed=seed)
+        if kind == "ml":
+            model = fit_ml_baseline(train)
+        elif kind == "fdnn":
+            model = fit_fdnn_model(train, arch, config)
+        else:
+            model = fit_sfdnn(train, arch, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.model"), Path(tmp, "second.model")
+            save_model(model, first)
+            back = load_model(first)
+            save_model(back, second)
+            assert second.read_bytes() == first.read_bytes()
+        np.testing.assert_array_equal(predict_model(back, test), predict_model(model, test))
+        np.testing.assert_array_equal(predict_model(back, train), predict_model(model, train))

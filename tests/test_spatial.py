@@ -1,6 +1,8 @@
 """Tests for spatial weights, filtering, Moran's I, and rho estimation."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,6 +92,43 @@ class TestInverseDistanceWeights:
     def test_too_small(self):
         with pytest.raises(InvalidSizeError):
             build_inverse_distance_weights(1)
+
+    def test_same_size_returns_the_same_matrix(self):
+        W = build_inverse_distance_weights(9)
+        assert build_inverse_distance_weights(9) is W
+        assert build_inverse_distance_weights(10) is not W
+        assert build_inverse_distance_weights(10).n == 10
+
+    def test_shared_weights_are_read_only(self):
+        W = build_inverse_distance_weights(9)
+        with pytest.raises(ValueError):
+            W.weights[0, 1] = 0.5
+        with pytest.raises(ValueError):
+            W.toarray()[...] *= 2.0
+        np.testing.assert_allclose(W.row_sums(), 1.0, atol=1e-12)
+        # derived matrices are copies the caller owns
+        assert W.subset(np.arange(5)).weights.flags.writeable
+
+    def test_threads_racing_to_fill_the_spectrum_agree(self):
+        reference = build_inverse_distance_weights(150)
+        expected = (reference.eigenvalues().copy(), reference.admissible_interval())
+        build_inverse_distance_weights.cache_clear()
+
+        def spectrum(_):
+            W = build_inverse_distance_weights(150)
+            return W.eigenvalues(), W.admissible_interval()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(spectrum, i) for i in range(8)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for eigs, bounds in results:
+            assert np.array_equal(eigs, expected[0])
+            assert bounds == expected[1]
 
 
 class TestGreatCircle:
