@@ -30,14 +30,13 @@ from .errors import (
     InvalidSizeError,
     MissingWeightsError,
     SfdnnError,
+    at_least,
+    broken_rules,
+    one_of,
 )
-from .fdnn import ACTIVATIONS, NetworkArchitecture, TrainConfig
+from .fdnn import NetworkArchitecture, TrainConfig
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run", "main"]
-
-SUBCOMMANDS = (
-    "simulate", "fit", "predict", "tune", "weights", "moran", "mc-bench", "plotdata",
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,62 +160,44 @@ _PARSERS_BY_TYPE = {
 _PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(RunConfig)}
 
 
+# library fields whose key has another name
+_KEY_OF = {"num_grid_points": "grid_points", "basis_sizes": "basis_size"}
+# each scalar key's rule: the one its library class declares, or the CLI's own
+_SCALAR_RULES = {
+    **{
+        _KEY_OF.get(name, name): rule
+        for owner in (simgen.ScenarioConfig, NetworkArchitecture, TrainConfig)
+        for name, rule in owner.RULES.items()
+    },
+    "kind": one_of(pipeline.KINDS),
+    "jobs": at_least(1),
+    "log_transform": (lambda v: v in ("none", "response", "all"), "must be none, response, or all"),
+    "basis_degree": at_least(1),
+    "variance_threshold": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    "neighbor_count": at_least(1),
+    "tune_folds": at_least(2),
+    "mc_replications": at_least(1),
+}
+
+
+def _rule_of(key):
+    # a tune_/mc_ list follows its scalar key's rule value by value: tune_hidden_sizes ->
+    # hidden_sizes, tune_learning_rates -> learning_rate, mc_rhos -> rho
+    stem = key.partition("_")[2] if key.startswith(("tune_", "mc_")) else key
+    return _SCALAR_RULES.get(key) or _SCALAR_RULES.get(stem) or _SCALAR_RULES.get(stem[:-1])
+
+
+_RULES = {f.name: _rule_of(f.name) for f in fields(RunConfig) if _rule_of(f.name)}
+
+
 def _validate(config: RunConfig) -> list:
-    problems = []
-
-    def violated(name, bad):
-        # a grid list is checked value by value by the rule of its scalar key
-        value = getattr(config, name)
-        return any(v is not None and bad(v) for v in (value if isinstance(value, tuple) else (value,)))
-
-    if config.kind not in pipeline.KINDS:
-        problems.append(f"key 'kind': must be one of {'/'.join(pipeline.KINDS)}")
-    if config.log_transform not in ("none", "response", "all"):
-        problems.append("key 'log_transform': must be none, response, or all")
-    if not -1.0 < config.rho < 1.0:
-        problems.append(f"key 'rho': {config.rho} outside the admissible range (-1, 1)")
-    for name in ("mc_rhos",):
-        for v in getattr(config, name):
-            if not -1.0 < v < 1.0:
-                problems.append(f"key '{name}': {v} outside the admissible range (-1, 1)")
-    if config.error_dist not in simgen.ERROR_DISTS:
-        problems.append(f"key 'error_dist': must be one of {'/'.join(simgen.ERROR_DISTS)}")
-    for v in config.mc_error_dists:
-        if v not in simgen.ERROR_DISTS:
-            problems.append(f"key 'mc_error_dists': unknown distribution '{v}'")
-    for name, minimum in (
-        ("jobs", 1), ("n_train", 2), ("mc_n_trains", 2), ("n_test", 2), ("grid_points", 2),
-        ("basis_size", 1), ("basis_degree", 1), ("batch_size", 1), ("tune_batch_sizes", 1),
-        ("max_epochs", 1), ("tune_max_epochs", 1), ("neighbor_count", 1),
-        ("tune_neighbor_counts", 1), ("tune_folds", 2), ("mc_replications", 1),
-    ):
-        if violated(name, lambda v: v < minimum):
-            problems.append(f"key '{name}': must be at least {minimum}")
-    for name in ("learning_rate", "tune_learning_rates"):
-        if violated(name, lambda v: v <= 0):
-            problems.append(f"key '{name}': must be positive")
-    for name in ("early_stop_threshold", "weight_decay", "tune_weight_decays"):
-        if violated(name, lambda v: v < 0):
-            problems.append(f"key '{name}': must be nonnegative")
-    if not 0.0 <= config.validation_fraction <= 0.5:
-        problems.append("key 'validation_fraction': must be in [0, 0.5]")
-    if not 0.0 < config.variance_threshold <= 1.0:
-        problems.append("key 'variance_threshold': must be in (0, 1]")
-    for name in ("activations", "tune_activations"):
-        for tag in getattr(config, name):
-            if tag not in ACTIVATIONS:
-                problems.append(f"key '{name}': unknown activation '{tag}'")
-    if any(h < 1 for group in config.tune_hidden_sizes for h in group):
-        problems.append("key 'tune_hidden_sizes': sizes must be >= 1")
-    if any(h < 1 for h in config.hidden_sizes):
-        problems.append("key 'hidden_sizes': sizes must be >= 1")
-    for name in ("basis_size", "tune_basis_sizes"):
-        if violated(name, lambda v: v < config.basis_degree + 1):
-            problems.append(f"key '{name}': must be at least basis_degree + 1")
-    for f in fields(config):
-        if getattr(config, f.name) == ():
-            problems.append(f"key '{f.name}': must list at least one value")
-    return problems
+    spline = (lambda v: v >= config.basis_degree + 1, "must be at least basis_degree + 1")
+    broken = broken_rules(_RULES, vars(config))
+    broken += broken_rules({"basis_size": spline, "tune_basis_sizes": spline}, vars(config))
+    if config.activations and len(config.activations) not in (1, len(config.hidden_sizes)):
+        broken.append(("activations", "must hold one tag, or one per hidden_sizes entry"))
+    broken += [(key, "must list at least one value") for key, value in vars(config).items() if value == ()]
+    return [f"key '{name}': {phrase}" for name, phrase in broken]
 
 
 def parse_config(path) -> RunConfig:
@@ -382,17 +363,20 @@ def write_metrics_csv(path, metrics: dict) -> None:
     _textio.write_table(path, "metric,value", "%s,%.17g\n", keys, [float(metrics[k]) for k in keys])
 
 
-def _log_transform_dataset(data: pipeline.RegressionDataset, mode: str, label: str):
-    """Apply the natural log to the response (and optionally all inputs)."""
-    if mode == "none":
-        return data
-    response = data.response
+def _log_response(response, label: str):
     bad = np.flatnonzero(response <= 0)
     if bad.size:
         raise DataError(
             f"{label}: log transform needs positive responses; row {bad[0]} has {response[bad[0]]}"
         )
-    response = np.log(response)
+    return np.log(response)
+
+
+def _log_transform_dataset(data: pipeline.RegressionDataset, mode: str, label: str):
+    """Apply the natural log to the response (and optionally all inputs)."""
+    if mode == "none":
+        return data
+    response = _log_response(data.response, label)
     functional = data.functional
     scalars = data.scalars
     if mode == "all":
@@ -418,14 +402,7 @@ def _log_transform_dataset(data: pipeline.RegressionDataset, mode: str, label: s
 
 def _scenario_from_config(config: RunConfig) -> simgen.ScenarioConfig:
     return simgen.ScenarioConfig(
-        n_train=config.n_train,
-        n_test=config.n_test,
-        rho=config.rho,
-        error_dist=config.error_dist,
-        replication_seed=config.replication_seed,
-        num_grid_points=config.grid_points,
-        beta0=config.beta0,
-        double_filter_errors=config.double_filter_errors,
+        **{f.name: getattr(config, _KEY_OF.get(f.name, f.name)) for f in fields(simgen.ScenarioConfig)}
     )
 
 
@@ -446,11 +423,12 @@ def _train_config_from_config(config: RunConfig) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
 
 
-def _load_dataset(config: RunConfig, role: str, need_weights: bool, log_mode: str):
-    """Read the ``role`` ("train" or "test") files the configuration names.
+def _load_dataset(config: RunConfig, role: str, kind: str, log_mode: str):
+    """Read the ``role`` ("train" or "test") files that estimator ``kind`` needs.
 
     Returns the dataset and its sorted location ids.
     """
+    need_weights = kind != "fdnn"
     names = [f"{role}_functional", f"{role}_scalars"] + ([f"{role}_weights"] if need_weights else [])
     _require_inputs(config, names)
     functional, grid, ids = read_functional_csv(getattr(config, names[0]))
@@ -474,19 +452,11 @@ def _cmd_simulate(config: RunConfig, out):
 
 
 def _cmd_fit(config: RunConfig, out):
-    spatial_kind = config.kind in ("ml", "sfdnn")
-    data, _ = _load_dataset(config, "train", spatial_kind, config.log_transform)
-    if config.kind == "ml":
-        model = pipeline.fit_ml_baseline(data, config.variance_threshold)
-    else:
-        arch = _architecture_from_config(config, data.num_functional, data.num_scalar)
-        tc = _train_config_from_config(config)
-        if config.kind == "fdnn":
-            model = pipeline.fit_fdnn_model(data, arch, tc, config.basis_degree)
-        else:
-            model = pipeline.fit_sfdnn(
-                data, arch, tc, config.basis_degree, config.variance_threshold
-            )
+    data, _ = _load_dataset(config, "train", config.kind, config.log_transform)
+    model = evaluation.fit_kind(
+        config.kind, data, _architecture_from_config(config, data.num_functional, data.num_scalar),
+        _train_config_from_config(config), config.basis_degree, config.variance_threshold,
+    )
     model.metadata["log_transform"] = config.log_transform
     pipeline.save_model(model, out("model.txt"))
     write_metrics_csv(out("train_metrics.csv"), model.train_metrics)
@@ -496,8 +466,7 @@ def _cmd_predict(config: RunConfig, out):
     _require_inputs(config, ["model_file"])
     model = pipeline.load_model(config.model_file)
     log_mode = model.metadata.get("log_transform", "none")
-    need_weights = model.kind in ("ml", "sfdnn")
-    data, _ = _load_dataset(config, "test", need_weights, log_mode)
+    data, _ = _load_dataset(config, "test", model.kind, log_mode)
     preds = pipeline.predict_model(model, data)
     _write_location_csv(out("predictions.csv"), "location_id,predicted", preds)
     m = evaluation.compute_metrics(data.response, preds, "test")
@@ -505,8 +474,7 @@ def _cmd_predict(config: RunConfig, out):
 
 
 def _cmd_tune(config: RunConfig, out):
-    spatial_kind = config.kind in ("ml", "sfdnn")
-    data, ids = _load_dataset(config, "train", spatial_kind, config.log_transform)
+    data, ids = _load_dataset(config, "train", config.kind, config.log_transform)
     coords = None
     if any(h is not None for h in config.tune_neighbor_counts):
         _require_inputs(config, ["coords_file"])
@@ -518,7 +486,7 @@ def _cmd_tune(config: RunConfig, out):
     )
     best, table = evaluation.kfold_tune(
         data, config.kind, grid, config.tune_folds, config.seed, coords,
-        config.variance_threshold, config.basis_degree,
+        config.variance_threshold, config.basis_degree, _train_config_from_config(config),
     )
     rows = []
     for row in table:
@@ -561,12 +529,7 @@ def _cmd_moran(config: RunConfig, out):
     _, response, _ = read_scalars_csv(config.train_scalars)
     W = spatial.load_weights(config.train_weights)
     if config.log_transform != "none":
-        bad = np.flatnonzero(response <= 0)
-        if bad.size:
-            raise DataError(
-                f"log transform needs positive responses; row {bad[0]} has {response[bad[0]]}"
-            )
-        response = np.log(response)
+        response = _log_response(response, config.train_scalars)
     _write_location_csv(out("moran.csv"), "location_id,moran_i", spatial.local_morans_i(W, response))
 
 
@@ -600,12 +563,11 @@ def _cmd_plotdata(config: RunConfig, out):
     _require_inputs(config, ["model_file"])
     model = pipeline.load_model(config.model_file)
     log_mode = model.metadata.get("log_transform", "none")
-    need_weights = model.kind in ("ml", "sfdnn")
     taylor_rows = []
     for role in ("train", "test"):
         # a log transform set in the configuration overrides the model's for training data
         mode = config.log_transform if role == "train" and config.log_transform != "none" else log_mode
-        data, _ = _load_dataset(config, role, need_weights, mode)
+        data, _ = _load_dataset(config, role, model.kind, mode)
         preds = pipeline.predict_model(model, data)
         _write_location_csv(
             out(f"plotdata_{role}.csv"), "location_id,observed,predicted", data.response, preds
@@ -667,13 +629,13 @@ def main(argv=None) -> int:
         prog="sfdnn",
         description="Spatially filtered functional regression toolkit",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_COMMANDS)
     parser.add_argument("--config", default=None, help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out-dir", default=None)
     parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--kind", choices=pipeline.KINDS, default=None)
-    parser.add_argument("--log-transform", choices=("none", "response", "all"), default=None)
+    parser.add_argument("--kind", default=None)
+    parser.add_argument("--log-transform", default=None)
     args = parser.parse_args(argv)
 
     try:

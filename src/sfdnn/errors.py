@@ -1,9 +1,45 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the rules settings obey.
 
 Every failure mode raised by the library derives from :class:`SfdnnError`,
 so callers (including the CLI) can map errors onto exit codes without
-string matching.
+string matching.  A rule is a (predicate that must hold, phrase) pair,
+declared once by the class that owns the setting.
 """
+
+import math
+
+
+def at_least(minimum):
+    return (lambda v: v >= minimum, f"must be at least {minimum}")
+
+
+def one_of(options):
+    return (lambda v: v in options, "must be one of " + "/".join(options))
+
+
+POSITIVE = (lambda v: v > 0, "must be positive")
+NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+FINITE = (math.isfinite, "must be finite")
+
+
+def _items(value):
+    if isinstance(value, tuple):
+        return [v for item in value for v in _items(item)]
+    return [] if value is None else [value]
+
+
+def broken_rules(rules, values) -> list:
+    """(name, phrase) for each rule in ``rules`` that ``values[name]`` breaks.
+
+    A tuple breaks a rule when an item does (``None`` items pass); a phrase
+    may name the first such item as "{}".  NaN breaks every comparison rule.
+    """
+    broken = []
+    for name, (holds, phrase) in rules.items():
+        bad = [v for v in _items(values[name]) if not holds(v)]
+        if bad:
+            broken.append((name, phrase.format(bad[0])))
+    return broken
 
 
 class SfdnnError(Exception):

@@ -42,6 +42,7 @@ __all__ = [
     "StudyTable",
     "compute_metrics",
     "taylor_stats",
+    "fit_kind",
     "kfold_tune",
     "monte_carlo_study",
     "default_architecture",
@@ -135,13 +136,14 @@ class CandidateConfig:
             activations=(self.activation,) * len(self.hidden_sizes),
         )
 
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
+    def train_config(self, base: TrainConfig) -> TrainConfig:
+        """``base`` with this candidate's four training settings."""
+        return replace(
+            base,
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             max_epochs=self.max_epochs,
             weight_decay=self.weight_decay,
-            seed=seed,
         )
 
     def num_parameters(self, num_functional: int, num_scalar: int) -> int:
@@ -172,11 +174,10 @@ class TuneGrid:
         return [CandidateConfig(tuple(hidden), *rest) for hidden, *rest in itertools.product(*lists)]
 
 
-def _fit_kind(kind, data, candidate, seed, variance_threshold, basis_degree):
+def fit_kind(kind, data, arch, config, basis_degree, variance_threshold):
+    """Fit estimator ``kind`` to ``data``; ``ml`` reads neither ``arch`` nor ``config``."""
     if kind == "ml":
         return fit_ml_baseline(data, variance_threshold)
-    arch = candidate.architecture(data.num_functional, data.num_scalar)
-    config = candidate.train_config(seed)
     if kind == "fdnn":
         return fit_fdnn_model(data, arch, config, basis_degree)
     if kind == "sfdnn":
@@ -206,6 +207,7 @@ def kfold_tune(
     coords=None,
     variance_threshold: float = 0.95,
     basis_degree: int = 3,
+    config: TrainConfig | None = None,
 ):
     """Exhaustive grid search by K-fold cross-validated prediction error.
 
@@ -214,8 +216,8 @@ def kfold_tune(
     Candidates with a ``neighbor_count`` rebuild the weight matrix from
     ``coords`` before splitting, once per neighbor count.  Candidates that
     differ only in settings ``kind`` ignores share one cross-validation.
-    Every fit takes ``variance_threshold`` and ``basis_degree``, as in
-    :func:`monte_carlo_study`.
+    Fits take ``variance_threshold`` and ``basis_degree`` as in :func:`monte_carlo_study`
+    and train as ``config`` says, with the candidate's settings and ``seed``.
     """
     n = data.n
     if num_folds < 2:
@@ -224,6 +226,7 @@ def kfold_tune(
         raise FoldSizeError(f"{num_folds} folds over {n} rows would leave folds below 2 rows")
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, num_folds)
+    base = replace(config or TrainConfig(), seed=seed)
 
     datasets = {None: data}
     scores = {}
@@ -244,12 +247,14 @@ def kfold_tune(
         effective = _effective_candidate(kind, cand)
         if effective not in scores:
             cand_data = datasets[count]
+            arch = cand.architecture(data.num_functional, data.num_scalar)
+            train_config = cand.train_config(base)
             total_sq = 0.0
             for fold in folds:
                 held = np.sort(fold)
                 rest = np.sort(np.setdiff1d(perm, fold))
-                fit = _fit_kind(
-                    kind, cand_data.subset(rest), cand, seed, variance_threshold, basis_degree
+                fit = fit_kind(
+                    kind, cand_data.subset(rest), arch, train_config, basis_degree, variance_threshold
                 )
                 preds = predict_model(fit, cand_data.subset(held))
                 total_sq += float(np.sum((preds - cand_data.response[held]) ** 2))
@@ -314,19 +319,11 @@ def default_train_config(seed: int = 0) -> TrainConfig:
 def _run_replication(scenario, kinds, rep_seed, arch, config, variance_threshold, basis_degree):
     cfg = replace(scenario, replication_seed=rep_seed)
     train, test, _ = generate_scenario_dataset(cfg)
+    config = replace(config, seed=rep_seed)
     out = {}
     for kind in kinds:
         try:
-            if kind == "ml":
-                model = fit_ml_baseline(train, variance_threshold)
-            elif kind == "fdnn":
-                model = fit_fdnn_model(train, arch, replace(config, seed=rep_seed), basis_degree)
-            elif kind == "sfdnn":
-                model = fit_sfdnn(
-                    train, arch, replace(config, seed=rep_seed), basis_degree, variance_threshold
-                )
-            else:
-                raise InvalidSizeError(f"unknown estimator kind '{kind}'")
+            model = fit_kind(kind, train, arch, config, basis_degree, variance_threshold)
             train_m = compute_metrics(train.response, predict_model(model, train), "train")
             test_m = compute_metrics(test.response, predict_model(model, test), "test")
             out[kind] = ((train_m.mse, train_m.r2, test_m.mse, test_m.r2), model.at_boundary)
@@ -409,23 +406,15 @@ def monte_carlo_study(
     reports = []
     for scenario in scenarios:
         rep_seeds = [base_seed ^ r for r in range(num_replications)]
+
+        def replicate(seed):
+            return _run_replication(scenario, kinds, seed, arch, config, variance_threshold, basis_degree)
+
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(
-                        lambda s: _run_replication(
-                            scenario, kinds, s, arch, config, variance_threshold, basis_degree
-                        ),
-                        rep_seeds,
-                    )
-                )
+                results = list(pool.map(replicate, rep_seeds))
         else:
-            results = [
-                _run_replication(
-                    scenario, kinds, s, arch, config, variance_threshold, basis_degree
-                )
-                for s in rep_seeds
-            ]
+            results = [replicate(s) for s in rep_seeds]
         for kind in kinds:
             rows = []
             failures = []

@@ -24,10 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    NONNEGATIVE,
+    POSITIVE,
     DimensionError,
     InvalidArchitectureError,
     NumericOverflowError,
     TrainingDivergedError,
+    at_least,
+    broken_rules,
 )
 from .spatial import SpatialFilterFactor
 
@@ -98,27 +102,29 @@ class NetworkArchitecture:
     hidden_sizes: tuple
     activations: tuple
 
+    # (predicate that must hold, phrase) per field; a tuple is checked item by item
+    RULES = {
+        "num_functional": NONNEGATIVE,
+        "basis_sizes": at_least(1),
+        "num_scalar": NONNEGATIVE,
+        "hidden_sizes": at_least(1),
+        "activations": (lambda tag: tag in ACTIVATIONS, "unknown activation '{}'"),
+    }
+
     def __post_init__(self):
         object.__setattr__(self, "basis_sizes", tuple(int(m) for m in self.basis_sizes))
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(self, "activations", tuple(self.activations))
-        if self.num_functional < 0 or self.num_scalar < 0:
-            raise InvalidArchitectureError("predictor counts must be nonnegative")
+        for name, phrase in broken_rules(self.RULES, vars(self)):
+            raise InvalidArchitectureError(f"{name} {phrase}")
         if len(self.basis_sizes) != self.num_functional:
             raise InvalidArchitectureError("need one basis size per functional predictor")
-        if any(m < 1 for m in self.basis_sizes):
-            raise InvalidArchitectureError("basis sizes must be >= 1")
         if self.num_functional + self.num_scalar == 0:
             raise InvalidArchitectureError("network needs at least one input")
         if len(self.hidden_sizes) < 1:
             raise InvalidArchitectureError("need at least one hidden layer")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise InvalidArchitectureError("hidden sizes must be >= 1")
         if len(self.activations) != len(self.hidden_sizes):
             raise InvalidArchitectureError("need one activation per hidden layer")
-        for tag in self.activations:
-            if tag not in ACTIVATIONS:
-                raise InvalidArchitectureError(f"unknown activation '{tag}'")
 
     @property
     def feature_width(self) -> int:
@@ -148,19 +154,18 @@ class TrainConfig:
     validation_fraction: float = 0.0
     seed: int = 0
 
+    RULES = {
+        "learning_rate": POSITIVE,
+        "batch_size": at_least(1),
+        "max_epochs": at_least(1),
+        "early_stop_threshold": NONNEGATIVE,
+        "weight_decay": NONNEGATIVE,
+        "validation_fraction": (lambda v: 0.0 <= v <= 0.5, "must be in [0, 0.5]"),
+    }
+
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidArchitectureError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise InvalidArchitectureError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise InvalidArchitectureError("max_epochs must be >= 1")
-        if self.early_stop_threshold < 0:
-            raise InvalidArchitectureError("early_stop_threshold must be >= 0")
-        if self.weight_decay < 0:
-            raise InvalidArchitectureError("weight_decay must be >= 0")
-        if not 0.0 <= self.validation_fraction <= 0.5:
-            raise InvalidArchitectureError("validation_fraction must be in [0, 0.5]")
+        for name, phrase in broken_rules(self.RULES, vars(self)):
+            raise InvalidArchitectureError(f"{name} {phrase}")
 
 
 # the fixed spatial filter (I - rho W)^{-1} applied to the network inputs

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Grid, trapezoid_weights
-from .errors import InvalidSizeError
+from .errors import FINITE, InvalidSizeError, at_least, broken_rules, one_of
 from .pipeline import RegressionDataset
 from .spatial import apply_spatial_filter, build_inverse_distance_weights
 
@@ -70,17 +70,18 @@ class ScenarioConfig:
     beta0: float = 0.0
     double_filter_errors: bool = False
 
+    RULES = {
+        "n_train": at_least(2),
+        "n_test": at_least(2),
+        "rho": (lambda v: -1.0 < v < 1.0, "{} outside the admissible range (-1, 1)"),
+        "error_dist": one_of(ERROR_DISTS),
+        "num_grid_points": at_least(2),
+        "beta0": FINITE,
+    }
+
     def __post_init__(self):
-        if self.n_train < 2 or self.n_test < 2:
-            raise InvalidSizeError("sample sizes must be at least 2")
-        if not -1.0 < self.rho < 1.0:
-            raise InvalidSizeError(f"rho={self.rho} outside (-1, 1)")
-        if self.error_dist not in ERROR_DISTS:
-            raise InvalidSizeError(
-                f"error_dist must be one of {ERROR_DISTS}, got '{self.error_dist}'"
-            )
-        if self.num_grid_points < 2:
-            raise InvalidSizeError("need at least 2 grid points")
+        for name, phrase in broken_rules(self.RULES, vars(self)):
+            raise InvalidSizeError(f"{name} {phrase}")
 
     def is_benchmark_cell(self) -> bool:
         return (

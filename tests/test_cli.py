@@ -23,7 +23,7 @@ from sfdnn.cli import (
     parse_config,
     serialize_config,
 )
-from sfdnn.errors import ConfigError
+from sfdnn.errors import ConfigError, SfdnnError
 from sfdnn.evaluation import compute_metrics
 from sfdnn.fdnn import NetworkArchitecture, TrainConfig
 from sfdnn.pipeline import fit_sfdnn, predict_model
@@ -113,6 +113,76 @@ class TestParseConfig:
         cfg = RunConfig()
         path = write(tmp_path / "defaults.cfg", serialize_config(cfg))
         assert parse_config(path) == cfg
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("learning_rate = nan", "key 'learning_rate': must be positive"),
+            ("weight_decay = nan", "key 'weight_decay': must be nonnegative"),
+            ("early_stop_threshold = nan", "key 'early_stop_threshold': must be nonnegative"),
+            ("tune_learning_rates = 0.01,nan", "key 'tune_learning_rates': must be positive"),
+            ("tune_weight_decays = nan", "key 'tune_weight_decays': must be nonnegative"),
+            ("beta0 = nan", "key 'beta0': must be finite"),
+            ("beta0 = -inf", "key 'beta0': must be finite"),
+        ],
+    )
+    def test_nan_and_infinite_values_rejected(self, tmp_path, text, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path / "bad.cfg", text + "\n"))
+        assert err.value.problems == [problem]
+
+    def test_activation_count_checked_when_parsed(self, tmp_path):
+        path = write(tmp_path / "bad.cfg", "hidden_sizes = 8,4,2\nactivations = relu,tanh\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.problems == [
+            "key 'activations': must hold one tag, or one per hidden_sizes entry"
+        ]
+
+
+# (owner, field, bad value, its key, its list key): every rule a library class declares
+LIBRARY_RULES = [
+    (TrainConfig, "learning_rate", 0.0, "learning_rate", "tune_learning_rates"),
+    (TrainConfig, "batch_size", 0, "batch_size", "tune_batch_sizes"),
+    (TrainConfig, "max_epochs", 0, "max_epochs", "tune_max_epochs"),
+    (TrainConfig, "early_stop_threshold", -1.0, "early_stop_threshold", None),
+    (TrainConfig, "weight_decay", -1e-3, "weight_decay", "tune_weight_decays"),
+    (TrainConfig, "validation_fraction", 0.75, "validation_fraction", None),
+    (ScenarioConfig, "n_train", 1, "n_train", "mc_n_trains"),
+    (ScenarioConfig, "n_test", 1, "n_test", None),
+    (ScenarioConfig, "rho", 1.5, "rho", "mc_rhos"),
+    (ScenarioConfig, "error_dist", "cauchy", "error_dist", "mc_error_dists"),
+    (ScenarioConfig, "num_grid_points", 1, "grid_points", None),
+    (ScenarioConfig, "beta0", float("inf"), "beta0", None),
+    (NetworkArchitecture, "num_functional", -1, None, None),
+    (NetworkArchitecture, "basis_sizes", (0,), "basis_size", "tune_basis_sizes"),
+    (NetworkArchitecture, "num_scalar", -1, None, None),
+    (NetworkArchitecture, "hidden_sizes", (0,), "hidden_sizes", "tune_hidden_sizes"),
+    (NetworkArchitecture, "activations", ("swish",), "activations", "tune_activations"),
+]
+
+
+def test_rule_table_covers_every_declared_rule():
+    declared = {(owner, name) for owner in (TrainConfig, ScenarioConfig, NetworkArchitecture)
+                for name in owner.RULES}
+    assert {(owner, name) for owner, name, *_ in LIBRARY_RULES} == declared
+
+
+@pytest.mark.parametrize("owner,name,bad,key,list_key", LIBRARY_RULES)
+def test_library_and_cli_report_a_rule_alike(tmp_path, owner, name, bad, key, list_key):
+    valid = {"num_functional": 1, "basis_sizes": (5,), "num_scalar": 1, "hidden_sizes": (3,),
+             "activations": ("relu",)} if owner is NetworkArchitecture else {}
+    with pytest.raises(SfdnnError) as err:
+        owner(**{**valid, name: bad})
+    message = str(err.value)
+    assert message.startswith(name + " ")
+    phrase = message[len(name) + 1:]
+    text = ",".join(map(str, bad)) if isinstance(bad, tuple) else str(bad)
+    for cli_key in (key, list_key):
+        if cli_key is not None:
+            with pytest.raises(ConfigError) as err:
+                parse_config(write(tmp_path / "bad.cfg", f"{cli_key} = {text}\n"))
+            assert f"key '{cli_key}': {phrase}" in err.value.problems
 
 
 def base_config_text(out_dir, **extra):
@@ -227,6 +297,19 @@ class TestSubcommands:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         np.testing.assert_allclose(values, [-1.0, -1.0], atol=1e-12)
 
+    def test_moran_log_transform_rejects_nonpositive_response(self, tmp_path, capsys):
+        scalars = write(tmp_path / "scalars.csv", "location_id,z1,y\n0,0.0,1\n1,0.0,-1\n")
+        weights = write(tmp_path / "w.txt", "n 2 row_normalized 1\n0 1 1\n1 0 1\n")
+        cfg = write(
+            tmp_path / "m.cfg",
+            f"train_scalars = {scalars}\ntrain_weights = {weights}\nlog_transform = response\n"
+            f"out_dir = {tmp_path / 'm'}\n",
+        )
+        assert main(["moran", "--config", cfg]) == EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error_type"] == "DataError"
+        assert err["message"] == f"{scalars}: log transform needs positive responses; row 1 has -1.0"
+
     def test_fit_log_transform_rejects_zero_response(self, tmp_path, capsys):
         out = tmp_path / "r"
         cfg_path = write(tmp_path / "sim.cfg", base_config_text(out))
@@ -290,6 +373,26 @@ class TestSubcommands:
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error_type"] == "ConfigError"
         assert err["context"]["problems"]
+
+    @pytest.mark.parametrize(
+        "flags,problem",
+        [
+            (["--kind", "spline"], "key 'kind': must be one of ml/fdnn/sfdnn"),
+            (["--log-transform", "sqrt"], "key 'log_transform': must be none, response, or all"),
+        ],
+    )
+    def test_bad_flag_is_json_config_error(self, capsys, flags, problem):
+        assert main(["fit", *flags]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error_type"] == "ConfigError"
+        assert err["context"]["problems"] == [problem]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_simulate_rejects_nonfinite_beta0_naming_the_key(self, tmp_path, capsys, value):
+        cfg = write(tmp_path / "s.cfg", base_config_text(tmp_path / "s", beta0=value))
+        assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["problems"] == ["key 'beta0': must be finite"]
 
     def test_os_error_is_data_error_with_json(self, tmp_path, capsys):
         out = tmp_path / "r"

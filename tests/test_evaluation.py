@@ -1,5 +1,7 @@
 """Tests for metrics, Taylor statistics, tuning, and the study driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -183,20 +185,36 @@ class TestKfoldTune:
         )
         expected = brute_force_tune(data, kind, grid, 3, 2, coords)
         fits = []
-        fit_kind = evaluation._fit_kind
+        fit_kind = evaluation.fit_kind
 
         def counted(*args):
             fits.append(args[2])
             return fit_kind(*args)
 
-        monkeypatch.setattr(evaluation, "_fit_kind", counted)
+        monkeypatch.setattr(evaluation, "fit_kind", counted)
         best, table = kfold_tune(data, kind, grid, num_folds=3, seed=2, coords=coords)
         assert len(fits) == 3 * distinct
         assert (best, table) == expected
 
+    @pytest.mark.parametrize("kind", ["fdnn", "sfdnn"])
+    def test_candidates_train_with_the_given_config(self, kind):
+        # the split and the stopping rule are not grid settings, so they come from config
+        data = tiny_dataset(7, n=40)
+        grid = TuneGrid(hidden_sizes=[(3,), (4,)], batch_sizes=[8], basis_sizes=[5], max_epochs=[6])
+        config = TrainConfig(validation_fraction=0.2, early_stop_threshold=1e-3, seed=99)
+        best, table = kfold_tune(data, kind, grid, num_folds=3, seed=2, config=config)
+        assert (best, table) == brute_force_tune(data, kind, grid, 3, 2, None, config)
+        _, unsplit = kfold_tune(data, kind, grid, num_folds=3, seed=2)
+        assert [row["cv_mspe"] for row in table] != [row["cv_mspe"] for row in unsplit]
 
-def brute_force_tune(data, kind, grid, num_folds, seed, coords):
-    """Every candidate cross-validated on its own weights, in grid order."""
+
+def brute_force_tune(data, kind, grid, num_folds, seed, coords, config=None):
+    """Every candidate cross-validated on its own weights, in grid order.
+
+    A fit trains as ``config`` says (default TrainConfig), with the
+    candidate's settings and ``seed``.
+    """
+    base = replace(config or TrainConfig(), seed=seed)
     perm = np.random.default_rng(seed).permutation(data.n)
     folds = np.array_split(perm, num_folds)
     table, best, best_key = [], None, None
@@ -212,7 +230,8 @@ def brute_force_tune(data, kind, grid, num_folds, seed, coords):
         for fold in folds:
             held = np.sort(fold)
             rest = np.sort(np.setdiff1d(perm, fold))
-            fit = evaluation._fit_kind(kind, cand_data.subset(rest), cand, seed, 0.95, 3)
+            arch = cand.architecture(data.num_functional, data.num_scalar)
+            fit = evaluation.fit_kind(kind, cand_data.subset(rest), arch, cand.train_config(base), 3, 0.95)
             preds = predict_model(fit, cand_data.subset(held))
             total_sq += float(np.sum((preds - cand_data.response[held]) ** 2))
         cv_mspe = total_sq / data.n

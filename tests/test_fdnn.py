@@ -330,6 +330,13 @@ class TestGradients:
 
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "name", ["learning_rate", "early_stop_threshold", "weight_decay", "validation_fraction"]
+    )
+    def test_nan_setting_rejected(self, name):
+        with pytest.raises(InvalidArchitectureError, match=f"^{name} must "):
+            TrainConfig(**{name: float("nan")})
+
     def test_linear_target_reaches_ols_loss(self):
         rng = np.random.default_rng(71)
         arch = NetworkArchitecture(1, (4,), 2, (6,), ("identity",))
