@@ -407,15 +407,8 @@ def _scenario_from_config(config: RunConfig) -> simgen.ScenarioConfig:
 
 
 def _architecture_from_config(config: RunConfig, num_functional, num_scalar) -> NetworkArchitecture:
-    acts = config.activations
-    if len(acts) == 1:
-        acts = acts * len(config.hidden_sizes)
-    return NetworkArchitecture(
-        num_functional=num_functional,
-        basis_sizes=(config.basis_size,) * num_functional,
-        num_scalar=num_scalar,
-        hidden_sizes=config.hidden_sizes,
-        activations=acts,
+    return NetworkArchitecture.uniform(
+        num_functional, num_scalar, config.basis_size, config.hidden_sizes, config.activations
     )
 
 

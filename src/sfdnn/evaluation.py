@@ -128,12 +128,8 @@ class CandidateConfig:
     neighbor_count: int | None = None
 
     def architecture(self, num_functional: int, num_scalar: int) -> NetworkArchitecture:
-        return NetworkArchitecture(
-            num_functional=num_functional,
-            basis_sizes=(self.basis_size,) * num_functional,
-            num_scalar=num_scalar,
-            hidden_sizes=self.hidden_sizes,
-            activations=(self.activation,) * len(self.hidden_sizes),
+        return NetworkArchitecture.uniform(
+            num_functional, num_scalar, self.basis_size, self.hidden_sizes, self.activation
         )
 
     def train_config(self, base: TrainConfig) -> TrainConfig:
@@ -303,13 +299,7 @@ class MetricReport:
 
 
 def default_architecture(num_functional: int = 3, num_scalar: int = 3) -> NetworkArchitecture:
-    return NetworkArchitecture(
-        num_functional=num_functional,
-        basis_sizes=(7,) * num_functional,
-        num_scalar=num_scalar,
-        hidden_sizes=(32, 16),
-        activations=("relu", "relu"),
-    )
+    return NetworkArchitecture.uniform(num_functional, num_scalar, 7, (32, 16), "relu")
 
 
 def default_train_config(seed: int = 0) -> TrainConfig:

@@ -126,6 +126,22 @@ class NetworkArchitecture:
         if len(self.activations) != len(self.hidden_sizes):
             raise InvalidArchitectureError("need one activation per hidden layer")
 
+    @classmethod
+    def uniform(cls, num_functional, num_scalar, basis_size, hidden_sizes, activations):
+        """One ``basis_size`` for every functional predictor; ``activations``
+        is one tag per hidden layer, or a single tag (alone or in a tuple)
+        used on every layer."""
+        acts = (activations,) if isinstance(activations, str) else tuple(activations)
+        if len(acts) == 1:
+            acts *= len(hidden_sizes)
+        return cls(
+            num_functional=num_functional,
+            basis_sizes=(basis_size,) * num_functional,
+            num_scalar=num_scalar,
+            hidden_sizes=hidden_sizes,
+            activations=acts,
+        )
+
     @property
     def feature_width(self) -> int:
         return sum(self.basis_sizes)

@@ -20,8 +20,9 @@ An inverse-distance W depends only on n, so it is built once per size and
 shared read-only: every replication of a study cell reuses one matrix,
 and with it the spectrum cached on it.
 
-scipy modules needed only by some routes are imported where they are used,
-because they account for much of the package's import time.
+Dense routes run on numpy alone: scipy is imported only on the sparse and
+KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
+because importing it takes several times as long as numpy.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from ._textio import read_rows, write_table
 from .errors import (
@@ -96,7 +96,9 @@ class SpatialWeightMatrix:
     """
 
     def __init__(self, weights, row_normalized: bool):
-        if sp.issparse(weights):
+        # a sparse input cannot exist unless scipy.sparse is loaded
+        sparse = sys.modules.get("scipy.sparse")
+        if sparse is not None and sparse.issparse(weights):
             weights = weights.tocsr()
         else:
             weights = np.asarray(weights, dtype=float)
@@ -108,12 +110,10 @@ class SpatialWeightMatrix:
         diag = weights.diagonal()
         if np.any(diag != 0.0):
             raise InvalidSizeError("weight matrix must have a zero diagonal")
-        if sp.issparse(weights):
-            if weights.nnz and weights.data.min() < 0:
-                raise InvalidSizeError("weights must be nonnegative")
-        elif weights.size and weights.min() < 0:
-            raise InvalidSizeError("weights must be nonnegative")
         self.weights = weights
+        values = weights.data if self.is_sparse else weights
+        if values.size and values.min() < 0:
+            raise InvalidSizeError("weights must be nonnegative")
         self.n = n
         self.row_normalized = bool(row_normalized)
         if self.row_normalized:
@@ -127,7 +127,7 @@ class SpatialWeightMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.weights)
+        return not isinstance(self.weights, np.ndarray)
 
     def toarray(self) -> np.ndarray:
         return self.weights.toarray() if self.is_sparse else self.weights
@@ -144,6 +144,7 @@ class SpatialWeightMatrix:
         """Restrict to a subset of sites, re-normalizing surviving rows."""
         rows = np.asarray(rows, dtype=int)
         if self.is_sparse and rows.size > DENSE_LIMIT:
+            import scipy.sparse as sp
             sub = self.weights[rows][:, rows].tocsr()
             if renormalize:
                 sums = np.asarray(sub.sum(axis=1)).ravel()
@@ -231,6 +232,15 @@ def _symmetrizing_scale(a: np.ndarray):
     return d if np.all(gap <= m) else None
 
 
+def _inverse_distance_array(n: int) -> np.ndarray:
+    """The weights of ``build_inverse_distance_weights(n)``, freshly built and writable."""
+    idx = np.arange(n)
+    raw = 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :]))
+    np.fill_diagonal(raw, 0.0)
+    raw /= raw.sum(axis=1, keepdims=True)
+    return raw
+
+
 @functools.lru_cache(maxsize=2)
 def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     """Row-normalized inverse index-distance weights 1 / (1 + |i - i'|).
@@ -244,10 +254,7 @@ def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     """
     if n < 2:
         raise InvalidSizeError("need at least 2 sites")
-    idx = np.arange(n)
-    raw = 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :]))
-    np.fill_diagonal(raw, 0.0)
-    raw /= raw.sum(axis=1, keepdims=True)
+    raw = _inverse_distance_array(n)
     raw.flags.writeable = False
     return SpatialWeightMatrix(raw, row_normalized=True)
 
@@ -342,6 +349,7 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
 
     i, j, w = np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
     if n > DENSE_LIMIT:
+        import scipy.sparse as sp
         return SpatialWeightMatrix(sp.csr_matrix((w, (i, j)), shape=(n, n)), row_normalized=True)
     dense = np.zeros((n, n))
     dense[i, j] = w
@@ -362,6 +370,7 @@ def local_morans_i(W: SpatialWeightMatrix, y: np.ndarray) -> np.ndarray:
 
 def _perm_parity(perm: np.ndarray) -> int:
     """Parity of a permutation: (n - number of cycles) mod 2."""
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
     n = perm.size
     graph = sp.csr_matrix((np.ones(n), perm, np.arange(n + 1)), shape=(n, n))
@@ -377,19 +386,30 @@ def _slogdet_sparse(lu) -> tuple[float, float]:
 
 
 class SpatialFilterFactor:
-    """Cached factorization of I - rho W for repeated filter solves."""
+    """I - rho W, checked admissible, for filter solves and its log-determinant.
+
+    Sparse W is factored here, once.  Dense W keeps a = I - rho W, and each
+    solve is one ``np.linalg.solve`` (an LU and its triangular solves), so
+    a factor that serves one solve, as every one in the package does, costs
+    one LU.  When |rho| times the largest row sum of W is
+    below 1, a is strictly diagonally dominant with a positive diagonal, so
+    its determinant is positive and the dense log-determinant is computed
+    (``slogdet``) only when first read; otherwise its sign is checked here.
+    """
 
     def __init__(self, W: SpatialWeightMatrix, rho: float):
         self.W = W
         self.rho = float(rho)
         self._lu = None
         self._perm = None
+        self._log_det = None
+        dominant = abs(self.rho) * np.max(W.row_sums(), initial=0.0) < 1.0
         if W.is_sparse:
+            import scipy.sparse as sp
             from scipy.sparse.linalg import splu
-            if abs(self.rho) * np.max(W.row_sums(), initial=0.0) < 1.0:
-                # strictly diagonally dominant with a positive diagonal: the
-                # diagonal pivots are the ratios of positive leading minors, and
-                # a symmetric permutation leaves the determinant's sign alone
+            if dominant:
+                # the diagonal pivots are the ratios of positive leading minors,
+                # and a symmetric permutation leaves the determinant's sign alone
                 self._perm, wp = W._ordered()
                 a = sp.identity(W.n, format="csc") - self.rho * wp
                 self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
@@ -401,17 +421,22 @@ class SpatialFilterFactor:
                 self._lu = splu(a, options=dict(Equil=False))
                 sign, logdet = _slogdet_sparse(self._lu)
         else:
-            a = np.eye(W.n) - self.rho * W.weights
-            self._lu = sla.lu_factor(a, check_finite=False)
-            diag = np.diag(self._lu[0])
-            sign = 1.0 if np.sum(self._lu[1] != np.arange(W.n)) % 2 == 0 else -1.0
-            sign *= np.prod(np.sign(diag))
-            logdet = float(np.sum(np.log(np.abs(diag))))
+            self._a = np.eye(W.n) - self.rho * W.weights
+            if dominant:
+                return  # positive determinant: ``log_det`` computes it when read
+            sign, logdet = np.linalg.slogdet(self._a)
         if sign <= 0.0 or not np.isfinite(logdet):
             raise AdmissibilityError(
                 f"I - rho W is not positive for rho={self.rho}: outside the admissible region"
             )
-        self.log_det = logdet
+        self._log_det = float(logdet)
+
+    @property
+    def log_det(self) -> float:
+        """ln det(I - rho W)."""
+        if self._log_det is None:
+            self._log_det = float(np.linalg.slogdet(self._a)[1])
+        return self._log_det
 
     def _sparse_solve(self, b: np.ndarray, trans: str) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -424,12 +449,12 @@ class SpatialFilterFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.W.is_sparse:
             return self._sparse_solve(b, "N")
-        return sla.lu_solve(self._lu, b, check_finite=False)
+        return np.linalg.solve(self._a, b)
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
         if self.W.is_sparse:
             return self._sparse_solve(b, "T")
-        return sla.lu_solve(self._lu, b, trans=1, check_finite=False)
+        return np.linalg.solve(self._a.T, b)
 
 
 def log_det_filter(W: SpatialWeightMatrix, rho: float) -> float:
@@ -645,40 +670,84 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     )
 
 
+# header suffix of a weight file that names its generator instead of listing triples
+_INVERSE_DISTANCE = "inverse_distance"
+
+
+def _is_inverse_distance(W: SpatialWeightMatrix) -> bool:
+    """True when W holds exactly the bits of ``build_inverse_distance_weights(W.n)``."""
+    # every off-diagonal generator weight is positive: testing row 0 first
+    # spares building the n x n reference for most other W
+    if W.is_sparse or not W.row_normalized or W.n < 2 or not W.weights[0, 1:].all():
+        return False
+    # weights are nonnegative, so a set sign bit is a -0.0 that == would miss
+    return np.array_equal(W.weights, _inverse_distance_array(W.n)) and not np.signbit(W.weights).any()
+
+
 def save_weights(W: SpatialWeightMatrix, path) -> None:
-    """Write a weight matrix as coordinate-list text."""
-    coo = sp.coo_matrix(W.weights)
+    """Write a weight matrix as text.
+
+    An inverse-distance W is one header line naming its generator,
+    ``n <n> row_normalized 1 inverse_distance``; any other W is that header
+    without the last word, then one ``i j w`` line per stored entry.
+    """
     header = f"n {W.n} row_normalized {1 if W.row_normalized else 0}"
-    write_table(path, header, "%d %d %.17g\n", coo.row, coo.col, coo.data)
+    if _is_inverse_distance(W):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{header} {_INVERSE_DISTANCE}\n")
+        return
+    if W.is_sparse:
+        coo = W.weights.tocoo()
+        rows, cols, values = coo.row, coo.col, coo.data
+    else:
+        rows, cols = np.nonzero(W.weights)
+        values = W.weights[rows, cols]
+    write_table(path, header, "%d %d %.17g\n", rows, cols, values)
 
 
 def load_weights(path) -> SpatialWeightMatrix:
     """Read a weight matrix written by :func:`save_weights`.
 
-    Duplicate entries, non-finite weights, and an invalid weight matrix raise
-    a DataError naming the file.
+    An ``inverse_distance`` header returns the shared
+    ``build_inverse_distance_weights(n)``; it must be row-normalized, have
+    n >= 2 and no body.  Duplicate entries, non-finite weights, a malformed
+    header and an invalid weight matrix raise a DataError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         try:
-            n, normalized = int(header[1]), bool(int(header[3]))
+            n, normalized = int(header[1]), int(header[3])
         except (IndexError, ValueError):
             n = -1
-        if n < 0 or len(header) != 4 or header[0] != "n" or header[2] != "row_normalized":
+        if n < 0 or len(header) not in (4, 5) or header[0] != "n" or header[2] != "row_normalized":
             raise DataError(f"{path}: malformed weight-matrix header")
+        if len(header) == 5:
+            if header[4] != _INVERSE_DISTANCE:
+                raise DataError(f"{path}: unknown weight-matrix form '{header[4]}'")
+            if normalized != 1 or n < 2:
+                raise DataError(f"{path}: an {_INVERSE_DISTANCE} matrix needs row_normalized 1 and n >= 2")
+            if fh.read().strip():
+                raise DataError(f"{path}: an {_INVERSE_DISTANCE} header takes no 'i j w' lines")
+            return build_inverse_distance_weights(n)
         triple = "expected 'i j w' triple"
         in_range = (lambda i, j, w: (i >= 0) & (i < n) & (j >= 0) & (j < n), f"index outside [0, {n})")
         ii, jj, vv = read_rows(fh, path, "iif", None, triple, triple, in_range)
     if not np.all(np.isfinite(vv)):
         k = np.argmin(np.isfinite(vv))
         raise DataError(f"{path}: weight at i={ii[k]} j={jj[k]} is not finite")
-    mat = sp.csr_matrix((vv, (ii, jj)), shape=(n, n))
-    if mat.nnz != vv.size:
-        order = np.lexsort((jj, ii))
-        i, j = ii[order], jj[order]
-        k = np.argmax((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
-        raise DataError(f"{path}: duplicate entry i={i[k]} j={j[k]}")
+    flat = np.sort(ii * n + jj)
+    repeated = flat[1:] == flat[:-1]
+    if repeated.any():
+        i, j = divmod(int(flat[np.argmax(repeated)]), n)
+        raise DataError(f"{path}: duplicate entry i={i} j={j}")
+    if n > DENSE_LIMIT:
+        import scipy.sparse as sp
+        weights = sp.csr_matrix((vv, (ii, jj)), shape=(n, n))
+    else:
+        weights = np.zeros((n, n))
+        # adding to zeros, as a CSR expansion does, reads an explicit -0 as 0
+        weights[ii, jj] += vv
     try:
-        return SpatialWeightMatrix(mat if n > DENSE_LIMIT else mat.toarray(), row_normalized=normalized)
+        return SpatialWeightMatrix(weights, row_normalized=bool(normalized))
     except InvalidSizeError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -714,6 +714,25 @@ class TestInputFiles:
         assert needle in err["message"]
 
     @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ("n 2 row_normalized 1 inverse_distance\n0 1 1\n", "takes no 'i j w' lines"),
+            ("n 2 row_normalized 0 inverse_distance\n", "needs row_normalized 1"),
+            ("n 1 row_normalized 1 inverse_distance\n", "n >= 2"),
+            ("n 2 row_normalized 1 knn\n", "unknown weight-matrix form 'knn'"),
+        ],
+    )
+    def test_bad_inverse_distance_header_exits_3_naming_the_file(self, tmp_path, capsys, text, needle):
+        code, err, path = run_on_input(tmp_path, capsys, "weights", text)
+        assert code == EXIT_DATA
+        assert err["context"]["error_type"] == "DataError"
+        assert err["message"].startswith(path + ":")
+        assert needle in err["message"]
+
+    def test_inverse_distance_header_is_a_good_weight_file(self, tmp_path, capsys):
+        assert run_on_input(tmp_path, capsys, "weights", "n 2 row_normalized 1 inverse_distance\n")[0] == 0
+
+    @pytest.mark.parametrize(
         "text",
         [
             "SFDNN-MODEL 1\nkind ml\n",
@@ -862,6 +881,29 @@ def run_python(code):
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
     lazy = ["scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.spatial", "scipy.special"]
     assert run_python(f"import sys, sfdnn.cli; print([m for m in {lazy!r} if m in sys.modules])") == "[]"
+
+
+def test_dense_cli_route_never_imports_scipy(tmp_path):
+    sim = tmp_path / "sim"
+    base = {"n_train": 40, "n_test": 30, "grid_points": 21, "max_epochs": 2}
+    configs = {"simulate": write(tmp_path / "sim.cfg", base_config_text(sim, **base))}
+    inputs = {f"{role}_{name}": sim / f"{role}_{name}.{ext}"
+              for role in ("train", "test") for name, ext in
+              (("functional", "csv"), ("scalars", "csv"), ("weights", "txt"))}
+    argvs = [["simulate", "--config", configs["simulate"]]]
+    for kind in ("ml", "sfdnn"):
+        cfg = write(tmp_path / f"{kind}.cfg", base_config_text(
+            tmp_path / kind, kind=kind, model_file=tmp_path / kind / "model.txt", **base, **inputs))
+        argvs += [["fit", "--config", cfg], ["predict", "--config", cfg]]
+    code = (
+        "import sys\n"
+        "from sfdnn import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    assert run_python(code) == "[]"
+    assert (sim / "train_weights.txt").read_text() == "n 40 row_normalized 1 inverse_distance\n"
 
 
 def test_sparse_ml_fit_leaves_scipy_optimize_unloaded():

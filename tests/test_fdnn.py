@@ -191,6 +191,18 @@ class TestInit:
             NetworkArchitecture(1, (4,), 0, (3,), ("softplus",))
 
 
+    @pytest.mark.parametrize("tags", ["tanh", ("tanh",), ("tanh", "tanh", "tanh")])
+    def test_uniform_broadcasts_one_activation_tag(self, tags):
+        arch = NetworkArchitecture.uniform(2, 3, 5, [8, 4, 2], tags)
+        assert arch == NetworkArchitecture(2, (5, 5), 3, (8, 4, 2), ("tanh", "tanh", "tanh"))
+
+    def test_uniform_keeps_one_tag_per_layer(self):
+        arch = NetworkArchitecture.uniform(1, 0, 4, (3, 2), ("relu", "sigmoid"))
+        assert arch.activations == ("relu", "sigmoid")
+        with pytest.raises(InvalidArchitectureError):
+            NetworkArchitecture.uniform(1, 0, 4, (3, 2, 2), ("relu", "sigmoid"))
+
+
 class TestForward:
     def test_hand_computed_toy_network(self):
         arch = NetworkArchitecture(1, (2,), 1, (2,), ("relu",))

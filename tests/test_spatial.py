@@ -377,6 +377,48 @@ class TestLogDet:
             log_det_filter(W, 3.0)
 
 
+class TestDenseFactor:
+    @pytest.mark.parametrize("n", [2, 60, 300])
+    def test_lazy_log_det_matches_spectrum(self, n):
+        W = build_inverse_distance_weights(n)
+        lo, hi = W.admissible_interval()
+        for rho in (lo + 0.01 * (hi - lo), 0.0, 0.5, 0.9, hi - 0.01 * (hi - lo)):
+            factor = SpatialFilterFactor(W, rho)
+            assert factor._log_det is None
+            spectral = float(np.sum(np.log(1.0 - rho * W.eigenvalues())))
+            np.testing.assert_allclose(factor.log_det, spectral, rtol=0.0, atol=1e-10)
+
+    def test_non_dominant_beyond_interval_raises_at_construction(self):
+        # rows sum to 2, so the Perron root is 2 and the interval ends at 0.5
+        a = 2.0 * random_row_normalized(30, np.random.default_rng(21)).toarray()
+        W = SpatialWeightMatrix(a, row_normalized=False)
+        lo, hi = W.admissible_interval()
+        np.testing.assert_allclose(hi, 0.5, rtol=1e-12)
+        rho = 0.55
+        assert abs(rho) * W.row_sums().max() >= 1.0
+        assert np.linalg.det(np.eye(30) - rho * a) < 0.0
+        with pytest.raises(AdmissibilityError):
+            SpatialFilterFactor(W, rho)
+        # a non-dominant rho inside the interval is accepted, its log-det computed here
+        assert lo < -0.8
+        inside = SpatialFilterFactor(W, -0.8)
+        assert inside._log_det == np.linalg.slogdet(np.eye(30) + 0.8 * a)[1]
+
+    def test_solves_invert_a_nonsymmetric_filter(self):
+        W = random_row_normalized(40, np.random.default_rng(22))
+        a = W.toarray()
+        assert not np.allclose(a, a.T)
+        rho = 0.7
+        filt = np.eye(40) - rho * a
+        factor = SpatialFilterFactor(W, rho)
+        rng = np.random.default_rng(23)
+        for b in (rng.normal(size=40), rng.normal(size=(40, 3))):
+            x, xt = factor.solve(b), factor.solve_transpose(b)
+            assert x.shape == xt.shape == b.shape
+            np.testing.assert_allclose(filt @ x, b, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(filt.T @ xt, b, rtol=0.0, atol=1e-12)
+
+
 class TestApplyFilter:
     def test_rho_zero_identity(self):
         W = build_inverse_distance_weights(4)

@@ -6,6 +6,8 @@ stay byte-identical to theirs.  Reading a file back, in any row order, must
 give bit-identical arrays.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,11 +97,53 @@ def scenario():
 
 class TestWeightFiles:
     def test_dense_inverse_distance_bytes(self, tmp_path):
-        W = build_inverse_distance_weights(1000)
+        # a dense W that is not the generator's is still written as triples
+        W = build_inverse_distance_weights(1000).subset(np.arange(0, 1000, 2))
         save_weights(W, tmp_path / "new.txt")
         reference_save_weights(W, tmp_path / "ref.txt")
         assert same_bytes(tmp_path / "new.txt", tmp_path / "ref.txt")
         assert same_bits(load_weights(tmp_path / "new.txt").weights, W.weights)
+        # the generator's own W is one header line, read back as the shared object
+        save_weights(build_inverse_distance_weights(1000), tmp_path / "id.txt")
+        assert (tmp_path / "id.txt").read_bytes() == b"n 1000 row_normalized 1 inverse_distance\n"
+        assert load_weights(tmp_path / "id.txt") is build_inverse_distance_weights(1000)
+
+    def test_inverse_distance_triple_file_still_loads_bit_equal(self, tmp_path):
+        W = build_inverse_distance_weights(300)
+        reference_save_weights(W, tmp_path / "w.txt")
+        back = load_weights(tmp_path / "w.txt")
+        assert back.row_normalized
+        assert same_bits(back.weights, W.weights)
+
+    def test_copied_generator_matrix_is_written_as_the_header(self, tmp_path):
+        W = SpatialWeightMatrix(build_inverse_distance_weights(40).weights.copy(), row_normalized=True)
+        save_weights(W, tmp_path / "w.txt")
+        assert (tmp_path / "w.txt").read_text() == "n 40 row_normalized 1 inverse_distance\n"
+
+    def test_negative_zero_keeps_the_triple_form(self, tmp_path):
+        weights = build_inverse_distance_weights(5).weights.copy()
+        weights[0, 0] = -0.0
+        W = SpatialWeightMatrix(weights, row_normalized=True)
+        save_weights(W, tmp_path / "w.txt")
+        assert len((tmp_path / "w.txt").read_text().splitlines()) == 1 + 5 * 4
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("n 4 row_normalized 1 inverse_distance\n0 1 1\n", "takes no 'i j w' lines"),
+            ("n 4 row_normalized 1 inverse_distance\n\n  \n0\n", "takes no 'i j w' lines"),
+            ("n 4 row_normalized 0 inverse_distance\n", "needs row_normalized 1 and n >= 2"),
+            ("n 1 row_normalized 1 inverse_distance\n", "needs row_normalized 1 and n >= 2"),
+            ("n 0 row_normalized 1 inverse_distance\n", "needs row_normalized 1 and n >= 2"),
+            ("n 4 row_normalized 1 knn\n", "unknown weight-matrix form 'knn'"),
+            ("n 4 row_normalized 1 inverse_distance extra\n", "malformed weight-matrix header"),
+        ],
+    )
+    def test_strict_inverse_distance_header(self, tmp_path, text, message):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_weights(path)
 
     def test_sparse_knn_bytes_and_shuffled_read(self, tmp_path):
         rng = np.random.default_rng(11)
