@@ -2,7 +2,8 @@
 
 The reference writers below are the one-line-at-a-time writers the package
 used before its tables went through one chunked writer; every file must
-stay byte-identical to theirs.  Reading a file back, in any row order, must
+stay byte-identical to theirs, except the generator's inverse-distance W,
+which is now written as one header line.  Reading a file back, in any row order, must
 give bit-identical arrays.
 """
 
