@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DataError
 
 # rows formatted per write: bounds the text held in memory at once
-_CHUNK_ROWS = 65536
+CHUNK_ROWS = 65536
 
 # column kind: (numpy dtype, Python parser)
 _KINDS = {"i": (np.int64, int), "f": (np.float64, float)}
@@ -26,8 +26,8 @@ def write_table(path, header: str, row_format: str, *columns) -> None:
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            cells = [c[start : start + _CHUNK_ROWS].tolist() for c in columns]
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            cells = [c[start : start + CHUNK_ROWS].tolist() for c in columns]
             fh.write("".join([row_format % row for row in zip(*cells)]))
 
 

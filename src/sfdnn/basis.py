@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidArchitectureError, InvalidSizeError
+from .errors import DimensionError, InvalidArchitectureError, InvalidSizeError, at_least, broken_rules
 
 __all__ = [
     "Grid",
@@ -22,6 +22,14 @@ __all__ = [
     "functional_inner_products",
     "trapezoid_weights",
 ]
+
+# the rule each basis setting obeys, by its configuration key
+RULES = {"basis_degree": at_least(1)}
+
+
+def basis_size_rule(degree: int):
+    """The rule a basis size obeys for splines of ``degree``."""
+    return (lambda m: m >= degree + 1, "must be at least basis_degree + 1")
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,9 @@ def make_bspline_basis(degree: int, num_basis: int) -> BSplineBasis:
     ``num_basis`` must be at least ``degree + 1``; the number of interior
     knots is ``num_basis - degree - 1``.
     """
-    if degree < 1:
-        raise InvalidArchitectureError("degree must be >= 1")
-    if num_basis < degree + 1:
-        raise InvalidArchitectureError(
-            f"num_basis={num_basis} is below the minimum degree+1={degree + 1}"
-        )
+    rules = {**RULES, "basis_size": basis_size_rule(degree)}
+    for name, phrase in broken_rules(rules, {"basis_degree": degree, "basis_size": num_basis}):
+        raise InvalidArchitectureError(f"{name} {phrase}")
     n_interior = num_basis - degree - 1
     interior = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
     knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])

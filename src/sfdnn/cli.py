@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import _textio, evaluation, pipeline, simgen, spatial
+from . import _textio, basis, evaluation, fpca, pipeline, simgen, spatial
 from .basis import Grid
 from .errors import (
     ConfigError,
@@ -162,18 +162,16 @@ _PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(RunConfig)}
 
 # library fields whose key has another name
 _KEY_OF = {"num_grid_points": "grid_points", "basis_sizes": "basis_size"}
-# each scalar key's rule: the one its library class declares, or the CLI's own
+# each scalar key's rule: the one its library class or module declares, or the CLI's own
 _SCALAR_RULES = {
     **{
         _KEY_OF.get(name, name): rule
-        for owner in (simgen.ScenarioConfig, NetworkArchitecture, TrainConfig)
+        for owner in (simgen.ScenarioConfig, NetworkArchitecture, TrainConfig, basis, fpca)
         for name, rule in owner.RULES.items()
     },
     "kind": one_of(pipeline.KINDS),
     "jobs": at_least(1),
     "log_transform": (lambda v: v in ("none", "response", "all"), "must be none, response, or all"),
-    "basis_degree": at_least(1),
-    "variance_threshold": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
     "neighbor_count": at_least(1),
     "tune_folds": at_least(2),
     "mc_replications": at_least(1),
@@ -191,7 +189,7 @@ _RULES = {f.name: _rule_of(f.name) for f in fields(RunConfig) if _rule_of(f.name
 
 
 def _validate(config: RunConfig) -> list:
-    spline = (lambda v: v >= config.basis_degree + 1, "must be at least basis_degree + 1")
+    spline = basis.basis_size_rule(config.basis_degree)
     broken = broken_rules(_RULES, vars(config))
     broken += broken_rules({"basis_size": spline, "tune_basis_sizes": spline}, vars(config))
     if config.activations and len(config.activations) not in (1, len(config.hidden_sizes)):
@@ -278,13 +276,21 @@ def _require_inputs(config: RunConfig, names) -> None:
 
 
 def write_functional_csv(path, functional, grid: Grid) -> None:
-    curves = np.stack(functional)
-    p, n, g = curves.shape
-    _textio.write_table(
-        path, "location_id,predictor_id,u,value", "%d,%d,%.17g,%.17g\n",
-        np.tile(np.repeat(np.arange(n), g), p), np.repeat(np.arange(1, p + 1), n * g),
-        np.tile(grid.points, p * n), curves.ravel(),
-    )
+    """One ``location_id,predictor_id,u,value`` row per grid point, in
+    (predictor, location, u) order; only ``value`` is formatted per row."""
+    # ",<u>,%.17g\n" per grid point: a curve's rows are its "i,p" head
+    # before each tail, filled with its values by one %
+    tails = [",%.17g,%%.17g\n" % u for u in grid.points.tolist()]
+    curves_per_chunk = max(1, _textio.CHUNK_ROWS // len(tails))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("location_id,predictor_id,u,value\n")
+        for p, curves in enumerate(functional, start=1):
+            for start in range(0, len(curves), curves_per_chunk):
+                rows = curves[start : start + curves_per_chunk].tolist()
+                fh.write("".join([
+                    f"{i},{p}".join(["", *tails]) % tuple(values)
+                    for i, values in enumerate(rows, start=start)
+                ]))
 
 
 def _csv_columns(fh, path, kinds):
@@ -294,15 +300,30 @@ def _csv_columns(fh, path, kinds):
     return columns
 
 
+def _writer_ordered(loc, pred, u) -> bool:
+    """True when the rows ascend strictly in (predictor, location, u).
+
+    Then ``np.lexsort`` over those keys is the identity.  Tied or NaN ``u``
+    (``-0.0`` ties ``0.0``) fails, so such files go through the sort.
+    """
+    same_pred = pred[1:] == pred[:-1]
+    same_loc = loc[1:] == loc[:-1]
+    step = (pred[1:] > pred[:-1]) | (same_pred & ((loc[1:] > loc[:-1]) | (same_loc & (u[1:] > u[:-1]))))
+    return bool(step.all())
+
+
 def read_functional_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "location_id,predictor_id,u,value":
             raise DataError(f"{path}: unexpected header '{header}'")
         loc, pred, u, value = _csv_columns(fh, path, "iiff")
-    # one curve per (predictor, location), each sorted by (u, value)
-    order = np.lexsort((value, u, loc, pred))
-    loc, pred, u, value = loc[order], pred[order], u[order], value[order]
+    # one curve per (predictor, location), each sorted by (u, value); a file
+    # already in that order with no tied key, as the writer leaves it, is
+    # its own sort
+    if not _writer_ordered(loc, pred, u):
+        order = np.lexsort((value, u, loc, pred))
+        loc, pred, u, value = loc[order], pred[order], u[order], value[order]
     starts = np.flatnonzero(np.r_[True, (loc[1:] != loc[:-1]) | (pred[1:] != pred[:-1])])
     sizes = np.diff(np.r_[starts, loc.size])
     g = sizes[0]

@@ -224,36 +224,35 @@ def kfold_tune(
     folds = np.array_split(perm, num_folds)
     base = replace(config or TrainConfig(), seed=seed)
 
-    datasets = {None: data}
+    # per neighbor count, each fold's (training, held-out) datasets, shared by
+    # every candidate so each fold's weight matrix computes its spectrum once
+    splits = {}
     scores = {}
     table = []
     best = None
     best_key = None
     for index, cand in enumerate(grid.candidates()):
         count = cand.neighbor_count
-        if count not in datasets:
-            if coords is None:
-                raise InvalidSizeError(
-                    "tuning neighbor_count requires site coordinates"
-                )
-            datasets[count] = RegressionDataset(
-                functional=data.functional, grid=data.grid, scalars=data.scalars,
-                response=data.response, weights=build_knn_bisquare_weights(coords, count),
-            )
+        if count is not None and coords is None:
+            raise InvalidSizeError("tuning neighbor_count requires site coordinates")
         effective = _effective_candidate(kind, cand)
         if effective not in scores:
-            cand_data = datasets[count]
+            if count not in splits:
+                count_data = data if count is None else RegressionDataset(
+                    functional=data.functional, grid=data.grid, scalars=data.scalars,
+                    response=data.response, weights=build_knn_bisquare_weights(coords, count),
+                )
+                splits[count] = [
+                    (count_data.subset(np.sort(np.setdiff1d(perm, fold))), count_data.subset(np.sort(fold)))
+                    for fold in folds
+                ]
             arch = cand.architecture(data.num_functional, data.num_scalar)
             train_config = cand.train_config(base)
             total_sq = 0.0
-            for fold in folds:
-                held = np.sort(fold)
-                rest = np.sort(np.setdiff1d(perm, fold))
-                fit = fit_kind(
-                    kind, cand_data.subset(rest), arch, train_config, basis_degree, variance_threshold
-                )
-                preds = predict_model(fit, cand_data.subset(held))
-                total_sq += float(np.sum((preds - cand_data.response[held]) ** 2))
+            for train, held in splits[count]:
+                fit = fit_kind(kind, train, arch, train_config, basis_degree, variance_threshold)
+                preds = predict_model(fit, held)
+                total_sq += float(np.sum((preds - held.response) ** 2))
             scores[effective] = total_sq / n
         cv_mspe = scores[effective]
         size = cand.num_parameters(data.num_functional, data.num_scalar)

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Grid, trapezoid_weights
-from .errors import DimensionError, InsufficientDataError, InvalidSizeError
+from .errors import DimensionError, InsufficientDataError, InvalidSizeError, broken_rules
 
 __all__ = ["FpcaModel", "fit_fpca", "project_scores", "reconstruct"]
+
+# the rule each FPCA setting obeys, by its configuration key
+RULES = {"variance_threshold": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")}
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,8 @@ def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = 0.95) -
         raise DimensionError(f"curves have {g} columns but grid has {grid.num_points} points")
     if n < 2:
         raise InsufficientDataError("FPCA needs at least 2 curves")
-    if not 0.0 < variance_threshold <= 1.0:
-        raise InvalidSizeError("variance_threshold must be in (0, 1]")
+    for name, phrase in broken_rules(RULES, {"variance_threshold": variance_threshold}):
+        raise InvalidSizeError(f"{name} {phrase}")
 
     mean_curve = curves.mean(axis=0)
     centered = curves - mean_curve

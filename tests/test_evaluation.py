@@ -196,6 +196,25 @@ class TestKfoldTune:
         assert len(fits) == 3 * distinct
         assert (best, table) == expected
 
+    def test_fold_spectra_computed_once(self, monkeypatch):
+        # the candidates share each fold's training set, so its weight
+        # matrix computes its spectrum once, not once per candidate
+        data = tiny_dataset(8)
+        grid = TuneGrid(
+            hidden_sizes=[(3,)], learning_rates=[0.01, 0.02], batch_sizes=[16, 32],
+            basis_sizes=[5], max_epochs=[3],
+        )
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        kfold_tune(data, "sfdnn", grid, num_folds=3, seed=1)
+        assert shapes == [(40, 40)] * 3
+
     @pytest.mark.parametrize("kind", ["fdnn", "sfdnn"])
     def test_candidates_train_with_the_given_config(self, kind):
         # the split and the stopping rule are not grid settings, so they come from config

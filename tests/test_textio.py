@@ -269,6 +269,100 @@ class TestTables:
         assert same_bytes(path, tmp_path / "ref.csv")
 
 
+def functional_outcome(path):
+    """What reading a functional file gives: its arrays' bits, or the DataError text."""
+    try:
+        functional, grid, ids = cli.read_functional_csv(path)
+    except DataError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in [*functional, grid.points, ids]]
+
+
+class TestFunctionalReadRoutes:
+    """A file in the writer's order skips the sort; every file reads as the sorted route does."""
+
+    @pytest.fixture
+    def lexsort_calls(self, monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+
+        def counted(keys):
+            calls.append(len(keys))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        return calls
+
+    @pytest.fixture
+    def written(self, tmp_path, scenario):
+        path = tmp_path / "f.csv"
+        cli.write_functional_csv(path, scenario.functional, scenario.grid)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        return path, header, rows
+
+    def routes(self, path, monkeypatch, lexsort_calls):
+        """(outcome of the default read, whether it sorted), checked against the sorted route."""
+        outcome = functional_outcome(path)
+        sorted_ = bool(lexsort_calls)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_writer_ordered", lambda *columns: False)
+            assert functional_outcome(path) == outcome
+        return outcome, sorted_
+
+    def test_writer_order_reads_without_a_sort(self, written, lexsort_calls):
+        path = written[0]
+        cli.read_functional_csv(path)
+        assert lexsort_calls == []
+        cli.read_functional_csv(shuffle_rows(path, 1))
+        assert lexsort_calls == [4]
+
+    def test_writer_ordered_file(self, monkeypatch, scenario, written, lexsort_calls):
+        outcome, sorted_ = self.routes(written[0], monkeypatch, lexsort_calls)
+        assert not sorted_
+        assert outcome == [
+            (a.dtype.str, a.shape, a.tobytes())
+            for a in [*scenario.functional, scenario.grid.points, np.arange(scenario.n)]
+        ]
+
+    def test_reversed_predictor_blocks(self, tmp_path, monkeypatch, written, lexsort_calls):
+        path, header, rows = written
+        blocks = np.array_split(np.array(rows, dtype=object), 3)
+        reversed_path = tmp_path / "reversed.csv"
+        reversed_path.write_text(header + "".join(line for block in blocks[::-1] for line in block))
+        outcome, sorted_ = self.routes(reversed_path, monkeypatch, lexsort_calls)
+        assert sorted_ and outcome == functional_outcome(path)
+
+    def test_non_contiguous_sorted_location_ids(self, tmp_path, monkeypatch, scenario, written, lexsort_calls):
+        path, header, rows = written
+        relabelled = tmp_path / "ids.csv"
+        relabelled.write_text(header + "".join(
+            f"{3 * int(loc) + 5},{rest}" for loc, rest in (line.split(",", 1) for line in rows)
+        ))
+        outcome, sorted_ = self.routes(relabelled, monkeypatch, lexsort_calls)
+        assert not sorted_
+        assert outcome[:-1] == functional_outcome(path)[:-1]
+        assert outcome[-1][2] == (3 * np.arange(scenario.n) + 5).tobytes()
+
+    def test_one_curve_off_the_grid(self, monkeypatch, scenario, written, lexsort_calls):
+        path, header, rows = written
+        g = scenario.grid.num_points
+        k = (scenario.n + 4) * g + 2  # predictor 2, location 4, third grid point
+        loc, pred, u, value = rows[k].split(",")
+        rows[k] = f"{loc},{pred},{float(u) + 1e-9!r},{value}"
+        path.write_text(header + "".join(rows))
+        outcome, sorted_ = self.routes(path, monkeypatch, lexsort_calls)
+        assert not sorted_
+        assert outcome == f"{path}: location 4 of predictor 2 is not on the shared grid"
+
+    def test_one_repeated_u_row(self, monkeypatch, scenario, written, lexsort_calls):
+        path, header, rows = written
+        k = 7 * scenario.grid.num_points + 5
+        path.write_text(header + "".join(rows[: k + 1] + rows[k:]))
+        outcome, sorted_ = self.routes(path, monkeypatch, lexsort_calls)
+        assert sorted_
+        assert outcome == f"{path}: location 7 of predictor 1 is not on the shared grid"
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -298,6 +392,7 @@ class TestRoundTripProperties:
         functional = [np.array(values[k * n * g:(k + 1) * n * g]).reshape(n, g) for k in range(p)]
         path = tmp_path_factory.mktemp("f") / "f.csv"
         cli.write_functional_csv(path, functional, grid)
-        back, back_grid, _ = cli.read_functional_csv(path)
-        assert same_bits(back_grid.points, grid.points)
-        assert all(same_bits(a, b) for a, b in zip(back, functional)) and len(back) == p
+        for source in (path, shuffle_rows(path, p * 10 + n)):
+            back, back_grid, _ = cli.read_functional_csv(source)
+            assert same_bits(back_grid.points, grid.points)
+            assert all(same_bits(a, b) for a, b in zip(back, functional)) and len(back) == p
