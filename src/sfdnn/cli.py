@@ -113,35 +113,16 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got '{text}'")
 
 
-def _parse_int_tuple(text):
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
+def _tuple_of(parse, sep=","):
+    """Parser of a ``sep``-separated list; blank items and empty groups are dropped."""
+    def parse_list(text):
+        items = (parse(v.strip()) for v in text.split(sep) if v.strip())
+        return tuple(item for item in items if item != ())
+    return parse_list
 
 
-def _parse_float_tuple(text):
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
-
-
-def _parse_str_tuple(text):
-    return tuple(v.strip() for v in text.split(",") if v.strip())
-
-
-def _parse_hidden_groups(text):
-    groups = []
-    for group in text.split("|"):
-        sizes = _parse_int_tuple(group)
-        if sizes:
-            groups.append(sizes)
-    return tuple(groups)
-
-
-def _parse_opt_int_tuple(text):
-    out = []
-    for v in text.split(","):
-        v = v.strip()
-        if not v:
-            continue
-        out.append(None if v.lower() == "none" else int(v))
-    return tuple(out)
+def _int_or_none(text):
+    return None if text.lower() == "none" else int(text)
 
 
 # annotation text (``from __future__ import annotations``) -> parser; a
@@ -151,11 +132,11 @@ _PARSERS_BY_TYPE = {
     "float": float,
     "str": str,
     "bool": _parse_bool,
-    "tuple[int, ...]": _parse_int_tuple,
-    "tuple[float, ...]": _parse_float_tuple,
-    "tuple[str, ...]": _parse_str_tuple,
-    "tuple[tuple[int, ...], ...]": _parse_hidden_groups,
-    "tuple[int | None, ...]": _parse_opt_int_tuple,
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[float, ...]": _tuple_of(float),
+    "tuple[str, ...]": _tuple_of(str),
+    "tuple[tuple[int, ...], ...]": _tuple_of(_tuple_of(int), "|"),
+    "tuple[int | None, ...]": _tuple_of(_int_or_none),
 }
 _PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(RunConfig)}
 
@@ -240,13 +221,15 @@ def parse_config(path) -> RunConfig:
     return config
 
 
-def _format_value(name, value):
+def _format_value(value):
+    """Text that the value's parser reads back: groups joined by '|', items by ','."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if name == "tune_hidden_sizes":
-        return "|".join(",".join(str(h) for h in group) for group in value)
     if isinstance(value, tuple):
-        return ",".join("none" if v is None else f"{v!r}" if isinstance(v, float) else str(v) for v in value)
+        sep = "|" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_format_value(v) for v in value)
+    if value is None:
+        return "none"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -257,9 +240,8 @@ def serialize_config(config: RunConfig) -> str:
     out = []
     for f in fields(RunConfig):
         value = getattr(config, f.name)
-        if isinstance(value, str) and value == "" :
-            continue
-        out.append(f"{f.name} = {_format_value(f.name, value)}")
+        if value != "":
+            out.append(f"{f.name} = {_format_value(value)}")
     return "\n".join(out) + "\n"
 
 
@@ -508,7 +490,7 @@ def _cmd_tune(config: RunConfig, out):
         rows.append((
             row["index"], "x".join(str(h) for h in c.hidden_sizes), c.activation,
             c.learning_rate, c.batch_size, c.basis_size, c.weight_decay, c.max_epochs,
-            "none" if c.neighbor_count is None else str(c.neighbor_count),
+            _format_value(c.neighbor_count),
             row["size"], row["cv_mspe"],
         ))
     _textio.write_table(
@@ -523,7 +505,7 @@ def _cmd_tune(config: RunConfig, out):
             value = getattr(best, f.name)
             if value is not None:
                 key = "activations" if f.name == "activation" else f.name
-                fh.write(f"{key} = {_format_value(key, value)}\n")
+                fh.write(f"{key} = {_format_value(value)}\n")
 
 
 def _cmd_weights(config: RunConfig, out):

@@ -220,9 +220,9 @@ def kfold_tune(
         raise FoldSizeError("need at least 2 folds")
     if n < 2 * num_folds:
         raise FoldSizeError(f"{num_folds} folds over {n} rows would leave folds below 2 rows")
+    base = replace(config or TrainConfig(), seed=seed)
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, num_folds)
-    base = replace(config or TrainConfig(), seed=seed)
 
     # per neighbor count, each fold's (training, held-out) datasets, shared by
     # every candidate so each fold's weight matrix computes its spectrum once
@@ -313,9 +313,11 @@ def _run_replication(scenario, kinds, rep_seed, arch, config, variance_threshold
     for kind in kinds:
         try:
             model = fit_kind(kind, train, arch, config, basis_degree, variance_threshold)
-            train_m = compute_metrics(train.response, predict_model(model, train), "train")
+            # each fit's train_metrics are those of its own fitted values, which
+            # predict_model(model, train) returns bit for bit
+            train_m = model.train_metrics
             test_m = compute_metrics(test.response, predict_model(model, test), "test")
-            out[kind] = ((train_m.mse, train_m.r2, test_m.mse, test_m.r2), model.at_boundary)
+            out[kind] = ((train_m["mse"], train_m["r2"], test_m.mse, test_m.r2), model.at_boundary)
         except (SfdnnError, np.linalg.LinAlgError) as exc:
             out[kind] = exc
     return out

@@ -148,14 +148,7 @@ class NetworkArchitecture:
 
     @property
     def num_parameters(self) -> int:
-        n1 = self.hidden_sizes[0]
-        count = n1 * (self.feature_width + self.num_scalar) + n1
-        prev = n1
-        for h in self.hidden_sizes[1:]:
-            count += h * prev + h
-            prev = h
-        count += prev + 1
-        return count
+        return sum(math.prod(shape) for shape in _tensor_shapes(self))
 
 
 @dataclass
@@ -177,6 +170,7 @@ class TrainConfig:
         "early_stop_threshold": NONNEGATIVE,
         "weight_decay": NONNEGATIVE,
         "validation_fraction": (lambda v: 0.0 <= v <= 0.5, "must be in [0, 0.5]"),
+        "seed": NONNEGATIVE,
     }
 
     def __post_init__(self):
@@ -554,7 +548,13 @@ def save_parameters(params: NetworkParameters, path) -> None:
 
 
 def parameters_from_lines(lines) -> NetworkParameters:
-    """Rebuild parameters from the text-format lines."""
+    """Rebuild parameters from the text-format lines.
+
+    After the header, one ``tensor`` line per tensor in
+    :meth:`NetworkParameters.tensors` order, each with its name, dims and
+    value count; blank lines are skipped and nothing may follow the last
+    tensor.  Any departure raises DimensionError.
+    """
     if not lines or lines[0] != _FORMAT_TAG:
         raise DimensionError("not a recognized network parameter block")
     header = [line.split() for line in lines[1:5]]
@@ -562,31 +562,37 @@ def parameters_from_lines(lines) -> NetworkParameters:
     if [h[:1] for h in header] != [[key] for key in keys]:
         raise DimensionError(f"network parameter header must be the lines {', '.join(keys)}")
     (_, p, *basis_sizes), (_, num_scalar), (_, *hidden_sizes), (_, *activations) = header
-    arch = NetworkArchitecture(
-        num_functional=int(p),
-        basis_sizes=tuple(int(v) for v in basis_sizes),
-        num_scalar=int(num_scalar),
-        hidden_sizes=tuple(int(v) for v in hidden_sizes),
-        activations=tuple(activations),
-    )
-    tensors = {}
-    for line in lines[5:]:
-        if not line.strip():
-            continue
+    try:
+        arch = NetworkArchitecture(
+            num_functional=int(p),
+            basis_sizes=tuple(int(v) for v in basis_sizes),
+            num_scalar=int(num_scalar),
+            hidden_sizes=tuple(int(v) for v in hidden_sizes),
+            activations=tuple(activations),
+        )
+    except ValueError as exc:
+        raise DimensionError(f"network parameter header: {exc}") from exc
+    params = NetworkParameters._from_flat(arch, np.empty(arch.num_parameters))
+    body = (line for line in lines[5:] if line.strip())
+    for name, tensor, _ in params.tensors():
+        line = next(body, None)
+        if line is None:
+            raise DimensionError(f"network parameter block ends before tensor '{name}'")
+        lead = ["tensor", name, str(tensor.ndim), *(str(d) for d in tensor.shape)]
         parts = line.split()
-        if parts[0] != "tensor":
-            raise DimensionError(f"unexpected parameter line '{line[:40]}'")
-        name = parts[1]
-        ndim = int(parts[2])
-        shape = tuple(int(v) for v in parts[3 : 3 + ndim])
-        values = np.array([float(v) for v in parts[3 + ndim :]])
-        tensors[name] = values.reshape(shape)
-    n_transitions = len(arch.hidden_sizes)
-    hidden = [tensors[f"hidden_weights_{i}"] for i in range(n_transitions)]
-    biases = [tensors[f"bias_{i}"] for i in range(n_transitions + 1)]
-    return NetworkParameters(
-        arch, tensors["func_weights"], tensors["scalar_weights"], hidden, biases
-    )
+        if parts[: len(lead)] != lead:
+            raise DimensionError(f"expected a '{' '.join(lead)}' line, got '{line[:40]}'")
+        values = parts[len(lead) :]
+        if len(values) != tensor.size:
+            raise DimensionError(f"tensor '{name}' holds {len(values)} values, expected {tensor.size}")
+        try:
+            tensor[...] = np.reshape([float(v) for v in values], tensor.shape)
+        except ValueError as exc:
+            raise DimensionError(f"tensor '{name}': {exc}") from exc
+    extra = next(body, None)
+    if extra is not None:
+        raise DimensionError(f"unexpected parameter line '{extra[:40]}' after the last tensor")
+    return params
 
 
 def load_parameters(path) -> NetworkParameters:

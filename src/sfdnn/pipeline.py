@@ -172,11 +172,15 @@ def _train_metrics(y, fitted) -> dict:
     return {"mse": mse, "r2": r2}
 
 
+def _ml_design(models, data: RegressionDataset) -> np.ndarray:
+    """The ML regressors: an intercept, each predictor's FPCA scores, the scalars."""
+    scores = [project_scores(m, c, data.grid) for m, c in zip(models, data.functional)]
+    return np.column_stack([np.ones(data.n)] + scores + [data.scalars])
+
+
 def _fpca_design(data: RegressionDataset, variance_threshold: float):
     models = [fit_fpca(c, data.grid, variance_threshold) for c in data.functional]
-    scores = [project_scores(m, c, data.grid) for m, c in zip(models, data.functional)]
-    design = np.column_stack([np.ones(data.n)] + scores + [data.scalars])
-    return models, design
+    return models, _ml_design(models, data)
 
 
 def fit_ml_baseline(data: RegressionDataset, variance_threshold: float = 0.95) -> FittedModel:
@@ -302,11 +306,7 @@ def predict_model(model: FittedModel, newdata: RegressionDataset) -> np.ndarray:
     if model.kind == "ml":
         if newdata.weights is None:
             raise MissingWeightsError("ML predictions need the test set's weight matrix")
-        scores = [
-            project_scores(m, c, newdata.grid)
-            for m, c in zip(model.fpca_models, newdata.functional)
-        ]
-        design = np.column_stack([np.ones(newdata.n)] + scores + [newdata.scalars])
+        design = _ml_design(model.fpca_models, newdata)
         return apply_spatial_filter(newdata.weights, model.rho_hat, design @ model.theta)
 
     features = _spline_features(newdata.functional, newdata.grid, model.bases)

@@ -140,30 +140,25 @@ class SpatialWeightMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.weights @ v)
 
-    def subset(self, rows, renormalize: bool = True) -> "SpatialWeightMatrix":
+    def subset(self, rows) -> "SpatialWeightMatrix":
         """Restrict to a subset of sites, re-normalizing surviving rows."""
         rows = np.asarray(rows, dtype=int)
         if self.is_sparse and rows.size > DENSE_LIMIT:
             import scipy.sparse as sp
             sub = self.weights[rows][:, rows].tocsr()
-            if renormalize:
-                sums = np.asarray(sub.sum(axis=1)).ravel()
-                scale = np.ones_like(sums)
-                active = sums > 0
-                scale[active] = 1.0 / sums[active]
-                sub = (sp.diags(scale) @ sub).tocsr()
-                return SpatialWeightMatrix(sub, row_normalized=True)
-            return SpatialWeightMatrix(sub, row_normalized=False)
+            sums = np.asarray(sub.sum(axis=1)).ravel()
+            scale = np.ones_like(sums)
+            active = sums > 0
+            scale[active] = 1.0 / sums[active]
+            return SpatialWeightMatrix((sp.diags(scale) @ sub).tocsr(), row_normalized=True)
         if self.is_sparse:
             sub = self.weights[rows][:, rows].toarray()
         else:
             sub = self.weights[np.ix_(rows, rows)].copy()
-        if renormalize:
-            sums = sub.sum(axis=1)
-            active = sums > 0
-            sub[active] /= sums[active, None]
-            return SpatialWeightMatrix(sub, row_normalized=True)
-        return SpatialWeightMatrix(sub, row_normalized=False)
+        sums = sub.sum(axis=1)
+        active = sums > 0
+        sub[active] /= sums[active, None]
+        return SpatialWeightMatrix(sub, row_normalized=True)
 
     def eigenvalues(self):
         """Full eigenvalue set, or None when too large to compute.
@@ -711,15 +706,17 @@ def load_weights(path) -> SpatialWeightMatrix:
     An ``inverse_distance`` header returns the shared
     ``build_inverse_distance_weights(n)``; it must be row-normalized, have
     n >= 2 and no body.  Duplicate entries, non-finite weights, a malformed
-    header and an invalid weight matrix raise a DataError naming the file.
+    header (a ``row_normalized`` flag other than 0 or 1 included) and an
+    invalid weight matrix raise a DataError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         try:
             n, normalized = int(header[1]), int(header[3])
         except (IndexError, ValueError):
-            n = -1
-        if n < 0 or len(header) not in (4, 5) or header[0] != "n" or header[2] != "row_normalized":
+            n = normalized = -1
+        keyed = len(header) in (4, 5) and header[0] == "n" and header[2] == "row_normalized"
+        if not keyed or n < 0 or normalized not in (0, 1):
             raise DataError(f"{path}: malformed weight-matrix header")
         if len(header) == 5:
             if header[4] != _INVERSE_DISTANCE:

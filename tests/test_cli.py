@@ -15,17 +15,19 @@ from hypothesis import strategies as st
 
 from sfdnn import spatial
 from sfdnn.cli import (
+    _PARSERS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_NUMERIC,
     RunConfig,
+    _format_value,
     main,
     parse_config,
     serialize_config,
 )
-from sfdnn.errors import ConfigError, SfdnnError
+from sfdnn.errors import ConfigError, DimensionError, SfdnnError
 from sfdnn.evaluation import compute_metrics
-from sfdnn.fdnn import NetworkArchitecture, TrainConfig
+from sfdnn.fdnn import NetworkArchitecture, TrainConfig, load_parameters, parameters_from_lines
 from sfdnn.pipeline import fit_sfdnn, predict_model
 from sfdnn.simgen import ScenarioConfig, generate_scenario_dataset
 
@@ -148,6 +150,7 @@ LIBRARY_RULES = [
     (TrainConfig, "early_stop_threshold", -1.0, "early_stop_threshold", None),
     (TrainConfig, "weight_decay", -1e-3, "weight_decay", "tune_weight_decays"),
     (TrainConfig, "validation_fraction", 0.75, "validation_fraction", None),
+    (TrainConfig, "seed", -1, "seed", None),
     (ScenarioConfig, "n_train", 1, "n_train", "mc_n_trains"),
     (ScenarioConfig, "n_test", 1, "n_test", None),
     (ScenarioConfig, "rho", 1.5, "rho", "mc_rhos"),
@@ -183,6 +186,26 @@ def test_library_and_cli_report_a_rule_alike(tmp_path, owner, name, bad, key, li
             with pytest.raises(ConfigError) as err:
                 parse_config(write(tmp_path / "bad.cfg", f"{cli_key} = {text}\n"))
             assert f"key '{cli_key}': {phrase}" in err.value.problems
+
+
+# one strategy per tuple annotation of RunConfig; items the text form can carry
+_WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1)
+_TUPLE_VALUES = {
+    "tuple[int, ...]": st.lists(st.integers()),
+    "tuple[float, ...]": st.lists(st.floats(allow_nan=False)),
+    "tuple[str, ...]": st.lists(_WORD),
+    "tuple[tuple[int, ...], ...]": st.lists(st.lists(st.integers(), min_size=1).map(tuple)),
+    "tuple[int | None, ...]": st.lists(st.none() | st.integers()),
+}
+TUPLE_FIELDS = [f for f in fields(RunConfig) if f.type.startswith("tuple")]
+
+
+@pytest.mark.parametrize("field", TUPLE_FIELDS, ids=lambda f: f.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tuple_values_round_trip_through_their_text(field, data):
+    value = tuple(data.draw(_TUPLE_VALUES[field.type]))
+    assert _PARSERS[field.name](_format_value(value)) == value
 
 
 def base_config_text(out_dir, **extra):
@@ -386,6 +409,14 @@ class TestSubcommands:
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error_type"] == "ConfigError"
         assert err["context"]["problems"] == [problem]
+
+    @pytest.mark.parametrize("argv", [["fit", "--kind", "ml"], ["fit"], ["tune"], ["mc-bench"]])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path / "s.cfg", base_config_text(tmp_path / "s"))
+        assert main([*argv, "--config", cfg, "--seed", "-1"]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["problems"] == ["key 'seed': must be nonnegative"]
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_simulate_rejects_nonfinite_beta0_naming_the_key(self, tmp_path, capsys, value):
@@ -729,6 +760,13 @@ class TestInputFiles:
         assert err["message"].startswith(path + ":")
         assert needle in err["message"]
 
+    @pytest.mark.parametrize("flag", ["2", "7", "-1"])
+    def test_weight_flag_other_than_0_or_1_exits_3(self, tmp_path, capsys, flag):
+        text = f"n 2 row_normalized {flag}\n0 1 1\n1 0 1\n"
+        code, err, path = run_on_input(tmp_path, capsys, "weights", text)
+        assert code == EXIT_DATA
+        assert err["message"] == path + ": malformed weight-matrix header"
+
     def test_inverse_distance_header_is_a_good_weight_file(self, tmp_path, capsys):
         assert run_on_input(tmp_path, capsys, "weights", "n 2 row_normalized 1 inverse_distance\n")[0] == 0
 
@@ -822,6 +860,60 @@ def test_saved_models_predict(tmp_path, saved_models):
         model = write(tmp_path / f"{kind}.txt", "\n".join(lines) + "\n")
         cfg = write(tmp_path / f"{kind}.cfg", base_config_text(tmp_path / kind, model_file=model, **inputs))
         assert main(["predict", "--config", cfg]) == 0
+
+
+def tensor_index(lines, name):
+    return [line.split()[:2] for line in lines].index(["tensor", name])
+
+
+def edit_tensor(name, edit):
+    """Replace the ``name`` tensor line by the lines ``edit(line)`` returns."""
+    def garble(lines):
+        i = tensor_index(lines, name)
+        return lines[:i] + edit(lines[i]) + lines[i + 1:]
+    return garble
+
+
+def swap_tensors(a, b):
+    def garble(lines):
+        lines = list(lines)
+        i, j = tensor_index(lines, a), tensor_index(lines, b)
+        lines[i], lines[j] = lines[j], lines[i]
+        return lines
+    return garble
+
+
+# parameter blocks that the reader once loaded silently or failed on with a bare error
+GARBLED_PARAMETER_BLOCKS = {
+    "bias_2 missing": edit_tensor("bias_2", lambda line: []),
+    "bias_0 one value short": edit_tensor("bias_0", lambda line: [line.rsplit(" ", 1)[0]]),
+    "bias_0 value not a number": edit_tensor("bias_0", lambda line: [line.rsplit(" ", 1)[0] + " 1.5x"]),
+    "scalar_weights duplicated": edit_tensor("scalar_weights", lambda line: [line, line]),
+    "unknown tensor after the last": lambda lines: lines + ["tensor extra 1 1 0.5"],
+    "hidden weights reordered": swap_tensors("hidden_weights_0", "hidden_weights_1"),
+    "scalar count not a number": lambda lines: [
+        "scalars x" if line.startswith("scalars ") else line for line in lines
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBLED_PARAMETER_BLOCKS))
+def test_garbled_parameter_block_is_rejected(tmp_path, capsys, saved_models, case):
+    inputs, models = saved_models
+    lines = GARBLED_PARAMETER_BLOCKS[case](models["fdnn"])
+    assert lines != models["fdnn"]
+    block = lines[line_index(lines, "parameters") + 1:]
+    with pytest.raises(DimensionError):
+        parameters_from_lines(block)
+    with pytest.raises(DimensionError):
+        load_parameters(write(tmp_path / "net.txt", "\n".join(block) + "\n"))
+    model = write(tmp_path / "model.txt", "\n".join(lines) + "\n")
+    cfg = write(tmp_path / "p.cfg", base_config_text(tmp_path / "p", model_file=model, **inputs))
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg]) == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["context"]["error_type"] == "DataError"
+    assert err["message"].startswith(model + ":")
 
 
 def widen_scalars(text):

@@ -7,7 +7,12 @@ import pytest
 
 from sfdnn import evaluation, spatial
 from sfdnn.basis import make_bspline_basis
-from sfdnn.errors import DegenerateVarianceError, FoldSizeError, InvalidSizeError
+from sfdnn.errors import (
+    DegenerateVarianceError,
+    FoldSizeError,
+    InvalidArchitectureError,
+    InvalidSizeError,
+)
 from sfdnn.evaluation import (
     CandidateConfig,
     TuneGrid,
@@ -89,6 +94,10 @@ def tiny_dataset(seed, n=60):
 
 
 class TestKfoldTune:
+    def test_negative_seed_is_a_typed_error(self):
+        with pytest.raises(InvalidArchitectureError, match="seed must be nonnegative"):
+            kfold_tune(tiny_dataset(1), "fdnn", TuneGrid(max_epochs=[2]), num_folds=3, seed=-1)
+
     def test_single_candidate_returned(self):
         data = tiny_dataset(1)
         grid = TuneGrid(hidden_sizes=[(4,)], max_epochs=[20])
@@ -335,6 +344,36 @@ class TestMonteCarloStudy:
         assert table.report(scenario, "ml").num_ok == 1
         fdnn_rows = [line for line in table.to_csv_lines() if ",fdnn," in line]
         assert all(line.split(",")[-2] == "1" for line in fdnn_rows)  # n_failed
+
+    @pytest.mark.parametrize(
+        "kind,validation_fraction", [("ml", 0.0), ("fdnn", 0.0), ("sfdnn", 0.0), ("sfdnn", 0.2)]
+    )
+    def test_train_metrics_equal_those_of_training_predictions(self, kind, validation_fraction):
+        # the study reads training metrics from the fit instead of predicting the training set
+        scenario = ScenarioConfig(n_train=80, n_test=10, rho=0.5, error_dist="gaussian", replication_seed=4000)
+        train, _, _ = generate_scenario_dataset(scenario)
+        config = replace(quick_config(), validation_fraction=validation_fraction)
+        model = evaluation.fit_kind(kind, train, evaluation.default_architecture(), config, 3, 0.95)
+        m = compute_metrics(train.response, predict_model(model, train), "train")
+        assert model.train_metrics == {"mse": m.mse, "r2": m.r2}
+
+    def test_one_replication_solves_each_filter_once(self, monkeypatch):
+        solve = np.linalg.solve
+        sizes = []
+
+        def counted(a, b):
+            sizes.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        scenario = ScenarioConfig(n_train=80, n_test=60, rho=0.5, error_dist="gaussian")
+        table = monte_carlo_study(
+            [scenario], ("ml", "fdnn", "sfdnn"), 1, 17, config=TrainConfig(max_epochs=3)
+        )
+        assert [r.num_ok for r in table.reports] == [1, 1, 1]
+        # simulation filters both sets; ml its fitted and test values; sfdnn its
+        # inputs, its fitted values and the test set; fdnn filters nothing
+        assert sorted(sizes) == [60] * 3 + [80] * 4
 
     def test_replication_count_validated(self):
         with pytest.raises(InvalidSizeError):
