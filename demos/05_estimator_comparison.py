@@ -37,7 +37,7 @@ models = {
 print(f"{'kind':>6} {'rho_hat':>8} {'train MSE':>10} {'train R2':>9} {'MSPE':>8} {'R2_test':>8}")
 for kind, model in models.items():
     preds = predict_model(model, test)
-    m = compute_metrics(test.response, preds, "test")
+    m = compute_metrics(test.response, preds)
     rho = "-" if model.rho_hat is None else f"{model.rho_hat:.3f}"
     print(
         f"{kind:>6} {rho:>8} {model.train_metrics['mse']:>10.3f} "

@@ -397,10 +397,7 @@ def _log_transform_dataset(data: pipeline.RegressionDataset, mode: str, label: s
             )
         functional = [np.log(c) for c in functional]
         scalars = np.log(scalars)
-    return pipeline.RegressionDataset(
-        functional=functional, grid=data.grid, scalars=scalars,
-        response=response, weights=data.weights,
-    )
+    return replace(data, functional=functional, scalars=scalars, response=response)
 
 
 def _scenario_from_config(config: RunConfig) -> simgen.ScenarioConfig:
@@ -458,14 +455,19 @@ def _cmd_fit(config: RunConfig, out):
     write_metrics_csv(out("train_metrics.csv"), model.train_metrics)
 
 
-def _cmd_predict(config: RunConfig, out):
+def _load_model(config: RunConfig):
+    """The configured model and the log transform it was fitted under."""
     _require_inputs(config, ["model_file"])
     model = pipeline.load_model(config.model_file)
-    log_mode = model.metadata.get("log_transform", "none")
+    return model, model.metadata.get("log_transform", "none")
+
+
+def _cmd_predict(config: RunConfig, out):
+    model, log_mode = _load_model(config)
     data, _ = _load_dataset(config, "test", model.kind, log_mode)
     preds = pipeline.predict_model(model, data)
     _write_location_csv(out("predictions.csv"), "location_id,predicted", preds)
-    m = evaluation.compute_metrics(data.response, preds, "test")
+    m = evaluation.compute_metrics(data.response, preds)
     write_metrics_csv(out("test_metrics.csv"), {"mspe": m.mse, "r2_test": m.r2})
 
 
@@ -556,14 +558,10 @@ def _cmd_mc_bench(config: RunConfig, out):
 
 
 def _cmd_plotdata(config: RunConfig, out):
-    _require_inputs(config, ["model_file"])
-    model = pipeline.load_model(config.model_file)
-    log_mode = model.metadata.get("log_transform", "none")
+    model, log_mode = _load_model(config)
     taylor_rows = []
     for role in ("train", "test"):
-        # a log transform set in the configuration overrides the model's for training data
-        mode = config.log_transform if role == "train" and config.log_transform != "none" else log_mode
-        data, _ = _load_dataset(config, role, model.kind, mode)
+        data, _ = _load_dataset(config, role, model.kind, log_mode)
         preds = pipeline.predict_model(model, data)
         _write_location_csv(
             out(f"plotdata_{role}.csv"), "location_id,observed,predicted", data.response, preds

@@ -25,6 +25,7 @@ from .errors import (
 from .fdnn import NetworkArchitecture, TrainConfig
 from .pipeline import (
     RegressionDataset,
+    _train_metrics,
     fit_fdnn_model,
     fit_ml_baseline,
     fit_sfdnn,
@@ -58,28 +59,25 @@ class Metrics:
 
     mse: float
     r2: float
-    role: str
 
 
-def compute_metrics(y, yhat, role: str = "train") -> Metrics:
-    """Mean squared residual and R-squared against the role's own mean."""
+def _paired(y, yhat):
+    """``y`` and ``yhat`` as flat float arrays of one length, at least 2."""
     y = np.asarray(y, dtype=float).ravel()
     yhat = np.asarray(yhat, dtype=float).ravel()
     if y.size != yhat.size:
         raise DimensionError("observed and predicted lengths differ")
     if y.size < 2:
         raise DimensionError("need at least 2 observations")
-    if role not in ("train", "test"):
-        raise InvalidSizeError(f"role must be 'train' or 'test', got '{role}'")
-    resid = y - yhat
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst <= 0.0:
+    return y, yhat
+
+
+def compute_metrics(y, yhat) -> Metrics:
+    """Mean squared residual and R-squared against the observations' own mean."""
+    y, yhat = _paired(y, yhat)
+    if float(np.sum((y - y.mean()) ** 2)) <= 0.0:
         raise DegenerateVarianceError("R-squared is undefined for a constant response")
-    return Metrics(
-        mse=float(np.mean(resid**2)),
-        r2=1.0 - float(resid @ resid) / sst,
-        role=role,
-    )
+    return Metrics(**_train_metrics(y, yhat))
 
 
 @dataclass(frozen=True)
@@ -94,12 +92,7 @@ class TaylorStats:
 
 def taylor_stats(y, yhat) -> TaylorStats:
     """Taylor-diagram statistics; population standard deviations throughout."""
-    y = np.asarray(y, dtype=float).ravel()
-    yhat = np.asarray(yhat, dtype=float).ravel()
-    if y.size != yhat.size:
-        raise DimensionError("observed and predicted lengths differ")
-    if y.size < 2:
-        raise DimensionError("need at least 2 observations")
+    y, yhat = _paired(y, yhat)
     sd_obs = float(y.std())
     sd_pred = float(yhat.std())
     if sd_obs <= 0.0 or sd_pred <= 0.0:
@@ -229,8 +222,6 @@ def kfold_tune(
     splits = {}
     scores = {}
     table = []
-    best = None
-    best_key = None
     for index, cand in enumerate(grid.candidates()):
         count = cand.neighbor_count
         if count is not None and coords is None:
@@ -238,12 +229,11 @@ def kfold_tune(
         effective = _effective_candidate(kind, cand)
         if effective not in scores:
             if count not in splits:
-                count_data = data if count is None else RegressionDataset(
-                    functional=data.functional, grid=data.grid, scalars=data.scalars,
-                    response=data.response, weights=build_knn_bisquare_weights(coords, count),
+                count_data = data if count is None else replace(
+                    data, weights=build_knn_bisquare_weights(coords, count)
                 )
                 splits[count] = [
-                    (count_data.subset(np.sort(np.setdiff1d(perm, fold))), count_data.subset(np.sort(fold)))
+                    (count_data.subset(np.setdiff1d(perm, fold)), count_data.subset(np.sort(fold)))
                     for fold in folds
                 ]
             arch = cand.architecture(data.num_functional, data.num_scalar)
@@ -257,11 +247,8 @@ def kfold_tune(
         cv_mspe = scores[effective]
         size = cand.num_parameters(data.num_functional, data.num_scalar)
         table.append({"index": index, "candidate": cand, "cv_mspe": cv_mspe, "size": size})
-        key = (cv_mspe, size, index)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = cand
-    return best, table
+    best = min(table, key=lambda row: (row["cv_mspe"], row["size"], row["index"]))
+    return best["candidate"], table
 
 
 @dataclass
@@ -316,7 +303,7 @@ def _run_replication(scenario, kinds, rep_seed, arch, config, variance_threshold
             # each fit's train_metrics are those of its own fitted values, which
             # predict_model(model, train) returns bit for bit
             train_m = model.train_metrics
-            test_m = compute_metrics(test.response, predict_model(model, test), "test")
+            test_m = compute_metrics(test.response, predict_model(model, test))
             out[kind] = ((train_m["mse"], train_m["r2"], test_m.mse, test_m.r2), model.at_boundary)
         except (SfdnnError, np.linalg.LinAlgError) as exc:
             out[kind] = exc
@@ -348,15 +335,8 @@ class StudyTable:
         return lines
 
     def format_text(self) -> str:
-        kinds = []
-        for r in self.reports:
-            if r.kind not in kinds:
-                kinds.append(r.kind)
-        scenarios = []
-        for r in self.reports:
-            if r.scenario not in scenarios:
-                scenarios.append(r.scenario)
-
+        kinds = dict.fromkeys(r.kind for r in self.reports)
+        scenarios = dict.fromkeys(r.scenario for r in self.reports)
         header = f"{'n_train':>7} {'rho':>5} {'errors':>8}"
         for kind in kinds:
             for name in METRIC_NAMES:

@@ -445,14 +445,11 @@ def train(
     shuffle_rng = np.random.default_rng([config.seed, 1])
     split_rng = np.random.default_rng([config.seed, 2])
 
-    if config.validation_fraction > 0.0:
-        n_val = min(int(round(config.validation_fraction * n)), n - 1)
-        perm = split_rng.permutation(n)
-        val_rows = np.sort(perm[:n_val])
-        train_rows = np.sort(perm[n_val:])
-    else:
-        val_rows = np.empty(0, dtype=int)
-        train_rows = np.arange(n)
+    # a zero fraction leaves val_rows empty and train_rows = arange(n)
+    n_val = min(int(round(config.validation_fraction * n)), n - 1)
+    perm = split_rng.permutation(n)
+    val_rows = np.sort(perm[:n_val])
+    train_rows = np.sort(perm[n_val:])
 
     grads = NetworkParameters.zeros_like(params)
     g = grads.flat
@@ -465,7 +462,7 @@ def train(
     trace = TrainingTrace()
     best_params = None
     best_val = np.inf
-    prev_loss = None
+    prev_loss = 0.0
 
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(train_rows)
@@ -511,7 +508,7 @@ def train(
                 best_params = params.copy()
                 trace.best_epoch = epoch
 
-        delta = epoch_loss if epoch == 0 else abs(prev_loss - epoch_loss)
+        delta = abs(prev_loss - epoch_loss)
         prev_loss = epoch_loss
         if delta < config.early_stop_threshold:
             trace.stopped_early = True

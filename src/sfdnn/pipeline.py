@@ -7,7 +7,8 @@ train the functional network, the two-stage variant first estimating the
 dependence parameter by maximum likelihood and then holding it fixed while
 the network trains on spatially filtered pre-activations.  With the estimate
 fixed the filter is a constant linear map ahead of the first bias, so it is
-applied once to the network inputs before training.
+applied once to the network inputs, which then serve both training and the
+fitted values.
 
 Network features, scalar covariates, and the response are standardized with
 training-set statistics; predictions are mapped back to the original scale.
@@ -29,6 +30,7 @@ from .fdnn import (
     SpatialContext,
     TrainConfig,
     TrainingTrace,
+    _prefilter,
     dump_parameters,
     parameters_from_lines,
     predict,
@@ -128,8 +130,8 @@ class Standardization:
         return cls(
             feature_mean=features.mean(axis=0),
             feature_sd=guard(features.std(axis=0)),
-            scalar_mean=scalars.mean(axis=0) if scalars.size else np.zeros(scalars.shape[1]),
-            scalar_sd=guard(scalars.std(axis=0)) if scalars.size else np.ones(scalars.shape[1]),
+            scalar_mean=scalars.mean(axis=0),
+            scalar_sd=guard(scalars.std(axis=0)),
             y_mean=float(y.mean()),
             y_sd=float(max(y.std(), 1e-12)),
         )
@@ -207,22 +209,25 @@ def _spline_features(functional, grid, bases) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def _fit_network(data, arch, config, basis_degree, ctx, extra) -> FittedModel:
-    if arch.num_functional != data.num_functional:
-        raise DimensionError(
-            f"architecture expects {arch.num_functional} functional predictors, "
-            f"data has {data.num_functional}"
-        )
-    if arch.num_scalar != data.num_scalar:
-        raise DimensionError(
-            f"architecture expects {arch.num_scalar} scalar predictors, data has {data.num_scalar}"
-        )
+def _check_widths(data, num_functional, num_scalar, owner):
+    for what, expected, actual in (
+        ("functional predictors", num_functional, data.num_functional),
+        ("scalar covariates", num_scalar, data.num_scalar),
+    ):
+        if actual != expected:
+            raise DimensionError(f"{owner} expects {expected} {what}, the data has {actual}")
+
+
+def _fit_network(data, arch, config, basis_degree, ctx, **extra) -> FittedModel:
+    _check_widths(data, arch.num_functional, arch.num_scalar, "the architecture")
     bases = [make_bspline_basis(basis_degree, m) for m in arch.basis_sizes]
     features = _spline_features(data.functional, data.grid, bases)
     standardization = Standardization.fit(features, data.scalars, data.response)
     f_std, s_std, y_std = standardization.apply(features, data.scalars, data.response)
-    params, trace = train(arch, config, f_std, s_std, y_std, ctx)
-    fitted = standardization.invert_y(predict(params, f_std, s_std, ctx))
+    if ctx is not None:
+        f_std, s_std = _prefilter(ctx, f_std, s_std)
+    params, trace = train(arch, config, f_std, s_std, y_std)
+    fitted = standardization.invert_y(predict(params, f_std, s_std))
     return FittedModel(
         grid=data.grid,
         train_metrics=_train_metrics(data.response, fitted),
@@ -241,7 +246,7 @@ def fit_fdnn_model(
     basis_degree: int = 3,
 ) -> FittedModel:
     """Plain functional network: no spatial filtering anywhere."""
-    return _fit_network(data, arch, config, basis_degree, ctx=None, extra={"kind": "fdnn"})
+    return _fit_network(data, arch, config, basis_degree, None, kind="fdnn")
 
 
 def fit_sfdnn(
@@ -265,19 +270,9 @@ def fit_sfdnn(
         rho_hat, at_boundary = est.rho_hat, est.at_boundary
     else:
         rho_hat, at_boundary = float(rho_override), False
-    ctx = SpatialContext(data.weights, rho_hat)
     return _fit_network(
-        data,
-        arch,
-        config,
-        basis_degree,
-        ctx=ctx,
-        extra={
-            "kind": "sfdnn",
-            "rho_hat": rho_hat,
-            "at_boundary": at_boundary,
-            "variance_threshold": variance_threshold,
-        },
+        data, arch, config, basis_degree, SpatialContext(data.weights, rho_hat), kind="sfdnn",
+        rho_hat=rho_hat, at_boundary=at_boundary, variance_threshold=variance_threshold,
     )
 
 
@@ -297,12 +292,7 @@ def predict_model(model: FittedModel, newdata: RegressionDataset) -> np.ndarray:
     else:
         num_functional = model.parameters.arch.num_functional
         num_scalar = model.parameters.arch.num_scalar
-    for what, expected, actual in (
-        ("functional predictors", num_functional, newdata.num_functional),
-        ("scalar covariates", num_scalar, newdata.num_scalar),
-    ):
-        if actual != expected:
-            raise DimensionError(f"the model expects {expected} {what}, the data has {actual}")
+    _check_widths(newdata, num_functional, num_scalar, "the model")
     if model.kind == "ml":
         if newdata.weights is None:
             raise MissingWeightsError("ML predictions need the test set's weight matrix")

@@ -133,9 +133,7 @@ class SpatialWeightMatrix:
         return self.weights.toarray() if self.is_sparse else self.weights
 
     def row_sums(self) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.weights.sum(axis=1)).ravel()
-        return self.weights.sum(axis=1)
+        return np.asarray(self.weights.sum(axis=1)).ravel()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.weights @ v)
@@ -154,7 +152,7 @@ class SpatialWeightMatrix:
         if self.is_sparse:
             sub = self.weights[rows][:, rows].toarray()
         else:
-            sub = self.weights[np.ix_(rows, rows)].copy()
+            sub = self.weights[np.ix_(rows, rows)]
         sums = sub.sum(axis=1)
         active = sums > 0
         sub[active] /= sums[active, None]

@@ -23,6 +23,7 @@ from sfdnn.cli import (
     _format_value,
     main,
     parse_config,
+    read_scalars_csv,
     serialize_config,
 )
 from sfdnn.errors import ConfigError, DimensionError, SfdnnError
@@ -267,7 +268,7 @@ class TestSubcommands:
         tc = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=40, seed=3)
         model = fit_sfdnn(train, arch, tc)
         preds = predict_model(model, test)
-        reference = compute_metrics(test.response, preds, "test")
+        reference = compute_metrics(test.response, preds)
 
         metrics = {}
         for line in (out / "test_metrics.csv").read_text().splitlines()[1:]:
@@ -584,6 +585,29 @@ class TestSubcommands:
         assert len(taylor) == 3
         train_pairs = (out / "plotdata_train.csv").read_text().splitlines()
         assert len(train_pairs) == 81
+
+    def test_plotdata_uses_the_models_log_transform(self, tmp_path):
+        # the model was fitted on raw y, so a configured log transform must not
+        # put log y next to raw-scale predictions
+        out = tmp_path / "p"
+        files = {
+            f"{role}_{part}": out / f"{role}_{part}.{'txt' if part == 'weights' else 'csv'}"
+            for role in ("train", "test")
+            for part in ("functional", "scalars", "weights")
+        }
+        cfg = write(tmp_path / "sim.cfg", base_config_text(out, beta0=50.0))
+        assert main(["simulate", "--config", cfg]) == 0
+        fit_cfg = write(tmp_path / "fit.cfg", base_config_text(out, kind="ml", **files))
+        assert main(["fit", "--config", fit_cfg]) == 0
+        plot_cfg = write(
+            tmp_path / "plot.cfg",
+            base_config_text(out, model_file=out / "model.txt", log_transform="response", **files),
+        )
+        assert main(["plotdata", "--config", plot_cfg]) == 0
+        for role in ("train", "test"):
+            _, y, _ = read_scalars_csv(files[f"{role}_scalars"])
+            pairs = np.loadtxt(out / f"plotdata_{role}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(pairs[:, 1], y), role
 
     def test_mc_bench_smoke(self, tmp_path):
         out = tmp_path / "mc"

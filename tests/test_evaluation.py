@@ -30,18 +30,18 @@ from sfdnn.spatial import build_inverse_distance_weights, build_knn_bisquare_wei
 class TestComputeMetrics:
     def test_perfect_fit(self):
         y = np.array([1.0, 2.0, 3.0])
-        m = compute_metrics(y, y, "train")
+        m = compute_metrics(y, y)
         assert m.mse == 0.0 and m.r2 == 1.0
 
     def test_mean_prediction_gives_zero_r2(self):
         y = np.array([1.0, 2.0, 3.0, 6.0])
-        m = compute_metrics(y, np.full(4, y.mean()), "test")
+        m = compute_metrics(y, np.full(4, y.mean()))
         assert abs(m.r2) < 1e-12
 
     def test_matches_direct_formulas(self):
         rng = np.random.default_rng(5)
         y, yhat = rng.normal(size=9), rng.normal(size=9)
-        m = compute_metrics(y, yhat, "train")
+        m = compute_metrics(y, yhat)
         mse = np.sum((y - yhat) ** 2) / 9
         r2 = 1 - np.sum((y - yhat) ** 2) / np.sum((y - y.mean()) ** 2)
         assert abs(m.mse - mse) < 1e-14
@@ -49,12 +49,12 @@ class TestComputeMetrics:
 
     def test_constant_response_rejected(self):
         with pytest.raises(DegenerateVarianceError):
-            compute_metrics(np.ones(5), np.zeros(5), "train")
+            compute_metrics(np.ones(5), np.zeros(5))
 
     def test_intercept_only_fit_scores_zero(self):
         rng = np.random.default_rng(11)
         y = rng.normal(size=50)
-        m = compute_metrics(y, np.full(50, y.mean()), "train")
+        m = compute_metrics(y, np.full(50, y.mean()))
         assert abs(m.r2) < 1e-12
 
 
@@ -113,6 +113,21 @@ class TestKfoldTune:
         assert table_a[0]["cv_mspe"] == table_a[1]["cv_mspe"]
         assert best_a == best_b
         assert [r["cv_mspe"] for r in table_a] == [r["cv_mspe"] for r in table_b]
+
+    @pytest.mark.parametrize(
+        "hidden_sizes, learning_rates, winner",
+        [([(8,), (4,)], [0.01], 1), ([(4,)], [0.02, 0.01], 0)],
+    )
+    def test_ties_go_to_the_smaller_model_then_grid_order(
+        self, hidden_sizes, learning_rates, winner
+    ):
+        # ml reads no network setting, so every candidate shares one score
+        grid = TuneGrid(hidden_sizes=hidden_sizes, learning_rates=learning_rates, basis_sizes=[5])
+        best, table = kfold_tune(tiny_dataset(9), "ml", grid, num_folds=3, seed=0)
+        assert len({row["cv_mspe"] for row in table}) == 1
+        sizes = [row["size"] for row in table]
+        assert (sizes[0] > sizes[1]) == (winner == 1)
+        assert best is table[winner]["candidate"]
 
     def test_planted_candidate_wins_most_seeds(self):
         # response generated by a two-neuron tanh map inside a 5-neuron
@@ -354,7 +369,7 @@ class TestMonteCarloStudy:
         train, _, _ = generate_scenario_dataset(scenario)
         config = replace(quick_config(), validation_fraction=validation_fraction)
         model = evaluation.fit_kind(kind, train, evaluation.default_architecture(), config, 3, 0.95)
-        m = compute_metrics(train.response, predict_model(model, train), "train")
+        m = compute_metrics(train.response, predict_model(model, train))
         assert model.train_metrics == {"mse": m.mse, "r2": m.r2}
 
     def test_one_replication_solves_each_filter_once(self, monkeypatch):
@@ -371,9 +386,10 @@ class TestMonteCarloStudy:
             [scenario], ("ml", "fdnn", "sfdnn"), 1, 17, config=TrainConfig(max_epochs=3)
         )
         assert [r.num_ok for r in table.reports] == [1, 1, 1]
-        # simulation filters both sets; ml its fitted and test values; sfdnn its
-        # inputs, its fitted values and the test set; fdnn filters nothing
-        assert sorted(sizes) == [60] * 3 + [80] * 4
+        # simulation filters both sets; ml its fitted and test values; sfdnn
+        # solves its training filter once, for training and its fitted values,
+        # and filters the test set; fdnn filters nothing
+        assert sorted(sizes) == [60] * 3 + [80] * 3
 
     def test_replication_count_validated(self):
         with pytest.raises(InvalidSizeError):
