@@ -64,7 +64,6 @@ from .simgen import (
     true_coefficient_curves,
 )
 from .spatial import (
-    Coordinates,
     RhoEstimate,
     SpatialWeightMatrix,
     apply_spatial_filter,

@@ -147,7 +147,7 @@ def _simulate_role(cfg: ScenarioConfig, role: int, n: int, grid: Grid) -> Regres
     w_quad = trapezoid_weights(grid.points)
     sd = np.sqrt(kl_score_variances())
 
-    signal = np.full(n, cfg.beta0)
+    signal = np.full(n, float(cfg.beta0))
     curves = []
     for p in range(3):
         scores = rng.standard_normal((n, _NUM_KL_TERMS)) * sd

@@ -6,19 +6,21 @@ evaluation, profile-likelihood estimation of the dependence parameter, and
 local Moran's I diagnostics.
 
 Matrices with at most ``DENSE_LIMIT`` rows are stored dense; larger ones use
-CSR storage with sparse triangular factorizations.  When |rho| times the
-largest row sum of W is below 1, I - rho W is strictly diagonally dominant
-with a positive diagonal, so it is factored without pivoting in one reverse
-Cuthill-McKee ordering computed once per W, and every pivot is positive.
-Any other sparse W gets a pivoted factorization whose log-determinant sign
-comes from the permutation parities, (n - number of cycles) mod 2.  KNN
-neighbors are searched with a KD-tree on unit-sphere points.  Up to
-``_EIG_LIMIT`` rows the likelihood uses the full spectrum of W: real, from
-a symmetric eigensolver, when W = D^{-1} S with S symmetric (every
-inverse-distance W), and from the general nonsymmetric solver otherwise.
-An inverse-distance W depends only on n, so it is built once per size and
-shared read-only: every replication of a study cell reuses one matrix,
-and with it the spectrum cached on it.
+CSR storage with sparse triangular factorizations.  One rule decides which
+dependence parameters are admissible: rho is admissible when it is dominant,
+|rho| times the largest row sum r of W below 1, or when it lies inside W's
+admissible interval.  A dominant I - rho W is strictly diagonally dominant
+with a positive diagonal, so its determinant is positive.  A dense W has its
+full spectrum, and its interval is exact: real, from a symmetric
+eigensolver, when W = D^{-1} S with S symmetric (every inverse-distance W),
+and from the general nonsymmetric solver otherwise.  A sparse W has no
+spectrum, and its interval is the Perron-Frobenius row-sum bound (-1/r, 1/r)
+within (-1, 1), so every rho it admits is dominant: I - rho W is factored
+without pivoting in one reverse Cuthill-McKee ordering computed once per W,
+and every pivot is positive.  KNN neighbors are searched with a KD-tree on
+unit-sphere points.  An inverse-distance W depends only on n, so it is built
+once per size and shared read-only: every replication of a study cell
+reuses one matrix, and with it the spectrum cached on it.
 
 Dense routes run on numpy alone: scipy is imported only on the sparse and
 KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
@@ -49,7 +51,6 @@ from .errors import (
 __all__ = [
     "EARTH_RADIUS_KM",
     "DENSE_LIMIT",
-    "Coordinates",
     "SpatialWeightMatrix",
     "RhoEstimate",
     "SpatialFilterFactor",
@@ -68,23 +69,6 @@ EARTH_RADIUS_KM = 6371.0088
 
 # dense storage up to this many rows; sparse beyond
 DENSE_LIMIT = 3000
-
-# eigenvalue-based admissible interval only up to this size
-_EIG_LIMIT = 2000
-
-
-@dataclass(frozen=True)
-class Coordinates:
-    """Geographic position in degrees."""
-
-    latitude: float
-    longitude: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.latitude <= 90.0:
-            raise InvalidSizeError(f"latitude {self.latitude} outside [-90, 90]")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise InvalidSizeError(f"longitude {self.longitude} outside [-180, 180]")
 
 
 class SpatialWeightMatrix:
@@ -159,15 +143,15 @@ class SpatialWeightMatrix:
         return SpatialWeightMatrix(sub, row_normalized=True)
 
     def eigenvalues(self):
-        """Full eigenvalue set, or None when too large to compute.
+        """Full eigenvalue set of a dense W; None for a sparse W.
 
         Real (``eigvalsh``) when W is similar to a symmetric matrix, i.e.
         W = D^{-1} S with S symmetric (Ord 1975): then D^{1/2} W D^{-1/2}
         is symmetric and has the same spectrum.  Otherwise from the general
         ``eigvals``, complex in general.
         """
-        if self._eigenvalues is None and self.n <= _EIG_LIMIT:
-            a = self.toarray()
+        if self._eigenvalues is None and not self.is_sparse:
+            a = self.weights
             scale = _symmetrizing_scale(a)
             if scale is None:
                 self._eigenvalues = np.linalg.eigvals(a)
@@ -189,15 +173,20 @@ class SpatialWeightMatrix:
     def admissible_interval(self) -> tuple[float, float]:
         """Open interval of dependence parameters keeping I - rho W invertible.
 
-        Computed as (1/lambda_min, 1/lambda_max) over the real eigenvalues,
-        intersected with (-1, 1); falls back to (-1, 1) shrunk by 1e-6 when
-        the spectrum is too expensive to obtain.
+        With a spectrum: (1/lambda_min, 1/lambda_max) over the real
+        eigenvalues, intersected with (-1, 1).  Without one: the row-sum
+        bound (max(-1, -1/r), min(1, 1/r)) shrunk by 1e-6, r the largest row
+        sum (LeSage & Pace 2009, ch. 4).  The spectral radius of a
+        nonnegative W is at most r, so every rho in it is dominant.  A
+        row-normalized W takes r = 1, its rows summing to 1 within a
+        tolerance the 1e-6 covers, and an all-zero W also takes r = 1.
         """
         if self._interval is not None:
             return self._interval
         eigs = self.eigenvalues()
         if eigs is None:
-            self._interval = (-1.0 + 1e-6, 1.0 - 1e-6)
+            r = 1.0 if self.row_normalized else float(np.max(self.row_sums(), initial=0.0)) or 1.0
+            self._interval = (max(-1.0, -1.0 / r) + 1e-6, min(1.0, 1.0 / r) - 1e-6)
             return self._interval
         scale = max(1.0, float(np.abs(eigs).max()))
         real = eigs.real[np.abs(eigs.imag) <= 1e-8 * scale]
@@ -262,13 +251,17 @@ def great_circle_km(lat1, lon1, lat2, lon2) -> np.ndarray:
 
 
 def _coords_array(coords) -> np.ndarray:
-    if len(coords) and isinstance(coords[0], Coordinates):
-        return np.array([[c.latitude, c.longitude] for c in coords], dtype=float)
+    """(lat, lon) pairs in degrees as an (n, 2) array, each inside its range."""
     arr = np.asarray(coords, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DimensionError("coordinates must be a sequence of (lat, lon) pairs")
     if not np.all(np.isfinite(arr)):
         raise DataError("coordinates must be finite")
+    for col, (name, bound) in enumerate((("latitude", 90.0), ("longitude", 180.0))):
+        outside = np.flatnonzero(np.abs(arr[:, col]) > bound)
+        if outside.size:
+            site = int(outside[0])
+            raise DataError(f"site {site} has {name} {arr[site, col]} outside [-{bound:g}, {bound:g}]")
     return arr
 
 
@@ -361,68 +354,49 @@ def local_morans_i(W: SpatialWeightMatrix, y: np.ndarray) -> np.ndarray:
     return W.n * dev * W.matvec(dev) / denom
 
 
-def _perm_parity(perm: np.ndarray) -> int:
-    """Parity of a permutation: (n - number of cycles) mod 2."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-    n = perm.size
-    graph = sp.csr_matrix((np.ones(n), perm, np.arange(n + 1)), shape=(n, n))
-    cycles, _ = connected_components(graph, directed=True, connection="weak")
-    return (n - cycles) & 1
-
-
-def _slogdet_sparse(lu) -> tuple[float, float]:
-    diag = lu.U.diagonal()
-    sign = -1.0 if (_perm_parity(lu.perm_r) ^ _perm_parity(lu.perm_c)) else 1.0
-    sign *= np.prod(np.sign(diag))
-    return float(sign), float(np.sum(np.log(np.abs(diag))))
-
-
 class SpatialFilterFactor:
     """I - rho W, checked admissible, for filter solves and its log-determinant.
 
-    Sparse W is factored here, once.  Dense W keeps a = I - rho W, and each
-    solve is one ``np.linalg.solve`` (an LU and its triangular solves), so
-    a factor that serves one solve, as every one in the package does, costs
-    one LU.  When |rho| times the largest row sum of W is
-    below 1, a is strictly diagonally dominant with a positive diagonal, so
-    its determinant is positive and the dense log-determinant is computed
-    (``slogdet``) only when first read; otherwise its sign is checked here.
+    rho must be dominant (|rho| times the largest row sum of W below 1) or
+    inside ``W.admissible_interval()``; any other rho raises.  A sparse W
+    admits only dominant rho, and is factored here, once, without pivoting.
+    Dense W keeps a = I - rho W, and each solve is one ``np.linalg.solve``
+    (an LU and its triangular solves), so a factor that serves one solve, as
+    every one in the package does, costs one LU.  A dominant a has a
+    positive determinant, and its log-determinant is computed (``slogdet``)
+    only when first read; any other is computed here.
     """
 
     def __init__(self, W: SpatialWeightMatrix, rho: float):
         self.W = W
         self.rho = float(rho)
-        self._lu = None
-        self._perm = None
         self._log_det = None
         dominant = abs(self.rho) * np.max(W.row_sums(), initial=0.0) < 1.0
+        if not dominant:
+            lo, hi = W.admissible_interval()
+            if not lo < self.rho < hi:
+                raise AdmissibilityError(
+                    f"rho={self.rho} is not dominant (|rho| times the largest row sum of W is at "
+                    "least 1), and a W without a spectrum cannot certify it admissible"
+                    if W.is_sparse
+                    else f"rho={self.rho} is outside the admissible interval ({lo}, {hi}) of W"
+                )
         if W.is_sparse:
             import scipy.sparse as sp
             from scipy.sparse.linalg import splu
-            if dominant:
-                # the diagonal pivots are the ratios of positive leading minors,
-                # and a symmetric permutation leaves the determinant's sign alone
-                self._perm, wp = W._ordered()
-                a = sp.identity(W.n, format="csc") - self.rho * wp
-                self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
-                diag = self._lu.U.diagonal()
-                sign = 1.0 if np.all(diag > 0.0) else -1.0
-                logdet = float(np.sum(np.log(np.abs(diag))))
-            else:
-                a = (sp.identity(W.n, format="csr") - self.rho * W.weights).tocsc()
-                self._lu = splu(a, options=dict(Equil=False))
-                sign, logdet = _slogdet_sparse(self._lu)
+            # the diagonal pivots are the ratios of positive leading minors,
+            # and a symmetric permutation leaves the determinant alone
+            self._perm, wp = W._ordered()
+            a = sp.identity(W.n, format="csc") - self.rho * wp
+            self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
+            self._log_det = float(np.sum(np.log(self._lu.U.diagonal())))
         else:
             self._a = np.eye(W.n) - self.rho * W.weights
             if dominant:
-                return  # positive determinant: ``log_det`` computes it when read
-            sign, logdet = np.linalg.slogdet(self._a)
-        if sign <= 0.0 or not np.isfinite(logdet):
-            raise AdmissibilityError(
-                f"I - rho W is not positive for rho={self.rho}: outside the admissible region"
-            )
-        self._log_det = float(logdet)
+                return  # ``log_det`` computes it when read
+            self._log_det = float(np.linalg.slogdet(self._a)[1])
+        if not np.isfinite(self._log_det):
+            raise AdmissibilityError(f"I - rho W is singular to working precision for rho={self.rho}")
 
     @property
     def log_det(self) -> float:
@@ -433,8 +407,6 @@ class SpatialFilterFactor:
 
     def _sparse_solve(self, b: np.ndarray, trans: str) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if self._perm is None:
-            return self._lu.solve(b, trans=trans)
         x = np.empty_like(b)
         x[self._perm] = self._lu.solve(b[self._perm], trans=trans)
         return x
@@ -451,7 +423,7 @@ class SpatialFilterFactor:
 
 
 def log_det_filter(W: SpatialWeightMatrix, rho: float) -> float:
-    """ln det(I - rho W) via triangular factorization with sign check."""
+    """ln det(I - rho W) for an admissible rho (see :class:`SpatialFilterFactor`)."""
     if rho == 0.0:
         return 0.0
     return SpatialFilterFactor(W, rho).log_det
@@ -576,8 +548,8 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     one-dimensional search of ln|I - rho W| - (n/2) ln sigma^2(rho) over the
     admissible interval.  A coarse scan brackets the global optimum (the
     profile can be multimodal); one refinement inside the scan bracket
-    follows: safeguarded Newton with exact derivatives when the spectrum of
-    W is known, Brent's parabolic search on the profile otherwise.
+    follows: safeguarded Newton with exact derivatives on the spectrum of a
+    dense W, Brent's parabolic search on the profile of a sparse W.
     ``Xc`` must have full column rank with a leading column of ones.
     """
     y = np.asarray(y, dtype=float).ravel()

@@ -383,6 +383,17 @@ class TestSubcommands:
         knn = load_weights(out2 / "weights.txt")
         np.testing.assert_allclose(knn.row_sums(), 1.0, atol=1e-12)
 
+    def test_weights_with_latitude_out_of_range_exits_3(self, tmp_path, capsys):
+        coords = write(
+            tmp_path / "coords.csv",
+            "location_id,lat,lon\n0,0.0,0.0\n1,200.0,1.0\n2,1.0,0.0\n3,1.0,1.0\n",
+        )
+        cfg = write(tmp_path / "w.cfg", f"coords_file = {coords}\nneighbor_count = 2\nout_dir = {tmp_path / 'x'}\n")
+        assert main(["weights", "--config", cfg]) == EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error_type"] == "DataError"
+        assert "latitude 200.0 outside [-90, 90]" in err["message"]
+
     def test_weights_without_inputs_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path / "w.cfg", f"out_dir = {tmp_path / 'x'}\n")
         code = main(["weights", "--config", cfg])

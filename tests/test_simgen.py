@@ -78,6 +78,17 @@ class TestGeneration:
             np.testing.assert_array_equal(a_train.functional[p], b_train.functional[p])
         np.testing.assert_array_equal(a_train.scalars, b_train.scalars)
 
+    def test_integer_beta0_matches_float(self):
+        datasets = [
+            generate_scenario_dataset(
+                ScenarioConfig(n_train=80, n_test=60, rho=0.4, error_dist="gaussian", beta0=beta0)
+            )[:2]
+            for beta0 in (50, 50.0)
+        ]
+        for got, ref in zip(*datasets):
+            np.testing.assert_array_equal(got.response, ref.response)
+            np.testing.assert_array_equal(got.scalars, ref.scalars)
+
     def test_train_test_streams_independent(self):
         from sfdnn.simgen import _stream
 

@@ -22,7 +22,6 @@ from sfdnn.errors import (
 from sfdnn.spatial import (
     DENSE_LIMIT,
     EARTH_RADIUS_KM,
-    Coordinates,
     SpatialFilterFactor,
     SpatialWeightMatrix,
     apply_spatial_filter,
@@ -35,7 +34,6 @@ from sfdnn.spatial import (
     log_det_filter,
     save_weights,
 )
-from sfdnn.spatial import _perm_parity
 
 
 def cofactor_det(a):
@@ -259,7 +257,7 @@ class TestKnnOracle:
 
 class TestKnnBisquare:
     def test_equilateral_ties_fall_back_to_uniform(self):
-        coords = [Coordinates(0.0, 0.0), Coordinates(0.0, 120.0), Coordinates(0.0, -120.0)]
+        coords = np.array([[0.0, 0.0], [0.0, 120.0], [0.0, -120.0]])
         W = build_knn_bisquare_weights(coords, h=2)
         expected = np.full((3, 3), 0.5)
         np.fill_diagonal(expected, 0.0)
@@ -267,11 +265,7 @@ class TestKnnBisquare:
 
     def test_collinear_boundary_neighbor(self):
         deg_per_km = 360.0 / (2.0 * math.pi * EARTH_RADIUS_KM)
-        coords = [
-            Coordinates(0.0, 0.0),
-            Coordinates(0.0, 1.0 * deg_per_km),
-            Coordinates(0.0, 3.0 * deg_per_km),
-        ]
+        coords = np.array([[0.0, 0.0], [0.0, 1.0 * deg_per_km], [0.0, 3.0 * deg_per_km]])
         W = build_knn_bisquare_weights(coords, h=1)
         a = W.toarray()
         # middle site links only to the site at 0, with full weight
@@ -280,7 +274,7 @@ class TestKnnBisquare:
         np.testing.assert_allclose(a[2], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_duplicate_coordinates_degenerate(self):
-        coords = [Coordinates(10.0, 10.0), Coordinates(10.0, 10.0), Coordinates(11.0, 11.0)]
+        coords = np.array([[10.0, 10.0], [10.0, 10.0], [11.0, 11.0]])
         with pytest.raises(DegenerateBandwidthError):
             build_knn_bisquare_weights(coords, h=1)
 
@@ -292,10 +286,14 @@ class TestKnnBisquare:
         assert np.all(W.toarray().diagonal() == 0.0)
 
     def test_coordinate_validation(self):
-        with pytest.raises(InvalidSizeError):
-            Coordinates(91.0, 0.0)
-        with pytest.raises(InvalidSizeError):
-            Coordinates(0.0, 181.0)
+        base = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        for site, col, value, name in ((1, 0, 91.0, "latitude"), (2, 1, -181.0, "longitude")):
+            pts = base.copy()
+            pts[site, col] = value
+            with pytest.raises(DataError, match=f"site {site} has {name} {value}"):
+                build_knn_bisquare_weights(pts, h=1)
+        # the range ends themselves are valid
+        build_knn_bisquare_weights(np.array([[90.0, 0.0], [-90.0, 180.0], [0.0, -180.0]]), h=1)
 
 
 class TestLocalMoran:
@@ -369,12 +367,32 @@ class TestLogDet:
         with pytest.raises(AdmissibilityError):
             log_det_filter(W, 1.5)
 
-    def test_sparse_pivoted_route_hand_values(self):
+    def test_non_dominant_hand_values_need_a_spectrum(self):
         # |rho| times the largest row sum is at least 1: not diagonally dominant
-        W = SpatialWeightMatrix(sp.csr_matrix([[0.0, 2.0], [0.1, 0.0]]), row_normalized=False)
+        a = np.array([[0.0, 2.0], [0.1, 0.0]])
+        W = SpatialWeightMatrix(a, row_normalized=False)
+        # the spectrum +-sqrt(0.2) certifies 0.6, inside (-2.236, 2.236) cut to (-1, 1)
         np.testing.assert_allclose(log_det_filter(W, 0.6), math.log(0.928), atol=1e-14)
         with pytest.raises(AdmissibilityError):
             log_det_filter(W, 3.0)
+        # sparse storage has no spectrum: only dominant rho are certified
+        sparse = SpatialWeightMatrix(sp.csr_matrix(a), row_normalized=False)
+        assert sparse.eigenvalues() is None
+        with pytest.raises(AdmissibilityError, match="cannot certify"):
+            log_det_filter(sparse, 0.6)
+        np.testing.assert_allclose(log_det_filter(sparse, 0.4), math.log(0.968), atol=1e-14)
+
+    def test_doubled_sparse_knn_interval_is_the_row_sum_bound(self):
+        W = doubled_sparse_knn(60)
+        lo, hi = W.admissible_interval()
+        np.testing.assert_allclose((lo, hi), (-0.5 + 1e-6, 0.5 - 1e-6), rtol=0.0, atol=1e-15)
+        # an inadmissible rho is refused, not trusted to a determinant's sign
+        for rho in (0.8, 0.55, -0.6):
+            with pytest.raises(AdmissibilityError):
+                log_det_filter(W, rho)
+        np.testing.assert_allclose(
+            log_det_filter(W, 0.45), np.linalg.slogdet(np.eye(60) - 0.45 * W.toarray())[1], atol=1e-10
+        )
 
 
 class TestDenseFactor:
@@ -403,6 +421,25 @@ class TestDenseFactor:
         assert lo < -0.8
         inside = SpatialFilterFactor(W, -0.8)
         assert inside._log_det == np.linalg.slogdet(np.eye(30) + 0.8 * a)[1]
+
+    def test_two_blocks_crossing_two_eigenvalues_raise(self):
+        # each block's rows sum to 2, so the interval ends at 0.5; at 0.6 two
+        # eigenvalues have crossed and the determinant is positive again
+        block = 2.0 * random_row_normalized(10, np.random.default_rng(24)).toarray()
+        a = np.zeros((20, 20))
+        a[:10, :10] = a[10:, 10:] = block
+        W = SpatialWeightMatrix(a, row_normalized=False)
+        np.testing.assert_allclose(W.admissible_interval()[1], 0.5, rtol=1e-12)
+        assert np.linalg.det(np.eye(20) - 0.6 * a) > 0.0
+        with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
+            SpatialFilterFactor(W, 0.6)
+
+    def test_dense_band_above_two_thousand_sites_has_a_spectrum(self):
+        W = build_inverse_distance_weights(2001)
+        assert not W.is_sparse
+        eigs = W.eigenvalues()
+        assert eigs is not None and eigs.size == 2001
+        np.testing.assert_allclose(eigs.max(), 1.0, rtol=0.0, atol=1e-10)
 
     def test_solves_invert_a_nonsymmetric_filter(self):
         W = random_row_normalized(40, np.random.default_rng(22))
@@ -463,6 +500,13 @@ class TestApplyFilter:
             apply_spatial_filter(W_dense, 0.6, b),
             atol=1e-10,
         )
+
+
+def doubled_sparse_knn(n):
+    """Sparse KNN W (h=4) with every row summing to 2: its Perron root is 2."""
+    rng = np.random.default_rng(83)
+    knn = build_knn_bisquare_weights(np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 10, n)]), 4)
+    return SpatialWeightMatrix(sp.csr_matrix(2.0 * knn.toarray()), row_normalized=False)
 
 
 def simulate_lagged(n, rho, rng, k_extra=3):
@@ -532,7 +576,6 @@ class TestEstimateRho:
         W = SpatialWeightMatrix(sp.csr_matrix(knn.toarray()), row_normalized=True)
         X = np.column_stack([np.ones(150), rng.normal(size=(150, 3))])
         y = apply_spatial_filter(W, 0.6, X @ np.array([0.5, 1.0, -1.5, 2.0]) + rng.normal(size=150))
-        monkeypatch.setattr(spatial, "_EIG_LIMIT", 100)
         exact = spatial.log_det_filter
         calls = []
 
@@ -561,6 +604,17 @@ class TestEstimateRho:
         best = grid[np.argmax(vals)]
         assert abs(best - est.rho_hat) <= (grid[1] - grid[0]) + 1e-12
         assert conc(est.rho_hat) >= vals.max() - 1e-9
+
+    def test_doubled_sparse_knn_estimate_stays_inside_the_interval(self):
+        W = doubled_sparse_knn(60)
+        rng = np.random.default_rng(89)
+        X = np.column_stack([np.ones(60), rng.normal(size=(60, 2))])
+        y = apply_spatial_filter(W, 0.3, X @ np.array([0.5, 1.0, -1.5]) + rng.normal(size=60))
+        est = estimate_rho_ml(y, X, W)
+        # the search runs over the row-sum bound, where every rho is certified
+        lo, hi = est.admissible_interval
+        np.testing.assert_allclose((lo, hi), (-0.5 + 1e-6, 0.5 - 1e-6), rtol=0.0, atol=1e-15)
+        assert lo < est.rho_hat < hi
 
     def test_column_scaling_invariance(self):
         rng = np.random.default_rng(37)
@@ -694,32 +748,7 @@ class TestSpectrumRoute:
             assert W.admissible_interval() == spectrum_interval(eigs)
 
 
-def perm_parity_reference(perm):
-    """Parity of a permutation by walking each cycle."""
-    seen = np.zeros(perm.size, dtype=bool)
-    parity = 0
-    for i in range(perm.size):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
 class TestProperties:
-    @settings(deadline=None)
-    @given(st.integers(1, 300).flatmap(lambda n: st.permutations(range(n))))
-    @example([0])
-    @example(list(range(25)))
-    def test_perm_parity_matches_cycle_walk(self, perm):
-        perm = np.array(perm, dtype=np.int32)
-        assert _perm_parity(perm) == perm_parity_reference(perm)
-
     @settings(deadline=None, max_examples=60)
     @given(
         n=st.integers(2, 30),
@@ -756,7 +785,7 @@ class TestProperties:
     def test_sparse_solves_invert_row_normalized_filter(self, n, seed, density, frac, cols):
         W = random_row_normalized(n, np.random.default_rng(seed), density)
         lo, hi = W.admissible_interval()
-        assert_solves_invert_filter(W.toarray(), lo + frac * (hi - lo), cols, seed, pivoted=False)
+        assert_solves_invert_filter(W.toarray(), lo + frac * (hi - lo), cols, seed)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -766,24 +795,28 @@ class TestProperties:
         frac=st.floats(0.01, 0.99),
         cols=st.integers(1, 3),
     )
-    def test_sparse_solves_invert_unnormalized_filter(self, n, seed, scale, frac, cols):
+    def test_sparse_refuses_non_dominant_unnormalized_filter(self, n, seed, scale, frac, cols):
         # every row sums to scale > 1; rho below -1 / scale is admissible
         # (a positive W has its smallest eigenvalue above -scale) but
-        # leaves I - rho W without diagonal dominance
+        # leaves I - rho W without diagonal dominance, which sparse storage,
+        # having no spectrum, cannot certify
         a = scale * random_row_normalized(n, np.random.default_rng(seed)).toarray()
         lo, _ = SpatialWeightMatrix(a, row_normalized=False).admissible_interval()
         rho = lo + frac * (-1.0 / scale - lo)
-        assert_solves_invert_filter(a, rho, cols, seed, pivoted=True)
+        with pytest.raises(AdmissibilityError, match="cannot certify"):
+            SpatialFilterFactor(SpatialWeightMatrix(sp.csr_matrix(a), row_normalized=False), rho)
+        # the dominant half of the row-sum bound solves
+        assert_solves_invert_filter(a, frac * (1.0 - 1e-6) / scale, cols, seed)
 
 
-def assert_solves_invert_filter(a, rho, cols, seed, pivoted):
+def assert_solves_invert_filter(a, rho, cols, seed):
     """Sparse solve and solve_transpose against dense solves of I - rho W.
 
-    The route follows from the row sums, not from the row-normalized flag.
+    Whether rho is certified follows from the row sums, not from the
+    row-normalized flag.
     """
     W = SpatialWeightMatrix(sp.csr_matrix(a), row_normalized=False)
     factor = SpatialFilterFactor(W, rho)
-    assert (factor._perm is None) == pivoted
     filt = np.eye(W.n) - rho * a
     rng = np.random.default_rng(seed)
     for b in (rng.normal(size=W.n), rng.normal(size=(W.n, cols))):
