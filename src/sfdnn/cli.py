@@ -275,8 +275,8 @@ def write_functional_csv(path, functional, grid: Grid) -> None:
                 ]))
 
 
-def _csv_columns(fh, path, kinds):
-    columns = _textio.read_rows(fh, path, kinds, ",", f"expected {len(kinds)} fields", "malformed row")
+def _csv_columns(fh, path, kinds, check=None):
+    columns = _textio.read_rows(fh, path, kinds, ",", f"expected {len(kinds)} fields", "malformed row", check)
     if columns[0].size == 0:
         raise DataError(f"{path}: no data rows")
     return columns
@@ -352,11 +352,14 @@ def read_scalars_csv(path):
 
 
 def read_coords_csv(path):
+    (_, lat_bound), (_, lon_bound) = spatial._COORD_RANGES
+    outside = " or ".join(f"{name} outside [-{bound:g}, {bound:g}]" for name, bound in spatial._COORD_RANGES)
+    in_range = (lambda _, lat, lon: (abs(lat) <= lat_bound) & (abs(lon) <= lon_bound), outside)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "location_id,lat,lon":
             raise DataError(f"{path}: expected header 'location_id,lat,lon'")
-        ids, lat, lon = _csv_columns(fh, path, "iff")
+        ids, lat, lon = _csv_columns(fh, path, "iff", in_range)
     order = np.argsort(ids, kind="stable")
     return np.column_stack([lat, lon])[order], ids[order]
 

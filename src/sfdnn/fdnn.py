@@ -464,55 +464,52 @@ def train(
     best_val = np.inf
     prev_loss = 0.0
 
-    for epoch in range(config.max_epochs):
-        order = shuffle_rng.permutation(train_rows)
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            try:
+    try:
+        for epoch in range(config.max_epochs):
+            order = shuffle_rng.permutation(train_rows)
+            for start in range(0, order.size, config.batch_size):
+                batch = order[start : start + config.batch_size]
                 batch_loss, _ = _backprop(params, features[batch], scalars[batch], y[batch], grads)
-            except NumericOverflowError as exc:
-                raise TrainingDivergedError(str(exc), trace=trace) from exc
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError("batch loss became non-finite", trace=trace)
-            step += 1
-            # in place, in the order of m = b1 m + (1 - b1) g,
-            # v = b2 v + (1 - b2) g g and (m / c1) / (sqrt(v / c2) + eps)
-            moment_m *= ADAM_BETA1
-            moment_m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
-            moment_v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
-            moment_v += np.multiply(scratch, g, out=scratch)
-            np.sqrt(np.divide(moment_v, 1.0 - ADAM_BETA2**step, out=scratch), out=scratch)
-            scratch += ADAM_EPS
-            np.divide(np.divide(moment_m, 1.0 - ADAM_BETA1**step, out=update), scratch, out=update)
-            if config.weight_decay > 0.0:
-                update[decayed] += np.multiply(
-                    params.flat[decayed], config.weight_decay, out=scratch[decayed]
-                )
-            update *= config.learning_rate
-            params.flat -= update
+                if not np.isfinite(batch_loss):
+                    raise TrainingDivergedError("batch loss became non-finite", trace=trace)
+                step += 1
+                # in place, in the order of m = b1 m + (1 - b1) g,
+                # v = b2 v + (1 - b2) g g and (m / c1) / (sqrt(v / c2) + eps)
+                moment_m *= ADAM_BETA1
+                moment_m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+                moment_v *= ADAM_BETA2
+                np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+                moment_v += np.multiply(scratch, g, out=scratch)
+                np.sqrt(np.divide(moment_v, 1.0 - ADAM_BETA2**step, out=scratch), out=scratch)
+                scratch += ADAM_EPS
+                np.divide(np.divide(moment_m, 1.0 - ADAM_BETA1**step, out=update), scratch, out=update)
+                if config.weight_decay > 0.0:
+                    update[decayed] += np.multiply(
+                        params.flat[decayed], config.weight_decay, out=scratch[decayed]
+                    )
+                update *= config.learning_rate
+                params.flat -= update
 
-        try:
             epoch_loss = _rows_loss(params, features, scalars, y, train_rows)
-        except NumericOverflowError as exc:
-            raise TrainingDivergedError(str(exc), trace=trace) from exc
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError("epoch loss became non-finite", trace=trace)
-        trace.epoch_losses.append(epoch_loss)
+            if not np.isfinite(epoch_loss):
+                raise TrainingDivergedError("epoch loss became non-finite", trace=trace)
+            trace.epoch_losses.append(epoch_loss)
 
-        if val_rows.size:
-            val_loss = _rows_loss(params, features, scalars, y, val_rows)
-            trace.validation_losses.append(val_loss)
-            if val_loss < best_val:
-                best_val = val_loss
-                best_params = params.copy()
-                trace.best_epoch = epoch
+            if val_rows.size:
+                val_loss = _rows_loss(params, features, scalars, y, val_rows)
+                trace.validation_losses.append(val_loss)
+                if val_loss < best_val:
+                    best_val = val_loss
+                    best_params = params.copy()
+                    trace.best_epoch = epoch
 
-        delta = abs(prev_loss - epoch_loss)
-        prev_loss = epoch_loss
-        if delta < config.early_stop_threshold:
-            trace.stopped_early = True
-            break
+            delta = abs(prev_loss - epoch_loss)
+            prev_loss = epoch_loss
+            if delta < config.early_stop_threshold:
+                trace.stopped_early = True
+                break
+    except NumericOverflowError as exc:
+        raise TrainingDivergedError(str(exc), trace=trace) from exc
 
     if best_params is not None:
         params = best_params

@@ -5,8 +5,8 @@ KNN bi-square), the spatial filter solve (I - rho W)^{-1}, log-determinant
 evaluation, profile-likelihood estimation of the dependence parameter, and
 local Moran's I diagnostics.
 
-Matrices with at most ``DENSE_LIMIT`` rows are stored dense; larger ones use
-CSR storage with sparse triangular factorizations.  One rule decides which
+An inverse-distance W is dense; a KNN W, and every subset of it, is CSR of
+its positive weights.  One rule decides which
 dependence parameters are admissible: rho is admissible when it is dominant,
 |rho| times the largest row sum r of W below 1, or when it lies inside W's
 admissible interval.  A dominant I - rho W is strictly diagonally dominant
@@ -67,7 +67,10 @@ __all__ = [
 
 EARTH_RADIUS_KM = 6371.0088
 
-# dense storage up to this many rows; sparse beyond
+# (name, bound): each coordinate lies in [-bound, bound] degrees
+_COORD_RANGES = (("latitude", 90.0), ("longitude", 180.0))
+
+# weight files up to this many rows load dense, without importing scipy; CSR beyond
 DENSE_LIMIT = 3000
 
 
@@ -123,20 +126,14 @@ class SpatialWeightMatrix:
         return np.asarray(self.weights @ v)
 
     def subset(self, rows) -> "SpatialWeightMatrix":
-        """Restrict to a subset of sites, re-normalizing surviving rows."""
+        """Restrict to a subset of sites, re-normalizing surviving rows; W's storage is kept."""
         rows = np.asarray(rows, dtype=int)
-        if self.is_sparse and rows.size > DENSE_LIMIT:
-            import scipy.sparse as sp
-            sub = self.weights[rows][:, rows].tocsr()
-            sums = np.asarray(sub.sum(axis=1)).ravel()
-            scale = np.ones_like(sums)
-            active = sums > 0
-            scale[active] = 1.0 / sums[active]
-            return SpatialWeightMatrix((sp.diags(scale) @ sub).tocsr(), row_normalized=True)
         if self.is_sparse:
-            sub = self.weights[rows][:, rows].toarray()
-        else:
-            sub = self.weights[np.ix_(rows, rows)]
+            sub = self.weights[rows][:, rows]
+            sums = np.asarray(sub.sum(axis=1)).ravel()
+            sub.data /= np.repeat(np.where(sums > 0, sums, 1.0), np.diff(sub.indptr))
+            return SpatialWeightMatrix(sub, row_normalized=True)
+        sub = self.weights[np.ix_(rows, rows)]
         sums = sub.sum(axis=1)
         active = sums > 0
         sub[active] /= sums[active, None]
@@ -257,7 +254,7 @@ def _coords_array(coords) -> np.ndarray:
         raise DimensionError("coordinates must be a sequence of (lat, lon) pairs")
     if not np.all(np.isfinite(arr)):
         raise DataError("coordinates must be finite")
-    for col, (name, bound) in enumerate((("latitude", 90.0), ("longitude", 180.0))):
+    for col, (name, bound) in enumerate(_COORD_RANGES):
         outside = np.flatnonzero(np.abs(arr[:, col]) > bound)
         if outside.size:
             site = int(outside[0])
@@ -272,13 +269,15 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
     nearest neighbor; neighbors tied at that distance are all included.
     The h-th neighbor itself receives raw kernel weight zero, so rows where
     every retained neighbor is exactly at the bandwidth (equidistant ties)
-    fall back to uniform weights.  Rows are normalized to sum to one.
+    fall back to uniform weights.  Rows are normalized to sum to one; only
+    positive weights are stored, as CSR at every size.
 
     Candidates come from a KD-tree on unit-sphere points: chord length is
     monotone in great-circle distance, so every site within the bandwidth
     lies within a slightly widened chord of the h-th nearest one.  Only
     those candidate pairs get a haversine distance.
     """
+    import scipy.sparse as sp
     from scipy.spatial import cKDTree
     pts = _coords_array(coords)
     n = pts.shape[0]
@@ -334,12 +333,9 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
         rows_w.append(raw / np.repeat(total, kept_per_row))
 
     i, j, w = np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
-    if n > DENSE_LIMIT:
-        import scipy.sparse as sp
-        return SpatialWeightMatrix(sp.csr_matrix((w, (i, j)), shape=(n, n)), row_normalized=True)
-    dense = np.zeros((n, n))
-    dense[i, j] = w
-    return SpatialWeightMatrix(dense, row_normalized=True)
+    positive = w > 0.0
+    weights = sp.csr_matrix((w[positive], (i[positive], j[positive])), shape=(n, n))
+    return SpatialWeightMatrix(weights, row_normalized=True)
 
 
 def local_morans_i(W: SpatialWeightMatrix, y: np.ndarray) -> np.ndarray:
@@ -358,7 +354,8 @@ class SpatialFilterFactor:
     """I - rho W, checked admissible, for filter solves and its log-determinant.
 
     rho must be dominant (|rho| times the largest row sum of W below 1) or
-    inside ``W.admissible_interval()``; any other rho raises.  A sparse W
+    inside ``W.admissible_interval()``; any other rho raises, and |rho| >= 1,
+    outside every interval, before a spectrum is computed.  A sparse W
     admits only dominant rho, and is factored here, once, without pivoting.
     Dense W keeps a = I - rho W, and each solve is one ``np.linalg.solve``
     (an LU and its triangular solves), so a factor that serves one solve, as
@@ -373,6 +370,8 @@ class SpatialFilterFactor:
         self._log_det = None
         dominant = abs(self.rho) * np.max(W.row_sums(), initial=0.0) < 1.0
         if not dominant:
+            if abs(self.rho) >= 1.0:
+                raise AdmissibilityError(f"rho={self.rho} is not dominant and lies outside (-1, 1)")
             lo, hi = W.admissible_interval()
             if not lo < self.rho < hi:
                 raise AdmissibilityError(

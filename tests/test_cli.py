@@ -386,13 +386,14 @@ class TestSubcommands:
     def test_weights_with_latitude_out_of_range_exits_3(self, tmp_path, capsys):
         coords = write(
             tmp_path / "coords.csv",
-            "location_id,lat,lon\n0,0.0,0.0\n1,200.0,1.0\n2,1.0,0.0\n3,1.0,1.0\n",
+            "location_id,lat,lon\n0,0.0,0.0\n3,200.0,1.0\n2,1.0,0.0\n1,1.0,1.0\n",
         )
         cfg = write(tmp_path / "w.cfg", f"coords_file = {coords}\nneighbor_count = 2\nout_dir = {tmp_path / 'x'}\n")
         assert main(["weights", "--config", cfg]) == EXIT_DATA
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error_type"] == "DataError"
-        assert "latitude 200.0 outside [-90, 90]" in err["message"]
+        # the file and line, not the site's rank after sorting by location id
+        assert err["message"] == f"{coords}:3: latitude outside [-90, 90] or longitude outside [-180, 180]"
 
     def test_weights_without_inputs_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path / "w.cfg", f"out_dir = {tmp_path / 'x'}\n")
@@ -1034,7 +1035,7 @@ def test_dense_cli_route_never_imports_scipy(tmp_path):
 
 
 def test_sparse_ml_fit_leaves_scipy_optimize_unloaded():
-    # beyond DENSE_LIMIT sites W is sparse and the likelihood takes the LU route
+    # a KNN W is sparse at every size and the likelihood takes the LU route
     code = (
         "import sys\n"
         "import numpy as np\n"

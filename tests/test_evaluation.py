@@ -239,6 +239,20 @@ class TestKfoldTune:
         kfold_tune(data, "sfdnn", grid, num_folds=3, seed=1)
         assert shapes == [(40, 40)] * 3
 
+    def test_neighbor_count_candidates_need_no_spectrum(self, monkeypatch):
+        # a KNN W and its fold subsets are CSR, certified by the row-sum bound
+        data = tiny_dataset(6, n=40)
+        coords = np.random.default_rng(6).uniform(-10.0, 10.0, (40, 2))
+        grid = TuneGrid(hidden_sizes=[(3,)], basis_sizes=[5], max_epochs=[4], neighbor_counts=[4, 6])
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an eigenvalue solver was called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        _, table = kfold_tune(data, "ml", grid, num_folds=3, seed=2, coords=coords)
+        assert len(table) == 2
+
     @pytest.mark.parametrize("kind", ["fdnn", "sfdnn"])
     def test_candidates_train_with_the_given_config(self, kind):
         # the split and the stopping rule are not grid settings, so they come from config

@@ -471,6 +471,18 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError):
             train(arch, config, features, scalars, y)
 
+    def test_validation_overflow_raises_with_trace(self):
+        arch = NetworkArchitecture.uniform(1, 1, 4, (3,), "identity")
+        features, scalars, y = toy_inputs(20, arch, 107)
+        config = TrainConfig(max_epochs=2, batch_size=5, validation_fraction=0.2, seed=0)
+        # a row of the validation split that ``train`` draws for this seed
+        features[np.random.default_rng([config.seed, 2]).permutation(20)[0]] = 1e308
+        with pytest.raises(TrainingDivergedError) as caught:
+            train(arch, config, features, scalars, y)
+        # the first epoch's training rows passed; its validation pass overflowed
+        assert len(caught.value.trace.epoch_losses) == 1
+        assert caught.value.trace.validation_losses == []
+
     def test_training_with_spatial_context_improves_loss(self):
         rng = np.random.default_rng(103)
         arch = NetworkArchitecture(1, (4,), 1, (6,), ("tanh",))

@@ -20,7 +20,6 @@ from sfdnn.errors import (
     InvalidSizeError,
 )
 from sfdnn.spatial import (
-    DENSE_LIMIT,
     EARTH_RADIUS_KM,
     SpatialFilterFactor,
     SpatialWeightMatrix,
@@ -146,11 +145,13 @@ class TestGreatCircle:
 
 
 def knn_bisquare_reference(coords, h):
-    """All-pairs KNN bi-square builder: haversine to every site, row by row."""
+    """All-pairs KNN bi-square builder: haversine to every site, row by row.
+
+    Returns CSR holding only the positive weights.
+    """
     pts = np.asarray(coords, dtype=float)
     n = pts.shape[0]
     rows_i, rows_j, rows_w = [], [], []
-    dense = None if n > DENSE_LIMIT else np.zeros((n, n))
     block = 512
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -171,18 +172,14 @@ def knn_bisquare_reference(coords, h):
                 raw = np.full(neighbors.size, 1.0 / neighbors.size)
             else:
                 raw = raw / total
-            if dense is None:
-                rows_i.append(np.full(neighbors.size, i))
-                rows_j.append(neighbors)
-                rows_w.append(raw)
-            else:
-                dense[i, neighbors] = raw
-    if dense is None:
-        return sp.csr_matrix(
-            (np.concatenate(rows_w), (np.concatenate(rows_i), np.concatenate(rows_j))),
-            shape=(n, n),
-        )
-    return dense
+            positive = raw > 0.0
+            rows_i.append(np.full(np.count_nonzero(positive), i))
+            rows_j.append(neighbors[positive])
+            rows_w.append(raw[positive])
+    return sp.csr_matrix(
+        (np.concatenate(rows_w), (np.concatenate(rows_i), np.concatenate(rows_j))),
+        shape=(n, n),
+    )
 
 
 def lattice(step, rows, cols):
@@ -214,7 +211,6 @@ def knn_clouds():
             6,
         ),
         "lattice-ties": (lattice(1.0, 8, 10), 4),
-        # sparse storage keeps the zero weight of a neighbor tied at the bandwidth
         "lattice-ties-sparse": (lattice(0.25, 56, 56), 2),
         "h-is-n-minus-1": (
             np.column_stack([rng.uniform(-80, 80, 150), rng.uniform(-180, 180, 150)]),
@@ -229,13 +225,10 @@ class TestKnnOracle:
         pts, h = knn_clouds()[name]
         W = build_knn_bisquare_weights(pts, h)
         ref = knn_bisquare_reference(pts, h)
-        assert W.is_sparse == sp.issparse(ref)
-        if W.is_sparse:
-            assert np.array_equal(W.weights.indptr, ref.indptr)
-            assert np.array_equal(W.weights.indices, ref.indices)
-            assert np.array_equal(W.weights.data, ref.data)
-        else:
-            assert np.array_equal(W.weights, ref)
+        assert W.is_sparse and W.weights.format == "csr"
+        assert np.array_equal(W.weights.indptr, ref.indptr)
+        assert np.array_equal(W.weights.indices, ref.indices)
+        assert np.array_equal(W.weights.data, ref.data)
 
     def test_duplicates_inside_a_cloud_degenerate(self):
         rng = np.random.default_rng(73)
@@ -255,7 +248,33 @@ class TestKnnOracle:
             build_knn_bisquare_weights(pts, h=1)
 
 
+def knn_80():
+    """80-site KNN W (h=4) on a random cloud."""
+    rng = np.random.default_rng(81)
+    return build_knn_bisquare_weights(np.column_stack([rng.uniform(0, 10, 80), rng.uniform(0, 10, 80)]), 4)
+
+
+def refuse_spectra(monkeypatch):
+    """Make any eigenvalue solve fail the test."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an eigenvalue solver was called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
 class TestKnnBisquare:
+    def test_small_w_is_csr_of_positive_weights_and_subsets_stay_csr(self):
+        W = knn_80()
+        assert W.is_sparse and W.weights.format == "csr"
+        assert np.all(W.weights.data > 0.0)
+        rows = np.arange(0, 80, 3)
+        sub = W.subset(rows)
+        assert sub.is_sparse and sub.weights.format == "csr"
+        dense = SpatialWeightMatrix(W.toarray(), row_normalized=True).subset(rows)
+        np.testing.assert_allclose(sub.toarray(), dense.toarray(), rtol=0.0, atol=1e-15)
+
     def test_equilateral_ties_fall_back_to_uniform(self):
         coords = np.array([[0.0, 0.0], [0.0, 120.0], [0.0, -120.0]])
         W = build_knn_bisquare_weights(coords, h=2)
@@ -441,6 +460,19 @@ class TestDenseFactor:
         assert eigs is not None and eigs.size == 2001
         np.testing.assert_allclose(eigs.max(), 1.0, rtol=0.0, atol=1e-10)
 
+    def test_rho_outside_the_unit_interval_raises_before_a_spectrum(self, monkeypatch):
+        # neither W has its spectrum cached; every admissible interval lies in (-1, 1)
+        fresh = (
+            SpatialWeightMatrix(spatial._inverse_distance_array(50), row_normalized=True),
+            random_row_normalized(30, np.random.default_rng(25)),
+        )
+        refuse_spectra(monkeypatch)
+        for W in fresh:
+            for rho in (1.0, 1.5, -1.0, -3.0):
+                with pytest.raises(AdmissibilityError):
+                    SpatialFilterFactor(W, rho)
+            assert W._eigenvalues is None
+
     def test_solves_invert_a_nonsymmetric_filter(self):
         W = random_row_normalized(40, np.random.default_rng(22))
         a = W.toarray()
@@ -605,6 +637,17 @@ class TestEstimateRho:
         assert abs(best - est.rho_hat) <= (grid[1] - grid[0]) + 1e-12
         assert conc(est.rho_hat) >= vals.max() - 1e-9
 
+    def test_small_knn_takes_the_row_sum_bound_and_no_spectrum(self, monkeypatch):
+        W = knn_80()
+        rng = np.random.default_rng(97)
+        X = np.column_stack([np.ones(80), rng.normal(size=(80, 2))])
+        y = apply_spatial_filter(W, 0.6, X @ np.array([0.5, 1.0, -1.5]) + rng.normal(size=80))
+        dense = estimate_rho_ml(y, X, SpatialWeightMatrix(W.toarray(), row_normalized=True))
+        refuse_spectra(monkeypatch)
+        est = estimate_rho_ml(y, X, W)
+        assert est.admissible_interval == (-1.0 + 1e-6, 1.0 - 1e-6)
+        assert abs(est.rho_hat - dense.rho_hat) <= 1e-8
+
     def test_doubled_sparse_knn_estimate_stays_inside_the_interval(self):
         W = doubled_sparse_knn(60)
         rng = np.random.default_rng(89)
@@ -736,7 +779,7 @@ class TestSpectrumRoute:
         rng = np.random.default_rng(79)
         nonsymmetric = random_row_normalized(40, rng)
         pts = np.column_stack([rng.uniform(0, 10, 80), rng.uniform(0, 10, 80)])
-        knn = build_knn_bisquare_weights(pts, h=4)
+        knn = SpatialWeightMatrix(build_knn_bisquare_weights(pts, h=4).toarray(), row_normalized=True)
         oracle = [np.linalg.eigvals(W.toarray()) for W in (nonsymmetric, knn)]
 
         def refuse(*_args, **_kwargs):
