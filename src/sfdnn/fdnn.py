@@ -10,9 +10,13 @@ Training steps therefore touch only their own mini-batch rows.
 Training uses Adam (beta1=0.9, beta2=0.999, eps=1e-8) over shuffled
 mini-batches, an epoch-loss improvement stopping rule, and an optional
 validation split with best-epoch restoration.  Everything is deterministic
-given the seed.  The parameter layout is bound once per architecture, and a
-training step allocates no parameter-sized arrays: one gradient buffer and
-the Adam moments are reused and updated in place.
+given the seed.  Each epoch gathers its shuffled rows once, and every
+mini-batch is a contiguous slice of that copy.  A training step runs one
+forward/backward kernel on rows ``train`` has already checked, not the
+public :func:`forward`.  The parameter layout is bound once per
+architecture, and a training step allocates no parameter-sized arrays: the
+gradients are written into one reused buffer and the Adam moments are
+updated in place.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def _relu(x):
 
 
 def _relu_deriv(x):
-    return (x > 0.0).astype(float)
+    return x > 0.0  # a mask: multiplying by it gives the same bits as by 1.0 and 0.0
 
 
 def _sigmoid(x):
@@ -324,22 +328,20 @@ def forward(params: NetworkParameters, features, scalars, ctx: SpatialContext | 
 
 def _forward_layers(params, cache):
     arch = params.arch
-    pre = cache.features @ params.func_weights.T + cache.scalars @ params.scalar_weights.T
-    pre = pre + params.biases[0]
-    act, _ = ACTIVATIONS[arch.activations[0]]
-    h = act(pre)
-    cache.pre_activations.append(pre)
-    cache.post_activations.append(h)
-
-    for r in range(1, len(arch.hidden_sizes)):
-        pre = h @ params.hidden_weights[r - 1].T + params.biases[r]
-        act, _ = ACTIVATIONS[arch.activations[r]]
-        h = act(pre)
+    pre = cache.features @ params.func_weights.T
+    pre += cache.scalars @ params.scalar_weights.T
+    for r, tag in enumerate(arch.activations):
+        if r > 0:
+            pre = h @ params.hidden_weights[r - 1].T
+        pre += params.biases[r]
+        h = ACTIVATIONS[tag][0](pre)
         cache.pre_activations.append(pre)
         cache.post_activations.append(h)
 
-    out = (h @ params.hidden_weights[-1].T + params.biases[-1]).ravel()
-    if not np.all(np.isfinite(out)):
+    out = h @ params.hidden_weights[-1].T
+    out += params.biases[-1]
+    out = out.ravel()
+    if not np.isfinite(out).all():
         raise NumericOverflowError("network produced non-finite predictions")
     return out, cache
 
@@ -361,31 +363,32 @@ def loss(predictions, y) -> float:
 def _backprop(params, features, scalars, y, grads=None):
     """Mean-squared loss over the given (already filtered) rows and its exact gradients.
 
-    Every tensor of ``grads`` is overwritten, so a caller may pass the same
-    container on every step; without one a fresh container is returned.
+    The rows must already be checked float arrays; the caller sets the
+    floating-point error state.  Every tensor of ``grads`` is overwritten,
+    so a caller may pass the same container on every step; without one a
+    fresh container is returned.
     """
-    predictions, cache = forward(params, features, scalars)
+    residual, cache = _forward_layers(params, ForwardCache(features=features, scalars=scalars))
     if grads is None:
         grads = NetworkParameters.zeros_like(params)
     arch = params.arch
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = predictions - y
-        n_rows = residual.size
-        batch_loss = float(residual @ residual) / n_rows
-        g = (2.0 / n_rows) * residual[:, None]  # dL/d out
-        grads.hidden_weights[-1][...] = g.T @ cache.post_activations[-1]
-        grads.biases[-1][...] = g.sum(axis=0)
-        g = g @ params.hidden_weights[-1]  # dL/d h_R
+    residual -= y
+    n_rows = residual.size
+    batch_loss = float(residual @ residual) / n_rows
+    g = residual[:, None]
+    g *= 2.0 / n_rows  # dL/d out
+    np.matmul(g.T, cache.post_activations[-1], out=grads.hidden_weights[-1])
+    np.add.reduce(g, axis=0, out=grads.biases[-1])
+    g = g @ params.hidden_weights[-1]  # dL/d h_R
 
-        for r in range(len(arch.hidden_sizes) - 1, -1, -1):
-            _, deriv = ACTIVATIONS[arch.activations[r]]
-            g_pre = g * deriv(cache.pre_activations[r])
-            grads.biases[r][...] = g_pre.sum(axis=0)
-            if r > 0:
-                grads.hidden_weights[r - 1][...] = g_pre.T @ cache.post_activations[r - 1]
-                g = g_pre @ params.hidden_weights[r - 1]
-        grads.func_weights[...] = g_pre.T @ cache.features
-        grads.scalar_weights[...] = g_pre.T @ cache.scalars
+    for r in range(len(arch.hidden_sizes) - 1, -1, -1):
+        g *= ACTIVATIONS[arch.activations[r]][1](cache.pre_activations[r])  # dL/d pre_r
+        np.add.reduce(g, axis=0, out=grads.biases[r])
+        if r > 0:
+            np.matmul(g.T, cache.post_activations[r - 1], out=grads.hidden_weights[r - 1])
+            g = g @ params.hidden_weights[r - 1]
+    np.matmul(g.T, cache.features, out=grads.func_weights)
+    np.matmul(g.T, cache.scalars, out=grads.scalar_weights)
     return batch_loss, grads
 
 
@@ -399,7 +402,8 @@ def gradients(params: NetworkParameters, features, scalars, y, ctx: SpatialConte
         raise DimensionError("batch must be nonempty")
     if ctx is not None:
         features, scalars = _prefilter(ctx, features, scalars)
-    return _backprop(params, features, scalars, y)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _backprop(params, features, scalars, y)[1]
 
 
 @dataclass
@@ -412,9 +416,9 @@ class TrainingTrace:
     stopped_early: bool = False
 
 
-def _rows_loss(params, features, scalars, y, rows):
-    diff = forward(params, features[rows], scalars[rows])[0] - y[rows]
-    return float(diff @ diff) / rows.size
+def _rows_loss(params, features, scalars, y):
+    diff = forward(params, features, scalars)[0] - y
+    return float(diff @ diff) / y.size
 
 
 def train(
@@ -450,6 +454,8 @@ def train(
     perm = split_rng.permutation(n)
     val_rows = np.sort(perm[:n_val])
     train_rows = np.sort(perm[n_val:])
+    train_set = features[train_rows], scalars[train_rows], y[train_rows]
+    val_set = features[val_rows], scalars[val_rows], y[val_rows]
 
     grads = NetworkParameters.zeros_like(params)
     g = grads.flat
@@ -465,49 +471,52 @@ def train(
     prev_loss = 0.0
 
     try:
-        for epoch in range(config.max_epochs):
-            order = shuffle_rng.permutation(train_rows)
-            for start in range(0, order.size, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                batch_loss, _ = _backprop(params, features[batch], scalars[batch], y[batch], grads)
-                if not np.isfinite(batch_loss):
-                    raise TrainingDivergedError("batch loss became non-finite", trace=trace)
-                step += 1
-                # in place, in the order of m = b1 m + (1 - b1) g,
-                # v = b2 v + (1 - b2) g g and (m / c1) / (sqrt(v / c2) + eps)
-                moment_m *= ADAM_BETA1
-                moment_m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
-                moment_v *= ADAM_BETA2
-                np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
-                moment_v += np.multiply(scratch, g, out=scratch)
-                np.sqrt(np.divide(moment_v, 1.0 - ADAM_BETA2**step, out=scratch), out=scratch)
-                scratch += ADAM_EPS
-                np.divide(np.divide(moment_m, 1.0 - ADAM_BETA1**step, out=update), scratch, out=update)
-                if config.weight_decay > 0.0:
-                    update[decayed] += np.multiply(
-                        params.flat[decayed], config.weight_decay, out=scratch[decayed]
-                    )
-                update *= config.learning_rate
-                params.flat -= update
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(config.max_epochs):
+                # each epoch gathers its shuffled rows once; a batch is a slice of them
+                order = shuffle_rng.permutation(train_rows)
+                epoch_f, epoch_z, epoch_y = features[order], scalars[order], y[order]
+                for start in range(0, order.size, config.batch_size):
+                    batch = slice(start, start + config.batch_size)
+                    batch_loss, _ = _backprop(params, epoch_f[batch], epoch_z[batch], epoch_y[batch], grads)
+                    if not math.isfinite(batch_loss):
+                        raise TrainingDivergedError("batch loss became non-finite", trace=trace)
+                    step += 1
+                    # in place, in the order of m = b1 m + (1 - b1) g,
+                    # v = b2 v + (1 - b2) g g and (m / c1) / (sqrt(v / c2) + eps)
+                    moment_m *= ADAM_BETA1
+                    moment_m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+                    moment_v *= ADAM_BETA2
+                    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+                    moment_v += np.multiply(scratch, g, out=scratch)
+                    np.sqrt(np.divide(moment_v, 1.0 - ADAM_BETA2**step, out=scratch), out=scratch)
+                    scratch += ADAM_EPS
+                    np.divide(np.divide(moment_m, 1.0 - ADAM_BETA1**step, out=update), scratch, out=update)
+                    if config.weight_decay > 0.0:
+                        update[decayed] += np.multiply(
+                            params.flat[decayed], config.weight_decay, out=scratch[decayed]
+                        )
+                    update *= config.learning_rate
+                    params.flat -= update
 
-            epoch_loss = _rows_loss(params, features, scalars, y, train_rows)
-            if not np.isfinite(epoch_loss):
-                raise TrainingDivergedError("epoch loss became non-finite", trace=trace)
-            trace.epoch_losses.append(epoch_loss)
+                epoch_loss = _rows_loss(params, *train_set)
+                if not np.isfinite(epoch_loss):
+                    raise TrainingDivergedError("epoch loss became non-finite", trace=trace)
+                trace.epoch_losses.append(epoch_loss)
 
-            if val_rows.size:
-                val_loss = _rows_loss(params, features, scalars, y, val_rows)
-                trace.validation_losses.append(val_loss)
-                if val_loss < best_val:
-                    best_val = val_loss
-                    best_params = params.copy()
-                    trace.best_epoch = epoch
+                if val_rows.size:
+                    val_loss = _rows_loss(params, *val_set)
+                    trace.validation_losses.append(val_loss)
+                    if val_loss < best_val:
+                        best_val = val_loss
+                        best_params = params.copy()
+                        trace.best_epoch = epoch
 
-            delta = abs(prev_loss - epoch_loss)
-            prev_loss = epoch_loss
-            if delta < config.early_stop_threshold:
-                trace.stopped_early = True
-                break
+                delta = abs(prev_loss - epoch_loss)
+                prev_loss = epoch_loss
+                if delta < config.early_stop_threshold:
+                    trace.stopped_early = True
+                    break
     except NumericOverflowError as exc:
         raise TrainingDivergedError(str(exc), trace=trace) from exc
 

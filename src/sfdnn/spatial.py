@@ -674,9 +674,10 @@ def load_weights(path) -> SpatialWeightMatrix:
 
     An ``inverse_distance`` header returns the shared
     ``build_inverse_distance_weights(n)``; it must be row-normalized, have
-    n >= 2 and no body.  Duplicate entries, non-finite weights, a malformed
-    header (a ``row_normalized`` flag other than 0 or 1 included) and an
-    invalid weight matrix raise a DataError naming the file.
+    n >= 2 and no body.  Above ``DENSE_LIMIT`` sites W is CSR and, like the
+    KNN builder's, stores no zero weight.  Duplicate entries, non-finite
+    weights, a malformed header (a ``row_normalized`` flag other than 0 or 1
+    included) and an invalid weight matrix raise a DataError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -708,7 +709,9 @@ def load_weights(path) -> SpatialWeightMatrix:
         raise DataError(f"{path}: duplicate entry i={i} j={j}")
     if n > DENSE_LIMIT:
         import scipy.sparse as sp
-        weights = sp.csr_matrix((vv, (ii, jj)), shape=(n, n))
+        # older KNN files hold an 'i j 0' line per row; the builder stores no zeros
+        nonzero = vv != 0.0
+        weights = sp.csr_matrix((vv[nonzero], (ii[nonzero], jj[nonzero])), shape=(n, n))
     else:
         weights = np.zeros((n, n))
         # adding to zeros, as a CSR expansion does, reads an explicit -0 as 0

@@ -425,20 +425,29 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "activation, changes, spatial",
+        "arch, changes, spatial",
         [
-            ("relu", {}, False),
-            ("tanh", {}, False),
-            ("sigmoid", {}, False),
-            ("tanh", {"weight_decay": 3e-2}, False),
-            ("relu", {"validation_fraction": 0.25}, False),
-            ("sigmoid", {"early_stop_threshold": 3e-3}, False),
-            ("relu", {"weight_decay": 1e-2, "validation_fraction": 0.2}, True),
+            (toy_arch("relu"), {}, False),
+            (toy_arch("tanh"), {}, False),
+            (toy_arch("sigmoid"), {}, False),
+            (toy_arch("tanh"), {"weight_decay": 3e-2}, False),
+            (toy_arch("relu"), {"validation_fraction": 0.25}, False),
+            (toy_arch("sigmoid"), {"early_stop_threshold": 3e-3}, False),
+            (toy_arch("relu"), {"weight_decay": 1e-2, "validation_fraction": 0.2}, True),
+            (toy_arch("identity"), {}, False),
+            (NetworkArchitecture(2, (4, 4), 2, (5, 3), ("relu", "tanh")), {}, False),
+            (NetworkArchitecture.uniform(2, 2, 4, (6,), "tanh"), {}, False),
+            (toy_arch("relu"), {"batch_size": 40}, False),
+            (toy_arch("tanh"), {"batch_size": 10}, False),
+            (NetworkArchitecture.uniform(2, 0, 4, (5, 3), "relu"), {}, True),
         ],
-        ids=["relu", "tanh", "sigmoid", "weight-decay", "validation", "early-stop", "spatial"],
+        ids=[
+            "relu", "tanh", "sigmoid", "weight-decay", "validation", "early-stop", "spatial",
+            "identity", "mixed-activations", "one-hidden-layer", "one-batch-per-epoch",
+            "no-short-batch", "no-scalars",
+        ],
     )
-    def test_matches_per_step_allocating_reference(self, activation, changes, spatial):
-        arch = toy_arch(activation)
+    def test_matches_per_step_allocating_reference(self, arch, changes, spatial):
         features, scalars, y = toy_inputs(30, arch, 191)
         ctx = SpatialContext(build_inverse_distance_weights(30), 0.7) if spatial else None
         config = replace(TrainConfig(learning_rate=0.03, batch_size=7, max_epochs=15, seed=23), **changes)
@@ -482,6 +491,38 @@ class TestTrain:
         # the first epoch's training rows passed; its validation pass overflowed
         assert len(caught.value.trace.epoch_losses) == 1
         assert caught.value.trace.validation_losses == []
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(1e200, "batch loss became non-finite"), (1e308, "network produced non-finite predictions")],
+    )
+    def test_step_overflow_raises_with_trace(self, value, message):
+        arch = NetworkArchitecture.uniform(1, 1, 4, (3,), "identity")
+        features, scalars, y = toy_inputs(20, arch, 107)
+        features[5] = value  # a training row: the first epoch's steps overflow on it
+        config = TrainConfig(max_epochs=2, batch_size=5, seed=0)
+        with pytest.raises(TrainingDivergedError, match=f"^{message}$") as caught:
+            train(arch, config, features, scalars, y)
+        assert caught.value.trace == TrainingTrace()
+
+    def test_train_and_gradients_restore_the_error_state(self):
+        arch = NetworkArchitecture.uniform(1, 1, 4, (3,), "identity")
+        features, scalars, y = toy_inputs(20, arch, 107)
+        config = TrainConfig(max_epochs=2, batch_size=5, seed=0)
+        huge = features.copy()
+        huge[5] = 1e308
+        with np.errstate(divide="raise", over="raise", under="warn", invalid="raise"):
+            state = np.geterr()
+            train(arch, config, features, scalars, y)
+            assert np.geterr() == state
+            with pytest.raises(TrainingDivergedError):
+                train(arch, config, huge, scalars, y)
+            assert np.geterr() == state
+            gradients(init_parameters(arch, 0), features, scalars, y)
+            assert np.geterr() == state
+            with pytest.raises(NumericOverflowError):
+                gradients(init_parameters(arch, 0), huge, scalars, y)
+            assert np.geterr() == state
 
     def test_training_with_spatial_context_improves_loss(self):
         rng = np.random.default_rng(103)

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfdnn import cli
+from sfdnn import cli, spatial
 from sfdnn.basis import Grid
 from sfdnn.errors import DataError
 from sfdnn.simgen import ScenarioConfig, generate_scenario_dataset
 from sfdnn.spatial import (
     DENSE_LIMIT,
+    SpatialFilterFactor,
     SpatialWeightMatrix,
     build_inverse_distance_weights,
     build_knn_bisquare_weights,
@@ -161,6 +162,28 @@ class TestWeightFiles:
             assert back.has_canonical_format
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(back, attr), getattr(W.weights, attr))
+
+    def test_zero_weight_lines_are_not_stored(self, tmp_path, monkeypatch):
+        # older KNN files wrote each row's h-th neighbour as an 'i j 0' line
+        monkeypatch.setattr(spatial, "DENSE_LIMIT", 20)
+        rng = np.random.default_rng(13)
+        coords = np.column_stack([rng.uniform(-30, 5, 40), rng.uniform(-70, -35, 40)])
+        W = build_knn_bisquare_weights(coords, 4)
+        path = tmp_path / "w.txt"
+        save_weights(W, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            for i in range(W.n):
+                j = next(j for j in range(W.n) if j != i and W.weights[i, j] == 0.0)
+                fh.write(f"{i} {j} {'-0' if i % 2 else '0'}\n")
+        back = load_weights(shuffle_rows(path, 6))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back.weights, attr), getattr(W.weights, attr))
+        assert np.all(back.weights.data != 0.0)
+        rows = np.arange(0, W.n, 2)
+        assert np.all(back.subset(rows).weights.data != 0.0)
+        b = rng.normal(size=(W.n, 2))
+        for rho in (-0.4, 0.7):
+            assert same_bits(SpatialFilterFactor(back, rho).solve(b), SpatialFilterFactor(W, rho).solve(b))
 
     def test_shuffled_dense_read_is_bit_equal(self, tmp_path):
         W = build_inverse_distance_weights(60).subset(np.arange(0, 60, 2))
