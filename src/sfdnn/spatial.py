@@ -20,7 +20,10 @@ without pivoting in one reverse Cuthill-McKee ordering computed once per W,
 and every pivot is positive.  KNN neighbors are searched with a KD-tree on
 unit-sphere points.  An inverse-distance W depends only on n, so it is built
 once per size and shared read-only: every replication of a study cell
-reuses one matrix, and with it the spectrum cached on it.
+reuses one matrix, and with it the spectrum cached on it.  Its rows are
+divided by sums taken symmetrically, so it equals its mirror exactly, and
+like every dense W that does, its filter is solved in two blocks of half
+its size.
 
 Dense routes run on numpy alone: scipy is imported only on the sparse and
 KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
@@ -159,6 +162,20 @@ class SpatialWeightMatrix:
                 self._eigenvalues = np.linalg.eigvalsh(sym)
         return self._eigenvalues
 
+    @functools.cached_property
+    def _mirrored(self) -> bool:
+        """Whether W is dense and equal to its mirror J W J, J reversing site order.
+
+        One row pair is compared first, so most other W are refused in O(n).
+        """
+        a = self.weights
+        return (
+            not self.is_sparse
+            and self.n >= 2
+            and np.array_equal(a[0], a[-1, ::-1])
+            and np.array_equal(a, a[::-1, ::-1])
+        )
+
     def _ordered(self):
         """Reverse Cuthill-McKee ordering of W + W' and W permuted by it, as CSC."""
         if self._ordering is None:
@@ -216,7 +233,10 @@ def _inverse_distance_array(n: int) -> np.ndarray:
     idx = np.arange(n)
     raw = 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :]))
     np.fill_diagonal(raw, 0.0)
-    raw /= raw.sum(axis=1, keepdims=True)
+    # a row and its mirror hold the same weights in reverse order, so their
+    # sums can differ in the last bit; their mean keeps W equal to its mirror
+    sums = raw.sum(axis=1)
+    raw /= (0.5 * (sums + sums[::-1]))[:, None]
     return raw
 
 
@@ -225,6 +245,10 @@ def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     """Row-normalized inverse index-distance weights 1 / (1 + |i - i'|).
 
     Every pair of sites is connected, so the matrix stays dense at any size.
+    Row i and its mirror n - 1 - i are both divided by the mean of their two
+    sums, which can differ in the last bit, so W equals its mirror J W J (J
+    reversing site order) exactly and ``SpatialFilterFactor`` solves its
+    filter in two half-size blocks.
     The matrix depends only on n, so it is built once per size and shared:
     the same n returns the same object, its weights are read-only, and the
     spectrum and interval cached on it are computed once per process.  The
@@ -355,11 +379,23 @@ class SpatialFilterFactor:
 
     rho must be dominant (|rho| times the largest row sum of W below 1) or
     inside ``W.admissible_interval()``; any other rho raises, and |rho| >= 1,
-    outside every interval, before a spectrum is computed.  A sparse W
-    admits only dominant rho, and is factored here, once, without pivoting.
-    Dense W keeps a = I - rho W, and each solve is one ``np.linalg.solve``
-    (an LU and its triangular solves), so a factor that serves one solve, as
-    every one in the package does, costs one LU.  A dominant a has a
+    outside every interval, before a spectrum is computed.  At rho = 0 the
+    filter is I for every W: nothing is factored, a solve returns a copy of
+    b and the log-determinant is 0.  A sparse W admits only dominant rho,
+    and is factored here, once, without pivoting.
+
+    A dense W equal to its mirror J W J (J reversing site order; every
+    inverse-distance W) makes A = I - rho W centrosymmetric, and A splits
+    exactly into two half-size blocks (Cantoni & Butler 1976).  With lo the
+    first m = n // 2 sites and hi their mirrors n - 1 - lo, A x = b holds
+    when P u = b[lo] + b[hi] and M v = b[lo] - b[hi], x[lo] = (u + v) / 2
+    and x[hi] = (u - v) / 2, for P = A[lo, lo] + A[lo, hi] and
+    M = A[lo, lo] - A[lo, hi].  An odd n borders P with the middle site c,
+    as [[P, 2 A[lo, c]], [A[c, lo], A[c, c]]], its right-hand side taking
+    b[c] and its solution x[c].  det A = det P det M.  Any other dense W
+    keeps A whole.  Each solve is one ``np.linalg.solve`` per block (an LU
+    and its triangular solves), so a factor that serves one solve, as every
+    one in the package does, costs one LU per block.  A dominant A has a
     positive determinant, and its log-determinant is computed (``slogdet``)
     only when first read; any other is computed here.
     """
@@ -368,6 +404,8 @@ class SpatialFilterFactor:
         self.W = W
         self.rho = float(rho)
         self._log_det = None
+        # matrices whose LUs solve a dense filter: (A,), (P, M) or, at rho = 0, none
+        self._blocks = ()
         dominant = abs(self.rho) * np.max(W.row_sums(), initial=0.0) < 1.0
         if not dominant:
             if abs(self.rho) >= 1.0:
@@ -380,6 +418,8 @@ class SpatialFilterFactor:
                     if W.is_sparse
                     else f"rho={self.rho} is outside the admissible interval ({lo}, {hi}) of W"
                 )
+        if self.rho == 0.0:
+            return
         if W.is_sparse:
             import scipy.sparse as sp
             from scipy.sparse.linalg import splu
@@ -389,42 +429,67 @@ class SpatialFilterFactor:
             a = sp.identity(W.n, format="csc") - self.rho * wp
             self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
             self._log_det = float(np.sum(np.log(self._lu.U.diagonal())))
+        elif W._mirrored:
+            n, m = W.n, W.n // 2
+            # rows lo (and c), against sites lo (and c) and against their mirrors
+            near = np.eye(n - m) - self.rho * W.weights[: n - m, : n - m]
+            far = self.rho * W.weights[: n - m, ::-1][:, : n - m]
+            p = near - far
+            p[m:] = near[m:]  # the border row of an odd n: A[c, lo], A[c, c]
+            self._blocks = (p, near[:m, :m] + far[:m, :m])
         else:
-            self._a = np.eye(W.n) - self.rho * W.weights
-            if dominant:
-                return  # ``log_det`` computes it when read
-            self._log_det = float(np.linalg.slogdet(self._a)[1])
-        if not np.isfinite(self._log_det):
+            self._blocks = (np.eye(W.n) - self.rho * W.weights,)
+        # a dominant dense A has a positive determinant, computed when first read
+        if (W.is_sparse or not dominant) and not np.isfinite(self.log_det):
             raise AdmissibilityError(f"I - rho W is singular to working precision for rho={self.rho}")
 
     @property
     def log_det(self) -> float:
         """ln det(I - rho W)."""
         if self._log_det is None:
-            self._log_det = float(np.linalg.slogdet(self._a)[1])
+            self._log_det = float(sum(np.linalg.slogdet(block)[1] for block in self._blocks))
         return self._log_det
 
-    def _sparse_solve(self, b: np.ndarray, trans: str) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        x = np.empty_like(b)
-        x[self._perm] = self._lu.solve(b[self._perm], trans=trans)
-        return x
-
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.W.is_sparse:
-            return self._sparse_solve(b, "N")
-        return np.linalg.solve(self._a, b)
+        return self._solve(b, False)
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
+        return self._solve(b, True)
+
+    def _solve(self, b: np.ndarray, transpose: bool) -> np.ndarray:
+        if self.rho == 0.0:
+            return np.array(b, dtype=float)
         if self.W.is_sparse:
-            return self._sparse_solve(b, "T")
-        return np.linalg.solve(self._a.T, b)
+            b = np.asarray(b, dtype=float)
+            x = np.empty_like(b)
+            x[self._perm] = self._lu.solve(b[self._perm], trans="T" if transpose else "N")
+            return x
+        if len(self._blocks) == 1:
+            a = self._blocks[0]
+            return np.linalg.solve(a.T if transpose else a, b)
+        b = np.asarray(b, dtype=float)
+        n, m = self.W.n, self.W.n // 2
+        p, q = self._blocks
+        mirror = b[::-1]
+        folded = b[: n - m] + mirror[: n - m]  # b[c] twice
+        if transpose:
+            # A' is centrosymmetric too; its bordered block is D^-1 P' D, D
+            # doubling the middle site
+            u = np.linalg.solve(p.T, folded)
+            u[m:] *= 0.5
+        else:
+            folded[m:] *= 0.5
+            u = np.linalg.solve(p, folded)
+        v = np.linalg.solve(q.T if transpose else q, b[:m] - mirror[:m])
+        x = np.empty_like(b)
+        x[:m] = (u[:m] + v) / 2
+        x[::-1][:m] = (u[:m] - v) / 2
+        x[m : n - m] = u[m:]
+        return x
 
 
 def log_det_filter(W: SpatialWeightMatrix, rho: float) -> float:
     """ln det(I - rho W) for an admissible rho (see :class:`SpatialFilterFactor`)."""
-    if rho == 0.0:
-        return 0.0
     return SpatialFilterFactor(W, rho).log_det
 
 

@@ -402,8 +402,9 @@ class TestMonteCarloStudy:
         assert [r.num_ok for r in table.reports] == [1, 1, 1]
         # simulation filters both sets; ml its fitted and test values; sfdnn
         # solves its training filter once, for training and its fitted values,
-        # and filters the test set; fdnn filters nothing
-        assert sorted(sizes) == [60] * 3 + [80] * 3
+        # and filters the test set; fdnn filters nothing.  The generator's W
+        # is centrosymmetric, so each filter is two solves of half its size.
+        assert sorted(sizes) == [30] * 6 + [40] * 6
 
     def test_replication_count_validated(self):
         with pytest.raises(InvalidSizeError):

@@ -7,7 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+import scipy.sparse.linalg as sparse_linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfdnn import spatial
@@ -487,6 +488,27 @@ class TestDenseFactor:
             np.testing.assert_allclose(filt @ x, b, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(filt.T @ xt, b, rtol=0.0, atol=1e-12)
 
+    def test_rho_zero_factors_nothing(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        nonsymmetric = random_row_normalized(6, rng)
+        weights = (
+            build_inverse_distance_weights(7),
+            nonsymmetric,
+            SpatialWeightMatrix(sp.csr_matrix(nonsymmetric.toarray()), row_normalized=True),
+        )
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("I - 0 W was factored")
+
+        for owner, name in ((np.linalg, "solve"), (np.linalg, "slogdet"), (sparse_linalg, "splu")):
+            monkeypatch.setattr(owner, name, refuse)
+        for W in weights:
+            factor = SpatialFilterFactor(W, 0.0)
+            b = rng.normal(size=(W.n, 2))
+            for x in (factor.solve(b), factor.solve_transpose(b)):
+                assert np.array_equal(x, b) and not np.shares_memory(x, b)
+            assert factor.log_det == 0.0
+
 
 class TestApplyFilter:
     def test_rho_zero_identity(self):
@@ -850,6 +872,57 @@ class TestProperties:
             SpatialFilterFactor(SpatialWeightMatrix(sp.csr_matrix(a), row_normalized=False), rho)
         # the dominant half of the row-sum bound solves
         assert_solves_invert_filter(a, frac * (1.0 - 1e-6) / scale, cols, seed)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        half=st.integers(1, 150),
+        odd=st.booleans(),
+        frac=st.floats(0.001, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(half=1, odd=False, frac=0.8, seed=0)
+    @example(half=1, odd=True, frac=0.8, seed=0)
+    def test_generator_filter_solves_in_mirror_blocks(self, half, odd, frac, seed):
+        n = 2 * half + odd
+        W = build_inverse_distance_weights(n)
+        assert np.array_equal(W.weights, W.weights[::-1, ::-1])
+        lo, hi = W.admissible_interval()
+        rho = lo + frac * (hi - lo)
+        assume(rho != 0.0)  # I - 0 W is not factored at all
+        factor = SpatialFilterFactor(W, rho)
+        assert [len(block) for block in factor._blocks] == [n - half, half]
+        filt = np.eye(n) - rho * W.weights
+        rng = np.random.default_rng(seed)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            x, xt = factor.solve(b), factor.solve_transpose(b)
+            assert x.shape == xt.shape == b.shape
+            assert np.max(np.abs(filt @ x - b)) <= 1e-12
+            assert np.max(np.abs(filt.T @ xt - b)) <= 1e-12
+        spectral = float(np.sum(np.log(1.0 - rho * W.eigenvalues())))
+        assert abs(factor.log_det - spectral) <= 1e-10
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 301),
+        entry=st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)),
+        frac=st.floats(0.001, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_entry_off_its_mirror_keeps_the_full_solve(self, n, entry, frac, seed):
+        a = spatial._inverse_distance_array(n)
+        i, j = entry[0] % n, entry[1] % (n - 1)
+        j += j >= i
+        a[i, j] = np.nextafter(a[i, j], np.inf)
+        W = SpatialWeightMatrix(a, row_normalized=False)
+        lo, hi = W.admissible_interval()
+        rho = lo + frac * (hi - lo)
+        factor = SpatialFilterFactor(W, rho)
+        filt = np.eye(n) - rho * a
+        rng = np.random.default_rng(seed)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            assert factor.solve(b).tobytes() == np.linalg.solve(filt, b).tobytes()
+            assert factor.solve_transpose(b).tobytes() == np.linalg.solve(filt.T, b).tobytes()
+        assert factor.log_det == np.linalg.slogdet(filt)[1]
 
 
 def assert_solves_invert_filter(a, rho, cols, seed):

@@ -117,6 +117,21 @@ class TestWeightFiles:
         assert back.row_normalized
         assert same_bits(back.weights, W.weights)
 
+    def test_triple_file_of_unmirrored_row_sums_keeps_its_bits_and_full_solve(self, tmp_path):
+        # the generator once divided each row by its own sum, so a row and its
+        # mirror could differ in the last bit; such a file is a plain dense W
+        n = 300
+        raw = 1.0 / (1.0 + np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]))
+        np.fill_diagonal(raw, 0.0)
+        raw /= raw.sum(axis=1, keepdims=True)
+        assert not np.array_equal(raw, raw[::-1, ::-1])
+        reference_save_weights(SpatialWeightMatrix(raw, row_normalized=True), tmp_path / "w.txt")
+        back = load_weights(tmp_path / "w.txt")
+        assert back is not build_inverse_distance_weights(n)
+        assert same_bits(back.weights, raw)
+        b = np.random.default_rng(7).normal(size=(n, 2))
+        assert same_bits(SpatialFilterFactor(back, 0.6).solve(b), np.linalg.solve(np.eye(n) - 0.6 * raw, b))
+
     def test_copied_generator_matrix_is_written_as_the_header(self, tmp_path):
         W = SpatialWeightMatrix(build_inverse_distance_weights(40).weights.copy(), row_normalized=True)
         save_weights(W, tmp_path / "w.txt")
