@@ -78,7 +78,7 @@ DENSE_LIMIT = 3000
 
 
 class SpatialWeightMatrix:
-    """Nonnegative, zero-diagonal spatial weights, optionally row-normalized.
+    """Finite, nonnegative, zero-diagonal spatial weights, optionally row-normalized.
 
     Treated as immutable after construction; derived quantities (eigenvalues,
     admissible interval) are cached lazily.  Inverse-distance matrices are
@@ -89,7 +89,7 @@ class SpatialWeightMatrix:
         # a sparse input cannot exist unless scipy.sparse is loaded
         sparse = sys.modules.get("scipy.sparse")
         if sparse is not None and sparse.issparse(weights):
-            weights = weights.tocsr()
+            weights = weights.tocsr().astype(float, copy=False)
         else:
             weights = np.asarray(weights, dtype=float)
             if weights.ndim != 2:
@@ -102,6 +102,14 @@ class SpatialWeightMatrix:
             raise InvalidSizeError("weight matrix must have a zero diagonal")
         self.weights = weights
         values = weights.data if self.is_sparse else weights
+        finite = np.isfinite(values)
+        if not finite.all():
+            if self.is_sparse:
+                k = int(np.argmin(finite))
+                i, j = np.searchsorted(weights.indptr, k, side="right") - 1, weights.indices[k]
+            else:
+                i, j = np.argwhere(~finite)[0]
+            raise InvalidSizeError(f"weight at i={i} j={j} is not finite")
         if values.size and values.min() < 0:
             raise InvalidSizeError("weights must be nonnegative")
         self.n = n
@@ -513,39 +521,6 @@ class RhoEstimate:
     at_boundary: bool
 
 
-def _newton_max(slope, a: float, x: float, b: float) -> float:
-    """Maximizer near x of a function whose slope and curvature ``slope`` gives.
-
-    The slope's sign at x picks the half of [a, b] that must hold the
-    stationary point; if the slope at that half's far end has the same sign
-    there is none (x is at the end of the interval) and x is returned.
-    Newton steps stay inside the sign-change bracket, and a step that would
-    leave it, or a non-negative curvature, is replaced by bisection.
-    """
-    g, h = slope(x)
-    if g > 0.0:
-        a, far = x, b
-    else:
-        b, far = x, a
-    if g == 0.0 or far == x or (slope(far)[0] > 0.0) == (g > 0.0):
-        return x
-    for _ in range(200):
-        nxt = x - g / h if h < 0.0 else math.nan
-        if not a < nxt < b:
-            nxt = 0.5 * (a + b)
-        if abs(nxt - x) < 1e-14:
-            return nxt
-        x = nxt
-        g, h = slope(x)
-        if g == 0.0:
-            return x
-        if g > 0.0:
-            a = x
-        else:
-            b = x
-    return x
-
-
 def _brent_max(f, xs, fs, xatol: float) -> float:
     """Maximize f on [xs[0], xs[-1]] by Brent's method (Brent 1973, ch. 5).
 
@@ -611,9 +586,10 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     (y - rho W y) on ``Xc`` and sigma^2 the residual mean square, leaving a
     one-dimensional search of ln|I - rho W| - (n/2) ln sigma^2(rho) over the
     admissible interval.  A coarse scan brackets the global optimum (the
-    profile can be multimodal); one refinement inside the scan bracket
-    follows: safeguarded Newton with exact derivatives on the spectrum of a
-    dense W, Brent's parabolic search on the profile of a sparse W.
+    profile can be multimodal), 101 points when W has a spectrum and 21 when
+    each log-determinant costs an LU; Brent's method on the profile refines
+    inside the scan bracket.  Log-determinants come from the spectrum when W
+    has one and from ``log_det_filter`` otherwise, each computed once per rho.
     ``Xc`` must have full column rank with a leading column of ones.
     """
     y = np.asarray(y, dtype=float).ravel()
@@ -640,14 +616,14 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     lo_s, hi_s = lo + margin, hi - margin
 
     eigs = W.eigenvalues()
-    # sparse log-dets by rho, so the final likelihood reuses the chosen point's
+    # log-dets by rho, so the final likelihood reuses the chosen point's
     log_dets: dict[float, float] = {}
 
     def log_det(rho: float) -> float:
-        if eigs is not None:
-            return float(np.sum(np.log(np.abs(1.0 - rho * eigs))))
         if rho not in log_dets:
-            log_dets[rho] = log_det_filter(W, rho)
+            log_dets[rho] = (
+                log_det_filter(W, rho) if eigs is None else float(np.sum(np.log(np.abs(1.0 - rho * eigs))))
+            )
         return log_dets[rho]
 
     def concentrated(rho: float) -> float:
@@ -662,23 +638,7 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     best = int(np.argmax(scan_vals))
     near = slice(max(best - 1, 0), best + 2)
 
-    if eigs is not None:
-        def slope(rho: float) -> tuple[float, float]:
-            ssr = ss00 - 2.0 * rho * ss01 + rho * rho * ss11
-            if ssr <= 0.0:
-                # an exact fit: the profile is unbounded there
-                return 0.0, -1.0
-            resid_term = 1.0 - rho * eigs
-            grad = float(np.sum((-eigs / resid_term).real)) + n * (ss01 - rho * ss11) / ssr
-            hess = (
-                -float(np.sum((eigs / resid_term) ** 2).real)
-                + n * (-ss11 * ssr + 2.0 * (ss01 - rho * ss11) ** 2) / ssr**2
-            )
-            return grad, hess
-
-        rho_hat = _newton_max(slope, scan[near][0], scan[best], scan[near][-1])
-    else:
-        rho_hat = _brent_max(concentrated, scan[near].tolist(), scan_vals[near].tolist(), 1e-10)
+    rho_hat = _brent_max(concentrated, scan[near].tolist(), scan_vals[near].tolist(), 1e-10)
 
     target = y - rho_hat * ylag
     theta_hat, *_ = np.linalg.lstsq(Xc, target, rcond=None)
@@ -740,9 +700,10 @@ def load_weights(path) -> SpatialWeightMatrix:
     An ``inverse_distance`` header returns the shared
     ``build_inverse_distance_weights(n)``; it must be row-normalized, have
     n >= 2 and no body.  Above ``DENSE_LIMIT`` sites W is CSR and, like the
-    KNN builder's, stores no zero weight.  Duplicate entries, non-finite
-    weights, a malformed header (a ``row_normalized`` flag other than 0 or 1
-    included) and an invalid weight matrix raise a DataError naming the file.
+    KNN builder's, stores no zero weight.  Duplicate entries, a malformed
+    header (a ``row_normalized`` flag other than 0 or 1 included) and an
+    invalid weight matrix (a non-finite weight included) raise a DataError
+    naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -764,9 +725,6 @@ def load_weights(path) -> SpatialWeightMatrix:
         triple = "expected 'i j w' triple"
         in_range = (lambda i, j, w: (i >= 0) & (i < n) & (j >= 0) & (j < n), f"index outside [0, {n})")
         ii, jj, vv = read_rows(fh, path, "iif", None, triple, triple, in_range)
-    if not np.all(np.isfinite(vv)):
-        k = np.argmin(np.isfinite(vv))
-        raise DataError(f"{path}: weight at i={ii[k]} j={jj[k]} is not finite")
     flat = np.sort(ii * n + jj)
     repeated = flat[1:] == flat[:-1]
     if repeated.any():

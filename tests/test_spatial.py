@@ -622,6 +622,7 @@ class TestEstimateRho:
         vals = np.array([conc(r) for r in grid])
         best = grid[np.argmax(vals)]
         assert abs(best - est.rho_hat) <= (grid[1] - grid[0]) + 1e-12
+        assert conc(est.rho_hat) >= vals.max() - 1e-9
 
     def test_grid_oracle_confirms_optimum_on_lu_route(self, monkeypatch):
         rng = np.random.default_rng(59)
@@ -680,6 +681,17 @@ class TestEstimateRho:
         lo, hi = est.admissible_interval
         np.testing.assert_allclose((lo, hi), (-0.5 + 1e-6, 0.5 - 1e-6), rtol=0.0, atol=1e-15)
         assert lo < est.rho_hat < hi
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_exact_fit_recovers_rho_with_a_tiny_variance(self, sparse):
+        rng = np.random.default_rng(5)
+        knn = build_knn_bisquare_weights(rng.uniform(-5.0, 5.0, (100, 2)), 4)
+        W = knn if sparse else SpatialWeightMatrix(knn.toarray(), row_normalized=True)
+        X = np.column_stack([np.ones(100), rng.normal(size=(100, 2))])
+        y = apply_spatial_filter(W, 0.4, X @ np.array([0.5, 1.0, -1.5]))
+        est = estimate_rho_ml(y, X, W)
+        assert abs(est.rho_hat - 0.4) < 1e-7
+        assert 0.0 < est.sigma2_hat < 1e-12
 
     def test_column_scaling_invariance(self):
         rng = np.random.default_rng(37)
@@ -743,6 +755,24 @@ class TestSerialization:
         save_weights(W_sparse, path)
         back = load_weights(path)
         np.testing.assert_array_equal(back.toarray(), W_sparse.toarray())
+
+
+class TestWeightValues:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected_naming_the_entry(self, sparse, bad):
+        a = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+        a[1, 2] = bad
+        with pytest.raises(InvalidSizeError, match="i=1 j=2 is not finite"):
+            SpatialWeightMatrix(sp.csr_matrix(a) if sparse else a, row_normalized=False)
+
+    def test_integer_sparse_weights_are_stored_as_float_and_subset(self):
+        contiguity = np.array([[0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 0]])
+        W = SpatialWeightMatrix(sp.csr_matrix(contiguity), row_normalized=False)
+        assert W.weights.dtype == np.float64
+        sub = W.subset(np.array([0, 1, 3]))
+        assert sub.is_sparse
+        np.testing.assert_array_equal(sub.toarray(), [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
 
 
 class TestSubset:
