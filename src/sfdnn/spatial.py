@@ -17,13 +17,16 @@ and from the general nonsymmetric solver otherwise.  A sparse W has no
 spectrum, and its interval is the Perron-Frobenius row-sum bound (-1/r, 1/r)
 within (-1, 1), so every rho it admits is dominant: I - rho W is factored
 without pivoting in one reverse Cuthill-McKee ordering computed once per W,
-and every pivot is positive.  KNN neighbors are searched with a KD-tree on
-unit-sphere points.  An inverse-distance W depends only on n, so it is built
-once per size and shared read-only: every replication of a study cell
-reuses one matrix, and with it the spectrum cached on it.  Its rows are
-divided by sums taken symmetrically, so it equals its mirror exactly, and
-like every dense W that does, its filter is solved in two blocks of half
-its size.
+and every pivot is positive.  The rho search on a W without a spectrum
+factors only the scan points that Hadamard's bound on ln det(I - rho W),
+1/2 sum_i log1p(rho^2 |w_i|^2), does not rule out: a skipped point cannot
+hold the maximum, so the estimate is bit-identical to a full scan's.  KNN
+neighbors are searched with a KD-tree on unit-sphere points.  An
+inverse-distance W depends only on n, so it is built once per size and
+shared read-only: every replication of a study cell reuses one matrix, and
+with it the spectrum cached on it.  Its rows are divided by sums taken
+symmetrically, so it equals its mirror exactly, and like every dense W that
+does, its filter is solved in two blocks of half its size.
 
 Dense routes run on numpy alone: scipy is imported only on the sparse and
 KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
@@ -184,6 +187,19 @@ class SpatialWeightMatrix:
             and np.array_equal(a, a[::-1, ::-1])
         )
 
+    @functools.cached_property
+    def _max_row_sum(self) -> float:
+        """The largest row sum of W, 0 for an empty W."""
+        return float(np.max(self.row_sums(), initial=0.0))
+
+    @functools.cached_property
+    def _row_norms2(self) -> np.ndarray:
+        """Squared Euclidean norm of each row of W."""
+        a = self.weights
+        if self.is_sparse:
+            return np.asarray(a.multiply(a).sum(axis=1)).ravel()
+        return np.einsum("ij,ij->i", a, a)
+
     def _ordered(self):
         """Reverse Cuthill-McKee ordering of W + W' and W permuted by it, as CSC."""
         if self._ordering is None:
@@ -207,7 +223,7 @@ class SpatialWeightMatrix:
             return self._interval
         eigs = self.eigenvalues()
         if eigs is None:
-            r = 1.0 if self.row_normalized else float(np.max(self.row_sums(), initial=0.0)) or 1.0
+            r = 1.0 if self.row_normalized else self._max_row_sum or 1.0
             self._interval = (max(-1.0, -1.0 / r) + 1e-6, min(1.0, 1.0 / r) - 1e-6)
             return self._interval
         scale = max(1.0, float(np.abs(eigs).max()))
@@ -414,7 +430,7 @@ class SpatialFilterFactor:
         self._log_det = None
         # matrices whose LUs solve a dense filter: (A,), (P, M) or, at rho = 0, none
         self._blocks = ()
-        dominant = abs(self.rho) * np.max(W.row_sums(), initial=0.0) < 1.0
+        dominant = abs(self.rho) * W._max_row_sum < 1.0
         if not dominant:
             if abs(self.rho) >= 1.0:
                 raise AdmissibilityError(f"rho={self.rho} is not dominant and lies outside (-1, 1)")
@@ -590,6 +606,15 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     each log-determinant costs an LU; Brent's method on the profile refines
     inside the scan bracket.  Log-determinants come from the spectrum when W
     has one and from ``log_det_filter`` otherwise, each computed once per rho.
+
+    Without a spectrum the scan skips LUs that cannot win.  Hadamard's
+    inequality, W's diagonal being zero, bounds ln det(I - rho W) by
+    1/2 sum_i log1p(rho^2 |w_i|^2), w_i row i of W, in O(n).  Points are
+    evaluated exactly in order of decreasing bound until a bound falls
+    strictly below the best exact value; every skipped point therefore
+    cannot hold the maximum, and the bracket's points are made exact for
+    Brent.  The scan's best point, the bracket and every value Brent reads
+    are those of a full scan, so the estimate is bit-identical to one.
     ``Xc`` must have full column rank with a leading column of ones.
     """
     y = np.asarray(y, dtype=float).ravel()
@@ -626,19 +651,37 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
             )
         return log_dets[rho]
 
-    def concentrated(rho: float) -> float:
+    def concentrated(rho: float, log_det=log_det) -> float:
         ssr = ss00 - 2.0 * rho * ss01 + rho * rho * ss11
         if ssr <= 0.0:
             return -np.inf
         return log_det(rho) - 0.5 * n * math.log(ssr / n)
 
-    n_scan = 101 if eigs is not None else 21
-    scan = np.linspace(lo_s, hi_s, n_scan)
-    scan_vals = np.array([concentrated(r) for r in scan])
-    best = int(np.argmax(scan_vals))
-    near = slice(max(best - 1, 0), best + 2)
+    if eigs is not None:
+        scan = np.linspace(lo_s, hi_s, 101)
+        scan_vals = np.array([concentrated(r) for r in scan])
+    else:
+        # Hadamard's inequality bounds each log-det, W's diagonal being zero:
+        # ln det(I - rho W) <= 1/2 sum_i log1p(rho^2 |w_i|^2), w_i row i of W
+        norms2 = W._row_norms2
 
-    rho_hat = _brent_max(concentrated, scan[near].tolist(), scan_vals[near].tolist(), 1e-10)
+        def hadamard(rho: float) -> float:
+            return 0.5 * float(np.sum(np.log1p(rho * rho * norms2)))
+
+        scan = np.linspace(lo_s, hi_s, 21)
+        scan_vals = np.array([concentrated(r, hadamard) for r in scan])
+        # exact values by decreasing bound, until a bound falls below the best
+        # of them: the points left keep their bounds and cannot hold the maximum
+        top = -np.inf
+        for i in np.argsort(-scan_vals, kind="stable"):
+            if scan_vals[i] < top:
+                break
+            scan_vals[i] = concentrated(scan[i])
+            top = max(top, scan_vals[i])
+    best = int(np.argmax(scan_vals))
+    near = scan[max(best - 1, 0) : best + 2].tolist()
+    # Brent starts from exact values: a bracket end may hold only its bound
+    rho_hat = _brent_max(concentrated, near, [concentrated(r) for r in near], 1e-10)
 
     target = y - rho_hat * ylag
     theta_hat, *_ = np.linalg.lstsq(Xc, target, rcond=None)

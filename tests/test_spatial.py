@@ -573,6 +573,39 @@ def simulate_lagged(n, rho, rng, k_extra=3):
     return y, X, W
 
 
+def full_scan_rho(y, X, W):
+    """estimate_rho_ml's search on a W without a spectrum, every scan point exact.
+
+    Returns (rho_hat, loglik, at_boundary, index of the best scan point).
+    """
+    n = y.size
+    q, _ = np.linalg.qr(X, mode="reduced")
+    ylag = W.matvec(y)
+    e0 = y - q @ (q.T @ y)
+    e1 = ylag - q @ (q.T @ ylag)
+    ss00, ss01, ss11 = float(e0 @ e0), float(e0 @ e1), float(e1 @ e1)
+    lo, hi = W.admissible_interval()
+    margin = 1e-6 * (hi - lo)
+    lo_s, hi_s = lo + margin, hi - margin
+
+    def conc(rho):
+        ssr = ss00 - 2.0 * rho * ss01 + rho * rho * ss11
+        return -np.inf if ssr <= 0.0 else log_det_filter(W, rho) - 0.5 * n * math.log(ssr / n)
+
+    scan = np.linspace(lo_s, hi_s, 21)
+    vals = np.array([conc(r) for r in scan])
+    best = int(np.argmax(vals))
+    near = slice(max(best - 1, 0), best + 2)
+    rho_hat = spatial._brent_max(conc, scan[near].tolist(), vals[near].tolist(), 1e-10)
+    target = y - rho_hat * ylag
+    theta, *_ = np.linalg.lstsq(X, target, rcond=None)
+    resid = target - X @ theta
+    sigma2 = float(resid @ resid) / n
+    loglik = -0.5 * n * (math.log(2.0 * math.pi * sigma2) + 1.0) + log_det_filter(W, rho_hat)
+    at_boundary = min(rho_hat - lo_s, hi_s - rho_hat) < 1e-3 * (hi_s - lo_s)
+    return rho_hat, float(loglik), at_boundary, best
+
+
 class TestEstimateRho:
     def test_pure_noise_recovers_zero(self):
         # dependence is weakly identified without signal, so a few
@@ -641,8 +674,9 @@ class TestEstimateRho:
         monkeypatch.setattr(spatial, "log_det_filter", counted)
         est = estimate_rho_ml(y, X, W)
         assert W.eigenvalues() is None
-        # a 21-point scan and one refinement: the evaluation budget
-        assert len(calls) <= 40
+        # the scan points whose Hadamard bound can still win, the bracket and
+        # Brent's refinement: the evaluation budget
+        assert len(calls) <= 20
 
         lo, hi = est.admissible_interval
         grid = np.linspace(lo + 1e-6, hi - 1e-6, 201)
@@ -659,6 +693,27 @@ class TestEstimateRho:
         best = grid[np.argmax(vals)]
         assert abs(best - est.rho_hat) <= (grid[1] - grid[0]) + 1e-12
         assert conc(est.rho_hat) >= vals.max() - 1e-9
+
+    @pytest.mark.parametrize(
+        "h, rho, end",
+        [(h, rho, None) for h in (3, 4, 8) for rho in (-0.5, 0.0, 0.5, 0.9, 0.99)]
+        + [(4, 0.999, 20), (4, -0.999, 0)],
+    )
+    def test_pruned_scan_matches_the_full_scan_bit_for_bit(self, h, rho, end):
+        rng = np.random.default_rng(0)
+        n = 200 if end is not None else 300
+        pts = np.column_stack([rng.uniform(-60, 60, n), rng.uniform(-170, 170, n)])
+        W = build_knn_bisquare_weights(pts, h)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        y = apply_spatial_filter(W, rho, X @ np.array([0.5, 1.0, -1.5]) + rng.normal(size=n))
+        rho_hat, loglik, at_boundary, best = full_scan_rho(y, X, W)
+        if end is not None:
+            # the maximum at a scan end: Brent starts from a two-point bracket
+            assert best == end
+        est = estimate_rho_ml(y, X, W)
+        assert est.rho_hat == rho_hat
+        assert est.loglik == loglik
+        assert est.at_boundary == at_boundary
 
     def test_small_knn_takes_the_row_sum_bound_and_no_spectrum(self, monkeypatch):
         W = knn_80()
@@ -858,6 +913,29 @@ class TestProperties:
         rho = lo + frac * (hi - lo)
         dense, sparse = log_det_filter(W_dense, rho), log_det_filter(W_sparse, rho)
         assert abs(sparse - dense) <= 1e-10 * max(1.0, abs(dense))
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.1, 1.0),
+        normalized=st.booleans(),
+        sparse=st.booleans(),
+        frac=st.floats(0.001, 0.999),
+    )
+    def test_hadamard_bound_caps_the_log_det(self, n, seed, density, normalized, sparse, frac):
+        # row i of I - rho W has squared norm 1 + rho^2 |w_i|^2, W's diagonal being zero
+        rng = np.random.default_rng(seed)
+        a = random_row_normalized(n, rng, density).toarray()
+        if not normalized:
+            a *= rng.uniform(0.2, 3.0, (n, 1))
+        W = SpatialWeightMatrix(sp.csr_matrix(a) if sparse else a, row_normalized=normalized)
+        norms2 = (a * a).sum(axis=1)
+        np.testing.assert_allclose(W._row_norms2, norms2, rtol=1e-15, atol=0.0)
+        lo, hi = W.admissible_interval()
+        rho = lo + frac * (hi - lo)
+        exact = log_det_filter(W, rho)
+        assert 0.5 * np.sum(np.log1p(rho * rho * norms2)) >= exact - 1e-12 * max(1.0, abs(exact))
 
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(2, 150), frac=st.floats(0.001, 0.999))
