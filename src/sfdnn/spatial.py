@@ -6,27 +6,29 @@ evaluation, profile-likelihood estimation of the dependence parameter, and
 local Moran's I diagnostics.
 
 An inverse-distance W is dense; a KNN W, and every subset of it, is CSR of
-its positive weights.  One rule decides which
-dependence parameters are admissible: rho is admissible when it is dominant,
-|rho| times the largest row sum r of W below 1, or when it lies inside W's
-admissible interval.  A dominant I - rho W is strictly diagonally dominant
-with a positive diagonal, so its determinant is positive.  A dense W has its
-full spectrum, and its interval is exact: real, from a symmetric
-eigensolver, when W = D^{-1} S with S symmetric (every inverse-distance W),
-and from the general nonsymmetric solver otherwise.  A sparse W has no
-spectrum, and its interval is the Perron-Frobenius row-sum bound (-1/r, 1/r)
-within (-1, 1), so every rho it admits is dominant: I - rho W is factored
-without pivoting in one reverse Cuthill-McKee ordering computed once per W,
-and every pivot is positive.  The rho search on a W without a spectrum
-factors only the scan points that Hadamard's bound on ln det(I - rho W),
-1/2 sum_i log1p(rho^2 |w_i|^2), does not rule out: a skipped point cannot
-hold the maximum, so the estimate is bit-identical to a full scan's.  KNN
-neighbors are searched with a KD-tree on unit-sphere points.  An
-inverse-distance W depends only on n, so it is built once per size and
-shared read-only: every replication of a study cell reuses one matrix, and
-with it the spectrum cached on it.  Its rows are divided by sums taken
-symmetrically, so it equals its mirror exactly, and like every dense W that
-does, its filter is solved in two blocks of half its size.
+its positive weights.  One rule decides which dependence parameters are
+admissible: rho is admissible when it is dominant, |rho| times the largest
+row sum r of W below 1, or when it lies inside W's admissible interval.  A
+dominant I - rho W is strictly diagonally dominant with a positive
+diagonal, so its determinant is positive.  Only a dense W = D^{-1} S, S
+symmetric and positive off its diagonal (every inverse-distance W), has a
+spectrum, real, from a symmetric eigensolver.  The interval follows one
+rule whatever the storage: (-1, 1) for a row-normalized W, its spectral
+radius being at most its largest row sum, 1 (Perron-Frobenius); from the
+spectrum for any other W that has one; the row-sum bound (-1/r, 1/r) within
+(-1, 1) otherwise.  So every rho a W without a spectrum admits is dominant,
+and a sparse I - rho W is factored without pivoting in one reverse
+Cuthill-McKee ordering computed once per W.  The rho search on a W without
+a spectrum, dense or sparse, factors only the scan points that Hadamard's
+bound on ln det(I - rho W), 1/2 sum_i log1p(rho^2 |w_i|^2), does not rule
+out: a skipped point cannot hold the maximum, so the estimate is
+bit-identical to a full scan's.  KNN neighbors are searched with a KD-tree
+on unit-sphere points.  An inverse-distance W depends only on n, so it is
+built once per size and shared read-only: every replication of a study cell
+reuses one matrix, and with it the spectrum cached on it.  Its rows are
+divided by sums taken symmetrically, so it equals its mirror exactly, and
+like every dense W that does, its filter is solved in two blocks of half
+its size.
 
 Dense routes run on numpy alone: scipy is imported only on the sparse and
 KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
@@ -76,15 +78,16 @@ EARTH_RADIUS_KM = 6371.0088
 # (name, bound): each coordinate lies in [-bound, bound] degrees
 _COORD_RANGES = (("latitude", 90.0), ("longitude", 180.0))
 
-# weight files up to this many rows load dense, without importing scipy; CSR beyond
-DENSE_LIMIT = 3000
+# a weight file of more sites that leaves some off-diagonal weight unstored
+# loads as CSR; every other file loads dense, without importing scipy
+DENSE_LIMIT = 800
 
 
 class SpatialWeightMatrix:
     """Finite, nonnegative, zero-diagonal spatial weights, optionally row-normalized.
 
     Treated as immutable after construction; derived quantities (eigenvalues,
-    admissible interval) are cached lazily.  Inverse-distance matrices are
+    row sums) are cached lazily.  Inverse-distance matrices are
     shared between callers and hold read-only weights.
     """
 
@@ -122,8 +125,6 @@ class SpatialWeightMatrix:
             active = sums > 0
             if np.any(np.abs(sums[active] - 1.0) > 1e-12):
                 raise InvalidSizeError("row-normalized flag set but rows do not sum to 1")
-        self._eigenvalues = None
-        self._interval = None
         self._ordering = None
 
     @property
@@ -154,24 +155,24 @@ class SpatialWeightMatrix:
         return SpatialWeightMatrix(sub, row_normalized=True)
 
     def eigenvalues(self):
-        """Full eigenvalue set of a dense W; None for a sparse W.
+        """Real spectrum of a W that can be symmetrized; None for any other W.
 
-        Real (``eigvalsh``) when W is similar to a symmetric matrix, i.e.
-        W = D^{-1} S with S symmetric (Ord 1975): then D^{1/2} W D^{-1/2}
-        is symmetric and has the same spectrum.  Otherwise from the general
-        ``eigvals``, complex in general.
+        W = D^{-1} S with S symmetric (Ord 1975; every inverse-distance W) is
+        similar to the symmetric D^{1/2} W D^{-1/2}, whose spectrum
+        ``eigvalsh`` computes.  Such a W is recognised only when dense with
+        every off-diagonal weight positive (``_symmetrizing_scale``).
         """
-        if self._eigenvalues is None and not self.is_sparse:
-            a = self.weights
-            scale = _symmetrizing_scale(a)
-            if scale is None:
-                self._eigenvalues = np.linalg.eigvals(a)
-            else:
-                root = np.sqrt(scale)
-                sym = root[:, None] * a
-                sym /= root
-                self._eigenvalues = np.linalg.eigvalsh(sym)
         return self._eigenvalues
+
+    @functools.cached_property
+    def _eigenvalues(self):
+        scale = None if self.is_sparse else _symmetrizing_scale(self.weights)
+        if scale is None:
+            return None
+        root = np.sqrt(scale)
+        sym = root[:, None] * self.weights
+        sym /= root
+        return np.linalg.eigvalsh(sym)
 
     @functools.cached_property
     def _mirrored(self) -> bool:
@@ -211,27 +212,22 @@ class SpatialWeightMatrix:
     def admissible_interval(self) -> tuple[float, float]:
         """Open interval of dependence parameters keeping I - rho W invertible.
 
-        With a spectrum: (1/lambda_min, 1/lambda_max) over the real
-        eigenvalues, intersected with (-1, 1).  Without one: the row-sum
-        bound (max(-1, -1/r), min(1, 1/r)) shrunk by 1e-6, r the largest row
-        sum (LeSage & Pace 2009, ch. 4).  The spectral radius of a
-        nonnegative W is at most r, so every rho in it is dominant.  A
-        row-normalized W takes r = 1, its rows summing to 1 within a
-        tolerance the 1e-6 covers, and an all-zero W also takes r = 1.
+        Two plain floats within (-1, 1), by one rule whatever W's storage.  A
+        row-normalized W's is (-1, 1), with no eigensolve: its spectral
+        radius is at most its largest row sum, 1 (Perron-Frobenius).  A W
+        with a spectrum takes (1/lambda_min, 1/lambda_max).  Any other W
+        takes the row-sum bound (-1/r, 1/r), r the largest row sum (LeSage &
+        Pace 2009, ch. 4; r = 1 for an all-zero W), so every rho in it is
+        dominant.
         """
-        if self._interval is not None:
-            return self._interval
+        if self.row_normalized:
+            return (-1.0, 1.0)
         eigs = self.eigenvalues()
         if eigs is None:
-            r = 1.0 if self.row_normalized else self._max_row_sum or 1.0
-            self._interval = (max(-1.0, -1.0 / r) + 1e-6, min(1.0, 1.0 / r) - 1e-6)
-            return self._interval
-        scale = max(1.0, float(np.abs(eigs).max()))
-        real = eigs.real[np.abs(eigs.imag) <= 1e-8 * scale]
-        lo = 1.0 / real.min() if np.any(real < 0) else -1.0
-        hi = 1.0 / real.max() if np.any(real > 0) else 1.0
-        self._interval = (max(lo, -1.0), min(hi, 1.0))
-        return self._interval
+            r = self._max_row_sum or 1.0
+            return (max(-1.0, -1.0 / r), min(1.0, 1.0 / r))
+        lo, hi = float(eigs.min()), float(eigs.max())
+        return (max(1.0 / lo, -1.0) if lo < 0 else -1.0, min(1.0 / hi, 1.0) if hi > 0 else 1.0)
 
 
 def _symmetrizing_scale(a: np.ndarray):
@@ -405,8 +401,9 @@ class SpatialFilterFactor:
     inside ``W.admissible_interval()``; any other rho raises, and |rho| >= 1,
     outside every interval, before a spectrum is computed.  At rho = 0 the
     filter is I for every W: nothing is factored, a solve returns a copy of
-    b and the log-determinant is 0.  A sparse W admits only dominant rho,
-    and is factored here, once, without pivoting.
+    b and the log-determinant is 0.  A W without a spectrum, as every sparse
+    W is, admits only dominant rho; a sparse W is factored here, once,
+    without pivoting.
 
     A dense W equal to its mirror J W J (J reversing site order; every
     inverse-distance W) makes A = I - rho W centrosymmetric, and A splits
@@ -439,7 +436,7 @@ class SpatialFilterFactor:
                 raise AdmissibilityError(
                     f"rho={self.rho} is not dominant (|rho| times the largest row sum of W is at "
                     "least 1), and a W without a spectrum cannot certify it admissible"
-                    if W.is_sparse
+                    if W.eigenvalues() is None
                     else f"rho={self.rho} is outside the admissible interval ({lo}, {hi}) of W"
                 )
         if self.rho == 0.0:
@@ -647,7 +644,7 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     def log_det(rho: float) -> float:
         if rho not in log_dets:
             log_dets[rho] = (
-                log_det_filter(W, rho) if eigs is None else float(np.sum(np.log(np.abs(1.0 - rho * eigs))))
+                log_det_filter(W, rho) if eigs is None else float(np.sum(np.log(1.0 - rho * eigs)))
             )
         return log_dets[rho]
 
@@ -742,11 +739,13 @@ def load_weights(path) -> SpatialWeightMatrix:
 
     An ``inverse_distance`` header returns the shared
     ``build_inverse_distance_weights(n)``; it must be row-normalized, have
-    n >= 2 and no body.  Above ``DENSE_LIMIT`` sites W is CSR and, like the
-    KNN builder's, stores no zero weight.  Duplicate entries, a malformed
-    header (a ``row_normalized`` flag other than 0 or 1 included) and an
-    invalid weight matrix (a non-finite weight included) raise a DataError
-    naming the file.
+    n >= 2 and no body.  A file leaving some off-diagonal weight unstored
+    or zero, as a KNN file does, is read as CSR above ``DENSE_LIMIT`` sites
+    and, like the KNN builder's W, stores no zero weight.  Any other file is
+    read dense, as only such a W can have a spectrum.  Duplicate entries, a
+    malformed header (a ``row_normalized`` flag other than 0 or 1 included)
+    and an invalid weight matrix (a non-finite weight included) raise a
+    DataError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -773,7 +772,7 @@ def load_weights(path) -> SpatialWeightMatrix:
     if repeated.any():
         i, j = divmod(int(flat[np.argmax(repeated)]), n)
         raise DataError(f"{path}: duplicate entry i={i} j={j}")
-    if n > DENSE_LIMIT:
+    if n > DENSE_LIMIT and np.count_nonzero(vv) < n * (n - 1):
         import scipy.sparse as sp
         # older KNN files hold an 'i j 0' line per row; the builder stores no zeros
         nonzero = vv != 0.0

@@ -405,7 +405,7 @@ class TestLogDet:
     def test_doubled_sparse_knn_interval_is_the_row_sum_bound(self):
         W = doubled_sparse_knn(60)
         lo, hi = W.admissible_interval()
-        np.testing.assert_allclose((lo, hi), (-0.5 + 1e-6, 0.5 - 1e-6), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose((lo, hi), (-0.5, 0.5), rtol=0.0, atol=1e-15)
         # an inadmissible rho is refused, not trusted to a determinant's sign
         for rho in (0.8, 0.55, -0.6):
             with pytest.raises(AdmissibilityError):
@@ -428,7 +428,8 @@ class TestDenseFactor:
 
     def test_non_dominant_beyond_interval_raises_at_construction(self):
         # rows sum to 2, so the Perron root is 2 and the interval ends at 0.5
-        a = 2.0 * random_row_normalized(30, np.random.default_rng(21)).toarray()
+        rng = np.random.default_rng(21)
+        a = 2.0 * random_row_normalized(30, rng).toarray()
         W = SpatialWeightMatrix(a, row_normalized=False)
         lo, hi = W.admissible_interval()
         np.testing.assert_allclose(hi, 0.5, rtol=1e-12)
@@ -437,10 +438,26 @@ class TestDenseFactor:
         assert np.linalg.det(np.eye(30) - rho * a) < 0.0
         with pytest.raises(AdmissibilityError):
             SpatialFilterFactor(W, rho)
-        # a non-dominant rho inside the interval is accepted, its log-det computed here
-        assert lo < -0.8
-        inside = SpatialFilterFactor(W, -0.8)
-        assert inside._log_det == np.linalg.slogdet(np.eye(30) + 0.8 * a)[1]
+        # W cannot be symmetrized, so it has no spectrum and takes the
+        # row-sum bound, which admits no non-dominant rho
+        assert W.eigenvalues() is None and lo == -hi
+        with pytest.raises(AdmissibilityError, match="cannot certify"):
+            SpatialFilterFactor(W, -0.8)
+        # W = D^{-1} S with S symmetric and the same row sums has a spectrum:
+        # a non-dominant rho inside its interval is accepted, its log-det
+        # computed here, and one beyond it is refused by that interval
+        s = rng.uniform(0.0, 1.0, (30, 30))
+        s += s.T
+        np.fill_diagonal(s, 0.0)
+        b = 2.0 * s / s.sum(axis=1, keepdims=True)
+        V = SpatialWeightMatrix(b, row_normalized=False)
+        lo, hi = V.admissible_interval()
+        assert V.eigenvalues() is not None and lo < -0.8
+        np.testing.assert_allclose(hi, 0.5, rtol=1e-12)
+        inside = SpatialFilterFactor(V, -0.8)
+        assert inside._log_det == np.linalg.slogdet(np.eye(30) + 0.8 * b)[1]
+        with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
+            SpatialFilterFactor(V, rho)
 
     def test_two_blocks_crossing_two_eigenvalues_raise(self):
         # each block's rows sum to 2, so the interval ends at 0.5; at 0.6 two
@@ -451,7 +468,7 @@ class TestDenseFactor:
         W = SpatialWeightMatrix(a, row_normalized=False)
         np.testing.assert_allclose(W.admissible_interval()[1], 0.5, rtol=1e-12)
         assert np.linalg.det(np.eye(20) - 0.6 * a) > 0.0
-        with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
+        with pytest.raises(AdmissibilityError, match="cannot certify"):
             SpatialFilterFactor(W, 0.6)
 
     def test_dense_band_above_two_thousand_sites_has_a_spectrum(self):
@@ -472,7 +489,7 @@ class TestDenseFactor:
             for rho in (1.0, 1.5, -1.0, -3.0):
                 with pytest.raises(AdmissibilityError):
                     SpatialFilterFactor(W, rho)
-            assert W._eigenvalues is None
+            assert "_eigenvalues" not in vars(W)
 
     def test_solves_invert_a_nonsymmetric_filter(self):
         W = random_row_normalized(40, np.random.default_rng(22))
@@ -723,7 +740,7 @@ class TestEstimateRho:
         dense = estimate_rho_ml(y, X, SpatialWeightMatrix(W.toarray(), row_normalized=True))
         refuse_spectra(monkeypatch)
         est = estimate_rho_ml(y, X, W)
-        assert est.admissible_interval == (-1.0 + 1e-6, 1.0 - 1e-6)
+        assert est.admissible_interval == (-1.0, 1.0)
         assert abs(est.rho_hat - dense.rho_hat) <= 1e-8
 
     def test_doubled_sparse_knn_estimate_stays_inside_the_interval(self):
@@ -734,7 +751,7 @@ class TestEstimateRho:
         est = estimate_rho_ml(y, X, W)
         # the search runs over the row-sum bound, where every rho is certified
         lo, hi = est.admissible_interval
-        np.testing.assert_allclose((lo, hi), (-0.5 + 1e-6, 0.5 - 1e-6), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose((lo, hi), (-0.5, 0.5), rtol=0.0, atol=1e-15)
         assert lo < est.rho_hat < hi
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -792,6 +809,26 @@ class TestEstimateRho:
         lo, hi = est.admissible_interval
         assert lo < est.rho_hat < hi
 
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_knn_w_read_back_from_a_file_fits_as_built(self, tmp_path, monkeypatch, n):
+        # one KNN W, built from coordinates (CSR) and read back from its file
+        # (dense at most DENSE_LIMIT sites): neither has a spectrum, and both
+        # fit the same way
+        rng = np.random.default_rng(n)
+        coords = np.column_stack([rng.uniform(-30, 5, n), rng.uniform(-70, -35, n)])
+        built = build_knn_bisquare_weights(coords, 4)
+        path = tmp_path / "w.txt"
+        save_weights(built, path)
+        back = load_weights(path)
+        assert back.is_sparse == (n > spatial.DENSE_LIMIT)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        y = apply_spatial_filter(built, 0.7, X @ np.array([0.5, 1.0, -1.5]) + rng.normal(size=n))
+        refuse_spectra(monkeypatch)
+        est, est_back = estimate_rho_ml(y, X, built), estimate_rho_ml(y, X, back)
+        assert est.admissible_interval == est_back.admissible_interval == (-1.0, 1.0)
+        assert est.at_boundary == est_back.at_boundary
+        assert abs(est.rho_hat - est_back.rho_hat) <= 1e-8
+
 
 class TestSerialization:
     def test_round_trip_dense(self, tmp_path):
@@ -813,6 +850,28 @@ class TestSerialization:
 
 
 class TestWeightValues:
+    def test_intervals_are_plain_floats_on_every_route(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("n 0 row_normalized 0\n")
+        empty = load_weights(path)
+        # W = 2 J, with the spectrum +-2
+        path.write_text("n 2 row_normalized 0\n0 1 2\n1 0 2\n")
+        pair = load_weights(path)
+        assert pair.eigenvalues() is not None
+        cases = {
+            "empty file": (empty, (-1.0, 1.0)),
+            "empty CSR": (SpatialWeightMatrix(sp.csr_matrix((0, 0)), row_normalized=False), (-1.0, 1.0)),
+            "generator": (build_inverse_distance_weights(500), (-1.0, 1.0)),
+            "spectrum": (pair, (-0.5, 0.5)),
+            "row-sum bound": (doubled_sparse_knn(60), None),
+            "csr knn": (knn_80(), (-1.0, 1.0)),
+        }
+        for name, (W, expected) in cases.items():
+            interval = W.admissible_interval()
+            assert type(interval) is tuple and [type(v) for v in interval] == [float, float], name
+            if expected is not None:
+                assert interval == expected, name
+
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected_naming_the_entry(self, sparse, bad):
@@ -859,6 +918,8 @@ def real_route_cases(tmp_path):
     path = tmp_path / "w.txt"
     save_weights(build_inverse_distance_weights(40), path)
     cases["round-trip"] = load_weights(path)
+    # not normalized: its interval comes from its spectrum
+    cases["doubled"] = SpatialWeightMatrix(2.0 * spatial._inverse_distance_array(50), row_normalized=False)
     return cases
 
 
@@ -878,24 +939,25 @@ class TestSpectrumRoute:
                 np.sort(eigs), np.sort(oracle[name].real), rtol=0, atol=1e-12, err_msg=name
             )
             np.testing.assert_allclose(
-                W.admissible_interval(), spectrum_interval(oracle[name]), rtol=0, atol=1e-12
+                W.admissible_interval(), spectrum_interval(oracle[name].real), rtol=0, atol=1e-12
             )
 
-    @pytest.mark.filterwarnings("error")
-    def test_other_weights_fall_back_to_eigvals(self, monkeypatch):
+    def test_other_weights_have_no_spectrum(self, monkeypatch):
         rng = np.random.default_rng(79)
         nonsymmetric = random_row_normalized(40, rng)
         pts = np.column_stack([rng.uniform(0, 10, 80), rng.uniform(0, 10, 80)])
-        knn = SpatialWeightMatrix(build_knn_bisquare_weights(pts, h=4).toarray(), row_normalized=True)
-        oracle = [np.linalg.eigvals(W.toarray()) for W in (nonsymmetric, knn)]
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("eigvalsh called on a W that is not symmetrizable")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        for W, eigs in zip((nonsymmetric, knn), oracle):
-            assert np.array_equal(W.eigenvalues(), eigs)
-            assert W.admissible_interval() == spectrum_interval(eigs)
+        knn_csr = build_knn_bisquare_weights(pts, h=4)
+        knn = SpatialWeightMatrix(knn_csr.toarray(), row_normalized=True)
+        doubled = SpatialWeightMatrix(2.0 * nonsymmetric.toarray(), row_normalized=False)
+        generator = SpatialWeightMatrix(spatial._inverse_distance_array(51), row_normalized=True)
+        refuse_spectra(monkeypatch)
+        for W in (nonsymmetric, knn, knn_csr, doubled):
+            assert W.eigenvalues() is None
+        # a row-normalized W needs no spectrum for its interval, even one that has it
+        for W in (nonsymmetric, knn, knn_csr, generator):
+            assert W.admissible_interval() == (-1.0, 1.0)
+        r = float(doubled.row_sums().max())
+        assert doubled.admissible_interval() == (-1.0 / r, 1.0 / r)
 
 
 class TestProperties:
@@ -969,15 +1031,14 @@ class TestProperties:
         cols=st.integers(1, 3),
     )
     def test_sparse_refuses_non_dominant_unnormalized_filter(self, n, seed, scale, frac, cols):
-        # every row sums to scale > 1; rho below -1 / scale is admissible
-        # (a positive W has its smallest eigenvalue above -scale) but
-        # leaves I - rho W without diagonal dominance, which sparse storage,
-        # having no spectrum, cannot certify
+        # every row sums to scale > 1; rho in (-1, -1 / scale) leaves
+        # I - rho W without diagonal dominance, which a W without a spectrum,
+        # dense or sparse, cannot certify
         a = scale * random_row_normalized(n, np.random.default_rng(seed)).toarray()
-        lo, _ = SpatialWeightMatrix(a, row_normalized=False).admissible_interval()
-        rho = lo + frac * (-1.0 / scale - lo)
-        with pytest.raises(AdmissibilityError, match="cannot certify"):
-            SpatialFilterFactor(SpatialWeightMatrix(sp.csr_matrix(a), row_normalized=False), rho)
+        rho = -1.0 + frac * (1.0 - 1.0 / scale)
+        for weights in (a, sp.csr_matrix(a)):
+            with pytest.raises(AdmissibilityError, match="cannot certify"):
+                SpatialFilterFactor(SpatialWeightMatrix(weights, row_normalized=False), rho)
         # the dominant half of the row-sum bound solves
         assert_solves_invert_filter(a, frac * (1.0 - 1e-6) / scale, cols, seed)
 

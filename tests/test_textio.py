@@ -200,6 +200,29 @@ class TestWeightFiles:
         for rho in (-0.4, 0.7):
             assert same_bits(SpatialFilterFactor(back, rho).solve(b), SpatialFilterFactor(W, rho).solve(b))
 
+    def test_storage_follows_what_the_file_holds(self, tmp_path, monkeypatch):
+        # above DENSE_LIMIT, a file storing every off-diagonal weight stays
+        # dense and keeps its spectrum; one leaving some weight unstored is CSR
+        monkeypatch.setattr(spatial, "DENSE_LIMIT", 20)
+        generator = build_inverse_distance_weights(40)
+        path = tmp_path / "w.txt"
+        reference_save_weights(generator, path)  # the triple form of older files
+        back = load_weights(path)
+        assert not back.is_sparse and same_bits(back.weights, generator.weights)
+        assert same_bits(back.eigenvalues(), generator.eigenvalues())
+        doubled = SpatialWeightMatrix(2.0 * spatial._inverse_distance_array(40), row_normalized=False)
+        save_weights(doubled, path)
+        back = load_weights(path)
+        assert not back.is_sparse and same_bits(back.eigenvalues(), doubled.eigenvalues())
+        assert back.admissible_interval() == doubled.admissible_interval()
+        lines = path.read_text().splitlines(keepends=True)
+        for entry in ([], ["0 1 0\n"]):
+            path.write_text("".join(lines[:1] + entry + lines[2:]))
+            back = load_weights(path)
+            assert back.is_sparse and back.eigenvalues() is None
+            r = float(back.row_sums().max())
+            assert back.admissible_interval() == (-1.0 / r, 1.0 / r)
+
     def test_shuffled_dense_read_is_bit_equal(self, tmp_path):
         W = build_inverse_distance_weights(60).subset(np.arange(0, 60, 2))
         path = tmp_path / "w.txt"
