@@ -297,10 +297,6 @@ def _prefilter(ctx: SpatialContext, features, scalars):
     The filter is linear and acts before the first bias, so filtering the
     inputs equals filtering the first-layer pre-activations.
     """
-    if ctx.W.n != features.shape[0]:
-        raise DimensionError(
-            f"spatial context has {ctx.W.n} sites but inputs have {features.shape[0]} rows"
-        )
     filtered = ctx.solve(np.hstack([features, scalars]))
     return [np.ascontiguousarray(part) for part in np.hsplit(filtered, [features.shape[1]])]
 

@@ -7,18 +7,17 @@ local Moran's I diagnostics.
 
 An inverse-distance W is dense; a KNN W, and every subset of it, is CSR of
 its positive weights.  One rule decides which dependence parameters are
-admissible: rho is admissible when it is dominant, |rho| times the largest
-row sum r of W below 1, or when it lies inside W's admissible interval.  A
-dominant I - rho W is strictly diagonally dominant with a positive
-diagonal, so its determinant is positive.  Only a dense W = D^{-1} S, S
+admissible: rho is admissible exactly when it lies inside W's admissible
+interval.  W's spectral radius is at most its largest row sum r
+(Perron-Frobenius), so the interval is (-1, 1), with no eigensolve, for a W
+flagged row-normalized or with r <= 1.  Only a dense W = D^{-1} S, S
 symmetric and positive off its diagonal (every inverse-distance W), has a
-spectrum, real, from a symmetric eigensolver.  The interval follows one
-rule whatever the storage: (-1, 1) for a row-normalized W, its spectral
-radius being at most its largest row sum, 1 (Perron-Frobenius); from the
-spectrum for any other W that has one; the row-sum bound (-1/r, 1/r) within
-(-1, 1) otherwise.  So every rho a W without a spectrum admits is dominant,
-and a sparse I - rho W is factored without pivoting in one reverse
-Cuthill-McKee ordering computed once per W.  The rho search on a W without
+spectrum, real, from a symmetric eigensolver; any other W takes its
+interval from that spectrum within (-1, 1) when it has one, and the row-sum
+bound (-1/r, 1/r) otherwise.  So every rho a W without a spectrum admits is
+dominant, |rho| r below 1, and a sparse I - rho W, strictly diagonally
+dominant, is factored without pivoting in one reverse Cuthill-McKee
+ordering computed once per W.  The rho search on a W without
 a spectrum, dense or sparse, factors only the scan points that Hadamard's
 bound on ln det(I - rho W), 1/2 sum_i log1p(rho^2 |w_i|^2), does not rule
 out: a skipped point cannot hold the maximum, so the estimate is
@@ -125,7 +124,6 @@ class SpatialWeightMatrix:
             active = sums > 0
             if np.any(np.abs(sums[active] - 1.0) > 1e-12):
                 raise InvalidSizeError("row-normalized flag set but rows do not sum to 1")
-        self._ordering = None
 
     @property
     def is_sparse(self) -> bool:
@@ -201,33 +199,31 @@ class SpatialWeightMatrix:
             return np.asarray(a.multiply(a).sum(axis=1)).ravel()
         return np.einsum("ij,ij->i", a, a)
 
+    @functools.cached_property
     def _ordered(self):
         """Reverse Cuthill-McKee ordering of W + W' and W permuted by it, as CSC."""
-        if self._ordering is None:
-            from scipy.sparse.csgraph import reverse_cuthill_mckee
-            perm = reverse_cuthill_mckee((self.weights + self.weights.T).tocsr(), symmetric_mode=True)
-            self._ordering = (perm, self.weights[perm][:, perm].tocsc())
-        return self._ordering
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        perm = reverse_cuthill_mckee((self.weights + self.weights.T).tocsr(), symmetric_mode=True)
+        return perm, self.weights[perm][:, perm].tocsc()
 
     def admissible_interval(self) -> tuple[float, float]:
         """Open interval of dependence parameters keeping I - rho W invertible.
 
-        Two plain floats within (-1, 1), by one rule whatever W's storage.  A
-        row-normalized W's is (-1, 1), with no eigensolve: its spectral
-        radius is at most its largest row sum, 1 (Perron-Frobenius).  A W
-        with a spectrum takes (1/lambda_min, 1/lambda_max).  Any other W
-        takes the row-sum bound (-1/r, 1/r), r the largest row sum (LeSage &
-        Pace 2009, ch. 4; r = 1 for an all-zero W), so every rho in it is
-        dominant.
+        Two plain floats within (-1, 1), by one rule whatever W's storage.  W's
+        spectral radius is at most its largest row sum r (Perron-Frobenius),
+        so a W flagged row-normalized, or with r <= 1, takes (-1, 1) with no
+        eigensolve.  Any other W takes (1/lambda_min, 1/lambda_max) within
+        (-1, 1) when it has a spectrum, and the row-sum bound (-1/r, 1/r)
+        (LeSage & Pace 2009, ch. 4) when it has none.
         """
-        if self.row_normalized:
+        if self.row_normalized or self._max_row_sum <= 1.0:
             return (-1.0, 1.0)
         eigs = self.eigenvalues()
         if eigs is None:
-            r = self._max_row_sum or 1.0
-            return (max(-1.0, -1.0 / r), min(1.0, 1.0 / r))
+            return (-1.0 / self._max_row_sum, 1.0 / self._max_row_sum)
+        # a nonzero W with a real spectrum and zero trace has lo < 0 < hi
         lo, hi = float(eigs.min()), float(eigs.max())
-        return (max(1.0 / lo, -1.0) if lo < 0 else -1.0, min(1.0 / hi, 1.0) if hi > 0 else 1.0)
+        return (max(1.0 / lo, -1.0), min(1.0 / hi, 1.0))
 
 
 def _symmetrizing_scale(a: np.ndarray):
@@ -397,13 +393,12 @@ def local_morans_i(W: SpatialWeightMatrix, y: np.ndarray) -> np.ndarray:
 class SpatialFilterFactor:
     """I - rho W, checked admissible, for filter solves and its log-determinant.
 
-    rho must be dominant (|rho| times the largest row sum of W below 1) or
-    inside ``W.admissible_interval()``; any other rho raises, and |rho| >= 1,
-    outside every interval, before a spectrum is computed.  At rho = 0 the
-    filter is I for every W: nothing is factored, a solve returns a copy of
-    b and the log-determinant is 0.  A W without a spectrum, as every sparse
-    W is, admits only dominant rho; a sparse W is factored here, once,
-    without pivoting.
+    rho is admissible exactly when it lies inside ``W.admissible_interval()``;
+    any other rho raises.  At rho = 0 the filter is I for every W: nothing is
+    factored, a solve returns a copy of b and the log-determinant is 0.  A
+    sparse W has no spectrum, so every rho it admits is dominant, |rho| times
+    its largest row sum below 1: I - rho W is strictly diagonally dominant
+    with a positive diagonal, and is factored here, once, without pivoting.
 
     A dense W equal to its mirror J W J (J reversing site order; every
     inverse-distance W) makes A = I - rho W centrosymmetric, and A splits
@@ -416,29 +411,22 @@ class SpatialFilterFactor:
     b[c] and its solution x[c].  det A = det P det M.  Any other dense W
     keeps A whole.  Each solve is one ``np.linalg.solve`` per block (an LU
     and its triangular solves), so a factor that serves one solve, as every
-    one in the package does, costs one LU per block.  A dominant A has a
-    positive determinant, and its log-determinant is computed (``slogdet``)
-    only when first read; any other is computed here.
+    one in the package does, costs one LU per block.  The log-determinant
+    is computed (``slogdet`` per block, or the sparse LU's pivots) only when
+    first read, and a non-finite one raises there.
     """
 
     def __init__(self, W: SpatialWeightMatrix, rho: float):
         self.W = W
         self.rho = float(rho)
+        lo, hi = W.admissible_interval()
+        if not lo < self.rho < hi:
+            raise AdmissibilityError(f"rho={self.rho} is outside the admissible interval ({lo}, {hi}) of W")
         self._log_det = None
-        # matrices whose LUs solve a dense filter: (A,), (P, M) or, at rho = 0, none
+        # the sparse LU, or the matrices whose LUs solve a dense filter:
+        # (A,) or (P, M); at rho = 0, neither
+        self._lu = None
         self._blocks = ()
-        dominant = abs(self.rho) * W._max_row_sum < 1.0
-        if not dominant:
-            if abs(self.rho) >= 1.0:
-                raise AdmissibilityError(f"rho={self.rho} is not dominant and lies outside (-1, 1)")
-            lo, hi = W.admissible_interval()
-            if not lo < self.rho < hi:
-                raise AdmissibilityError(
-                    f"rho={self.rho} is not dominant (|rho| times the largest row sum of W is at "
-                    "least 1), and a W without a spectrum cannot certify it admissible"
-                    if W.eigenvalues() is None
-                    else f"rho={self.rho} is outside the admissible interval ({lo}, {hi}) of W"
-                )
         if self.rho == 0.0:
             return
         if W.is_sparse:
@@ -446,10 +434,9 @@ class SpatialFilterFactor:
             from scipy.sparse.linalg import splu
             # the diagonal pivots are the ratios of positive leading minors,
             # and a symmetric permutation leaves the determinant alone
-            self._perm, wp = W._ordered()
+            self._perm, wp = W._ordered
             a = sp.identity(W.n, format="csc") - self.rho * wp
             self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
-            self._log_det = float(np.sum(np.log(self._lu.U.diagonal())))
         elif W._mirrored:
             n, m = W.n, W.n // 2
             # rows lo (and c), against sites lo (and c) and against their mirrors
@@ -460,15 +447,18 @@ class SpatialFilterFactor:
             self._blocks = (p, near[:m, :m] + far[:m, :m])
         else:
             self._blocks = (np.eye(W.n) - self.rho * W.weights,)
-        # a dominant dense A has a positive determinant, computed when first read
-        if (W.is_sparse or not dominant) and not np.isfinite(self.log_det):
-            raise AdmissibilityError(f"I - rho W is singular to working precision for rho={self.rho}")
 
     @property
     def log_det(self) -> float:
-        """ln det(I - rho W)."""
+        """ln det(I - rho W); raises if I - rho W is singular to working precision."""
         if self._log_det is None:
-            self._log_det = float(sum(np.linalg.slogdet(block)[1] for block in self._blocks))
+            if self._lu is not None:
+                value = float(np.sum(np.log(self._lu.U.diagonal())))
+            else:
+                value = float(sum(np.linalg.slogdet(block)[1] for block in self._blocks))
+            if not np.isfinite(value):
+                raise AdmissibilityError(f"I - rho W is singular to working precision for rho={self.rho}")
+            self._log_det = value
         return self._log_det
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -478,17 +468,18 @@ class SpatialFilterFactor:
         return self._solve(b, True)
 
     def _solve(self, b: np.ndarray, transpose: bool) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.shape[:1] != (self.W.n,):
+            raise DimensionError(f"right-hand side has shape {b.shape} but W has {self.W.n} rows")
         if self.rho == 0.0:
-            return np.array(b, dtype=float)
-        if self.W.is_sparse:
-            b = np.asarray(b, dtype=float)
+            return np.array(b)
+        if self._lu is not None:
             x = np.empty_like(b)
             x[self._perm] = self._lu.solve(b[self._perm], trans="T" if transpose else "N")
             return x
         if len(self._blocks) == 1:
             a = self._blocks[0]
             return np.linalg.solve(a.T if transpose else a, b)
-        b = np.asarray(b, dtype=float)
         n, m = self.W.n, self.W.n // 2
         p, q = self._blocks
         mirror = b[::-1]
@@ -516,9 +507,6 @@ def log_det_filter(W: SpatialWeightMatrix, rho: float) -> float:
 
 def apply_spatial_filter(W: SpatialWeightMatrix, rho: float, b: np.ndarray) -> np.ndarray:
     """Solve (I - rho W) x = b without forming the explicit inverse."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != W.n:
-        raise DimensionError(f"right-hand side has {b.shape[0]} rows but W has {W.n}")
     return SpatialFilterFactor(W, rho).solve(b)
 
 

@@ -18,6 +18,7 @@ from sfdnn.errors import (
     DegenerateBandwidthError,
     DegenerateVarianceError,
     DesignRankError,
+    DimensionError,
     InvalidSizeError,
 )
 from sfdnn.spatial import (
@@ -395,10 +396,10 @@ class TestLogDet:
         np.testing.assert_allclose(log_det_filter(W, 0.6), math.log(0.928), atol=1e-14)
         with pytest.raises(AdmissibilityError):
             log_det_filter(W, 3.0)
-        # sparse storage has no spectrum: only dominant rho are certified
+        # sparse storage has no spectrum: its interval is the row-sum bound (-0.5, 0.5)
         sparse = SpatialWeightMatrix(sp.csr_matrix(a), row_normalized=False)
         assert sparse.eigenvalues() is None
-        with pytest.raises(AdmissibilityError, match="cannot certify"):
+        with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
             log_det_filter(sparse, 0.6)
         np.testing.assert_allclose(log_det_filter(sparse, 0.4), math.log(0.968), atol=1e-14)
 
@@ -441,11 +442,11 @@ class TestDenseFactor:
         # W cannot be symmetrized, so it has no spectrum and takes the
         # row-sum bound, which admits no non-dominant rho
         assert W.eigenvalues() is None and lo == -hi
-        with pytest.raises(AdmissibilityError, match="cannot certify"):
+        with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
             SpatialFilterFactor(W, -0.8)
         # W = D^{-1} S with S symmetric and the same row sums has a spectrum:
-        # a non-dominant rho inside its interval is accepted, its log-det
-        # computed here, and one beyond it is refused by that interval
+        # a non-dominant rho inside its interval is accepted, and one beyond
+        # it is refused by that interval
         s = rng.uniform(0.0, 1.0, (30, 30))
         s += s.T
         np.fill_diagonal(s, 0.0)
@@ -455,7 +456,7 @@ class TestDenseFactor:
         assert V.eigenvalues() is not None and lo < -0.8
         np.testing.assert_allclose(hi, 0.5, rtol=1e-12)
         inside = SpatialFilterFactor(V, -0.8)
-        assert inside._log_det == np.linalg.slogdet(np.eye(30) + 0.8 * b)[1]
+        assert inside.log_det == np.linalg.slogdet(np.eye(30) + 0.8 * b)[1]
         with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
             SpatialFilterFactor(V, rho)
 
@@ -468,7 +469,7 @@ class TestDenseFactor:
         W = SpatialWeightMatrix(a, row_normalized=False)
         np.testing.assert_allclose(W.admissible_interval()[1], 0.5, rtol=1e-12)
         assert np.linalg.det(np.eye(20) - 0.6 * a) > 0.0
-        with pytest.raises(AdmissibilityError, match="cannot certify"):
+        with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
             SpatialFilterFactor(W, 0.6)
 
     def test_dense_band_above_two_thousand_sites_has_a_spectrum(self):
@@ -525,6 +526,25 @@ class TestDenseFactor:
             for x in (factor.solve(b), factor.solve_transpose(b)):
                 assert np.array_equal(x, b) and not np.shares_memory(x, b)
             assert factor.log_det == 0.0
+
+    def test_right_hand_side_of_the_wrong_length_raises_on_every_route(self):
+        nonsymmetric = random_row_normalized(6, np.random.default_rng(27))
+        routes = {
+            "sparse": (knn_80(), 0.5, lambda f: f._lu is not None),
+            "mirrored even": (build_inverse_distance_weights(4), 0.5, lambda f: len(f._blocks) == 2),
+            "mirrored odd": (build_inverse_distance_weights(5), 0.5, lambda f: len(f._blocks) == 2),
+            "whole": (nonsymmetric, 0.5, lambda f: len(f._blocks) == 1),
+            "rho zero": (build_inverse_distance_weights(4), 0.0, lambda f: f._lu is None and not f._blocks),
+        }
+        for name, (W, rho, takes_route) in routes.items():
+            factor = SpatialFilterFactor(W, rho)
+            assert takes_route(factor), name
+            for b in (np.ones(W.n + 1), np.ones(W.n - 1), np.ones((W.n + 1, 2)), np.float64(1.0)):
+                for solve in (factor.solve, factor.solve_transpose):
+                    with pytest.raises(DimensionError, match=f"W has {W.n} rows"):
+                        solve(b)
+                with pytest.raises(DimensionError):
+                    apply_spatial_filter(W, rho, b)
 
 
 class TestApplyFilter:
@@ -906,10 +926,8 @@ class TestSubset:
 
 
 def spectrum_interval(eigs):
-    """Admissible interval of a W whose spectrum is ``eigs``."""
-    W = SpatialWeightMatrix(np.zeros((1, 1)), row_normalized=False)
-    W._eigenvalues = eigs
-    return W.admissible_interval()
+    """(1/lambda_min, 1/lambda_max) cut to (-1, 1), for a spectrum of both signs."""
+    return (max(1.0 / eigs.min(), -1.0), min(1.0 / eigs.max(), 1.0))
 
 
 def real_route_cases(tmp_path):
@@ -1032,15 +1050,55 @@ class TestProperties:
     )
     def test_sparse_refuses_non_dominant_unnormalized_filter(self, n, seed, scale, frac, cols):
         # every row sums to scale > 1; rho in (-1, -1 / scale) leaves
-        # I - rho W without diagonal dominance, which a W without a spectrum,
-        # dense or sparse, cannot certify
+        # I - rho W without diagonal dominance, outside the row-sum bound of
+        # a W without a spectrum, dense or sparse
         a = scale * random_row_normalized(n, np.random.default_rng(seed)).toarray()
         rho = -1.0 + frac * (1.0 - 1.0 / scale)
         for weights in (a, sp.csr_matrix(a)):
-            with pytest.raises(AdmissibilityError, match="cannot certify"):
+            with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
                 SpatialFilterFactor(SpatialWeightMatrix(weights, row_normalized=False), rho)
         # the dominant half of the row-sum bound solves
         assert_solves_invert_filter(a, frac * (1.0 - 1e-6) / scale, cols, seed)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        spectrum=st.booleans(),
+        sparse=st.booleans(),
+        scale=st.one_of(st.none(), st.floats(0.3, 3.0)),
+        frac=st.floats(0.001, 0.999),
+        beyond=st.floats(0.0, 2.0),
+    )
+    def test_rho_is_admissible_exactly_inside_the_interval(
+        self, n, seed, spectrum, sparse, scale, frac, beyond
+    ):
+        # a dense W = D^{-1} S, S symmetric and positive off its diagonal, has
+        # a spectrum; scale None flags W row-normalized
+        rng = np.random.default_rng(seed)
+        if spectrum:
+            s = rng.uniform(0.1, 1.0, (n, n))
+            s += s.T
+            np.fill_diagonal(s, 0.0)
+            a = s / s.sum(axis=1, keepdims=True)
+        else:
+            a = random_row_normalized(n, rng, density=rng.uniform(0.1, 1.0)).toarray()
+        if scale is not None:
+            a *= scale
+        W = SpatialWeightMatrix(sp.csr_matrix(a) if sparse else a, row_normalized=scale is None)
+        with pytest.MonkeyPatch.context() as m:
+            refuse_spectra(m)
+            if W.row_normalized or W.row_sums().max() <= 1.0:
+                assert W.admissible_interval() == (-1.0, 1.0)
+        lo, hi = W.admissible_interval()
+        assert -1.0 <= lo < 0.0 < hi <= 1.0
+        rho = lo + frac * (hi - lo)
+        sign, oracle = np.linalg.slogdet(np.eye(n) - rho * a)
+        assert sign == 1.0
+        assert abs(SpatialFilterFactor(W, rho).log_det - oracle) <= 1e-10 * max(1.0, abs(oracle))
+        for rho in (lo - beyond, hi + beyond, -1.0, 1.0, -1.5, 1.5):
+            with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
+                SpatialFilterFactor(W, rho)
 
     @settings(deadline=None, max_examples=60)
     @given(

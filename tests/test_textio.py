@@ -240,10 +240,19 @@ class TestWeightFiles:
         with pytest.raises(DataError, match="malformed weight-matrix header"):
             load_weights(path)
 
-    @pytest.mark.parametrize("n", [4, DENSE_LIMIT + 1])
-    def test_duplicate_entries_rejected_on_both_routes(self, tmp_path, n):
+    @pytest.mark.parametrize("n", [3, DENSE_LIMIT + 1])
+    def test_duplicate_entries_rejected_before_any_weight_matrix(self, tmp_path, monkeypatch, n):
+        # every off-diagonal triple of a 3-site W, or two of a W above
+        # DENSE_LIMIT sites, and then the first of them again
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j] if n == 3 else [(0, 1), (1, 2)]
+        body = "".join(f"{i} {j} 0.25\n" for i, j in pairs)
         path = tmp_path / "w.txt"
-        path.write_text(f"n {n} row_normalized 0\n0 1 0.25\n1 2 1\n0 1 0.5\n")
+        path.write_text(f"n {n} row_normalized 0\n{body}0 1 0.5\n")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a weight matrix was built")
+
+        monkeypatch.setattr(spatial, "SpatialWeightMatrix", refuse)
         with pytest.raises(DataError, match="duplicate entry i=0 j=1"):
             load_weights(path)
 
