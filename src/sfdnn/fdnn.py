@@ -212,29 +212,21 @@ class NetworkParameters:
     holds the transition matrices between consecutive layers, ending with
     the (1, n_R) output map.  ``biases`` has one vector per hidden layer
     plus the output bias.  Every tensor is a view into the contiguous
-    vector ``flat``, in :meth:`tensors` order; its first ``num_weights``
-    entries are the weights.
+    vector ``flat`` the parameters are built on, in :meth:`tensors` order;
+    its first ``num_weights`` entries are the weights.
     """
 
-    def __init__(self, arch, func_weights, scalar_weights, hidden_weights, biases):
-        tensors = [func_weights, scalar_weights, *hidden_weights, *biases]
-        if [np.shape(t) for t in tensors] != _tensor_shapes(arch):
-            raise DimensionError("parameter tensor shapes do not match the architecture")
-        self._bind(arch, np.concatenate([np.ravel(t) for t in tensors]).astype(float))
-
-    def _bind(self, arch, flat):
+    def __init__(self, arch, flat: np.ndarray):
+        if flat.shape != (arch.num_parameters,):
+            raise DimensionError(
+                f"parameter vector has shape {flat.shape}, architecture expects ({arch.num_parameters},)"
+            )
         spans, self.num_weights = _layout(arch)
         self.arch, self.flat = arch, flat
         views = [flat[start:stop].reshape(shape) for start, stop, shape in spans]
         k = len(arch.hidden_sizes)
         self.func_weights, self.scalar_weights, *self.hidden_weights = views[: 2 + k]
         self.biases = views[2 + k :]
-
-    @classmethod
-    def _from_flat(cls, arch, flat) -> "NetworkParameters":
-        params = cls.__new__(cls)
-        params._bind(arch, flat)
-        return params
 
     def functional_coeff_blocks(self):
         """Per-predictor views of the first-layer spline coefficients."""
@@ -254,17 +246,17 @@ class NetworkParameters:
         return out
 
     def copy(self) -> "NetworkParameters":
-        return self._from_flat(self.arch, self.flat.copy())
+        return NetworkParameters(self.arch, self.flat.copy())
 
     @classmethod
     def zeros_like(cls, params: "NetworkParameters") -> "NetworkParameters":
-        return cls._from_flat(params.arch, np.zeros_like(params.flat))
+        return cls(params.arch, np.zeros_like(params.flat))
 
 
 def init_parameters(arch: NetworkArchitecture, seed: int) -> NetworkParameters:
     """Uniform Glorot initialization; biases start at zero."""
     rng = np.random.default_rng(seed)
-    params = NetworkParameters._from_flat(arch, np.zeros(arch.num_parameters))
+    params = NetworkParameters(arch, np.zeros(arch.num_parameters))
     bound = np.sqrt(6.0 / (arch.feature_width + arch.num_scalar + arch.hidden_sizes[0]))
     params.func_weights[...] = rng.uniform(-bound, bound, size=params.func_weights.shape)
     params.scalar_weights[...] = rng.uniform(-bound, bound, size=params.scalar_weights.shape)
@@ -571,7 +563,7 @@ def parameters_from_lines(lines) -> NetworkParameters:
         )
     except ValueError as exc:
         raise DimensionError(f"network parameter header: {exc}") from exc
-    params = NetworkParameters._from_flat(arch, np.empty(arch.num_parameters))
+    params = NetworkParameters(arch, np.empty(arch.num_parameters))
     body = (line for line in lines[5:] if line.strip())
     for name, tensor, _ in params.tensors():
         line = next(body, None)

@@ -440,6 +440,9 @@ def _model_from_lines(lines, path) -> FittedModel:
                     grid=grid,
                 )
             )
+        extra = next((line for line in lines[pos:] if line.strip()), None)
+        if extra is not None:
+            raise DataError(f"{path}: unexpected line '{extra[:40]}' after the last eigenfunction")
         return FittedModel(grid=grid, fpca_models=models, theta=theta, **common)
 
     feature_mean = floats(take("feature_mean"))

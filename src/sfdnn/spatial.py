@@ -17,10 +17,11 @@ interval from that spectrum within (-1, 1) when it has one, and the row-sum
 bound (-1/r, 1/r) otherwise.  So every rho a W without a spectrum admits is
 dominant, |rho| r below 1, and a sparse I - rho W, strictly diagonally
 dominant, is factored without pivoting in one reverse Cuthill-McKee
-ordering computed once per W.  The rho search on a W without
-a spectrum, dense or sparse, factors only the scan points that Hadamard's
-bound on ln det(I - rho W), 1/2 sum_i log1p(rho^2 |w_i|^2), does not rule
-out: a skipped point cannot hold the maximum, so the estimate is
+ordering computed once per W.  Every log-determinant comes from the filter
+factor: from W's spectrum when it has one, from an LU otherwise.  The rho
+search, one route for every W, evaluates only the scan points that
+Hadamard's bound on ln det(I - rho W), 1/2 sum_i log1p(rho^2 |w_i|^2), does
+not rule out: a skipped point cannot hold the maximum, so the estimate is
 bit-identical to a full scan's.  KNN neighbors are searched with a KD-tree
 on unit-sphere points.  An inverse-distance W depends only on n, so it is
 built once per size and shared read-only: every replication of a study cell
@@ -398,7 +399,7 @@ class SpatialFilterFactor:
     factored, a solve returns a copy of b and the log-determinant is 0.  A
     sparse W has no spectrum, so every rho it admits is dominant, |rho| times
     its largest row sum below 1: I - rho W is strictly diagonally dominant
-    with a positive diagonal, and is factored here, once, without pivoting.
+    with a positive diagonal, and is factored once, without pivoting.
 
     A dense W equal to its mirror J W J (J reversing site order; every
     inverse-distance W) makes A = I - rho W centrosymmetric, and A splits
@@ -411,9 +412,11 @@ class SpatialFilterFactor:
     b[c] and its solution x[c].  det A = det P det M.  Any other dense W
     keeps A whole.  Each solve is one ``np.linalg.solve`` per block (an LU
     and its triangular solves), so a factor that serves one solve, as every
-    one in the package does, costs one LU per block.  The log-determinant
-    is computed (``slogdet`` per block, or the sparse LU's pivots) only when
-    first read, and a non-finite one raises there.
+    one in the package does, costs one LU per block.  Building a factor
+    factors nothing: the sparse LU and the dense blocks are built by the
+    first solve or LU log-determinant that needs them.  The log-determinant
+    is computed when first read, from W's spectrum when it has one, and a
+    non-finite one raises there.
     """
 
     def __init__(self, W: SpatialWeightMatrix, rho: float):
@@ -422,44 +425,50 @@ class SpatialFilterFactor:
         lo, hi = W.admissible_interval()
         if not lo < self.rho < hi:
             raise AdmissibilityError(f"rho={self.rho} is outside the admissible interval ({lo}, {hi}) of W")
-        self._log_det = None
-        # the sparse LU, or the matrices whose LUs solve a dense filter:
-        # (A,) or (P, M); at rho = 0, neither
-        self._lu = None
-        self._blocks = ()
-        if self.rho == 0.0:
-            return
-        if W.is_sparse:
-            import scipy.sparse as sp
-            from scipy.sparse.linalg import splu
-            # the diagonal pivots are the ratios of positive leading minors,
-            # and a symmetric permutation leaves the determinant alone
-            self._perm, wp = W._ordered
-            a = sp.identity(W.n, format="csc") - self.rho * wp
-            self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
-        elif W._mirrored:
-            n, m = W.n, W.n // 2
-            # rows lo (and c), against sites lo (and c) and against their mirrors
-            near = np.eye(n - m) - self.rho * W.weights[: n - m, : n - m]
-            far = self.rho * W.weights[: n - m, ::-1][:, : n - m]
-            p = near - far
-            p[m:] = near[m:]  # the border row of an odd n: A[c, lo], A[c, c]
-            self._blocks = (p, near[:m, :m] + far[:m, :m])
-        else:
-            self._blocks = (np.eye(W.n) - self.rho * W.weights,)
 
-    @property
+    @functools.cached_property
+    def _lu(self):
+        """The LU of a sparse I - rho W in W's ordering, without pivoting."""
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+        # the diagonal pivots are the ratios of positive leading minors,
+        # and a symmetric permutation leaves the determinant alone
+        a = sp.identity(self.W.n, format="csc") - self.rho * self.W._ordered[1]
+        return splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
+
+    @functools.cached_property
+    def _blocks(self) -> tuple:
+        """The matrices whose LUs solve a dense filter: (P, M) for a mirrored W, else (A,)."""
+        W = self.W
+        if not W._mirrored:
+            return (np.eye(W.n) - self.rho * W.weights,)
+        n, m = W.n, W.n // 2
+        # rows lo (and c), against sites lo (and c) and against their mirrors
+        near = np.eye(n - m) - self.rho * W.weights[: n - m, : n - m]
+        far = self.rho * W.weights[: n - m, ::-1][:, : n - m]
+        p = near - far
+        p[m:] = near[m:]  # the border row of an odd n: A[c, lo], A[c, c]
+        return (p, near[:m, :m] + far[:m, :m])
+
+    @functools.cached_property
     def log_det(self) -> float:
-        """ln det(I - rho W); raises if I - rho W is singular to working precision."""
-        if self._log_det is None:
-            if self._lu is not None:
-                value = float(np.sum(np.log(self._lu.U.diagonal())))
-            else:
-                value = float(sum(np.linalg.slogdet(block)[1] for block in self._blocks))
-            if not np.isfinite(value):
-                raise AdmissibilityError(f"I - rho W is singular to working precision for rho={self.rho}")
-            self._log_det = value
-        return self._log_det
+        """ln det(I - rho W); raises if I - rho W is singular to working precision.
+
+        From W's spectrum when it has one, sum ln(1 - rho lambda) (Ord 1975);
+        otherwise from the sparse LU's pivots, or ``slogdet`` per dense block.
+        """
+        if self.rho == 0.0:
+            return 0.0
+        eigs = self.W.eigenvalues()
+        if eigs is not None:
+            value = float(np.sum(np.log(1.0 - self.rho * eigs)))
+        elif self.W.is_sparse:
+            value = float(np.sum(np.log(self._lu.U.diagonal())))
+        else:
+            value = float(sum(np.linalg.slogdet(block)[1] for block in self._blocks))
+        if not np.isfinite(value):
+            raise AdmissibilityError(f"I - rho W is singular to working precision for rho={self.rho}")
+        return value
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._solve(b, False)
@@ -473,9 +482,10 @@ class SpatialFilterFactor:
             raise DimensionError(f"right-hand side has shape {b.shape} but W has {self.W.n} rows")
         if self.rho == 0.0:
             return np.array(b)
-        if self._lu is not None:
+        if self.W.is_sparse:
+            perm = self.W._ordered[0]
             x = np.empty_like(b)
-            x[self._perm] = self._lu.solve(b[self._perm], trans="T" if transpose else "N")
+            x[perm] = self._lu.solve(b[perm], trans="T" if transpose else "N")
             return x
         if len(self._blocks) == 1:
             a = self._blocks[0]
@@ -586,13 +596,12 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     For fixed rho the coefficient vector is the least-squares fit of
     (y - rho W y) on ``Xc`` and sigma^2 the residual mean square, leaving a
     one-dimensional search of ln|I - rho W| - (n/2) ln sigma^2(rho) over the
-    admissible interval.  A coarse scan brackets the global optimum (the
-    profile can be multimodal), 101 points when W has a spectrum and 21 when
-    each log-determinant costs an LU; Brent's method on the profile refines
-    inside the scan bracket.  Log-determinants come from the spectrum when W
-    has one and from ``log_det_filter`` otherwise, each computed once per rho.
+    admissible interval.  A 21-point scan brackets the global optimum (the
+    profile can be multimodal), and Brent's method on the profile refines
+    inside the scan bracket.  Every log-determinant comes from
+    ``log_det_filter``, once per rho, whatever W's storage or spectrum.
 
-    Without a spectrum the scan skips LUs that cannot win.  Hadamard's
+    The scan skips log-determinants that cannot win.  Hadamard's
     inequality, W's diagonal being zero, bounds ln det(I - rho W) by
     1/2 sum_i log1p(rho^2 |w_i|^2), w_i row i of W, in O(n).  Points are
     evaluated exactly in order of decreasing bound until a bound falls
@@ -625,16 +634,8 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     margin = 1e-6 * (hi - lo)
     lo_s, hi_s = lo + margin, hi - margin
 
-    eigs = W.eigenvalues()
-    # log-dets by rho, so the final likelihood reuses the chosen point's
-    log_dets: dict[float, float] = {}
-
-    def log_det(rho: float) -> float:
-        if rho not in log_dets:
-            log_dets[rho] = (
-                log_det_filter(W, rho) if eigs is None else float(np.sum(np.log(1.0 - rho * eigs)))
-            )
-        return log_dets[rho]
+    # each log-det once per rho, so the final likelihood reuses the chosen point's
+    log_det = functools.cache(lambda rho: log_det_filter(W, rho))
 
     def concentrated(rho: float, log_det=log_det) -> float:
         ssr = ss00 - 2.0 * rho * ss01 + rho * rho * ss11
@@ -642,27 +643,23 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
             return -np.inf
         return log_det(rho) - 0.5 * n * math.log(ssr / n)
 
-    if eigs is not None:
-        scan = np.linspace(lo_s, hi_s, 101)
-        scan_vals = np.array([concentrated(r) for r in scan])
-    else:
-        # Hadamard's inequality bounds each log-det, W's diagonal being zero:
-        # ln det(I - rho W) <= 1/2 sum_i log1p(rho^2 |w_i|^2), w_i row i of W
-        norms2 = W._row_norms2
+    # Hadamard's inequality bounds each log-det, W's diagonal being zero:
+    # ln det(I - rho W) <= 1/2 sum_i log1p(rho^2 |w_i|^2), w_i row i of W
+    norms2 = W._row_norms2
 
-        def hadamard(rho: float) -> float:
-            return 0.5 * float(np.sum(np.log1p(rho * rho * norms2)))
+    def hadamard(rho: float) -> float:
+        return 0.5 * float(np.sum(np.log1p(rho * rho * norms2)))
 
-        scan = np.linspace(lo_s, hi_s, 21)
-        scan_vals = np.array([concentrated(r, hadamard) for r in scan])
-        # exact values by decreasing bound, until a bound falls below the best
-        # of them: the points left keep their bounds and cannot hold the maximum
-        top = -np.inf
-        for i in np.argsort(-scan_vals, kind="stable"):
-            if scan_vals[i] < top:
-                break
-            scan_vals[i] = concentrated(scan[i])
-            top = max(top, scan_vals[i])
+    scan = np.linspace(lo_s, hi_s, 21)
+    scan_vals = np.array([concentrated(r, hadamard) for r in scan])
+    # exact values by decreasing bound, until a bound falls below the best
+    # of them: the points left keep their bounds and cannot hold the maximum
+    top = -np.inf
+    for i in np.argsort(-scan_vals, kind="stable"):
+        if scan_vals[i] < top:
+            break
+        scan_vals[i] = concentrated(scan[i])
+        top = max(top, scan_vals[i])
     best = int(np.argmax(scan_vals))
     near = scan[max(best - 1, 0) : best + 2].tolist()
     # Brent starts from exact values: a bracket end may hold only its bound

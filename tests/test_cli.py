@@ -868,6 +868,9 @@ GARBLED_MODELS = {
     ),
     "ml mean one value long": ("ml", edit_line("mean", lambda p: " ".join(p + ["0"]))),
     "ml unknown kind": ("ml", edit_line("kind", lambda p: "kind spline")),
+    "ml lines after the last eigenfunction": (
+        "ml", lambda lines: lines + ["eigenfunction 1 2 3", "garbage here"]
+    ),
     "fdnn feature_mean and feature_sd swapped": ("fdnn", swap_lines("feature_mean", "feature_sd")),
     "fdnn scalar_sd one value short": ("fdnn", edit_line("scalar_sd", lambda p: " ".join(p[:-1]))),
     "fdnn basis below its minimum size": ("fdnn", edit_line("basis", lambda p: "basis 3 2")),

@@ -559,6 +559,15 @@ class TestParameterStorage:
                 tensor[...] = 5.0
         np.testing.assert_array_equal(params.flat, snapshot)
 
+    def test_binds_only_a_vector_of_the_architecture_size(self):
+        arch = toy_arch()
+        flat = np.arange(float(arch.num_parameters))
+        params = NetworkParameters(arch, flat)
+        assert params.flat is flat and params.biases[-1][0] == flat[-1]
+        for bad in (flat[:-1], np.zeros(arch.num_parameters + 1), flat.reshape(1, -1)):
+            with pytest.raises(DimensionError, match=f"expects \\({arch.num_parameters},\\)"):
+                NetworkParameters(arch, bad)
+
     def test_gradients_calls_return_independent_containers(self):
         arch = toy_arch("tanh")
         params = init_parameters(arch, 199)

@@ -240,6 +240,16 @@ class TestModelSerialization:
         assert back.train_metrics == model.train_metrics
         np.testing.assert_array_equal(predict_model(back, test), predict_model(model, test))
 
+    def test_ml_file_refuses_lines_after_the_last_eigenfunction(self, gaussian_data, tmp_path):
+        path = tmp_path / "ml.model"
+        save_model(fit_ml_baseline(gaussian_data[0]), path)
+        text = path.read_text()
+        path.write_text(text + "\n  \n")
+        assert load_model(path).kind == "ml"
+        path.write_text(text + "\neigenfunction 1 2 3\ngarbage here\n")
+        with pytest.raises(DataError, match="line 'eigenfunction 1 2 3' after the last eigenfunction"):
+            load_model(path)
+
 
 class TestModelFileProperties:
     @pytest.mark.parametrize("kind", ["ml", "fdnn", "sfdnn"])

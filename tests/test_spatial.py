@@ -423,7 +423,7 @@ class TestDenseFactor:
         lo, hi = W.admissible_interval()
         for rho in (lo + 0.01 * (hi - lo), 0.0, 0.5, 0.9, hi - 0.01 * (hi - lo)):
             factor = SpatialFilterFactor(W, rho)
-            assert factor._log_det is None
+            assert "log_det" not in vars(factor)
             spectral = float(np.sum(np.log(1.0 - rho * W.eigenvalues())))
             np.testing.assert_allclose(factor.log_det, spectral, rtol=0.0, atol=1e-10)
 
@@ -456,7 +456,8 @@ class TestDenseFactor:
         assert V.eigenvalues() is not None and lo < -0.8
         np.testing.assert_allclose(hi, 0.5, rtol=1e-12)
         inside = SpatialFilterFactor(V, -0.8)
-        assert inside.log_det == np.linalg.slogdet(np.eye(30) + 0.8 * b)[1]
+        assert inside.log_det == float(np.sum(np.log(1.0 + 0.8 * V.eigenvalues())))
+        assert abs(inside.log_det - np.linalg.slogdet(np.eye(30) + 0.8 * b)[1]) <= 1e-10
         with pytest.raises(AdmissibilityError, match="outside the admissible interval"):
             SpatialFilterFactor(V, rho)
 
@@ -527,6 +528,28 @@ class TestDenseFactor:
                 assert np.array_equal(x, b) and not np.shares_memory(x, b)
             assert factor.log_det == 0.0
 
+    def test_building_a_factor_factors_nothing(self, monkeypatch):
+        # sparse, mirrored with and without a spectrum, and whole
+        lopsided = spatial._inverse_distance_array(9)
+        lopsided[0, 3] = lopsided[8, 5] = 0.0
+        weights = (
+            knn_80(),
+            build_inverse_distance_weights(9),
+            SpatialWeightMatrix(lopsided, row_normalized=False),
+            random_row_normalized(6, np.random.default_rng(28)),
+        )
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("building a factor factored I - rho W")
+
+        for owner, name in ((np.linalg, "solve"), (np.linalg, "slogdet"), (sparse_linalg, "splu")):
+            monkeypatch.setattr(owner, name, refuse)
+        refuse_spectra(monkeypatch)
+        for W in weights:
+            for rho in (-0.5, 0.5):
+                factor = SpatialFilterFactor(W, rho)
+                assert not {"_lu", "_blocks", "log_det"} & vars(factor).keys()
+
     def test_right_hand_side_of_the_wrong_length_raises_on_every_route(self):
         nonsymmetric = random_row_normalized(6, np.random.default_rng(27))
         routes = {
@@ -534,7 +557,9 @@ class TestDenseFactor:
             "mirrored even": (build_inverse_distance_weights(4), 0.5, lambda f: len(f._blocks) == 2),
             "mirrored odd": (build_inverse_distance_weights(5), 0.5, lambda f: len(f._blocks) == 2),
             "whole": (nonsymmetric, 0.5, lambda f: len(f._blocks) == 1),
-            "rho zero": (build_inverse_distance_weights(4), 0.0, lambda f: f._lu is None and not f._blocks),
+            "rho zero": (
+                build_inverse_distance_weights(4), 0.0, lambda f: not {"_lu", "_blocks"} & vars(f).keys()
+            ),
         }
         for name, (W, rho, takes_route) in routes.items():
             factor = SpatialFilterFactor(W, rho)
@@ -611,7 +636,7 @@ def simulate_lagged(n, rho, rng, k_extra=3):
 
 
 def full_scan_rho(y, X, W):
-    """estimate_rho_ml's search on a W without a spectrum, every scan point exact.
+    """estimate_rho_ml's search, every scan point exact.
 
     Returns (rho_hat, loglik, at_boundary, index of the best scan point).
     """
@@ -641,6 +666,16 @@ def full_scan_rho(y, X, W):
     loglik = -0.5 * n * (math.log(2.0 * math.pi * sigma2) + 1.0) + log_det_filter(W, rho_hat)
     at_boundary = min(rho_hat - lo_s, hi_s - rho_hat) < 1e-3 * (hi_s - lo_s)
     return rho_hat, float(loglik), at_boundary, best
+
+
+def assert_pruned_scan_matches_the_full_scan(y, X, W):
+    """estimate_rho_ml equals full_scan_rho bit for bit; returns the best scan index."""
+    rho_hat, loglik, at_boundary, best = full_scan_rho(y, X, W)
+    est = estimate_rho_ml(y, X, W)
+    assert est.rho_hat == rho_hat
+    assert est.loglik == loglik
+    assert est.at_boundary == at_boundary
+    return best
 
 
 class TestEstimateRho:
@@ -743,14 +778,37 @@ class TestEstimateRho:
         W = build_knn_bisquare_weights(pts, h)
         X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         y = apply_spatial_filter(W, rho, X @ np.array([0.5, 1.0, -1.5]) + rng.normal(size=n))
-        rho_hat, loglik, at_boundary, best = full_scan_rho(y, X, W)
+        best = assert_pruned_scan_matches_the_full_scan(y, X, W)
         if end is not None:
             # the maximum at a scan end: Brent starts from a two-point bracket
             assert best == end
+
+    @pytest.mark.parametrize("n", [300, 301])
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9, 0.99])
+    def test_pruned_scan_matches_the_full_scan_on_the_generator(self, n, rho):
+        y, X, W = simulate_lagged(n, rho, np.random.default_rng(n))
+        assert W.eigenvalues() is not None
+        assert_pruned_scan_matches_the_full_scan(y, X, W)
+
+    def test_generator_search_takes_every_log_det_from_the_factor(self, monkeypatch):
+        y, X, W = simulate_lagged(500, 0.9, np.random.default_rng(67))
+        exact = spatial.log_det_filter
+        calls = []
+
+        def counted(W, rho):
+            calls.append(rho)
+            return exact(W, rho)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the search factored I - rho W")
+
+        monkeypatch.setattr(spatial, "log_det_filter", counted)
+        for name in ("solve", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         est = estimate_rho_ml(y, X, W)
-        assert est.rho_hat == rho_hat
-        assert est.loglik == loglik
-        assert est.at_boundary == at_boundary
+        # the final likelihood's log-det is the chosen point's, through the factor
+        assert est.rho_hat in calls
+        assert len(calls) <= 20
 
     def test_small_knn_takes_the_row_sum_bound_and_no_spectrum(self, monkeypatch):
         W = knn_80()
@@ -1149,7 +1207,37 @@ class TestProperties:
         for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
             assert factor.solve(b).tobytes() == np.linalg.solve(filt, b).tobytes()
             assert factor.solve_transpose(b).tobytes() == np.linalg.solve(filt.T, b).tobytes()
-        assert factor.log_det == np.linalg.slogdet(filt)[1]
+        # an entry one ulp off can stay within _symmetrizing_scale's tolerance
+        eigs = W.eigenvalues()
+        if eigs is None:
+            assert factor.log_det == np.linalg.slogdet(filt)[1]
+        else:
+            assert factor.log_det == float(np.sum(np.log(1.0 - rho * eigs)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(3, 151),
+        entry=st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)),
+        frac=st.floats(0.001, 0.999),
+    )
+    @example(n=3, entry=(0, 0), frac=0.9)
+    @example(n=4, entry=(1, 1), frac=0.1)
+    def test_mirrored_weights_without_a_spectrum_take_half_size_log_dets(self, n, entry, frac):
+        # the generator's weights with one mirrored pair zeroed: W equals its
+        # mirror, but a zero off-diagonal weight leaves it no spectrum
+        a = spatial._inverse_distance_array(n)
+        i, j = entry[0] % n, entry[1] % (n - 1)
+        j += j >= i
+        a[i, j] = a[n - 1 - i, n - 1 - j] = 0.0
+        W = SpatialWeightMatrix(a, row_normalized=False)
+        assert W.eigenvalues() is None and W._mirrored
+        lo, hi = W.admissible_interval()
+        rho = lo + frac * (hi - lo)
+        assume(rho != 0.0)
+        factor = SpatialFilterFactor(W, rho)
+        assert len(factor._blocks) == 2
+        oracle = np.linalg.slogdet(np.eye(n) - rho * a)[1]
+        assert abs(factor.log_det - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
 def assert_solves_invert_filter(a, rho, cols, seed):
