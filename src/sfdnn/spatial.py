@@ -27,8 +27,10 @@ on unit-sphere points.  An inverse-distance W depends only on n, so it is
 built once per size and shared read-only: every replication of a study cell
 reuses one matrix, and with it the spectrum cached on it.  Its rows are
 divided by sums taken symmetrically, so it equals its mirror exactly, and
-like every dense W that does, its filter is solved in two blocks of half
-its size.
+like every dense W that does, its spectrum and its filter come from two
+folded blocks of half its size.  Every pass over a dense W after its
+construction, the symmetrizability check included, works in row blocks or
+folded half blocks, so none holds a second n x n array.
 
 Dense routes run on numpy alone: scipy is imported only on the sparse and
 KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
@@ -90,6 +92,9 @@ class SpatialWeightMatrix:
     row sums) are cached lazily.  Inverse-distance matrices are
     shared between callers and hold read-only weights.
     """
+
+    # set on the shared matrices of build_inverse_distance_weights
+    _generated = False
 
     def __init__(self, weights, row_normalized: bool):
         # a sparse input cannot exist unless scipy.sparse is loaded
@@ -159,7 +164,15 @@ class SpatialWeightMatrix:
         W = D^{-1} S with S symmetric (Ord 1975; every inverse-distance W) is
         similar to the symmetric D^{1/2} W D^{-1/2}, whose spectrum
         ``eigvalsh`` computes.  Such a W is recognised only when dense with
-        every off-diagonal weight positive (``_symmetrizing_scale``).
+        every off-diagonal weight positive (``_symmetrizing_scale``).  When W
+        also equals its mirror, S' = D^{1/2} W D^{-1/2} is centrosymmetric up
+        to rounding, and its spectrum, sorted, is the union of those of the
+        folded halves B + CJ and B - CJ, B = S'[lo, lo] and CJ = S'[lo, J lo]
+        over the first n // 2 sites lo (Cantoni & Butler 1976).  An odd n
+        borders B + CJ with the middle site, its row and column scaled by
+        1/sqrt(2) to keep the block symmetric.  Each half is built by row
+        blocks and decomposed in turn, at about a quarter of the whole
+        eigensolve's flops; any other such W takes the whole ``eigvalsh``.
         """
         return self._eigenvalues
 
@@ -169,22 +182,41 @@ class SpatialWeightMatrix:
         if scale is None:
             return None
         root = np.sqrt(scale)
-        sym = root[:, None] * self.weights
-        sym /= root
-        return np.linalg.eigvalsh(sym)
+
+        def sym(start, stop):
+            """Rows start:stop of D^{1/2} W D^{-1/2}."""
+            rows = root[start:stop, None] * self.weights[start:stop]
+            rows /= root
+            return rows
+
+        if not self._mirrored:
+            return np.linalg.eigvalsh(sym(0, self.n))
+
+        def half_spectrum(sign):
+            half = _fold(self.n, sym, sign)
+            if half.shape[0] > self.n // 2:
+                # the middle site's row and column, scaled to keep the block symmetric
+                half[-1] *= math.sqrt(0.5)
+                half[:, -1] *= math.sqrt(0.5)
+            return np.linalg.eigvalsh(half)
+
+        # one half at a time, so only one is ever held
+        plus = half_spectrum(1.0)
+        return np.sort(np.concatenate([plus, half_spectrum(-1.0)]))
 
     @functools.cached_property
     def _mirrored(self) -> bool:
         """Whether W is dense and equal to its mirror J W J, J reversing site order.
 
-        One row pair is compared first, so most other W are refused in O(n).
+        One row pair is compared first, so most other W are refused in O(n);
+        the rest are compared by row blocks.
         """
-        a = self.weights
-        return (
-            not self.is_sparse
-            and self.n >= 2
-            and np.array_equal(a[0], a[-1, ::-1])
-            and np.array_equal(a, a[::-1, ::-1])
+        a, n = self.weights, self.n
+        if self.is_sparse or n < 2 or not np.array_equal(a[0], a[-1, ::-1]):
+            return False
+        return all(
+            np.array_equal(a[start:stop], a[n - stop : n - start][::-1, ::-1])
+            for start, stop in _row_blocks((n + 1) // 2, n)
         )
 
     @functools.cached_property
@@ -227,29 +259,67 @@ class SpatialWeightMatrix:
         return (max(1.0 / lo, -1.0), min(1.0 / hi, 1.0))
 
 
+# elements of each row block in a pass over a dense W, so that a pass holds
+# a few hundred kB of temporaries rather than n x n ones
+_BLOCK_ELEMENTS = 2**16
+
+
+def _row_blocks(rows: int, width: int):
+    """(start, stop) of consecutive blocks covering ``rows`` rows of ``width`` columns."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return ((start, min(start + step, rows)) for start in range(0, rows, step))
+
+
+def _fold(n: int, rows, sign: float) -> np.ndarray:
+    """X[lo, lo] + sign X[lo, J lo] for an n x n X, J reversing site order.
+
+    lo is the first m = n // 2 sites, plus the middle one for an odd n when
+    sign is positive; the middle row and column are left for the caller to
+    scale.  ``rows(start, stop)`` returns a fresh block of X's rows, which is
+    folded in place of a whole X.
+    """
+    size, combine = (n - n // 2, np.add) if sign > 0 else (n // 2, np.subtract)
+    out = np.empty((size, size))
+    for start, stop in _row_blocks(size, n):
+        block = rows(start, stop)
+        combine(block[:, :size], block[:, ::-1][:, :size], out=out[start:stop])
+    return out
+
+
 def _symmetrizing_scale(a: np.ndarray):
     """Diagonal d with diag(d) W symmetric, or None.
 
     Tried only when every off-diagonal weight is positive: then W = D^{-1} S
     with S symmetric forces d_j = W_0j / W_j0 (up to a common factor).
+    Each block of rows of diag(d) W is compared with the same rows of its
+    transpose, so the check holds no n x n temporary.
     """
     n = a.shape[0]
     if n < 2 or np.count_nonzero(a) != n * (n - 1):
         return None
     d = np.ones(n)
     d[1:] = a[0, 1:] / a[1:, 0]
-    m = d[:, None] * a
-    gap = m - m.T
-    np.abs(gap, out=gap)
-    m *= 1e-12
-    return d if np.all(gap <= m) else None
+    for start, stop in _row_blocks(n, n):
+        m = d[start:stop, None] * a[start:stop]
+        gap = a[:, start:stop].T * d  # the same rows of (diag(d) W)'
+        gap -= m
+        np.abs(gap, out=gap)
+        m *= 1e-12
+        if not np.all(gap <= m):
+            return None
+    return d
+
+
+def _inverse_distance_raw(n: int, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the generator's weights 1 / (1 + |i - i'|) before division."""
+    raw = 1.0 / (1.0 + np.abs(rows[:, None] - np.arange(n)))
+    raw[np.arange(rows.size), rows] = 0.0
+    return raw
 
 
 def _inverse_distance_array(n: int) -> np.ndarray:
     """The weights of ``build_inverse_distance_weights(n)``, freshly built and writable."""
-    idx = np.arange(n)
-    raw = 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :]))
-    np.fill_diagonal(raw, 0.0)
+    raw = _inverse_distance_raw(n, np.arange(n))
     # a row and its mirror hold the same weights in reverse order, so their
     # sums can differ in the last bit; their mean keeps W equal to its mirror
     sums = raw.sum(axis=1)
@@ -276,7 +346,9 @@ def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
         raise InvalidSizeError("need at least 2 sites")
     raw = _inverse_distance_array(n)
     raw.flags.writeable = False
-    return SpatialWeightMatrix(raw, row_normalized=True)
+    W = SpatialWeightMatrix(raw, row_normalized=True)
+    W._generated = True  # lets save_weights name the generator without rebuilding it
+    return W
 
 
 def great_circle_km(lat1, lon1, lat2, lon2) -> np.ndarray:
@@ -409,10 +481,11 @@ class SpatialFilterFactor:
     and x[hi] = (u - v) / 2, for P = A[lo, lo] + A[lo, hi] and
     M = A[lo, lo] - A[lo, hi].  An odd n borders P with the middle site c,
     as [[P, 2 A[lo, c]], [A[c, lo], A[c, c]]], its right-hand side taking
-    b[c] and its solution x[c].  det A = det P det M.  Any other dense W
-    keeps A whole.  Each solve is one ``np.linalg.solve`` per block (an LU
-    and its triangular solves), so a factor that serves one solve, as every
-    one in the package does, costs one LU per block.  Building a factor
+    b[c] and its solution x[c].  det A = det P det M.  P and M are folded
+    from rows of -rho W by row blocks, with no n x n temporary.  Any other
+    dense W keeps A whole.  Each solve is one ``np.linalg.solve`` per block
+    (an LU and its triangular solves), so a factor that serves one solve,
+    as every one in the package does, costs one LU per block.  Building a factor
     factors nothing: the sparse LU and the dense blocks are built by the
     first solve or LU log-determinant that needs them.  The log-determinant
     is computed when first read, from W's spectrum when it has one, and a
@@ -438,17 +511,28 @@ class SpatialFilterFactor:
 
     @functools.cached_property
     def _blocks(self) -> tuple:
-        """The matrices whose LUs solve a dense filter: (P, M) for a mirrored W, else (A,)."""
+        """The matrices whose LUs solve a dense filter: (P, M) for a mirrored W, else (A,).
+
+        Each is 0 - rho W, whole or folded, plus one on its diagonal: -rho w + 1
+        rounds exactly like 1 - rho w, so no identity matrix is built.
+        """
         W = self.W
+
+        def scaled(start, stop):
+            # 0 - rho w, not -(rho w), keeps a zero weight's +0 of I - rho W
+            block = W.weights[start:stop] * self.rho
+            return np.subtract(0.0, block, out=block)
+
         if not W._mirrored:
-            return (np.eye(W.n) - self.rho * W.weights,)
-        n, m = W.n, W.n // 2
-        # rows lo (and c), against sites lo (and c) and against their mirrors
-        near = np.eye(n - m) - self.rho * W.weights[: n - m, : n - m]
-        far = self.rho * W.weights[: n - m, ::-1][:, : n - m]
-        p = near - far
-        p[m:] = near[m:]  # the border row of an odd n: A[c, lo], A[c, c]
-        return (p, near[:m, :m] + far[:m, :m])
+            blocks = (scaled(0, W.n),)
+        else:
+            p, q = _fold(W.n, scaled, 1.0), _fold(W.n, scaled, -1.0)
+            if p.shape[0] > q.shape[0]:
+                p[-1] *= 0.5  # the border row of an odd n, folded twice: A[c, lo], A[c, c]
+            blocks = (p, q)
+        for block in blocks:
+            block.flat[:: block.shape[0] + 1] += 1.0
+        return blocks
 
     @functools.cached_property
     def log_det(self) -> float:
@@ -689,13 +773,28 @@ _INVERSE_DISTANCE = "inverse_distance"
 
 
 def _is_inverse_distance(W: SpatialWeightMatrix) -> bool:
-    """True when W holds exactly the bits of ``build_inverse_distance_weights(W.n)``."""
+    """True when W holds exactly the bits of ``build_inverse_distance_weights(W.n)``.
+
+    The shared matrix is known by its mark; any other W is compared with the
+    generator's rows by row blocks, built as the generator builds them.
+    """
     # every off-diagonal generator weight is positive: testing row 0 first
-    # spares building the n x n reference for most other W
+    # spares the comparison for most other W
     if W.is_sparse or not W.row_normalized or W.n < 2 or not W.weights[0, 1:].all():
         return False
-    # weights are nonnegative, so a set sign bit is a -0.0 that == would miss
-    return np.array_equal(W.weights, _inverse_distance_array(W.n)) and not np.signbit(W.weights).any()
+    if W._generated:
+        return True
+    n = W.n
+    for start, stop in _row_blocks(n, n):
+        rows = np.arange(start, stop)
+        raw = _inverse_distance_raw(n, rows)
+        sums = raw.sum(axis=1) + _inverse_distance_raw(n, n - 1 - rows).sum(axis=1)
+        raw /= (0.5 * sums)[:, None]
+        block = W.weights[start:stop]
+        # weights are nonnegative, so a set sign bit is a -0.0 that == would miss
+        if not np.array_equal(block, raw) or np.signbit(block).any():
+            return False
+    return True
 
 
 def save_weights(W: SpatialWeightMatrix, path) -> None:

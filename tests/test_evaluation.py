@@ -415,20 +415,23 @@ class TestSharedInverseDistanceWeights:
     def test_one_spectrum_per_size(self, monkeypatch):
         build_inverse_distance_weights.cache_clear()
         eigvalsh = np.linalg.eigvalsh
-        shapes = []
+        shapes = []  # per replication
 
         def spy(a, *args, **kwargs):
-            shapes.append(a.shape)
+            shapes[-1].append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         for seed in (1, 2):
+            shapes.append([])
             cfg = ScenarioConfig(
                 n_train=70, n_test=50, rho=0.5, error_dist="gaussian", replication_seed=seed
             )
             train, test, _ = generate_scenario_dataset(cfg)
             predict_model(fit_ml_baseline(train), test)
-        assert shapes == [(70, 70)]
+        # the generator's W equals its mirror, so its one spectrum is two
+        # folded halves, and the second replication reuses it
+        assert shapes == [[(35, 35), (35, 35)], []]
 
     def test_study_table_independent_of_the_cache(self, monkeypatch):
         scenarios = [

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -1034,6 +1035,120 @@ class TestSpectrumRoute:
             assert W.admissible_interval() == (-1.0, 1.0)
         r = float(doubled.row_sums().max())
         assert doubled.admissible_interval() == (-1.0 / r, 1.0 / r)
+
+
+def whole_spectrum(W):
+    """eigvalsh of the whole D^{1/2} W D^{-1/2}, d from ``_symmetrizing_scale``."""
+    root = np.sqrt(spatial._symmetrizing_scale(W.weights))
+    return np.linalg.eigvalsh(root[:, None] * W.weights / root)
+
+
+def mirrored_d_inverse_s(n):
+    """W = D^{-1} S, S the generator's undivided weights, d mirror-symmetric and not constant."""
+    idx = np.arange(n)
+    d = 1.0 + np.abs(idx - 0.5 * (n - 1))
+    return spatial._inverse_distance_raw(n, idx) / d[:, None]
+
+
+def symmetrizing_scale_reference(a):
+    """``_symmetrizing_scale`` as one whole-matrix comparison, before row blocks."""
+    n = a.shape[0]
+    if n < 2 or np.count_nonzero(a) != n * (n - 1):
+        return None
+    d = np.ones(n)
+    d[1:] = a[0, 1:] / a[1:, 0]
+    m = d[:, None] * a
+    gap = m - m.T
+    np.abs(gap, out=gap)
+    m *= 1e-12
+    return d if np.all(gap <= m) else None
+
+
+def filter_blocks_reference(a, rho):
+    """``SpatialFilterFactor._blocks`` built from an identity and a mirrored copy."""
+    n, m = a.shape[0], a.shape[0] // 2
+    if not np.array_equal(a, a[::-1, ::-1]):
+        return (np.eye(n) - rho * a,)
+    near = np.eye(n - m) - rho * a[: n - m, : n - m]
+    far = rho * a[: n - m, ::-1][:, : n - m]
+    p = near - far
+    p[m:] = near[m:]
+    return (p, near[:m, :m] + far[:m, :m])
+
+
+def numpy_peak(work, n):
+    """Peak numpy allocation while ``work()`` runs, in units of an n x n float64 array."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        work()
+        return (tracemalloc.get_traced_memory()[1] - start) / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+class TestDensePasses:
+    @pytest.mark.parametrize("n", list(range(2, 13)) + [50, 51, 300, 301])
+    def test_split_spectrum_matches_the_whole_one(self, n, monkeypatch):
+        cases = {
+            "generator": spatial._inverse_distance_array(n),
+            "doubled": 2.0 * spatial._inverse_distance_array(n),
+            "d-inverse-s": mirrored_d_inverse_s(n),
+        }
+        eigvalsh = np.linalg.eigvalsh
+        for name, a in cases.items():
+            W = SpatialWeightMatrix(a, row_normalized=name == "generator")
+            whole = whole_spectrum(W)
+            shapes = []
+
+            def spy(b, *args, **kwargs):
+                shapes.append(b.shape)
+                return eigvalsh(b, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+            eigs = W.eigenvalues()
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            assert W._mirrored and shapes == [(n - n // 2,) * 2, (n // 2,) * 2], name
+            assert np.all(np.diff(eigs) >= 0.0), name
+            np.testing.assert_allclose(eigs, whole, rtol=0, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(
+                W.admissible_interval(), spectrum_interval(whole), rtol=0, atol=1e-12, err_msg=name
+            )
+
+    def test_passes_after_construction_hold_no_whole_temporary(self):
+        n = 1200
+        a = spatial._inverse_distance_array(n)
+        # the whole-matrix forms took 2.13, 2.13 and 1.00 of an n x n array
+        assert numpy_peak(lambda: spatial._symmetrizing_scale(a), n) <= 0.25
+        W = SpatialWeightMatrix(a, row_normalized=True)
+        assert numpy_peak(W.eigenvalues, n) <= 0.5
+        factor = SpatialFilterFactor(W, 0.9)
+        assert numpy_peak(lambda: factor._blocks, n) <= 0.75
+
+    @pytest.mark.parametrize("n", list(range(2, 10)) + [50, 51, 301])
+    def test_row_blocks_match_the_whole_matrix_forms_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        generator = spatial._inverse_distance_array(n)
+        i, j = rng.integers(n), rng.integers(n - 1)
+        j += j >= i
+        ulp_off, zeroed, late = generator.copy(), generator.copy(), generator.copy()
+        ulp_off[i, j] = np.nextafter(ulp_off[i, j], np.inf)
+        zeroed[i, j] = zeroed[n - 1 - i, n - 1 - j] = 0.0
+        late[-1, -2] *= 1.0 + 1e-9  # fails the check only in its last row block
+        sparse_rows = random_row_normalized(n, rng, density=0.5).toarray()
+        for a in (generator, 2.0 * generator, mirrored_d_inverse_s(n), ulp_off, zeroed, late, sparse_rows):
+            ref = symmetrizing_scale_reference(a)
+            got = spatial._symmetrizing_scale(a)
+            assert (got is None) == (ref is None)
+            assert ref is None or got.tobytes() == ref.tobytes()
+            W = SpatialWeightMatrix(a, row_normalized=False)
+            assert W._mirrored == np.array_equal(a, a[::-1, ::-1])
+            for rho in (-0.5, 0.3, 0.9):
+                # the blocks do not depend on admissibility: build them for every rho
+                factor = SpatialFilterFactor.__new__(SpatialFilterFactor)
+                factor.W, factor.rho = W, rho
+                ref = filter_blocks_reference(a, rho)
+                assert [b.tobytes() for b in factor._blocks] == [b.tobytes() for b in ref]
 
 
 class TestProperties:

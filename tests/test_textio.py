@@ -137,6 +137,33 @@ class TestWeightFiles:
         save_weights(W, tmp_path / "w.txt")
         assert (tmp_path / "w.txt").read_text() == "n 40 row_normalized 1 inverse_distance\n"
 
+    def test_generator_is_recognized_without_rebuilding_it(self, tmp_path, monkeypatch):
+        n = 600
+        shared = build_inverse_distance_weights(n)
+        copies = {size: build_inverse_distance_weights(size).weights.copy() for size in (2, 3, 301)}
+        ulp_off = shared.weights.copy()
+        ulp_off[590, 7] = np.nextafter(ulp_off[590, 7], np.inf)  # in the last row block
+
+        def refuse(_n):
+            raise AssertionError("the generator's weights were rebuilt")
+
+        raw = spatial._inverse_distance_raw
+        monkeypatch.setattr(spatial, "_inverse_distance_array", refuse)
+        monkeypatch.setattr(spatial, "_inverse_distance_raw", refuse)
+        cached = build_inverse_distance_weights.cache_info()
+        # the shared W is named without computing any of its rows
+        save_weights(shared, tmp_path / "shared.txt")
+        assert (tmp_path / "shared.txt").read_text() == f"n {n} row_normalized 1 inverse_distance\n"
+        monkeypatch.setattr(spatial, "_inverse_distance_raw", raw)
+        save_weights(SpatialWeightMatrix(ulp_off, row_normalized=True), tmp_path / "off.txt")
+        assert len((tmp_path / "off.txt").read_text().splitlines()) == 1 + n * (n - 1)
+        # an exact copy is compared by row blocks, and still named
+        for size, weights in copies.items():
+            save_weights(SpatialWeightMatrix(weights, row_normalized=True), tmp_path / "copy.txt")
+            assert (tmp_path / "copy.txt").read_text() == f"n {size} row_normalized 1 inverse_distance\n"
+        # no cached W was built or evicted
+        assert build_inverse_distance_weights.cache_info() == cached
+
     def test_negative_zero_keeps_the_triple_form(self, tmp_path):
         weights = build_inverse_distance_weights(5).weights.copy()
         weights[0, 0] = -0.0
