@@ -93,9 +93,6 @@ class SpatialWeightMatrix:
     shared between callers and hold read-only weights.
     """
 
-    # set on the shared matrices of build_inverse_distance_weights
-    _generated = False
-
     def __init__(self, weights, row_normalized: bool):
         # a sparse input cannot exist unless scipy.sparse is loaded
         sparse = sys.modules.get("scipy.sparse")
@@ -317,13 +314,23 @@ def _inverse_distance_raw(n: int, rows: np.ndarray) -> np.ndarray:
     return raw
 
 
+def _divide_by_mirror_mean(raw: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> None:
+    """Divide raw generator rows ``rows`` in place, ``sums`` holding every row's raw sum.
+
+    A row and its mirror hold the same weights in reverse order, so their
+    sums can differ in the last bit; dividing both by their mean keeps W
+    equal to its mirror.
+    """
+    raw /= (0.5 * (sums[rows] + sums[::-1][rows]))[:, None]
+
+
 def _inverse_distance_array(n: int) -> np.ndarray:
     """The weights of ``build_inverse_distance_weights(n)``, freshly built and writable."""
-    raw = _inverse_distance_raw(n, np.arange(n))
-    # a row and its mirror hold the same weights in reverse order, so their
-    # sums can differ in the last bit; their mean keeps W equal to its mirror
-    sums = raw.sum(axis=1)
-    raw /= (0.5 * (sums + sums[::-1]))[:, None]
+    # built whole: freeing its n x n temporaries raises glibc's mmap and trim
+    # thresholds, so the fits that follow reuse their arrays' pages
+    rows = np.arange(n)
+    raw = _inverse_distance_raw(n, rows)
+    _divide_by_mirror_mean(raw, rows, raw.sum(axis=1))
     return raw
 
 
@@ -346,9 +353,7 @@ def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
         raise InvalidSizeError("need at least 2 sites")
     raw = _inverse_distance_array(n)
     raw.flags.writeable = False
-    W = SpatialWeightMatrix(raw, row_normalized=True)
-    W._generated = True  # lets save_weights name the generator without rebuilding it
-    return W
+    return SpatialWeightMatrix(raw, row_normalized=True)
 
 
 def great_circle_km(lat1, lon1, lat2, lon2) -> np.ndarray:
@@ -775,24 +780,24 @@ _INVERSE_DISTANCE = "inverse_distance"
 def _is_inverse_distance(W: SpatialWeightMatrix) -> bool:
     """True when W holds exactly the bits of ``build_inverse_distance_weights(W.n)``.
 
-    The shared matrix is known by its mark; any other W is compared with the
-    generator's rows by row blocks, built as the generator builds them.
+    W is compared with the generator's rows block by block, divided by the
+    generator's own rule, so no n x n reference is built and no cached W is
+    built or evicted.
     """
     # every off-diagonal generator weight is positive: testing row 0 first
     # spares the comparison for most other W
     if W.is_sparse or not W.row_normalized or W.n < 2 or not W.weights[0, 1:].all():
         return False
-    if W._generated:
-        return True
     n = W.n
-    for start, stop in _row_blocks(n, n):
+    blocks = list(_row_blocks(n, n))
+    sums = np.concatenate([_inverse_distance_raw(n, np.arange(*b)).sum(axis=1) for b in blocks])
+    for start, stop in blocks:
         rows = np.arange(start, stop)
-        raw = _inverse_distance_raw(n, rows)
-        sums = raw.sum(axis=1) + _inverse_distance_raw(n, n - 1 - rows).sum(axis=1)
-        raw /= (0.5 * sums)[:, None]
+        reference = _inverse_distance_raw(n, rows)
+        _divide_by_mirror_mean(reference, rows, sums)
         block = W.weights[start:stop]
         # weights are nonnegative, so a set sign bit is a -0.0 that == would miss
-        if not np.array_equal(block, raw) or np.signbit(block).any():
+        if not np.array_equal(block, reference) or np.signbit(block).any():
             return False
     return True
 

@@ -144,17 +144,14 @@ class TestWeightFiles:
         ulp_off = shared.weights.copy()
         ulp_off[590, 7] = np.nextafter(ulp_off[590, 7], np.inf)  # in the last row block
 
-        def refuse(_n):
-            raise AssertionError("the generator's weights were rebuilt")
+        def refuse(*_):
+            raise AssertionError("the generator's whole weight matrix was rebuilt")
 
-        raw = spatial._inverse_distance_raw
         monkeypatch.setattr(spatial, "_inverse_distance_array", refuse)
-        monkeypatch.setattr(spatial, "_inverse_distance_raw", refuse)
         cached = build_inverse_distance_weights.cache_info()
-        # the shared W is named without computing any of its rows
+        # the shared W is compared by row blocks and named
         save_weights(shared, tmp_path / "shared.txt")
         assert (tmp_path / "shared.txt").read_text() == f"n {n} row_normalized 1 inverse_distance\n"
-        monkeypatch.setattr(spatial, "_inverse_distance_raw", raw)
         save_weights(SpatialWeightMatrix(ulp_off, row_normalized=True), tmp_path / "off.txt")
         assert len((tmp_path / "off.txt").read_text().splitlines()) == 1 + n * (n - 1)
         # an exact copy is compared by row blocks, and still named
