@@ -11,18 +11,21 @@ Training uses Adam (beta1=0.9, beta2=0.999, eps=1e-8) over shuffled
 mini-batches, an epoch-loss improvement stopping rule, and an optional
 validation split with best-epoch restoration.  Everything is deterministic
 given the seed.  Each epoch gathers its shuffled rows once, and every
-mini-batch is a contiguous slice of that copy.  A training step runs one
-forward/backward kernel on rows ``train`` has already checked, not the
-public :func:`forward`.  The parameter layout is bound once per
-architecture, and a training step allocates no parameter-sized arrays: the
-gradients are written into one reused buffer and the Adam moments are
-updated in place.
+mini-batch is a contiguous slice of that copy.  An epoch's loss is the mean
+of the squared residuals its steps computed, each before its update, so no
+extra pass over the training rows computes it.  One layer kernel per row
+count, with buffers of its own, runs the forward and backward passes of
+:func:`forward`, :func:`gradients` and every training step.  A step
+writes only into buffers made before the first step: the layer values
+into its kernel's, the gradients into one reused container, and the Adam
+moments in place.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,33 +64,38 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
+def _relu(x, out):
+    return np.maximum(x, 0.0, out=out)
 
 
-def _relu_deriv(x):
-    return x > 0.0  # a mask: multiplying by it gives the same bits as by 1.0 and 0.0
+def _relu_deriv(h, out):
+    return np.greater(h, 0.0, out=out)  # 1.0 where the unit is on, 0.0 where it is off
 
 
-def _sigmoid(x):
+def _sigmoid(x, out):
     from scipy.special import expit  # slow to import; only sigmoid networks need it
-    return expit(x)
+    return expit(x, out=out)
 
 
-def _sigmoid_deriv(x):
-    s = _sigmoid(x)
-    return s * (1.0 - s)
+def _sigmoid_deriv(h, out):
+    np.subtract(1.0, h, out=out)
+    return np.multiply(h, out, out=out)
 
 
-def _tanh_deriv(x):
-    return 1.0 - np.tanh(x) ** 2
+def _tanh_deriv(h, out):
+    np.multiply(h, h, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
+# tag -> (activation, its derivative written in terms of the activation's
+# output), each writing into ``out``: relu h > 0, sigmoid h (1 - h), tanh
+# 1 - h^2.  The identity is (None, None): its output is its input and its
+# derivative is 1, so it takes neither a buffer nor a pass.
 ACTIVATIONS = {
     "relu": (_relu, _relu_deriv),
     "sigmoid": (_sigmoid, _sigmoid_deriv),
     "tanh": (np.tanh, _tanh_deriv),
-    "identity": (lambda x: x, lambda x: np.ones_like(x)),
+    "identity": (None, None),
 }
 
 
@@ -293,6 +301,89 @@ def _prefilter(ctx: SpatialContext, features, scalars):
     return [np.ascontiguousarray(part) for part in np.hsplit(filtered, [features.shape[1]])]
 
 
+def _check_finite(predictions):
+    if not np.isfinite(predictions).all():
+        raise NumericOverflowError("network produced non-finite predictions")
+
+
+# one hidden layer of a kernel: its activation pair, pre-activation and
+# output buffers, dL/d pre, and the derivative's values
+_Layer = namedtuple("_Layer", "act deriv pre post grad slope")
+
+
+class _LayerKernel:
+    """The forward and backward passes over a fixed number of rows, in buffers of its own.
+
+    Each call overwrites the buffers of the call before, so one kernel
+    serves every training step of its row count.  The caller checks the
+    rows and sets the floating-point error state.  The backward reads each
+    derivative from its layer's output, so no activation is evaluated twice.
+    """
+
+    def __init__(self, arch, rows):
+        self.layers = []
+        for width, tag in zip(arch.hidden_sizes, arch.activations):
+            act, deriv = ACTIVATIONS[tag]
+            pre = np.empty((rows, width))
+            post = pre if act is None else np.empty_like(pre)
+            grad = np.empty_like(pre)  # the first layer's also holds Z B' in the forward pass
+            slope = None if deriv is None else np.empty_like(pre)
+            self.layers.append(_Layer(act, deriv, pre, post, grad, slope))
+        self.out = np.empty((rows, 1))
+        self.predictions = self.out.reshape(rows)
+        self.residual = np.empty(rows)
+
+    def forward(self, params, features, scalars):
+        """Predictions for the rows: a view of the kernel's output buffer."""
+        first = self.layers[0]
+        pre = np.matmul(features, params.func_weights.T, out=first.pre)
+        pre += np.matmul(scalars, params.scalar_weights.T, out=first.grad)
+        for r, (act, _, pre, post, _, _) in enumerate(self.layers):
+            if r > 0:
+                np.matmul(h, params.hidden_weights[r - 1].T, out=pre)
+            pre += params.biases[r]
+            if act is not None:
+                act(pre, out=post)
+            h = post
+        np.matmul(h, params.hidden_weights[-1].T, out=self.out)
+        self.out += params.biases[-1]
+        return self.predictions
+
+    def squared_error(self, params, features, scalars, y):
+        """Forward the rows and return the sum of their squared residuals.
+
+        A non-finite prediction makes the sum non-finite, so the predictions
+        are checked only then, and raise NumericOverflowError if they are.
+        """
+        self.forward(params, features, scalars)
+        residual = np.subtract(self.predictions, y, out=self.residual)
+        total = float(residual @ residual)
+        if not math.isfinite(total):
+            _check_finite(self.predictions)
+        return total
+
+    def backward(self, params, features, scalars, grads):
+        """Write the exact gradients of the mean squared residual into ``grads``.
+
+        It reads the buffers of the last :meth:`squared_error` call on the
+        same rows and overwrites every tensor of ``grads``.
+        """
+        g = self.residual[:, None]
+        g *= 2.0 / g.shape[0]  # dL/d out
+        np.matmul(g.T, self.layers[-1].post, out=grads.hidden_weights[-1])
+        np.add.reduce(g, axis=0, out=grads.biases[-1])
+        for r in range(len(self.layers) - 1, -1, -1):
+            _, deriv, _, post, grad, slope = self.layers[r]
+            g = np.matmul(g, params.hidden_weights[r], out=grad)  # dL/d h_r
+            if deriv is not None:
+                g *= deriv(post, out=slope)  # dL/d pre_r
+            np.add.reduce(g, axis=0, out=grads.biases[r])
+            if r > 0:
+                np.matmul(g.T, self.layers[r - 1].post, out=grads.hidden_weights[r - 1])
+        np.matmul(g.T, features, out=grads.func_weights)
+        np.matmul(g.T, scalars, out=grads.scalar_weights)
+
+
 @dataclass
 class ForwardCache:
     features: np.ndarray
@@ -302,7 +393,7 @@ class ForwardCache:
 
 
 def forward(params: NetworkParameters, features, scalars, ctx: SpatialContext | None = None):
-    """Evaluate the network, returning (predictions, cache for backprop).
+    """Evaluate the network, returning (predictions, cache of every layer's values).
 
     With a spatial context the inputs are pre-filtered and the cache holds
     the filtered inputs.
@@ -310,28 +401,12 @@ def forward(params: NetworkParameters, features, scalars, ctx: SpatialContext | 
     features, scalars = _check_inputs(params, features, scalars)
     if ctx is not None:
         features, scalars = _prefilter(ctx, features, scalars)
+    kernel = _LayerKernel(params.arch, features.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_layers(params, ForwardCache(features=features, scalars=scalars))
-
-
-def _forward_layers(params, cache):
-    arch = params.arch
-    pre = cache.features @ params.func_weights.T
-    pre += cache.scalars @ params.scalar_weights.T
-    for r, tag in enumerate(arch.activations):
-        if r > 0:
-            pre = h @ params.hidden_weights[r - 1].T
-        pre += params.biases[r]
-        h = ACTIVATIONS[tag][0](pre)
-        cache.pre_activations.append(pre)
-        cache.post_activations.append(h)
-
-    out = h @ params.hidden_weights[-1].T
-    out += params.biases[-1]
-    out = out.ravel()
-    if not np.isfinite(out).all():
-        raise NumericOverflowError("network produced non-finite predictions")
-    return out, cache
+        predictions = kernel.forward(params, features, scalars)
+    _check_finite(predictions)
+    layers = kernel.layers
+    return predictions, ForwardCache(features, scalars, [l.pre for l in layers], [l.post for l in layers])
 
 
 def predict(params: NetworkParameters, features, scalars, ctx: SpatialContext | None = None):
@@ -348,38 +423,6 @@ def loss(predictions, y) -> float:
     return float(np.mean((predictions - y) ** 2))
 
 
-def _backprop(params, features, scalars, y, grads=None):
-    """Mean-squared loss over the given (already filtered) rows and its exact gradients.
-
-    The rows must already be checked float arrays; the caller sets the
-    floating-point error state.  Every tensor of ``grads`` is overwritten,
-    so a caller may pass the same container on every step; without one a
-    fresh container is returned.
-    """
-    residual, cache = _forward_layers(params, ForwardCache(features=features, scalars=scalars))
-    if grads is None:
-        grads = NetworkParameters.zeros_like(params)
-    arch = params.arch
-    residual -= y
-    n_rows = residual.size
-    batch_loss = float(residual @ residual) / n_rows
-    g = residual[:, None]
-    g *= 2.0 / n_rows  # dL/d out
-    np.matmul(g.T, cache.post_activations[-1], out=grads.hidden_weights[-1])
-    np.add.reduce(g, axis=0, out=grads.biases[-1])
-    g = g @ params.hidden_weights[-1]  # dL/d h_R
-
-    for r in range(len(arch.hidden_sizes) - 1, -1, -1):
-        g *= ACTIVATIONS[arch.activations[r]][1](cache.pre_activations[r])  # dL/d pre_r
-        np.add.reduce(g, axis=0, out=grads.biases[r])
-        if r > 0:
-            np.matmul(g.T, cache.post_activations[r - 1], out=grads.hidden_weights[r - 1])
-            g = g @ params.hidden_weights[r - 1]
-    np.matmul(g.T, cache.features, out=grads.func_weights)
-    np.matmul(g.T, cache.scalars, out=grads.scalar_weights)
-    return batch_loss, grads
-
-
 def gradients(params: NetworkParameters, features, scalars, y, ctx: SpatialContext | None = None):
     """Exact reverse-mode gradients of the mean-squared loss over all rows."""
     features, scalars = _check_inputs(params, features, scalars)
@@ -390,13 +433,23 @@ def gradients(params: NetworkParameters, features, scalars, y, ctx: SpatialConte
         raise DimensionError("batch must be nonempty")
     if ctx is not None:
         features, scalars = _prefilter(ctx, features, scalars)
+    kernel = _LayerKernel(params.arch, y.size)
+    grads = NetworkParameters.zeros_like(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _backprop(params, features, scalars, y)[1]
+        kernel.squared_error(params, features, scalars, y)
+        kernel.backward(params, features, scalars, grads)
+    return grads
 
 
 @dataclass
 class TrainingTrace:
-    """Per-epoch loss history plus early-stopping bookkeeping."""
+    """Per-epoch loss history plus early-stopping bookkeeping.
+
+    ``epoch_losses[e]`` is the mean, over epoch e's training rows, of the
+    squared residuals its steps computed, each taken before the step's
+    update; ``validation_losses[e]`` is the validation rows' mean squared
+    residual after the epoch.
+    """
 
     epoch_losses: list = field(default_factory=list)
     validation_losses: list = field(default_factory=list)
@@ -420,10 +473,12 @@ def train(
     """Fit the network with Adam; returns (parameters, trace).
 
     A spatial context pre-filters the inputs once; every step then touches
-    only its own rows.  Stops when the absolute change in epoch loss drops
-    below the early-stop threshold (the first epoch's delta is the loss
-    itself), or at ``max_epochs``.  With a validation split, the parameters
-    from the best validation epoch are restored at the end.
+    only its own rows.  An epoch's loss is the sum of its steps' squared
+    residuals over its number of training rows, so no pass of its own
+    computes it.  Stops when the absolute change in epoch loss drops below
+    the early-stop threshold (the first epoch's delta is the loss itself),
+    or at ``max_epochs``.  With a validation split, the parameters from the
+    best validation epoch are restored at the end.
     """
     params = init_parameters(arch, config.seed)
     features, scalars = _check_inputs(params, features, scalars)
@@ -442,8 +497,10 @@ def train(
     perm = split_rng.permutation(n)
     val_rows = np.sort(perm[:n_val])
     train_rows = np.sort(perm[n_val:])
-    train_set = features[train_rows], scalars[train_rows], y[train_rows]
     val_set = features[val_rows], scalars[val_rows], y[val_rows]
+    # one kernel per batch row count: the full batches and a shorter last one
+    full = min(config.batch_size, train_rows.size)
+    kernels = {rows: _LayerKernel(arch, rows) for rows in {full, train_rows.size % full or full}}
 
     grads = NetworkParameters.zeros_like(params)
     g = grads.flat
@@ -464,11 +521,16 @@ def train(
                 # each epoch gathers its shuffled rows once; a batch is a slice of them
                 order = shuffle_rng.permutation(train_rows)
                 epoch_f, epoch_z, epoch_y = features[order], scalars[order], y[order]
+                epoch_sq = 0.0
                 for start in range(0, order.size, config.batch_size):
                     batch = slice(start, start + config.batch_size)
-                    batch_loss, _ = _backprop(params, epoch_f[batch], epoch_z[batch], epoch_y[batch], grads)
-                    if not math.isfinite(batch_loss):
+                    batch_f, batch_z, batch_y = epoch_f[batch], epoch_z[batch], epoch_y[batch]
+                    kernel = kernels[batch_y.size]
+                    batch_sq = kernel.squared_error(params, batch_f, batch_z, batch_y)
+                    if not math.isfinite(batch_sq):
                         raise TrainingDivergedError("batch loss became non-finite", trace=trace)
+                    epoch_sq += batch_sq
+                    kernel.backward(params, batch_f, batch_z, grads)
                     step += 1
                     # in place, in the order of m = b1 m + (1 - b1) g,
                     # v = b2 v + (1 - b2) g g and (m / c1) / (sqrt(v / c2) + eps)
@@ -487,8 +549,8 @@ def train(
                     update *= config.learning_rate
                     params.flat -= update
 
-                epoch_loss = _rows_loss(params, *train_set)
-                if not np.isfinite(epoch_loss):
+                epoch_loss = epoch_sq / order.size
+                if not math.isfinite(epoch_loss):
                     raise TrainingDivergedError("epoch loss became non-finite", trace=trace)
                 trace.epoch_losses.append(epoch_loss)
 

@@ -125,6 +125,7 @@ class TestCriterion2:
         n = 500
         results = {}
         grid_ok = True
+        shared_w, eigs = None, None
         for rho in (0.1, 0.5, 0.9):
             estimates = []
             for r in range(50):
@@ -141,8 +142,12 @@ class TestCriterion2:
                 est = estimate_rho_ml(train.response, design, train.weights)
                 estimates.append(est.rho_hat)
 
-                # independent 201-point profile-likelihood grid
-                eigs = np.linalg.eigvals(train.weights.toarray())
+                # independent 201-point profile-likelihood grid; every replication
+                # shares one W, so its spectrum is computed once and each W checked against it
+                dense_w = train.weights.toarray()
+                if eigs is None:
+                    shared_w, eigs = dense_w, np.linalg.eigvals(dense_w)
+                assert np.array_equal(dense_w, shared_w), "replications drew different weights"
                 q, _ = np.linalg.qr(design, mode="reduced")
                 y = train.response
                 ylag = train.weights.matvec(y)

@@ -20,7 +20,6 @@ from sfdnn.fdnn import (
     SpatialContext,
     TrainConfig,
     TrainingTrace,
-    _backprop,
     _prefilter,
     forward,
     gradients,
@@ -79,11 +78,66 @@ def toy_inputs(n, arch, seed):
     return features, scalars, y
 
 
+def _expit(x):
+    from scipy.special import expit
+
+    return expit(x)
+
+
+# tag -> (activation, derivative as a function of the pre-activation)
+REFERENCE_ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: x > 0.0),
+    "sigmoid": (_expit, lambda x: _expit(x) * (1.0 - _expit(x))),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
+    "identity": (lambda x: x, np.ones_like),
+}
+
+
+def reference_backprop(params, features, scalars, y):
+    """(sum of squared residuals, exact gradients of their mean) with every array fresh.
+
+    An oracle written apart from the package's layer kernel: each layer
+    keeps its own pre-activation and output, and each derivative is taken
+    from the pre-activation.
+    """
+    arch = params.arch
+    pre = features @ params.func_weights.T
+    pre += scalars @ params.scalar_weights.T
+    pres, posts = [], []
+    for r, tag in enumerate(arch.activations):
+        if r > 0:
+            pre = h @ params.hidden_weights[r - 1].T
+        pre += params.biases[r]
+        h = REFERENCE_ACTIVATIONS[tag][0](pre)
+        pres.append(pre)
+        posts.append(h)
+    residual = h @ params.hidden_weights[-1].T
+    residual += params.biases[-1]
+    residual = residual.ravel() - y
+    total = float(residual @ residual)
+
+    grads = NetworkParameters.zeros_like(params)
+    g = residual[:, None] * (2.0 / residual.size)  # dL/d out
+    grads.hidden_weights[-1][...] = g.T @ posts[-1]
+    grads.biases[-1][...] = np.add.reduce(g, axis=0)
+    g = g @ params.hidden_weights[-1]  # dL/d h_R
+    for r in range(len(arch.hidden_sizes) - 1, -1, -1):
+        g = g * REFERENCE_ACTIVATIONS[arch.activations[r]][1](pres[r])  # dL/d pre_r
+        grads.biases[r][...] = np.add.reduce(g, axis=0)
+        if r > 0:
+            grads.hidden_weights[r - 1][...] = g.T @ posts[r - 1]
+            g = g @ params.hidden_weights[r - 1]
+    grads.func_weights[...] = g.T @ features
+    grads.scalar_weights[...] = g.T @ scalars
+    return total, grads
+
+
 def reference_train(arch, config, features, scalars, y, ctx=None):
     """The per-step-allocating training loop that ``train`` must reproduce bit for bit.
 
-    Each step takes a fresh zeroed gradient container and runs Adam out of
-    place on whole-vector temporaries.
+    Each step takes a fresh gradient container and runs Adam out of place
+    on whole-vector temporaries.  An epoch's loss is the sum of its steps'
+    squared residuals over its number of training rows.
     """
     params = init_parameters(arch, config.seed)
     y = np.asarray(y, dtype=float).ravel()
@@ -99,10 +153,6 @@ def reference_train(arch, config, features, scalars, y, ctx=None):
     else:
         val_rows, train_rows = np.empty(0, dtype=int), np.arange(n)
 
-    def rows_loss(rows):
-        diff = predict(params, features[rows], scalars[rows]) - y[rows]
-        return float(diff @ diff) / rows.size
-
     moment_m = np.zeros_like(params.flat)
     moment_v = np.zeros_like(params.flat)
     step = 0
@@ -110,9 +160,11 @@ def reference_train(arch, config, features, scalars, y, ctx=None):
     best_params, best_val, prev_loss = None, np.inf, None
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(train_rows)
+        epoch_sq = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, grads = _backprop(params, features[batch], scalars[batch], y[batch])  # zeros_like inside
+            batch_sq, grads = reference_backprop(params, features[batch], scalars[batch], y[batch])
+            epoch_sq += batch_sq
             step += 1
             g = grads.flat
             moment_m = ADAM_BETA1 * moment_m + (1.0 - ADAM_BETA1) * g
@@ -123,10 +175,11 @@ def reference_train(arch, config, features, scalars, y, ctx=None):
             if config.weight_decay > 0.0:
                 update[: params.num_weights] += config.weight_decay * params.flat[: params.num_weights]
             params.flat -= config.learning_rate * update
-        epoch_loss = rows_loss(train_rows)
+        epoch_loss = epoch_sq / train_rows.size
         trace.epoch_losses.append(epoch_loss)
         if val_rows.size:
-            val_loss = rows_loss(val_rows)
+            diff = predict(params, features[val_rows], scalars[val_rows]) - y[val_rows]
+            val_loss = float(diff @ diff) / val_rows.size
             trace.validation_losses.append(val_loss)
             if val_loss < best_val:
                 best_val, best_params, trace.best_epoch = val_loss, params.copy(), epoch
@@ -330,6 +383,14 @@ class TestGradients:
         for _, g, _ in grads.tensors():
             assert np.max(np.abs(g)) < 1e-12
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid", "identity"])
+    def test_bit_identical_to_allocating_reference(self, activation):
+        arch = NetworkArchitecture(2, (4, 4), 2, (5, 3), (activation, "tanh"))
+        params = init_parameters(arch, 59)
+        features, scalars, y = toy_inputs(11, arch, 61)
+        _, expected = reference_backprop(params, features, scalars, y)
+        np.testing.assert_array_equal(gradients(params, features, scalars, y).flat, expected.flat)
+
     def test_zero_rho_context_gradients_match_plain(self):
         arch = toy_arch("relu")
         params = init_parameters(arch, 61)
@@ -472,6 +533,12 @@ class TestTrain:
         assert trace.best_epoch is not None
         assert len(trace.validation_losses) == len(trace.epoch_losses)
         assert min(trace.validation_losses) == trace.validation_losses[trace.best_epoch]
+        # the returned parameters are the best epoch's: their validation loss is its loss, bit for bit
+        n_val = round(config.validation_fraction * y.size)
+        val_rows = np.sort(np.random.default_rng([config.seed, 2]).permutation(y.size)[:n_val])
+        diff = predict(params, features[val_rows], scalars[val_rows]) - y[val_rows]
+        assert float(diff @ diff) / n_val == trace.validation_losses[trace.best_epoch]
+        assert trace.best_epoch < len(trace.epoch_losses) - 1  # a later epoch was discarded
 
     def test_divergence_raises_with_trace(self):
         arch = NetworkArchitecture(1, (3,), 1, (4,), ("identity",))
@@ -608,7 +675,7 @@ class TestPrefilterIdentity:
         rows = np.array([1, 4, 5, 10])
 
         filtered_f, filtered_z = _prefilter(ctx, features, scalars)
-        _, grads = _backprop(params, filtered_f[rows], filtered_z[rows], y[rows])
+        _, grads = reference_backprop(params, filtered_f[rows], filtered_z[rows], y[rows])
         analytic = [(n, g) for n, g, _ in grads.tensors()]
 
         def masked_loss():
