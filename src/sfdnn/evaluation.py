@@ -218,7 +218,8 @@ def kfold_tune(
     folds = np.array_split(perm, num_folds)
 
     # per neighbor count, each fold's (training, held-out) datasets, shared by
-    # every candidate so each fold's weight matrix computes its spectrum once
+    # every candidate, so each fold's weight matrix computes its spectrum once
+    # and each training set runs its stage one (FPCA and the rho search) once
     splits = {}
     scores = {}
     table = []

@@ -486,6 +486,8 @@ def train(
     n = y.size
     if features.shape[0] != n:
         raise DimensionError("response length does not match inputs")
+    if n == 0:
+        raise DimensionError("training needs at least one row")
     if ctx is not None:
         features, scalars = _prefilter(ctx, features, scalars)
 

@@ -1,14 +1,16 @@
 """End-to-end estimators: ML-linear, plain network, and the two-stage variant.
 
-All three share the same dataset container.  The ML baseline regresses the
-response on FPCA scores and scalar covariates inside the spatially lagged
-likelihood; the network estimators project curves onto spline bases and
-train the functional network, the two-stage variant first estimating the
-dependence parameter by maximum likelihood and then holding it fixed while
-the network trains on spatially filtered pre-activations.  With the estimate
-fixed the filter is a constant linear map ahead of the first bias, so it is
-applied once to the network inputs, which then serve both training and the
-fitted values.
+All three share the same dataset container, treated as immutable after
+construction.  The ML baseline regresses the response on FPCA scores and
+scalar covariates inside the spatially lagged likelihood; the network
+estimators project curves onto spline bases and train the functional network,
+the two-stage variant first estimating the dependence parameter by maximum
+likelihood and then holding it fixed while the network trains on spatially
+filtered pre-activations.  The ML baseline and the two-stage variant share
+that first stage (FPCA and the estimate), computed once per dataset and
+variance threshold.  With the estimate fixed the filter is a constant linear
+map ahead of the first bias, so it is applied once to the network inputs,
+which then serve both training and the fitted values.
 
 Network features, scalar covariates, and the response are standardized with
 training-set statistics; predictions are mapped back to the original scale.
@@ -37,7 +39,7 @@ from .fdnn import (
     train,
 )
 from .fpca import FpcaModel, fit_fpca, project_scores
-from .spatial import SpatialWeightMatrix, apply_spatial_filter, estimate_rho_ml
+from .spatial import RhoEstimate, SpatialWeightMatrix, estimate_rho_ml
 
 __all__ = [
     "KINDS",
@@ -57,13 +59,18 @@ KINDS = ("ml", "fdnn", "sfdnn")
 
 @dataclass
 class RegressionDataset:
-    """Curves, scalar covariates, and response for one set of sites."""
+    """Curves, scalar covariates, and response for one set of sites.
+
+    Treated as immutable after construction: its stage one is computed once
+    per variance threshold, and ``subset`` or ``replace`` runs a new one.
+    """
 
     functional: list
     grid: Grid
     scalars: np.ndarray
     response: np.ndarray
     weights: SpatialWeightMatrix | None = None
+    _stage_one_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.functional = [np.atleast_2d(np.asarray(c, dtype=float)) for c in self.functional]
@@ -180,18 +187,22 @@ def _ml_design(models, data: RegressionDataset) -> np.ndarray:
     return np.column_stack([np.ones(data.n)] + scores + [data.scalars])
 
 
-def _fpca_design(data: RegressionDataset, variance_threshold: float):
-    models = [fit_fpca(c, data.grid, variance_threshold) for c in data.functional]
-    return models, _ml_design(models, data)
+def _stage_one(data: RegressionDataset, variance_threshold: float) -> tuple[list, np.ndarray, RhoEstimate]:
+    """(FPCA models, ML design, rho estimate) of ``data``, computed once per threshold."""
+    memo = data._stage_one_memo
+    if variance_threshold not in memo:
+        models = [fit_fpca(c, data.grid, variance_threshold) for c in data.functional]
+        design = _ml_design(models, data)
+        memo[variance_threshold] = models, design, estimate_rho_ml(data.response, design, data.weights)
+    return memo[variance_threshold]
 
 
 def fit_ml_baseline(data: RegressionDataset, variance_threshold: float = 0.95) -> FittedModel:
     """Maximum-likelihood linear fit on FPCA scores with a spatial lag."""
     if data.weights is None:
         raise MissingWeightsError("the ML baseline needs a spatial weight matrix")
-    models, design = _fpca_design(data, variance_threshold)
-    est = estimate_rho_ml(data.response, design, data.weights)
-    fitted = apply_spatial_filter(data.weights, est.rho_hat, design @ est.theta_hat)
+    models, design, est = _stage_one(data, variance_threshold)
+    fitted = SpatialContext(data.weights, est.rho_hat).solve(design @ est.theta_hat)
     return FittedModel(
         kind="ml",
         grid=data.grid,
@@ -259,14 +270,13 @@ def fit_sfdnn(
 ) -> FittedModel:
     """Two-stage fit: dependence by maximum likelihood, then the network.
 
-    The first-stage estimate is held fixed while the network trains;
-    ``rho_override`` substitutes a caller-chosen value for stage one.
+    The first-stage estimate, shared with :func:`fit_ml_baseline`, is held fixed
+    while the network trains; ``rho_override`` substitutes a caller's value.
     """
     if data.weights is None:
         raise MissingWeightsError("the two-stage estimator needs a spatial weight matrix")
     if rho_override is None:
-        _, design = _fpca_design(data, variance_threshold)
-        est = estimate_rho_ml(data.response, design, data.weights)
+        est = _stage_one(data, variance_threshold)[2]
         rho_hat, at_boundary = est.rho_hat, est.at_boundary
     else:
         rho_hat, at_boundary = float(rho_override), False
@@ -297,7 +307,7 @@ def predict_model(model: FittedModel, newdata: RegressionDataset) -> np.ndarray:
         if newdata.weights is None:
             raise MissingWeightsError("ML predictions need the test set's weight matrix")
         design = _ml_design(model.fpca_models, newdata)
-        return apply_spatial_filter(newdata.weights, model.rho_hat, design @ model.theta)
+        return SpatialContext(newdata.weights, model.rho_hat).solve(design @ model.theta)
 
     features = _spline_features(newdata.functional, newdata.grid, model.bases)
     f_std, s_std = model.standardization.apply(features, newdata.scalars)

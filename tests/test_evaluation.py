@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfdnn import evaluation, spatial
+from sfdnn import evaluation, pipeline, spatial
 from sfdnn.basis import make_bspline_basis
 from sfdnn.errors import (
     DegenerateVarianceError,
@@ -239,6 +239,30 @@ class TestKfoldTune:
         kfold_tune(data, "sfdnn", grid, num_folds=3, seed=1)
         assert shapes == [(40, 40)] * 3
 
+    def test_stage_one_once_per_training_set(self, monkeypatch):
+        # ml and sfdnn share a replication's training set, and every sfdnn
+        # candidate shares each fold's, so each runs stage one once
+        estimate = pipeline.estimate_rho_ml
+        sizes = []
+
+        def spy(y, *args):
+            sizes.append(y.size)
+            return estimate(y, *args)
+
+        monkeypatch.setattr(pipeline, "estimate_rho_ml", spy)
+        monte_carlo_study(
+            small_scenarios()[:1], ("ml", "fdnn", "sfdnn"), num_replications=2, base_seed=7,
+            config=quick_config(),
+        )
+        assert sizes == [60] * 2
+        sizes.clear()
+        grid = TuneGrid(
+            hidden_sizes=[(3,)], learning_rates=[0.01, 0.02], batch_sizes=[16, 32],
+            basis_sizes=[5], max_epochs=[3],
+        )
+        kfold_tune(tiny_dataset(8), "sfdnn", grid, num_folds=3, seed=1)
+        assert sizes == [40] * 3
+
     def test_neighbor_count_candidates_need_no_spectrum(self, monkeypatch):
         # a KNN W and its fold subsets are CSR, certified by the row-sum bound
         data = tiny_dataset(6, n=40)
@@ -319,19 +343,25 @@ class TestMonteCarloStudy:
         assert report.num_ok == 1
         assert report.sd("mspe") == 0.0
 
-    def test_kinds_paired_and_order_invariant(self):
+    @pytest.mark.parametrize(
+        "kinds", [("ml", "fdnn"), ("ml", "sfdnn"), ("sfdnn", "ml")], ids="-".join
+    )
+    def test_kinds_paired_and_order_invariant(self, kinds):
+        # kinds that share a replication's stage one report what each reports alone
         scenarios = small_scenarios()
-        both = monte_carlo_study(
-            scenarios, ("ml", "fdnn"), num_replications=2, base_seed=7, config=quick_config()
+        paired = monte_carlo_study(
+            scenarios, kinds, num_replications=2, base_seed=7, config=quick_config()
         )
-        ml_only = monte_carlo_study(
-            scenarios[::-1], ("ml",), num_replications=2, base_seed=7, config=quick_config()
-        )
-        for scenario in scenarios:
-            a = both.report(scenario, "ml")
-            b = ml_only.report(scenario, "ml")
-            np.testing.assert_array_equal(a.mspe, b.mspe)
-            np.testing.assert_array_equal(a.mse, b.mse)
+        for kind in kinds:
+            alone = monte_carlo_study(
+                scenarios[::-1], (kind,), num_replications=2, base_seed=7, config=quick_config()
+            )
+            for scenario in scenarios:
+                a = paired.report(scenario, kind)
+                b = alone.report(scenario, kind)
+                for name in ("mse", "r2", "mspe", "r2_test"):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+                assert (a.failures, a.num_boundary) == (b.failures, b.num_boundary)
 
     def test_parallel_schedule_matches_serial(self):
         scenario = small_scenarios()[0]

@@ -427,6 +427,13 @@ class TestTrain:
         final = loss(predict(params, features, scalars), y)
         assert final <= ols_loss * 1.05
 
+    def test_zero_rows_rejected(self):
+        # an empty training set fails at the boundary, not inside the batching
+        arch = toy_arch()
+        features, scalars, y = toy_inputs(0, arch, 73)
+        with pytest.raises(DimensionError, match="at least one row"):
+            train(arch, TrainConfig(max_epochs=2), features, scalars, y)
+
     def test_huge_threshold_stops_after_one_epoch(self):
         arch = toy_arch()
         features, scalars, y = toy_inputs(20, arch, 73)

@@ -1,6 +1,7 @@
 """Tests for the end-to-end estimators and their serialization."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfdnn import pipeline
 from sfdnn.errors import DataError, DimensionError, MissingWeightsError
 from sfdnn.fdnn import NetworkArchitecture, TrainConfig
 from sfdnn.fpca import fit_fpca, project_scores
@@ -21,7 +23,12 @@ from sfdnn.pipeline import (
     save_model,
 )
 from sfdnn.simgen import ScenarioConfig, generate_scenario_dataset
-from sfdnn.spatial import SpatialWeightMatrix, build_inverse_distance_weights, estimate_rho_ml
+from sfdnn.spatial import (
+    SpatialWeightMatrix,
+    build_inverse_distance_weights,
+    build_knn_bisquare_weights,
+    estimate_rho_ml,
+)
 
 
 def small_arch(hidden=(12, 6), act="relu"):
@@ -134,9 +141,9 @@ class TestNetworkFits:
 
     def test_two_stage_rho_stored_exactly(self, gaussian_data):
         train, _ = gaussian_data
-        from sfdnn.pipeline import _fpca_design
-
-        _, design = _fpca_design(train, 0.95)
+        models = [fit_fpca(c, train.grid, 0.95) for c in train.functional]
+        scores = [project_scores(m, c, train.grid) for m, c in zip(models, train.functional)]
+        design = np.column_stack([np.ones(train.n)] + scores + [train.scalars])
         stage1 = estimate_rho_ml(train.response, design, train.weights)
         model = fit_sfdnn(train, small_arch(), small_config(max_epochs=20))
         assert model.rho_hat == stage1.rho_hat
@@ -156,6 +163,63 @@ class TestNetworkFits:
         a = fit_fdnn_model(train, arch, config)
         b = fit_fdnn_model(train, arch, config)
         assert a.train_metrics == b.train_metrics
+
+
+def fresh_copy(data):
+    return RegressionDataset(
+        functional=[c.copy() for c in data.functional], grid=data.grid,
+        scalars=data.scalars.copy(), response=data.response.copy(), weights=data.weights,
+    )
+
+
+def assert_same_fit(a, b):
+    assert (a.rho_hat, a.at_boundary, a.train_metrics) == (b.rho_hat, b.at_boundary, b.train_metrics)
+    if a.kind == "ml":
+        np.testing.assert_array_equal(a.theta, b.theta)
+        assert [m.k_retained for m in a.fpca_models] == [m.k_retained for m in b.fpca_models]
+    else:
+        np.testing.assert_array_equal(a.parameters.flat, b.parameters.flat)
+
+
+class TestStageOne:
+    """ml and sfdnn share a dataset's stage one, which must never go stale."""
+
+    def fits(self, data, threshold):
+        arch, config = small_arch(), small_config(max_epochs=5)
+        return fit_ml_baseline(data, threshold), fit_sfdnn(data, arch, config, variance_threshold=threshold)
+
+    def test_each_threshold_fits_as_a_fresh_dataset(self, gaussian_data):
+        data = fresh_copy(gaussian_data[0])
+        by_threshold = {}
+        for threshold in (0.95, 0.9, 0.95):
+            fits = self.fits(data, threshold)
+            for got, expected in zip(fits, self.fits(fresh_copy(data), threshold)):
+                assert_same_fit(got, expected)
+            by_threshold[threshold] = fits[0]
+        # the thresholds retain different components, so a stale design would show
+        assert by_threshold[0.95].theta.size != by_threshold[0.9].theta.size
+
+    def test_derived_datasets_run_their_own_stage_one(self, gaussian_data, monkeypatch):
+        data = fresh_copy(gaussian_data[0])
+        fit_ml_baseline(data)
+        coords = np.random.default_rng(4).uniform(-10.0, 10.0, (data.n, 2))
+        derived = [
+            replace(data, weights=build_knn_bisquare_weights(coords, 5)),
+            data.subset(np.arange(0, data.n, 2)),
+        ]
+        estimate = pipeline.estimate_rho_ml
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return estimate(*args)
+
+        monkeypatch.setattr(pipeline, "estimate_rho_ml", spy)
+        for other in derived:
+            got = fit_ml_baseline(other)
+            assert_same_fit(got, fit_ml_baseline(fresh_copy(other)))
+            assert got.rho_hat != fit_ml_baseline(data).rho_hat
+        assert len(calls) == 2 * len(derived)
 
 
 class TestPredict:
