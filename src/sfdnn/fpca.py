@@ -105,8 +105,10 @@ def project_scores(model: FpcaModel, curves: np.ndarray, grid: Grid) -> np.ndarr
     ):
         raise DimensionError("projection grid differs from the fitting grid")
     w = trapezoid_weights(grid.points)
+    # one (n, G) temporary, weighted in place: curves - mean is a new array
     centered = curves - model.mean_curve
-    return (centered * w) @ model.eigenfunctions[: model.k_retained].T
+    centered *= w
+    return centered @ model.eigenfunctions[: model.k_retained].T
 
 
 def reconstruct(model: FpcaModel, scores: np.ndarray) -> np.ndarray:

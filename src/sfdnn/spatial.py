@@ -23,7 +23,10 @@ search, one route for every W, evaluates only the scan points that
 Hadamard's bound on ln det(I - rho W), 1/2 sum_i log1p(rho^2 |w_i|^2), does
 not rule out: a skipped point cannot hold the maximum, so the estimate is
 bit-identical to a full scan's.  KNN neighbors are searched with a KD-tree
-on unit-sphere points.  An inverse-distance W depends only on n, so it is
+on unit-sphere points, one query for each site's h+2 nearest; only a site
+whose (h+2)-th nearest may tie its bandwidth runs a ball query, and row
+sums follow ndarray.sum's own order without a per-row call below 8 kept
+neighbors.  An inverse-distance W depends only on n, so it is
 built once per size and shared read-only: every replication of a study cell
 reuses one matrix, and with it the spectrum cached on it.  Its rows are
 divided by sums taken symmetrically, so it equals its mirror exactly, and
@@ -42,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -388,17 +392,27 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
     The h-th neighbor itself receives raw kernel weight zero, so rows where
     every retained neighbor is exactly at the bandwidth (equidistant ties)
     fall back to uniform weights.  Rows are normalized to sum to one; only
-    positive weights are stored, as CSR at every size.
+    positive weights are stored, as CSR at every size.  ``h`` is an integer
+    of at least 1 (a bool is refused).
 
     Candidates come from a KD-tree on unit-sphere points: chord length is
     monotone in great-circle distance, so every site within the bandwidth
-    lies within a slightly widened chord of the h-th nearest one.  Only
-    those candidate pairs get a haversine distance.
+    lies within a slightly widened chord of the h-th nearest one.  One
+    query for the h+2 nearest sites settles most rows: when the (h+2)-th
+    lies outside the widened chord, the h+1 nearest (the site itself
+    included) are exactly the sites inside it.  Only a row whose (h+2)-th
+    lies inside, so that it may hold a tie at its bandwidth, runs a ball
+    query.  Only the candidate pairs get a haversine distance, in ascending
+    site order per row.  A row of fewer than 8 kept weights is summed left
+    to right, one pass per neighbor slot, which is numpy's own order for
+    such a row; a longer row keeps ``ndarray.sum``.
     """
     import scipy.sparse as sp
     from scipy.spatial import cKDTree
     pts = _coords_array(coords)
     n = pts.shape[0]
+    if isinstance(h, (bool, np.bool_)) or not isinstance(h, numbers.Integral):
+        raise InvalidSizeError(f"h must be an integer, got {h!r}")
     if h < 1:
         raise InvalidSizeError("h must be >= 1")
     if n < h + 1:
@@ -415,14 +429,22 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
     for start in range(0, n, block):
         stop = min(start + block, n)
         # the query site itself is its own 0-th neighbor
-        chord = tree.query(xyz[start:stop], k=h + 1)[0][:, h]
+        chords, nearest = tree.query(xyz[start:stop], k=min(h + 2, n))
         # 1e-6 relative covers the 1e-12 tie window and rounding in both the
         # chord and the haversine; 1e-12 absolute covers near-coincident sites
-        radius = chord * (1.0 + 1e-6) + 1e-12
-        found = tree.query_ball_point(xyz[start:stop], radius, return_sorted=True)
-        found_per_row = np.fromiter(map(len, found), dtype=np.intp, count=stop - start)
+        radius = chords[:, h] * (1.0 + 1e-6) + 1e-12
+        # a row may tie at its bandwidth only if its (h+2)-th nearest lies
+        # inside the radius; with n = h + 1 the last chord is the h-th, and
+        # every row counts as tied
+        tied = chords[:, -1] <= radius
+        found = tree.query_ball_point(xyz[start:stop][tied], radius[tied], return_sorted=True)
+        found_per_row = np.full(stop - start, h + 1)
+        found_per_row[tied] = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
         i = np.repeat(np.arange(start, stop), found_per_row)
-        j = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=i.size)
+        from_ball = np.repeat(tied, found_per_row)
+        j = np.empty(i.size, dtype=np.intp)
+        j[~from_ball] = np.sort(nearest[~tied, : h + 1], axis=1).ravel()
+        j[from_ball] = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp)
         d = great_circle_km(pts[i, 0], pts[i, 1], pts[j, 0], pts[j, 1])
         d[i == j] = np.inf
         # h-th smallest distance per row, from a (row, distance) sort
@@ -440,8 +462,16 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
         raw = (1.0 - ratio**2) ** 2
         kept_per_row = np.bincount(i - start)
         ends = np.cumsum(kept_per_row)
-        # ndarray.sum per row: np.add.reduceat would round differently
-        total = np.array([raw[a:b].sum() for a, b in zip(ends - kept_per_row, ends)])
+        starts = ends - kept_per_row
+        # ndarray.sum's order: left to right below 8 values, pairwise from 8
+        # (np.add.reduceat would round differently)
+        short = kept_per_row < 8
+        total = np.zeros(stop - start)
+        for slot in range(7):
+            rows = np.flatnonzero(short & (kept_per_row > slot))
+            total[rows] += raw[starts[rows] + slot]
+        for row in np.flatnonzero(~short):
+            total[row] = raw[starts[row] : ends[row]].sum()
         # rows whose retained neighbors all sit exactly at the bandwidth are uniform
         uniform = total < 1e-20
         raw[np.repeat(uniform, kept_per_row)] = 1.0

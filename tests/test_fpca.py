@@ -109,6 +109,21 @@ class TestProjectScores:
             scores.var(axis=0, ddof=1), model.eigenvalues[: model.k_retained], atol=1e-8
         )
 
+    def test_curves_unchanged_and_scores_are_the_weighted_product(self, grid):
+        curves = kl_curves(30, grid, np.random.default_rng(8))
+        before = curves.copy()
+        model = fit_fpca(curves, grid)
+        w = trapezoid_weights(grid.points)
+        # a float64 array, a strided view of it and one 1-D curve reach the
+        # projection without a copy
+        for given in (curves, curves[::2], curves[3]):
+            scores = project_scores(model, given, grid)
+            expected = ((np.atleast_2d(given) - model.mean_curve) * w) @ model.eigenfunctions[
+                : model.k_retained
+            ].T
+            assert np.array_equal(scores, expected)
+        assert np.array_equal(curves, before)
+
     def test_grid_mismatch_raises(self, grid):
         model = fit_fpca(kl_curves(10, grid, np.random.default_rng(1)), grid)
         with pytest.raises(DimensionError):

@@ -219,6 +219,22 @@ def knn_clouds():
             np.column_stack([rng.uniform(-80, 80, 150), rng.uniform(-180, 180, 150)]),
             149,
         ),
+        # the h+2 nearest of every site are all the sites
+        "h-is-n-minus-2": (
+            np.column_stack([rng.uniform(-80, 80, 120), rng.uniform(-180, 180, 120)]),
+            118,
+        ),
+        # interior sites keep 8 neighbors, summed pairwise; border sites keep 7,
+        # summed left to right (at h = 5 only the equator row keeps 8, and its
+        # two sum orders agree)
+        "lattice-8-kept": (lattice(1.0, 9, 12), 7),
+        # one block: the lattice's tied sites need a ball query, the rest do not
+        "lattice-beside-cloud": (
+            np.vstack(
+                [lattice(1.0, 5, 6), np.column_stack([rng.uniform(20, 40, 400), rng.uniform(20, 60, 400)])]
+            ),
+            3,
+        ),
     }
 
 
@@ -249,6 +265,19 @@ class TestKnnOracle:
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 2.0], [3.0, 3.0]])
         with pytest.raises(DataError):
             build_knn_bisquare_weights(pts, h=1)
+
+    @pytest.mark.parametrize("h", [2.5, 3.0, True], ids=["fraction", "integral-float", "bool"])
+    def test_non_integer_h_rejected(self, h):
+        pts = knn_clouds()["dense-300"][0]
+        with pytest.raises(InvalidSizeError, match="^h must be an integer"):
+            build_knn_bisquare_weights(pts, h=h)
+
+    def test_numpy_integer_h_accepted(self):
+        pts = knn_clouds()["dense-300"][0]
+        W = build_knn_bisquare_weights(pts, h=np.int64(3)).weights
+        ref = build_knn_bisquare_weights(pts, h=3).weights
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(W, part), getattr(ref, part))
 
 
 def knn_80():
