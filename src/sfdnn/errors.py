@@ -7,6 +7,7 @@ declared once by the class that owns the setting.
 """
 
 import math
+import numbers
 
 
 def at_least(minimum):
@@ -20,6 +21,19 @@ def one_of(options):
 POSITIVE = (lambda v: v > 0, "must be positive")
 NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 FINITE = (math.isfinite, "must be finite")
+# an int or a numpy integer; a bool is not a count
+INTEGER = (
+    lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "must be an integer, got {!r}",
+)
+
+
+def check_integers(error, **counts):
+    """Raise ``error`` naming the first of ``counts`` that is not an integer."""
+    holds, phrase = INTEGER
+    for name, value in counts.items():
+        if not holds(value):
+            raise error(f"{name} {phrase.format(value)}")
 
 
 def _items(value):
@@ -29,16 +43,20 @@ def _items(value):
 
 
 def broken_rules(rules, values) -> list:
-    """(name, phrase) for each rule in ``rules`` that ``values[name]`` breaks.
+    """(name, phrase) for each setting in ``rules`` that ``values[name]`` breaks.
 
-    A tuple breaks a rule when an item does (``None`` items pass); a phrase
-    may name the first such item as "{}".  NaN breaks every comparison rule.
+    A setting has one rule or a list of rules, checked in order; only the
+    first it breaks is reported.  A tuple breaks a rule when an item does
+    (``None`` items pass); a phrase may name the first such item as "{}".
+    NaN breaks every comparison rule.
     """
     broken = []
-    for name, (holds, phrase) in rules.items():
-        bad = [v for v in _items(values[name]) if not holds(v)]
-        if bad:
-            broken.append((name, phrase.format(bad[0])))
+    for name, rule in rules.items():
+        for holds, phrase in rule if isinstance(rule, list) else [rule]:
+            bad = [v for v in _items(values[name]) if not holds(v)]
+            if bad:
+                broken.append((name, phrase.format(bad[0])))
+                break
     return broken
 
 

@@ -21,6 +21,7 @@ from .errors import (
     FoldSizeError,
     InvalidSizeError,
     SfdnnError,
+    check_integers,
 )
 from .fdnn import NetworkArchitecture, TrainConfig
 from .pipeline import (
@@ -209,6 +210,7 @@ def kfold_tune(
     and train as ``config`` says, with the candidate's settings and ``seed``.
     """
     n = data.n
+    check_integers(FoldSizeError, num_folds=num_folds)
     if num_folds < 2:
         raise FoldSizeError("need at least 2 folds")
     if n < 2 * num_folds:
@@ -368,8 +370,11 @@ def monte_carlo_study(
     jobs: int = 1,
 ) -> StudyTable:
     """Paired Monte Carlo comparison of estimator kinds over scenarios."""
+    check_integers(InvalidSizeError, num_replications=num_replications, jobs=jobs)
     if num_replications < 1:
         raise InvalidSizeError("need at least one replication")
+    if jobs < 1:
+        raise InvalidSizeError("jobs must be at least 1")
     if arch is None:
         arch = default_architecture()
     if config is None:

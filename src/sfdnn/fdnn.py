@@ -15,10 +15,11 @@ mini-batch is a contiguous slice of that copy.  An epoch's loss is the mean
 of the squared residuals its steps computed, each before its update, so no
 extra pass over the training rows computes it.  One layer kernel per row
 count, with buffers of its own, runs the forward and backward passes of
-:func:`forward`, :func:`gradients` and every training step.  A step
-writes only into buffers made before the first step: the layer values
-into its kernel's, the gradients into one reused container, and the Adam
-moments in place.
+:func:`forward`, :func:`gradients`, every training step and the
+validation loss, so training never calls :func:`forward`.  A step writes
+only into buffers made before the first step: the layer values into its
+kernel's, the gradients into one reused container, and the Adam moments
+in place.  Every entry point checks and filters its inputs in one call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    INTEGER,
     NONNEGATIVE,
     POSITIVE,
     DimensionError,
@@ -114,19 +116,19 @@ class NetworkArchitecture:
     hidden_sizes: tuple
     activations: tuple
 
-    # (predicate that must hold, phrase) per field; a tuple is checked item by item
+    # (predicate that must hold, phrase), or a list of them checked in order,
+    # per field; a tuple is checked item by item
     RULES = {
-        "num_functional": NONNEGATIVE,
-        "basis_sizes": at_least(1),
-        "num_scalar": NONNEGATIVE,
-        "hidden_sizes": at_least(1),
+        "num_functional": [INTEGER, NONNEGATIVE],
+        "basis_sizes": [INTEGER, at_least(1)],
+        "num_scalar": [INTEGER, NONNEGATIVE],
+        "hidden_sizes": [INTEGER, at_least(1)],
         "activations": (lambda tag: tag in ACTIVATIONS, "unknown activation '{}'"),
     }
 
     def __post_init__(self):
-        object.__setattr__(self, "basis_sizes", tuple(int(m) for m in self.basis_sizes))
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        object.__setattr__(self, "activations", tuple(self.activations))
+        for name in ("basis_sizes", "hidden_sizes", "activations"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, phrase in broken_rules(self.RULES, vars(self)):
             raise InvalidArchitectureError(f"{name} {phrase}")
         if len(self.basis_sizes) != self.num_functional:
@@ -177,12 +179,12 @@ class TrainConfig:
 
     RULES = {
         "learning_rate": POSITIVE,
-        "batch_size": at_least(1),
-        "max_epochs": at_least(1),
+        "batch_size": [INTEGER, at_least(1)],
+        "max_epochs": [INTEGER, at_least(1)],
         "early_stop_threshold": NONNEGATIVE,
         "weight_decay": NONNEGATIVE,
         "validation_fraction": (lambda v: 0.0 <= v <= 0.5, "must be in [0, 0.5]"),
-        "seed": NONNEGATIVE,
+        "seed": [INTEGER, NONNEGATIVE],
     }
 
     def __post_init__(self):
@@ -236,11 +238,6 @@ class NetworkParameters:
         self.func_weights, self.scalar_weights, *self.hidden_weights = views[: 2 + k]
         self.biases = views[2 + k :]
 
-    def functional_coeff_blocks(self):
-        """Per-predictor views of the first-layer spline coefficients."""
-        ends = np.cumsum(self.arch.basis_sizes)
-        return [self.func_weights[:, e - m : e] for m, e in zip(self.arch.basis_sizes, ends)]
-
     def tensors(self):
         """(name, array, is_weight) triples in a fixed canonical order."""
         out = [
@@ -274,7 +271,11 @@ def init_parameters(arch: NetworkArchitecture, seed: int) -> NetworkParameters:
     return params
 
 
-def _check_inputs(params, features, scalars):
+def _check_inputs(params, features, scalars, y=None, ctx=None):
+    """(features, scalars, y) as float arrays, the inputs filtered through ``ctx``.
+
+    Widths, then the response's length and row count, fail before any solve.
+    """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     scalars = np.asarray(scalars, dtype=float)
     if scalars.ndim == 1:
@@ -288,15 +289,24 @@ def _check_inputs(params, features, scalars):
         raise DimensionError(
             f"scalars have shape {scalars.shape}, expected ({features.shape[0]}, {arch.num_scalar})"
         )
-    return features, scalars
+    if y is not None:
+        y = np.asarray(y, dtype=float).ravel()
+        if y.size != features.shape[0]:
+            raise DimensionError("response length does not match inputs")
+        if y.size == 0:
+            raise DimensionError("the response needs at least one row")
+    return (*_prefilter(ctx, features, scalars), y)
 
 
-def _prefilter(ctx: SpatialContext, features, scalars):
+def _prefilter(ctx: SpatialContext | None, features, scalars):
     """Solve [features | scalars] through the filter in one call and split it.
 
     The filter is linear and acts before the first bias, so filtering the
-    inputs equals filtering the first-layer pre-activations.
+    inputs equals filtering the first-layer pre-activations.  Without a
+    filter the inputs are returned as they are.
     """
+    if ctx is None:
+        return features, scalars
     filtered = ctx.solve(np.hstack([features, scalars]))
     return [np.ascontiguousarray(part) for part in np.hsplit(filtered, [features.shape[1]])]
 
@@ -386,27 +396,22 @@ class _LayerKernel:
 
 @dataclass
 class ForwardCache:
-    features: np.ndarray
-    scalars: np.ndarray
-    pre_activations: list = field(default_factory=list)
-    post_activations: list = field(default_factory=list)
+    pre_activations: list
+    post_activations: list
 
 
 def forward(params: NetworkParameters, features, scalars, ctx: SpatialContext | None = None):
     """Evaluate the network, returning (predictions, cache of every layer's values).
 
-    With a spatial context the inputs are pre-filtered and the cache holds
-    the filtered inputs.
+    With a spatial context the inputs are pre-filtered first.
     """
-    features, scalars = _check_inputs(params, features, scalars)
-    if ctx is not None:
-        features, scalars = _prefilter(ctx, features, scalars)
+    features, scalars, _ = _check_inputs(params, features, scalars, ctx=ctx)
     kernel = _LayerKernel(params.arch, features.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         predictions = kernel.forward(params, features, scalars)
     _check_finite(predictions)
     layers = kernel.layers
-    return predictions, ForwardCache(features, scalars, [l.pre for l in layers], [l.post for l in layers])
+    return predictions, ForwardCache([l.pre for l in layers], [l.post for l in layers])
 
 
 def predict(params: NetworkParameters, features, scalars, ctx: SpatialContext | None = None):
@@ -425,14 +430,7 @@ def loss(predictions, y) -> float:
 
 def gradients(params: NetworkParameters, features, scalars, y, ctx: SpatialContext | None = None):
     """Exact reverse-mode gradients of the mean-squared loss over all rows."""
-    features, scalars = _check_inputs(params, features, scalars)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != features.shape[0]:
-        raise DimensionError("response length does not match inputs")
-    if y.size == 0:
-        raise DimensionError("batch must be nonempty")
-    if ctx is not None:
-        features, scalars = _prefilter(ctx, features, scalars)
+    features, scalars, y = _check_inputs(params, features, scalars, y, ctx)
     kernel = _LayerKernel(params.arch, y.size)
     grads = NetworkParameters.zeros_like(params)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -457,11 +455,6 @@ class TrainingTrace:
     stopped_early: bool = False
 
 
-def _rows_loss(params, features, scalars, y):
-    diff = forward(params, features, scalars)[0] - y
-    return float(diff @ diff) / y.size
-
-
 def train(
     arch: NetworkArchitecture,
     config: TrainConfig,
@@ -475,21 +468,16 @@ def train(
     A spatial context pre-filters the inputs once; every step then touches
     only its own rows.  An epoch's loss is the sum of its steps' squared
     residuals over its number of training rows, so no pass of its own
-    computes it.  Stops when the absolute change in epoch loss drops below
-    the early-stop threshold (the first epoch's delta is the loss itself),
-    or at ``max_epochs``.  With a validation split, the parameters from the
-    best validation epoch are restored at the end.
+    computes it.  The validation loss runs on a layer kernel of the
+    validation rows' count, never through :func:`forward`.  Stops when the
+    absolute change in epoch loss drops below the early-stop threshold (the
+    first epoch's delta is the loss itself), or at ``max_epochs``.  With a
+    validation split, the parameters from the best validation epoch are
+    restored at the end.
     """
     params = init_parameters(arch, config.seed)
-    features, scalars = _check_inputs(params, features, scalars)
-    y = np.asarray(y, dtype=float).ravel()
+    features, scalars, y = _check_inputs(params, features, scalars, y, ctx)
     n = y.size
-    if features.shape[0] != n:
-        raise DimensionError("response length does not match inputs")
-    if n == 0:
-        raise DimensionError("training needs at least one row")
-    if ctx is not None:
-        features, scalars = _prefilter(ctx, features, scalars)
 
     shuffle_rng = np.random.default_rng([config.seed, 1])
     split_rng = np.random.default_rng([config.seed, 2])
@@ -500,9 +488,10 @@ def train(
     val_rows = np.sort(perm[:n_val])
     train_rows = np.sort(perm[n_val:])
     val_set = features[val_rows], scalars[val_rows], y[val_rows]
-    # one kernel per batch row count: the full batches and a shorter last one
+    # one kernel per row count: the full batches, a shorter last one and the validation
+    # rows, which may share a step's kernel, as ``backward`` reads only its own step's buffers
     full = min(config.batch_size, train_rows.size)
-    kernels = {rows: _LayerKernel(arch, rows) for rows in {full, train_rows.size % full or full}}
+    kernels = {rows: _LayerKernel(arch, rows) for rows in {full, train_rows.size % full or full, n_val}}
 
     grads = NetworkParameters.zeros_like(params)
     g = grads.flat
@@ -557,7 +546,7 @@ def train(
                 trace.epoch_losses.append(epoch_loss)
 
                 if val_rows.size:
-                    val_loss = _rows_loss(params, *val_set)
+                    val_loss = kernels[n_val].squared_error(params, *val_set) / n_val
                     trace.validation_losses.append(val_loss)
                     if val_loss < best_val:
                         best_val = val_loss

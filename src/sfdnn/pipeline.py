@@ -187,22 +187,28 @@ def _ml_design(models, data: RegressionDataset) -> np.ndarray:
     return np.column_stack([np.ones(data.n)] + scores + [data.scalars])
 
 
+def _weights(data: RegressionDataset) -> SpatialWeightMatrix:
+    """The weight matrix of ``data``, which every fit and prediction of ``ml`` and ``sfdnn`` needs."""
+    if data.weights is None:
+        raise MissingWeightsError("the spatial kinds (ml, sfdnn) need the data's weight matrix")
+    return data.weights
+
+
 def _stage_one(data: RegressionDataset, variance_threshold: float) -> tuple[list, np.ndarray, RhoEstimate]:
     """(FPCA models, ML design, rho estimate) of ``data``, computed once per threshold."""
     memo = data._stage_one_memo
     if variance_threshold not in memo:
+        weights = _weights(data)
         models = [fit_fpca(c, data.grid, variance_threshold) for c in data.functional]
         design = _ml_design(models, data)
-        memo[variance_threshold] = models, design, estimate_rho_ml(data.response, design, data.weights)
+        memo[variance_threshold] = models, design, estimate_rho_ml(data.response, design, weights)
     return memo[variance_threshold]
 
 
 def fit_ml_baseline(data: RegressionDataset, variance_threshold: float = 0.95) -> FittedModel:
     """Maximum-likelihood linear fit on FPCA scores with a spatial lag."""
-    if data.weights is None:
-        raise MissingWeightsError("the ML baseline needs a spatial weight matrix")
     models, design, est = _stage_one(data, variance_threshold)
-    fitted = SpatialContext(data.weights, est.rho_hat).solve(design @ est.theta_hat)
+    fitted = SpatialContext(_weights(data), est.rho_hat).solve(design @ est.theta_hat)
     return FittedModel(
         kind="ml",
         grid=data.grid,
@@ -235,8 +241,7 @@ def _fit_network(data, arch, config, basis_degree, ctx, **extra) -> FittedModel:
     features = _spline_features(data.functional, data.grid, bases)
     standardization = Standardization.fit(features, data.scalars, data.response)
     f_std, s_std, y_std = standardization.apply(features, data.scalars, data.response)
-    if ctx is not None:
-        f_std, s_std = _prefilter(ctx, f_std, s_std)
+    f_std, s_std = _prefilter(ctx, f_std, s_std)
     params, trace = train(arch, config, f_std, s_std, y_std)
     fitted = standardization.invert_y(predict(params, f_std, s_std))
     return FittedModel(
@@ -273,15 +278,13 @@ def fit_sfdnn(
     The first-stage estimate, shared with :func:`fit_ml_baseline`, is held fixed
     while the network trains; ``rho_override`` substitutes a caller's value.
     """
-    if data.weights is None:
-        raise MissingWeightsError("the two-stage estimator needs a spatial weight matrix")
     if rho_override is None:
         est = _stage_one(data, variance_threshold)[2]
         rho_hat, at_boundary = est.rho_hat, est.at_boundary
     else:
         rho_hat, at_boundary = float(rho_override), False
     return _fit_network(
-        data, arch, config, basis_degree, SpatialContext(data.weights, rho_hat), kind="sfdnn",
+        data, arch, config, basis_degree, SpatialContext(_weights(data), rho_hat), kind="sfdnn",
         rho_hat=rho_hat, at_boundary=at_boundary, variance_threshold=variance_threshold,
     )
 
@@ -303,19 +306,12 @@ def predict_model(model: FittedModel, newdata: RegressionDataset) -> np.ndarray:
         num_functional = model.parameters.arch.num_functional
         num_scalar = model.parameters.arch.num_scalar
     _check_widths(newdata, num_functional, num_scalar, "the model")
+    ctx = None if model.kind == "fdnn" else SpatialContext(_weights(newdata), model.rho_hat)
     if model.kind == "ml":
-        if newdata.weights is None:
-            raise MissingWeightsError("ML predictions need the test set's weight matrix")
-        design = _ml_design(model.fpca_models, newdata)
-        return SpatialContext(newdata.weights, model.rho_hat).solve(design @ model.theta)
+        return ctx.solve(_ml_design(model.fpca_models, newdata) @ model.theta)
 
     features = _spline_features(newdata.functional, newdata.grid, model.bases)
     f_std, s_std = model.standardization.apply(features, newdata.scalars)
-    ctx = None
-    if model.kind == "sfdnn":
-        if newdata.weights is None:
-            raise MissingWeightsError("two-stage predictions need the test set's weight matrix")
-        ctx = SpatialContext(newdata.weights, model.rho_hat)
     return model.standardization.invert_y(predict(model.parameters, f_std, s_std, ctx))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Grid, trapezoid_weights
-from .errors import FINITE, InvalidSizeError, at_least, broken_rules, one_of
+from .errors import FINITE, INTEGER, InvalidSizeError, at_least, broken_rules, one_of
 from .pipeline import RegressionDataset
 from .spatial import apply_spatial_filter, build_inverse_distance_weights
 
@@ -71,11 +71,11 @@ class ScenarioConfig:
     double_filter_errors: bool = False
 
     RULES = {
-        "n_train": at_least(2),
-        "n_test": at_least(2),
+        "n_train": [INTEGER, at_least(2)],
+        "n_test": [INTEGER, at_least(2)],
         "rho": (lambda v: -1.0 < v < 1.0, "{} outside the admissible range (-1, 1)"),
         "error_dist": one_of(ERROR_DISTS),
-        "num_grid_points": at_least(2),
+        "num_grid_points": [INTEGER, at_least(2)],
         "beta0": FINITE,
     }
 

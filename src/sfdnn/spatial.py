@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -60,6 +59,7 @@ from .errors import (
     DesignRankError,
     DimensionError,
     InvalidSizeError,
+    check_integers,
 )
 
 __all__ = [
@@ -338,7 +338,7 @@ def _inverse_distance_array(n: int) -> np.ndarray:
     return raw
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=2, typed=True)
 def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     """Row-normalized inverse index-distance weights 1 / (1 + |i - i'|).
 
@@ -351,8 +351,11 @@ def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     the same n returns the same object, its weights are read-only, and the
     spectrum and interval cached on it are computed once per process.  The
     two most recent sizes are kept, the train and test sizes of one
-    replication.
+    replication.  The cache keys n by its type too, so a float or a bool
+    equal to a cached size still reaches the check and is refused; a numpy
+    integer gets an entry, and a matrix, of its own.
     """
+    check_integers(InvalidSizeError, n=n)
     if n < 2:
         raise InvalidSizeError("need at least 2 sites")
     raw = _inverse_distance_array(n)
@@ -411,8 +414,7 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
     from scipy.spatial import cKDTree
     pts = _coords_array(coords)
     n = pts.shape[0]
-    if isinstance(h, (bool, np.bool_)) or not isinstance(h, numbers.Integral):
-        raise InvalidSizeError(f"h must be an integer, got {h!r}")
+    check_integers(InvalidSizeError, h=h)
     if h < 1:
         raise InvalidSizeError("h must be >= 1")
     if n < h + 1:

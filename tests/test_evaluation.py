@@ -175,6 +175,11 @@ class TestKfoldTune:
         with pytest.raises(FoldSizeError):
             kfold_tune(data, "fdnn", grid, num_folds=5, seed=0)
 
+    def test_non_integer_fold_count_rejected(self):
+        grid = TuneGrid(hidden_sizes=[(2,)], max_epochs=[5])
+        with pytest.raises(FoldSizeError, match="^num_folds must be an integer"):
+            kfold_tune(tiny_dataset(4), "fdnn", grid, num_folds=2.5, seed=0)
+
     def test_neighbor_count_requires_coords(self):
         data = tiny_dataset(5)
         grid = TuneGrid(hidden_sizes=[(2,)], max_epochs=[5], neighbor_counts=[3])
@@ -439,6 +444,15 @@ class TestMonteCarloStudy:
     def test_replication_count_validated(self):
         with pytest.raises(InvalidSizeError):
             monte_carlo_study(small_scenarios(), ("ml",), num_replications=0, base_seed=1)
+
+    def test_non_integer_replication_count_rejected(self):
+        with pytest.raises(InvalidSizeError, match="^num_replications must be an integer"):
+            monte_carlo_study(small_scenarios(), ("ml",), num_replications=2.0, base_seed=1)
+
+    @pytest.mark.parametrize("jobs", [-3, 0, 1.5], ids=["negative", "zero", "fraction"])
+    def test_invalid_job_count_rejected(self, jobs):
+        with pytest.raises(InvalidSizeError, match="^jobs must be"):
+            monte_carlo_study(small_scenarios(), ("ml",), num_replications=1, base_seed=1, jobs=jobs)
 
 
 class TestSharedInverseDistanceWeights:

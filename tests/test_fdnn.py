@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sfdnn import fdnn
 from sfdnn.errors import (
     DimensionError,
     InvalidArchitectureError,
@@ -222,8 +223,7 @@ class TestInit:
     def test_shape_contract(self):
         arch = NetworkArchitecture(1, (5,), 2, (4,), ("relu",))
         params = init_parameters(arch, 0)
-        blocks = params.functional_coeff_blocks()
-        assert np.array(blocks).shape == (1, 4, 5)
+        assert params.func_weights.shape == (4, 5)
         assert params.scalar_weights.shape == (4, 2)
         assert params.hidden_weights[-1].shape == (1, 4)
         assert all(np.all(b == 0.0) for b in params.biases)
@@ -248,6 +248,19 @@ class TestInit:
     def test_uniform_broadcasts_one_activation_tag(self, tags):
         arch = NetworkArchitecture.uniform(2, 3, 5, [8, 4, 2], tags)
         assert arch == NetworkArchitecture(2, (5, 5), 3, (8, 4, 2), ("tanh", "tanh", "tanh"))
+
+    @pytest.mark.parametrize(
+        "basis, hidden, field",
+        [((3.7,), (2,), "basis_sizes"), ((3,), (2.5,), "hidden_sizes"), ((3,), (True,), "hidden_sizes")],
+        ids=["basis-size", "hidden-size", "bool"],
+    )
+    def test_non_integer_sizes_rejected(self, basis, hidden, field):
+        with pytest.raises(InvalidArchitectureError, match=f"^{field} must be an integer"):
+            NetworkArchitecture(1, basis, 1, hidden, ("relu",))
+
+    def test_numpy_integer_sizes_accepted(self):
+        arch = NetworkArchitecture(1, (np.int64(3),), np.int64(1), (np.int32(2),), ("relu",))
+        assert arch == NetworkArchitecture(1, (3,), 1, (2,), ("relu",))
 
     def test_uniform_keeps_one_tag_per_layer(self):
         arch = NetworkArchitecture.uniform(1, 0, 4, (3, 2), ("relu", "sigmoid"))
@@ -410,6 +423,11 @@ class TestTrain:
         with pytest.raises(InvalidArchitectureError, match=f"^{name} must "):
             TrainConfig(**{name: float("nan")})
 
+    @pytest.mark.parametrize("name, value", [("batch_size", 2.5), ("max_epochs", 1.5), ("seed", 0.5)])
+    def test_non_integer_setting_rejected(self, name, value):
+        with pytest.raises(InvalidArchitectureError, match=f"^{name} must be an integer"):
+            TrainConfig(**{name: value})
+
     def test_linear_target_reaches_ols_loss(self):
         rng = np.random.default_rng(71)
         arch = NetworkArchitecture(1, (4,), 2, (6,), ("identity",))
@@ -433,6 +451,25 @@ class TestTrain:
         features, scalars, y = toy_inputs(0, arch, 73)
         with pytest.raises(DimensionError, match="at least one row"):
             train(arch, TrainConfig(max_epochs=2), features, scalars, y)
+
+    @pytest.mark.parametrize("rows, y_size", [(0, 0), (4, 3)], ids=["zero-rows", "short-response"])
+    @pytest.mark.parametrize("spatial", [False, True], ids=["plain", "spatial"])
+    @pytest.mark.parametrize("call", ["gradients", "train"])
+    def test_bad_rows_rejected_before_any_solve(self, call, spatial, rows, y_size, monkeypatch):
+        arch = toy_arch()
+        features, scalars, y = toy_inputs(rows, arch, 73)
+        ctx = SpatialContext(build_inverse_distance_weights(12), 0.5) if spatial else None
+
+        def refuse(*_):
+            raise AssertionError("the filter was solved")
+
+        monkeypatch.setattr(SpatialContext, "solve", refuse)
+        message = "at least one row" if rows == 0 else "response length does not match inputs"
+        with pytest.raises(DimensionError, match=message):
+            if call == "train":
+                train(arch, TrainConfig(max_epochs=2), features, scalars, y[:y_size], ctx)
+            else:
+                gradients(init_parameters(arch, 0), features, scalars, y[:y_size], ctx)
 
     def test_huge_threshold_stops_after_one_epoch(self):
         arch = toy_arch()
@@ -546,6 +583,34 @@ class TestTrain:
         diff = predict(params, features[val_rows], scalars[val_rows]) - y[val_rows]
         assert float(diff @ diff) / n_val == trace.validation_losses[trace.best_epoch]
         assert trace.best_epoch < len(trace.epoch_losses) - 1  # a later epoch was discarded
+
+    def test_validation_never_calls_forward(self, monkeypatch):
+        arch = toy_arch("tanh")
+        features, scalars, y = toy_inputs(30, arch, 199)
+
+        def refuse(*_):
+            raise AssertionError("train called forward")
+
+        monkeypatch.setattr(fdnn, "forward", refuse)
+        config = TrainConfig(batch_size=7, max_epochs=5, validation_fraction=0.2, seed=29)
+        _, trace = train(arch, config, features, scalars, y)
+        assert len(trace.validation_losses) == 5
+
+    # 30 rows at a fraction of 0.2 hold 6 validation rows: one batch size
+    # shares their kernel with every step, the other with none
+    @pytest.mark.parametrize("batch_size", [6, 7], ids=["n-val-is-batch-size", "n-val-is-not"])
+    def test_validation_losses_match_a_forward_oracle(self, batch_size):
+        arch = toy_arch("tanh")
+        features, scalars, y = toy_inputs(30, arch, 199)
+        config = TrainConfig(
+            learning_rate=0.03, batch_size=batch_size, max_epochs=12, validation_fraction=0.2, seed=29
+        )
+        params, trace = train(arch, config, features, scalars, y)
+        # the oracle takes each epoch's validation loss with the public forward
+        ref_params, ref_trace = reference_train(arch, config, features, scalars, y)
+        assert len(trace.validation_losses) == 12
+        assert trace.validation_losses == ref_trace.validation_losses
+        np.testing.assert_array_equal(params.flat, ref_params.flat)
 
     def test_divergence_raises_with_trace(self):
         arch = NetworkArchitecture(1, (3,), 1, (4,), ("identity",))

@@ -166,3 +166,10 @@ class TestGeneration:
             ScenarioConfig(error_dist="cauchy")
         with pytest.raises(InvalidSizeError):
             ScenarioConfig(n_train=1)
+
+    def test_non_integer_size_rejected(self):
+        with pytest.raises(InvalidSizeError, match="^n_train must be an integer"):
+            ScenarioConfig(n_train=100.5)
+        with pytest.raises(InvalidSizeError, match="^n_train must be at least 2$"):
+            ScenarioConfig(n_train=1)
+        assert ScenarioConfig(n_train=np.int64(100)).n_train == 100

@@ -93,6 +93,17 @@ class TestInverseDistanceWeights:
         with pytest.raises(InvalidSizeError):
             build_inverse_distance_weights(1)
 
+    @pytest.mark.parametrize("n", [2.0, 3.5, True], ids=["integral-float", "fraction", "bool"])
+    def test_non_integer_size_rejected(self, n):
+        for size in (2, np.int64(2)):  # a cached size equal to n does not let it through
+            build_inverse_distance_weights(size)
+        with pytest.raises(InvalidSizeError, match="^n must be an integer"):
+            build_inverse_distance_weights(n)
+
+    def test_numpy_integer_size_accepted(self):
+        W = build_inverse_distance_weights(np.int64(7))
+        assert np.array_equal(W.toarray(), build_inverse_distance_weights(7).toarray())
+
     def test_same_size_returns_the_same_matrix(self):
         W = build_inverse_distance_weights(9)
         assert build_inverse_distance_weights(9) is W
