@@ -370,7 +370,7 @@ def monte_carlo_study(
     jobs: int = 1,
 ) -> StudyTable:
     """Paired Monte Carlo comparison of estimator kinds over scenarios."""
-    check_integers(InvalidSizeError, num_replications=num_replications, jobs=jobs)
+    check_integers(InvalidSizeError, num_replications=num_replications, jobs=jobs, base_seed=base_seed)
     if num_replications < 1:
         raise InvalidSizeError("need at least one replication")
     if jobs < 1:

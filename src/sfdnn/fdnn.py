@@ -278,9 +278,11 @@ def _check_inputs(params, features, scalars, y=None, ctx=None):
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     scalars = np.asarray(scalars, dtype=float)
-    if scalars.ndim == 1:
-        scalars = scalars.reshape(features.shape[0], -1)
     arch = params.arch
+    if scalars.ndim == 1 and scalars.size == features.shape[0] * arch.num_scalar:
+        # 1-D scalars hold their rows one after another; any other length
+        # keeps its shape and fails the shape check below
+        scalars = scalars.reshape(features.shape[0], arch.num_scalar)
     if features.shape[1] != arch.feature_width:
         raise DimensionError(
             f"features have width {features.shape[1]}, architecture expects {arch.feature_width}"

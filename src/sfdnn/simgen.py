@@ -75,6 +75,7 @@ class ScenarioConfig:
         "n_test": [INTEGER, at_least(2)],
         "rho": (lambda v: -1.0 < v < 1.0, "{} outside the admissible range (-1, 1)"),
         "error_dist": one_of(ERROR_DISTS),
+        "replication_seed": INTEGER,
         "num_grid_points": [INTEGER, at_least(2)],
         "beta0": FINITE,
     }
@@ -133,9 +134,13 @@ def _draw_errors(rng, dist: str, n: int) -> np.ndarray:
 
 
 def _stream(replication_seed: int, role: int) -> np.random.Generator:
-    """Philox stream keyed by (replication, role); role 0 train, 1 test."""
+    """Philox stream keyed by (replication, role); role 0 train, 1 test.
+
+    The seed is reduced modulo 2^64 as a Python int, so a negative or numpy
+    integer seed keys the same stream as the int of its value.
+    """
     key = np.array(
-        [np.uint64(replication_seed & (2**64 - 1)), np.uint64(role)], dtype=np.uint64
+        [np.uint64(int(replication_seed) & (2**64 - 1)), np.uint64(role)], dtype=np.uint64
     )
     return np.random.Generator(np.random.Philox(key=key))
 

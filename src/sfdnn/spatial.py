@@ -28,12 +28,15 @@ whose (h+2)-th nearest may tie its bandwidth runs a ball query, and row
 sums follow ndarray.sum's own order without a per-row call below 8 kept
 neighbors.  An inverse-distance W depends only on n, so it is
 built once per size and shared read-only: every replication of a study cell
-reuses one matrix, and with it the spectrum cached on it.  Its rows are
-divided by sums taken symmetrically, so it equals its mirror exactly, and
-like every dense W that does, its spectrum and its filter come from two
-folded blocks of half its size.  Every pass over a dense W after its
-construction, the symmetrizability check included, works in row blocks or
-folded half blocks, so none holds a second n x n array.
+reuses one matrix, and with it the spectrum and eigenvectors cached on it.
+Its rows are divided by sums taken symmetrically, so it equals its mirror
+exactly, and like every dense W that does, its spectrum and its filter come
+from two folded blocks of half its size.  Such a W with a spectrum keeps
+the eigenvectors of both blocks from its first filter solve, and every
+solve after it is two matrix products per block; a mirrored W without a
+spectrum solves each filter by two half-size LUs.  Every pass over a dense
+W after its construction, the symmetrizability check included, works in
+row blocks or folded half blocks, so none holds a second n x n array.
 
 Dense routes run on numpy alone: scipy is imported only on the sparse and
 KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
@@ -179,31 +182,51 @@ class SpatialWeightMatrix:
 
     @functools.cached_property
     def _eigenvalues(self):
-        scale = None if self.is_sparse else _symmetrizing_scale(self.weights)
-        if scale is None:
+        if self._root is None:
             return None
-        root = np.sqrt(scale)
-
-        def sym(start, stop):
-            """Rows start:stop of D^{1/2} W D^{-1/2}."""
-            rows = root[start:stop, None] * self.weights[start:stop]
-            rows /= root
-            return rows
-
         if not self._mirrored:
-            return np.linalg.eigvalsh(sym(0, self.n))
-
-        def half_spectrum(sign):
-            half = _fold(self.n, sym, sign)
-            if half.shape[0] > self.n // 2:
-                # the middle site's row and column, scaled to keep the block symmetric
-                half[-1] *= math.sqrt(0.5)
-                half[:, -1] *= math.sqrt(0.5)
-            return np.linalg.eigvalsh(half)
-
+            return np.linalg.eigvalsh(self._symmetric_rows(0, self.n))
         # one half at a time, so only one is ever held
-        plus = half_spectrum(1.0)
-        return np.sort(np.concatenate([plus, half_spectrum(-1.0)]))
+        plus = np.linalg.eigvalsh(self._symmetric_half(1.0))
+        return np.sort(np.concatenate([plus, np.linalg.eigvalsh(self._symmetric_half(-1.0))]))
+
+    @functools.cached_property
+    def _half_eigh(self):
+        """``np.linalg.eigh`` of the folded halves B + CJ and B - CJ, or None.
+
+        Only a mirrored W with a spectrum has them: they diagonalize
+        D^{1/2} W D^{-1/2} (see ``eigenvalues``), and ``SpatialFilterFactor``
+        solves every filter of such a W from them.  Each half is built and
+        decomposed in turn, so its eigenvectors, n^2 / 4 values, are the
+        only half-size block kept from the first.
+        """
+        if not self._mirrored or self._root is None:
+            return None
+        return tuple(np.linalg.eigh(self._symmetric_half(sign)) for sign in (1.0, -1.0))
+
+    @functools.cached_property
+    def _root(self):
+        """D^{1/2}, with D^{1/2} W D^{-1/2} symmetric; None for a W without a spectrum."""
+        scale = None if self.is_sparse else _symmetrizing_scale(self.weights)
+        return None if scale is None else np.sqrt(scale)
+
+    def _symmetric_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of D^{1/2} W D^{-1/2}."""
+        rows = self._root[start:stop, None] * self.weights[start:stop]
+        rows /= self._root
+        return rows
+
+    def _symmetric_half(self, sign: float) -> np.ndarray:
+        """The folded half B + sign CJ of D^{1/2} W D^{-1/2}, symmetric.
+
+        An odd n's middle site borders B + CJ, its row and column scaled by
+        1/sqrt(2).
+        """
+        half = _fold(self.n, self._symmetric_rows, sign)
+        if half.shape[0] > self.n // 2:
+            half[-1] *= math.sqrt(0.5)
+            half[:, -1] *= math.sqrt(0.5)
+        return half
 
     @functools.cached_property
     def _mirrored(self) -> bool:
@@ -448,10 +471,16 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
         j[~from_ball] = np.sort(nearest[~tied, : h + 1], axis=1).ravel()
         j[from_ball] = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp)
         d = great_circle_km(pts[i, 0], pts[i, 1], pts[j, 0], pts[j, 1])
+        bandwidth = np.empty(stop - start)
+        # a row off the ball route holds its h+1 nearest, itself at distance
+        # 0 among them, so its h-th distance is the largest of the h+1
+        bandwidth[~tied] = d[~from_ball].reshape(-1, h + 1).max(axis=1)
         d[i == j] = np.inf
-        # h-th smallest distance per row, from a (row, distance) sort
-        order = np.lexsort((d, i))
-        bandwidth = d[order[np.cumsum(found_per_row) - found_per_row + h - 1]]
+        if tied.any():
+            # a tied row's h-th smallest distance, from a (row, distance) sort
+            ti, td, counts = i[from_ball], d[from_ball], found_per_row[tied]
+            order = np.lexsort((td, ti))
+            bandwidth[tied] = td[order[np.cumsum(counts) - counts + h - 1]]
         if np.any(bandwidth <= 0.0):
             site = start + int(np.flatnonzero(bandwidth <= 0.0)[0])
             raise DegenerateBandwidthError(
@@ -520,13 +549,19 @@ class SpatialFilterFactor:
     as [[P, 2 A[lo, c]], [A[c, lo], A[c, c]]], its right-hand side taking
     b[c] and its solution x[c].  det A = det P det M.  P and M are folded
     from rows of -rho W by row blocks, with no n x n temporary.  Any other
-    dense W keeps A whole.  Each solve is one ``np.linalg.solve`` per block
-    (an LU and its triangular solves), so a factor that serves one solve,
-    as every one in the package does, costs one LU per block.  Building a factor
-    factors nothing: the sparse LU and the dense blocks are built by the
-    first solve or LU log-determinant that needs them.  The log-determinant
-    is computed when first read, from W's spectrum when it has one, and a
-    non-finite one raises there.
+    dense W keeps A whole.
+
+    Which route a solve takes depends on W alone.  A mirrored W with a
+    spectrum (every inverse-distance W) solves from the eigenpairs of the
+    two folded halves of D^{1/2} W D^{-1/2}, computed by W's first solve at
+    any rho and kept on W: each later solve costs two matrix products per
+    half, whatever rho.  Any other dense W solves by one ``np.linalg.solve``
+    per block (an LU and its triangular solves), so a factor that serves
+    one solve, as every one in the package does, costs one LU per block.
+    Building a factor factors nothing: the sparse LU and the dense blocks
+    are built by the first solve or LU log-determinant that needs them.
+    The log-determinant is computed when first read, from W's spectrum when
+    it has one, and a non-finite one raises there.
     """
 
     def __init__(self, W: SpatialWeightMatrix, rho: float):
@@ -550,7 +585,7 @@ class SpatialFilterFactor:
     def _blocks(self) -> tuple:
         """The matrices whose LUs solve a dense filter: (P, M) for a mirrored W, else (A,).
 
-        Each is 0 - rho W, whole or folded, plus one on its diagonal: -rho w + 1
+        A W with ``_half_eigh`` solves without them.  Each is 0 - rho W, whole or folded, plus one on its diagonal: -rho w + 1
         rounds exactly like 1 - rho w, so no identity matrix is built.
         """
         W = self.W
@@ -608,6 +643,8 @@ class SpatialFilterFactor:
             x = np.empty_like(b)
             x[perm] = self._lu.solve(b[perm], trans="T" if transpose else "N")
             return x
+        if self.W._half_eigh is not None:
+            return self._spectral_solve(b, transpose)
         if len(self._blocks) == 1:
             a = self._blocks[0]
             return np.linalg.solve(a.T if transpose else a, b)
@@ -629,6 +666,34 @@ class SpatialFilterFactor:
         x[::-1][:m] = (u[:m] - v) / 2
         x[m : n - m] = u[m:]
         return x
+
+    def _spectral_solve(self, b: np.ndarray, transpose: bool) -> np.ndarray:
+        """Solve through the eigenvectors of W's folded halves, two products each.
+
+        I - rho W = D^{-1/2} (I - rho S') D^{1/2} with S' = D^{1/2} W D^{-1/2},
+        so x = D^{-1/2} (I - rho S')^{-1} D^{1/2} b, and the transposed solve
+        swaps the two scalings.  Folding D^{1/2} b into its halves, as
+        ``_solve`` folds b for P and M, turns (I - rho S')^{-1} into
+        Q diag(1 / (1 - rho lambda)) Q' for each half's eigenpairs; the
+        middle site of an odd n is scaled by sqrt(2) into its half and back.
+        """
+        n, m = self.W.n, self.W.n // 2
+        root = self.W._root[:, None]
+        y = b.reshape(n, -1)
+        y = y / root if transpose else y * root
+        mirror = y[::-1]
+        folded = (y[: n - m] + mirror[: n - m], y[:m] - mirror[:m])  # b[c] twice
+        folded[0][m:] *= math.sqrt(0.5)
+        u, v = (
+            vectors @ ((vectors.T @ half) / (1.0 - self.rho * values)[:, None])
+            for (values, vectors), half in zip(self.W._half_eigh, folded)
+        )
+        x = np.empty_like(y)
+        x[:m] = (u[:m] + v) / 2
+        x[::-1][:m] = (u[:m] - v) / 2
+        x[m : n - m] = u[m:] * math.sqrt(0.5)
+        x = x * root if transpose else x / root
+        return x.reshape(b.shape)
 
 
 def log_det_filter(W: SpatialWeightMatrix, rho: float) -> float:

@@ -158,6 +158,8 @@ LIBRARY_RULES = [
     (ScenarioConfig, "error_dist", "cauchy", "error_dist", "mc_error_dists"),
     (ScenarioConfig, "num_grid_points", 1, "grid_points", None),
     (ScenarioConfig, "beta0", float("inf"), "beta0", None),
+    # the CLI parses the key as an int, so its text cannot break the rule
+    (ScenarioConfig, "replication_seed", 1.5, None, None),
     (NetworkArchitecture, "num_functional", -1, None, None),
     (NetworkArchitecture, "basis_sizes", (0,), "basis_size", "tune_basis_sizes"),
     (NetworkArchitecture, "num_scalar", -1, None, None),

@@ -24,7 +24,7 @@ from sfdnn.evaluation import (
 from sfdnn.fdnn import TrainConfig, init_parameters, predict
 from sfdnn.pipeline import RegressionDataset, _spline_features, fit_ml_baseline, predict_model
 from sfdnn.simgen import ScenarioConfig, generate_scenario_dataset
-from sfdnn.spatial import build_inverse_distance_weights, build_knn_bisquare_weights
+from sfdnn.spatial import SpatialFilterFactor, build_inverse_distance_weights, build_knn_bisquare_weights
 
 
 class TestComputeMetrics:
@@ -422,14 +422,25 @@ class TestMonteCarloStudy:
         assert model.train_metrics == {"mse": m.mse, "r2": m.r2}
 
     def test_one_replication_solves_each_filter_once(self, monkeypatch):
-        solve = np.linalg.solve
-        sizes = []
+        build_inverse_distance_weights.cache_clear()
+        factor_solve, solve, eigh = SpatialFilterFactor.solve, np.linalg.solve, np.linalg.eigh
+        filters, lus, halves = [], [], []
 
-        def counted(a, b):
-            sizes.append(len(a))
+        def counted_filter(factor, b):
+            filters.append(factor.W.n)
+            return factor_solve(factor, b)
+
+        def counted_solve(a, b):
+            lus.append(len(a))
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        def counted_eigh(a, *args, **kwargs):
+            halves.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(SpatialFilterFactor, "solve", counted_filter)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         scenario = ScenarioConfig(n_train=80, n_test=60, rho=0.5, error_dist="gaussian")
         table = monte_carlo_study(
             [scenario], ("ml", "fdnn", "sfdnn"), 1, 17, config=TrainConfig(max_epochs=3)
@@ -437,9 +448,13 @@ class TestMonteCarloStudy:
         assert [r.num_ok for r in table.reports] == [1, 1, 1]
         # simulation filters both sets; ml its fitted and test values; sfdnn
         # solves its training filter once, for training and its fitted values,
-        # and filters the test set; fdnn filters nothing.  The generator's W
-        # is centrosymmetric, so each filter is two solves of half its size.
-        assert sorted(sizes) == [30] * 6 + [40] * 6
+        # and filters the test set; fdnn filters nothing
+        assert sorted(filters) == [60] * 3 + [80] * 3
+        # the generator's W is mirrored and has a spectrum: every filter is
+        # solved from one eigendecomposition per half, computed once per size
+        assert lus == []
+        # stage one's FPCA decomposes each curve's 101-point covariance once
+        assert sorted(halves) == [30, 30, 40, 40] + [101] * 3
 
     def test_replication_count_validated(self):
         with pytest.raises(InvalidSizeError):
@@ -448,6 +463,19 @@ class TestMonteCarloStudy:
     def test_non_integer_replication_count_rejected(self):
         with pytest.raises(InvalidSizeError, match="^num_replications must be an integer"):
             monte_carlo_study(small_scenarios(), ("ml",), num_replications=2.0, base_seed=1)
+
+    @pytest.mark.parametrize("seed", [2.5, 1.0, False])
+    def test_non_integer_base_seed_rejected(self, seed):
+        with pytest.raises(InvalidSizeError, match="^base_seed must be an integer"):
+            monte_carlo_study(small_scenarios(), ("ml",), num_replications=1, base_seed=seed)
+
+    def test_numpy_integer_base_seed_accepted(self):
+        scenario = small_scenarios()[0]
+        tables = [
+            monte_carlo_study([scenario], ("ml",), num_replications=2, base_seed=seed).to_csv_lines()
+            for seed in (np.int64(7), 7)
+        ]
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("jobs", [-3, 0, 1.5], ids=["negative", "zero", "fraction"])
     def test_invalid_job_count_rejected(self, jobs):
@@ -502,3 +530,35 @@ class TestSharedInverseDistanceWeights:
         monkeypatch.setattr(evaluation, "generate_scenario_dataset", cold_generate)
         assert study() == warm
         assert study(jobs=2) == warm
+
+    def test_threads_with_a_cold_cache_decompose_alike(self, monkeypatch):
+        # each replication builds its own W, so two threads race to decompose
+        # the halves of each size; every decomposition must be bit-equal
+        scenario = ScenarioConfig(n_train=60, n_test=50, rho=0.8, error_dist="gaussian")
+
+        def study(jobs):
+            return monte_carlo_study(
+                [scenario], ("ml", "sfdnn"), num_replications=4, base_seed=21,
+                config=quick_config(), jobs=jobs,
+            ).to_csv_lines()
+
+        generate = evaluation.generate_scenario_dataset
+
+        def cold_generate(cfg):
+            spatial.build_inverse_distance_weights.cache_clear()
+            return generate(cfg)
+
+        monkeypatch.setattr(evaluation, "generate_scenario_dataset", cold_generate)
+        serial = study(1)
+        factor_solve = SpatialFilterFactor.solve
+        seen = {}
+
+        def recorded(factor, b):
+            x = factor_solve(factor, b)
+            halves = factor.W._half_eigh
+            seen.setdefault(factor.W.n, set()).add(b"".join(a.tobytes() for half in halves for a in half))
+            return x
+
+        monkeypatch.setattr(SpatialFilterFactor, "solve", recorded)
+        assert study(2) == serial
+        assert {n: len(decompositions) for n, decompositions in seen.items()} == {60: 1, 50: 1}

@@ -471,6 +471,27 @@ class TestTrain:
             else:
                 gradients(init_parameters(arch, 0), features, scalars, y[:y_size], ctx)
 
+    @pytest.mark.parametrize("rows, length", [(3, 7), (3, 3), (0, 0), (0, 2)])
+    @pytest.mark.parametrize("call", ["forward", "gradients"])
+    def test_one_dimensional_scalars_of_the_wrong_length_raise_a_typed_error(self, call, rows, length):
+        # a length other than rows x num_scalar is a shape error, not numpy's reshape error
+        arch = toy_arch()
+        features, _, y = toy_inputs(rows, arch, 73)
+        scalars = np.zeros(length)
+        if rows == 0 and length == 0:
+            if call == "forward":
+                # zero rows of width num_scalar, as a 2-D input of that shape
+                assert forward(init_parameters(arch, 0), features, scalars)[0].shape == (0,)
+                return
+            match = "at least one row"
+        else:
+            match = f"scalars have shape \\({length},\\), expected \\({rows}, 2\\)"
+        with pytest.raises(DimensionError, match=match):
+            if call == "forward":
+                forward(init_parameters(arch, 0), features, scalars)
+            else:
+                gradients(init_parameters(arch, 0), features, scalars, y)
+
     def test_huge_threshold_stops_after_one_epoch(self):
         arch = toy_arch()
         features, scalars, y = toy_inputs(20, arch, 73)

@@ -173,3 +173,19 @@ class TestGeneration:
         with pytest.raises(InvalidSizeError, match="^n_train must be at least 2$"):
             ScenarioConfig(n_train=1)
         assert ScenarioConfig(n_train=np.int64(100)).n_train == 100
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+    def test_non_integer_replication_seed_rejected(self, seed):
+        with pytest.raises(InvalidSizeError, match="^replication_seed must be an integer"):
+            ScenarioConfig(replication_seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed, same_as", [(np.int64(11), 11), (np.uint32(11), 11), (-11, 2**64 - 11)]
+    )
+    def test_numpy_and_negative_replication_seeds_accepted(self, seed, same_as):
+        # a seed keys its streams by its value modulo 2^64, whatever its type
+        def response(seed):
+            cfg = ScenarioConfig(n_train=20, n_test=10, rho=0.5, replication_seed=seed)
+            return generate_scenario_dataset(cfg)[0].response.tobytes()
+
+        assert response(seed) == response(same_as)
