@@ -375,6 +375,9 @@ def monte_carlo_study(
         raise InvalidSizeError("need at least one replication")
     if jobs < 1:
         raise InvalidSizeError("jobs must be at least 1")
+    if base_seed < 0:
+        # each replication's seed, base_seed ^ r, seeds its TrainConfig too
+        raise InvalidSizeError("base_seed must be nonnegative")
     if arch is None:
         arch = default_architecture()
     if config is None:

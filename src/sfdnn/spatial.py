@@ -16,9 +16,13 @@ spectrum, real, from a symmetric eigensolver; any other W takes its
 interval from that spectrum within (-1, 1) when it has one, and the row-sum
 bound (-1/r, 1/r) otherwise.  So every rho a W without a spectrum admits is
 dominant, |rho| r below 1, and a sparse I - rho W, strictly diagonally
-dominant, is factored without pivoting in one reverse Cuthill-McKee
-ordering computed once per W.  Every log-determinant comes from the filter
-factor: from W's spectrum when it has one, from an LU otherwise.  The rho
+dominant, is factored for its solves without pivoting in one reverse
+Cuthill-McKee ordering computed once per W.  Every log-determinant comes
+from the filter factor: from W's spectrum when it has one, from LUs of
+dense blocks for any other dense W, and for a sparse W by strongly
+connected component, which splits I - rho W into the diagonal blocks of a
+block triangular form: batched dense determinants of the small components
+and one sparse LU of the larger ones, both found once per W.  The rho
 search, one route for every W, evaluates only the scan points that
 Hadamard's bound on ln det(I - rho W), 1/2 sum_i log1p(rho^2 |w_i|^2), does
 not rule out: a skipped point cannot hold the maximum, so the estimate is
@@ -263,6 +267,62 @@ class SpatialWeightMatrix:
         perm = reverse_cuthill_mckee((self.weights + self.weights.T).tocsr(), symmetric_mode=True)
         return perm, self.weights[perm][:, perm].tocsc()
 
+    @functools.cached_property
+    def _components(self):
+        """A sparse W by strongly connected component, for log-determinants.
+
+        Returns (stacks, large).  ``stacks`` holds, for each size s from 2 to
+        ``_SMALL_COMPONENT`` that occurs, the (k, s, s) dense W_CC of W's k
+        components C of s sites, each component's sites in index order.
+        ``large`` is W restricted to its larger components, weights inside
+        one component only, in the order of ``_ordered`` restricted to
+        them, as CSC; None when there are none.  Weights between two
+        components are dropped: ordered by component, I - rho W is block
+        triangular (Tarjan 1972), so its determinant is the product of its
+        diagonal blocks', and a single site, W's diagonal being zero,
+        contributes 1.
+        """
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+        a, n = self.weights, self.n
+        count, labels = connected_components(a, directed=True, connection="strong")
+        sizes = np.bincount(labels, minlength=count)
+        site_size = sizes[labels]
+        rows = np.repeat(np.arange(n), np.diff(a.indptr))
+        inside = labels[rows] == labels[a.indices]
+        rows, cols, values = rows[inside], a.indices[inside], a.data[inside]
+        # sites ranked by (component size, component, index): each
+        # component's sites are consecutive, and so are each size's components
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.lexsort((labels, site_size))] = np.arange(n)
+        k = np.arange(_SMALL_COMPONENT + 1)
+        per_size = np.bincount(sizes, minlength=k.size)[: k.size]
+        sites_before = np.cumsum(per_size * k) - per_size * k
+        values_before = np.cumsum(per_size * k * k) - per_size * k * k
+        # every small component's W_CC is one slice of one buffer; a weight's
+        # row and column, counted from the first site of its size, give its
+        # component and its place in that component's block
+        small = site_size[rows] <= _SMALL_COMPONENT
+        r, c, size = rows[small], cols[small], site_size[rows[small]]
+        row, col = rank[r] - sites_before[size], rank[c] - sites_before[size]
+        flat = values_before[size] + row * size + col % size
+        buffer = np.bincount(flat, weights=values[small], minlength=int(np.sum(per_size * k * k)))
+        stacks = [
+            buffer[values_before[s] : values_before[s] + per_size[s] * s * s].reshape(-1, s, s)
+            for s in range(2, _SMALL_COMPONENT + 1)
+            if per_size[s]
+        ]
+        big = site_size > _SMALL_COMPONENT
+        if not big.any():
+            return stacks, None
+        perm = self._ordered[0]
+        perm = perm[big[perm]]
+        position = np.empty(n, dtype=np.intp)
+        position[perm] = np.arange(perm.size)
+        r, c = rows[~small], cols[~small]
+        large = sp.csc_matrix((values[~small], (position[r], position[c])), shape=(perm.size,) * 2)
+        return stacks, large
+
     def admissible_interval(self) -> tuple[float, float]:
         """Open interval of dependence parameters keeping I - rho W invertible.
 
@@ -282,6 +342,11 @@ class SpatialWeightMatrix:
         lo, hi = float(eigs.min()), float(eigs.max())
         return (max(1.0 / lo, -1.0), min(1.0 / hi, 1.0))
 
+
+# a strongly connected component of at most this many sites takes its
+# log-determinant from a batched dense slogdet, larger ones from one sparse
+# LU; of cutoffs 8 to 256, 32 gave the fastest KNN log-dets at h = 3 to 5
+_SMALL_COMPONENT = 32
 
 # elements of each row block in a pass over a dense W, so that a pass holds
 # a few hundred kB of temporaries rather than n x n ones
@@ -537,7 +602,10 @@ class SpatialFilterFactor:
     factored, a solve returns a copy of b and the log-determinant is 0.  A
     sparse W has no spectrum, so every rho it admits is dominant, |rho| times
     its largest row sum below 1: I - rho W is strictly diagonally dominant
-    with a positive diagonal, and is factored once, without pivoting.
+    with a positive diagonal, and so is every diagonal block of it.  Its
+    solves factor the whole of it once, without pivoting; its
+    log-determinant factors only its strongly connected components (see
+    ``log_det``).
 
     A dense W equal to its mirror J W J (J reversing site order; every
     inverse-distance W) makes A = I - rho W centrosymmetric, and A splits
@@ -573,13 +641,8 @@ class SpatialFilterFactor:
 
     @functools.cached_property
     def _lu(self):
-        """The LU of a sparse I - rho W in W's ordering, without pivoting."""
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
-        # the diagonal pivots are the ratios of positive leading minors,
-        # and a symmetric permutation leaves the determinant alone
-        a = sp.identity(self.W.n, format="csc") - self.rho * self.W._ordered[1]
-        return splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
+        """The LU of a sparse I - rho W in W's ordering, for solves."""
+        return _dominant_lu(self.W._ordered[1], self.rho)
 
     @functools.cached_property
     def _blocks(self) -> tuple:
@@ -610,8 +673,13 @@ class SpatialFilterFactor:
     def log_det(self) -> float:
         """ln det(I - rho W); raises if I - rho W is singular to working precision.
 
-        From W's spectrum when it has one, sum ln(1 - rho lambda) (Ord 1975);
-        otherwise from the sparse LU's pivots, or ``slogdet`` per dense block.
+        From W's spectrum when it has one, sum ln(1 - rho lambda) (Ord 1975),
+        and from ``slogdet`` per dense block for any other dense W.  A
+        sparse W sums ln det(I - rho W_CC) over its strongly connected
+        components C (``SpatialWeightMatrix._components``): one batched
+        ``slogdet`` per component size up to ``_SMALL_COMPONENT`` sites, and
+        the pivots of one LU, without pivoting, of the larger components
+        together.  A single site adds 0; the whole-W LU serves solves only.
         """
         if self.rho == 0.0:
             return 0.0
@@ -619,7 +687,15 @@ class SpatialFilterFactor:
         if eigs is not None:
             value = float(np.sum(np.log(1.0 - self.rho * eigs)))
         elif self.W.is_sparse:
-            value = float(np.sum(np.log(self._lu.U.diagonal())))
+            stacks, large = self.W._components
+            value = 0.0
+            for stack in stacks:
+                a = stack * -self.rho
+                diagonal = np.arange(a.shape[1])
+                a[:, diagonal, diagonal] += 1.0
+                value += float(np.sum(np.linalg.slogdet(a)[1]))
+            if large is not None:
+                value += float(np.sum(np.log(_dominant_lu(large, self.rho).U.diagonal())))
         else:
             value = float(sum(np.linalg.slogdet(block)[1] for block in self._blocks))
         if not np.isfinite(value):
@@ -694,6 +770,19 @@ class SpatialFilterFactor:
         x[m : n - m] = u[m:] * math.sqrt(0.5)
         x = x * root if transpose else x / root
         return x.reshape(b.shape)
+
+
+def _dominant_lu(ordered, rho: float):
+    """``splu`` of I - rho M for a CSC M, in M's own order, without pivoting.
+
+    Only for a rho with I - rho M strictly diagonally dominant: its
+    diagonal pivots are then the ratios of positive leading minors, and a
+    symmetric permutation of M leaves the determinant alone.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+    a = sp.identity(ordered.shape[0], format="csc") - rho * ordered
+    return splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Equil=False))
 
 
 def log_det_filter(W: SpatialWeightMatrix, rho: float) -> float:

@@ -469,6 +469,10 @@ class TestMonteCarloStudy:
         with pytest.raises(InvalidSizeError, match="^base_seed must be an integer"):
             monte_carlo_study(small_scenarios(), ("ml",), num_replications=1, base_seed=seed)
 
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(InvalidSizeError, match="^base_seed must be nonnegative"):
+            monte_carlo_study(small_scenarios(), ("ml",), num_replications=1, base_seed=-7)
+
     def test_numpy_integer_base_seed_accepted(self):
         scenario = small_scenarios()[0]
         tables = [

@@ -464,6 +464,92 @@ class TestLogDet:
         )
 
 
+def component_cloud(n=600):
+    """Sites in a lat/lon box: a KNN W on them splits into many strongly
+    connected components at h <= 4 and into one giant component from h = 6."""
+    rng = np.random.default_rng(41)
+    return np.column_stack([rng.uniform(25.0, 50.0, n), rng.uniform(-125.0, -65.0, n)])
+
+
+def assert_log_dets_match_slogdet(W):
+    """Every log-det within 1e-10 relative of slogdet on dense I - rho W, rho
+    within 1e-6 of both ends of the interval included."""
+    lo, hi = W.admissible_interval()
+    a = W.toarray()
+    for rho in (lo + 1e-6, 0.5 * lo, 0.3, 0.5 * (0.3 + hi), hi - 1e-6):
+        oracle = np.linalg.slogdet(np.eye(W.n) - rho * a)[1]
+        assert abs(log_det_filter(W, rho) - oracle) <= 1e-10 * max(1.0, abs(oracle)), rho
+
+
+class TestComponentLogDet:
+    @pytest.mark.parametrize("h", [2, 3, 4, 6])
+    def test_knn_log_dets_match_slogdet(self, h):
+        W = build_knn_bisquare_weights(component_cloud(), h)
+        stacks, large = W._components
+        sizes = [stack.shape[1] for stack in stacks]
+        held = sum(stack.shape[0] * stack.shape[1] for stack in stacks)
+        assert held + (0 if large is None else large.shape[0]) <= W.n
+        assert all(2 <= size <= spatial._SMALL_COMPONENT for size in sizes)
+        routes = {
+            2: sizes == [2] and large is None,  # pairs and single sites
+            3: large is None,
+            4: bool(stacks) and large is not None,
+            6: large is not None and large.shape[0] >= 0.9 * W.n,  # one giant component
+        }
+        assert routes[h]
+        assert_log_dets_match_slogdet(W)
+
+    def test_components_of_the_cutoff_size_and_one_more(self):
+        cut = spatial._SMALL_COMPONENT
+        rng = np.random.default_rng(43)
+        n = 1 + cut + (cut + 1)
+        a = np.zeros((n, n))
+        # a single site, then a block of cut sites and one of cut + 1, each
+        # strongly connected by a cycle plus random weights
+        blocks = (np.arange(1, 1 + cut), np.arange(1 + cut, n))
+        for sites in blocks:
+            a[np.ix_(sites, sites)] = rng.uniform(0.0, 1.0, (sites.size,) * 2) * (
+                rng.uniform(size=(sites.size,) * 2) < 0.2
+            )
+            a[sites, np.roll(sites, -1)] = rng.uniform(0.5, 1.0, sites.size)
+        np.fill_diagonal(a, 0.0)
+        # weights from the single site into the first block and from it into
+        # the second, never back: three components, block triangular
+        a[0, 1:5] = 1.0
+        a[1:4, 1 + cut : 4 + cut] = 0.5
+        a /= a.sum(axis=1, keepdims=True)
+        W = SpatialWeightMatrix(sp.csr_matrix(a), row_normalized=True)
+        stacks, large = W._components
+        assert [stack.shape for stack in stacks] == [(1, cut, cut)]
+        assert np.array_equal(stacks[0][0], a[np.ix_(blocks[0], blocks[0])])
+        # the larger block alone, its weights to nowhere else kept
+        assert large.shape == (cut + 1, cut + 1)
+        assert large.nnz == np.count_nonzero(a[np.ix_(blocks[1], blocks[1])])
+        assert_log_dets_match_slogdet(W)
+
+    def test_renormalized_subset_of_a_knn_w(self):
+        W = build_knn_bisquare_weights(component_cloud(), 4)
+        rows = np.sort(np.random.default_rng(47).choice(W.n, 300, replace=False))
+        sub = W.subset(rows)
+        assert sub.is_sparse and len(sub._components[0]) > 1
+        assert_log_dets_match_slogdet(sub)
+
+    def test_rho_search_over_small_components_runs_no_sparse_lu(self, monkeypatch):
+        W = build_knn_bisquare_weights(component_cloud(), 3)
+        rng = np.random.default_rng(53)
+        X = np.column_stack([np.ones(W.n), rng.normal(size=(W.n, 2))])
+        y = apply_spatial_filter(W, 0.6, X @ np.array([0.5, 1.0, -1.5]) + rng.normal(size=W.n))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the search ran a sparse LU")
+
+        monkeypatch.setattr(sparse_linalg, "splu", refuse)
+        est = estimate_rho_ml(y, X, W)
+        assert W._components[1] is None
+        lo, hi = est.admissible_interval
+        assert lo < est.rho_hat < hi
+
+
 class TestDenseFactor:
     @pytest.mark.parametrize("n", [2, 60, 300])
     def test_lazy_log_det_matches_spectrum(self, n):
@@ -737,6 +823,55 @@ def assert_pruned_scan_matches_the_full_scan(y, X, W):
     return best
 
 
+def assert_grid_oracle_confirms_sparse_optimum(monkeypatch, h):
+    """A 201-point grid of exact profile values confirms the search's optimum
+    on a 150-site CSR KNN W; returns the sizes of the sparse LUs it ran."""
+    rng = np.random.default_rng(59)
+    pts = rng.uniform(-5.0, 5.0, (150, 2))
+    knn = build_knn_bisquare_weights(pts, h)
+    W = SpatialWeightMatrix(sp.csr_matrix(knn.toarray()), row_normalized=True)
+    X = np.column_stack([np.ones(150), rng.normal(size=(150, 3))])
+    y = apply_spatial_filter(W, 0.6, X @ np.array([0.5, 1.0, -1.5, 2.0]) + rng.normal(size=150))
+    exact = spatial.log_det_filter
+    calls = []
+    splu = sparse_linalg.splu
+    lu_sizes = []
+
+    def counted(W, rho):
+        calls.append(rho)
+        return exact(W, rho)
+
+    def counted_splu(a, *args, **kwargs):
+        lu_sizes.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spatial, "log_det_filter", counted)
+    monkeypatch.setattr(sparse_linalg, "splu", counted_splu)
+    est = estimate_rho_ml(y, X, W)
+    monkeypatch.setattr(sparse_linalg, "splu", splu)
+    assert W.eigenvalues() is None
+    # the scan points whose Hadamard bound can still win, the bracket and
+    # Brent's refinement: the evaluation budget
+    assert len(calls) <= 20
+
+    lo, hi = est.admissible_interval
+    grid = np.linspace(lo + 1e-6, hi - 1e-6, 201)
+    q, _ = np.linalg.qr(X, mode="reduced")
+    ylag = W.matvec(y)
+    e0 = y - q @ (q.T @ y)
+    e1 = ylag - q @ (q.T @ ylag)
+
+    def conc(rho):
+        resid = e0 - rho * e1
+        return exact(W, rho) - 0.5 * len(y) * np.log(resid @ resid / len(y))
+
+    vals = np.array([conc(r) for r in grid])
+    best = grid[np.argmax(vals)]
+    assert abs(best - est.rho_hat) <= (grid[1] - grid[0]) + 1e-12
+    assert conc(est.rho_hat) >= vals.max() - 1e-9
+    return lu_sizes
+
+
 class TestEstimateRho:
     def test_pure_noise_recovers_zero(self):
         # dependence is weakly identified without signal, so a few
@@ -789,41 +924,12 @@ class TestEstimateRho:
         assert conc(est.rho_hat) >= vals.max() - 1e-9
 
     def test_grid_oracle_confirms_optimum_on_lu_route(self, monkeypatch):
-        rng = np.random.default_rng(59)
-        pts = rng.uniform(-5.0, 5.0, (150, 2))
-        knn = build_knn_bisquare_weights(pts, 4)
-        W = SpatialWeightMatrix(sp.csr_matrix(knn.toarray()), row_normalized=True)
-        X = np.column_stack([np.ones(150), rng.normal(size=(150, 3))])
-        y = apply_spatial_filter(W, 0.6, X @ np.array([0.5, 1.0, -1.5, 2.0]) + rng.normal(size=150))
-        exact = spatial.log_det_filter
-        calls = []
+        assert_grid_oracle_confirms_sparse_optimum(monkeypatch, 4)
 
-        def counted(W, rho):
-            calls.append(rho)
-            return exact(W, rho)
-
-        monkeypatch.setattr(spatial, "log_det_filter", counted)
-        est = estimate_rho_ml(y, X, W)
-        assert W.eigenvalues() is None
-        # the scan points whose Hadamard bound can still win, the bracket and
-        # Brent's refinement: the evaluation budget
-        assert len(calls) <= 20
-
-        lo, hi = est.admissible_interval
-        grid = np.linspace(lo + 1e-6, hi - 1e-6, 201)
-        q, _ = np.linalg.qr(X, mode="reduced")
-        ylag = W.matvec(y)
-        e0 = y - q @ (q.T @ y)
-        e1 = ylag - q @ (q.T @ ylag)
-
-        def conc(rho):
-            resid = e0 - rho * e1
-            return exact(W, rho) - 0.5 * len(y) * np.log(resid @ resid / len(y))
-
-        vals = np.array([conc(r) for r in grid])
-        best = grid[np.argmax(vals)]
-        assert abs(best - est.rho_hat) <= (grid[1] - grid[0]) + 1e-12
-        assert conc(est.rho_hat) >= vals.max() - 1e-9
+    def test_grid_oracle_confirms_optimum_on_the_larger_components_lu(self, monkeypatch):
+        # at h = 6 one component holds 149 of the 150 sites
+        lu_sizes = assert_grid_oracle_confirms_sparse_optimum(monkeypatch, 6)
+        assert lu_sizes and set(lu_sizes) == {149}
 
     @pytest.mark.parametrize(
         "h, rho, end",
