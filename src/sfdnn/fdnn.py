@@ -1,16 +1,19 @@
 """Functional network: spline-projected curves and scalars through dense layers.
 
 The first layer mixes precomputed basis inner products of the functional
-predictors with the scalar covariates.  A spatial context filters the
-first-layer pre-activations through the fixed linear map S = (I - rho W)^{-1}
-before bias and activation; since S (F A' + Z B') = (S F) A' + (S Z) B', the
-inputs are filtered once, in one solve, and the plain network runs on them.
-Training steps therefore touch only their own mini-batch rows.
+predictors with the scalar covariates.  The inputs enter as one block
+X = [F | Z] and the first layer's weights are stored as one block [A | B],
+so the first layer is one product, X [A | B]', forward and one backward.
+A spatial context filters the first-layer pre-activations through the
+fixed linear map S = (I - rho W)^{-1} before bias and activation; since
+S (X [A | B]') = (S X) [A | B]', the block is filtered once, in one solve,
+and the plain network runs on it.  Training steps therefore touch only
+their own mini-batch rows.
 
 Training uses Adam (beta1=0.9, beta2=0.999, eps=1e-8) over shuffled
 mini-batches, an epoch-loss improvement stopping rule, and an optional
 validation split with best-epoch restoration.  Everything is deterministic
-given the seed.  Each epoch gathers its shuffled rows once, and every
+given the seed.  Each epoch gathers its shuffled rows of X once, and every
 mini-batch is a contiguous slice of that copy.  An epoch's loss is the mean
 of the squared residuals its steps computed, each before its update, so no
 extra pass over the training rows computes it.  One layer kernel per row
@@ -19,7 +22,11 @@ count, with buffers of its own, runs the forward and backward passes of
 validation loss, so training never calls :func:`forward`.  A step writes
 only into buffers made before the first step: the layer values into its
 kernel's, the gradients into one reused container, and the Adam moments
-in place.  Every entry point checks and filters its inputs in one call.
+in place.  Adam keeps its moments as m / (1 - beta1) and v / (1 - beta2),
+the same algebra as Kingma & Ba (2015) with the rescaling and the learning
+rate folded into two scalars a step, so the update is ten whole-vector
+calls.  Every entry point checks and filters its inputs in one call, which
+refuses non-finite inputs before any solve.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .errors import (
     INTEGER,
     NONNEGATIVE,
     POSITIVE,
+    DataError,
     DimensionError,
     InvalidArchitectureError,
     NumericOverflowError,
@@ -70,10 +78,6 @@ def _relu(x, out):
     return np.maximum(x, 0.0, out=out)
 
 
-def _relu_deriv(h, out):
-    return np.greater(h, 0.0, out=out)  # 1.0 where the unit is on, 0.0 where it is off
-
-
 def _sigmoid(x, out):
     from scipy.special import expit  # slow to import; only sigmoid networks need it
     return expit(x, out=out)
@@ -90,11 +94,12 @@ def _tanh_deriv(h, out):
 
 
 # tag -> (activation, its derivative written in terms of the activation's
-# output), each writing into ``out``: relu h > 0, sigmoid h (1 - h), tanh
+# output), each writing into ``out``: relu sign(h), 1.0 where the unit is on
+# and 0.0 where it is off with no cast from bool, sigmoid h (1 - h), tanh
 # 1 - h^2.  The identity is (None, None): its output is its input and its
 # derivative is 1, so it takes neither a buffer nor a pass.
 ACTIVATIONS = {
-    "relu": (_relu, _relu_deriv),
+    "relu": (_relu, np.sign),
     "sigmoid": (_sigmoid, _sigmoid_deriv),
     "tanh": (np.tanh, _tanh_deriv),
     "identity": (None, None),
@@ -197,33 +202,39 @@ SpatialContext = SpatialFilterFactor
 
 
 def _tensor_shapes(arch):
-    """Shapes of the learnable tensors in canonical order, weights first."""
+    """Shapes of the stored blocks, weights first: the first layer's [A | B],
+    the transitions, the biases."""
     sizes = list(arch.hidden_sizes) + [1]
-    shapes = [(sizes[0], arch.feature_width), (sizes[0], arch.num_scalar)]
+    shapes = [(sizes[0], arch.feature_width + arch.num_scalar)]
     shapes += [(nxt, prev) for prev, nxt in zip(sizes[:-1], sizes[1:])]
     return shapes + [(s,) for s in sizes]
 
 
 @functools.cache
 def _layout(arch):
-    """((start, stop, shape) per tensor in canonical order, number of weights)."""
+    """((start, stop, shape) per stored block, number of weights)."""
     spans, stop = [], 0
     for shape in _tensor_shapes(arch):
         start, stop = stop, stop + math.prod(shape)
         spans.append((start, stop, shape))
-    return tuple(spans), spans[1 + len(arch.hidden_sizes)][1]
+    return tuple(spans), spans[len(arch.hidden_sizes)][1]
 
 
 class NetworkParameters:
     """All learnable tensors; gradient containers reuse this layout.
 
     ``func_weights`` is (n_1, sum of basis sizes): the per-neuron spline
-    coefficient blocks concatenated over predictors.  ``hidden_weights``
-    holds the transition matrices between consecutive layers, ending with
-    the (1, n_R) output map.  ``biases`` has one vector per hidden layer
-    plus the output bias.  Every tensor is a view into the contiguous
-    vector ``flat`` the parameters are built on, in :meth:`tensors` order;
-    its first ``num_weights`` entries are the weights.
+    coefficient blocks concatenated over predictors.  ``scalar_weights`` is
+    (n_1, number of scalars).  ``hidden_weights`` holds the transition
+    matrices between consecutive layers, ending with the (1, n_R) output
+    map.  ``biases`` has one vector per hidden layer plus the output bias.
+
+    Every tensor is a view into the contiguous vector ``flat`` the
+    parameters are built on.  It holds, in order, the first layer as one
+    row-major (n_1, width + scalars) block [A | B], whose column views are
+    ``func_weights`` and ``scalar_weights``, then the transitions, then the
+    biases; its first ``num_weights`` entries are the weights.
+    :meth:`tensors` lists A and B first, as the text format does.
     """
 
     def __init__(self, arch, flat: np.ndarray):
@@ -235,8 +246,11 @@ class NetworkParameters:
         self.arch, self.flat = arch, flat
         views = [flat[start:stop].reshape(shape) for start, stop, shape in spans]
         k = len(arch.hidden_sizes)
-        self.func_weights, self.scalar_weights, *self.hidden_weights = views[: 2 + k]
-        self.biases = views[2 + k :]
+        # [A | B], multiplied by the inputs [F | Z] in one product
+        self._input_weights, *self.hidden_weights = views[: 1 + k]
+        self.biases = views[1 + k :]
+        self.func_weights = self._input_weights[:, : arch.feature_width]
+        self.scalar_weights = self._input_weights[:, arch.feature_width :]
 
     def tensors(self):
         """(name, array, is_weight) triples in a fixed canonical order."""
@@ -272,9 +286,10 @@ def init_parameters(arch: NetworkArchitecture, seed: int) -> NetworkParameters:
 
 
 def _check_inputs(params, features, scalars, y=None, ctx=None):
-    """(features, scalars, y) as float arrays, the inputs filtered through ``ctx``.
+    """(inputs, y): [features | scalars] as one float block filtered through ``ctx``.
 
-    Widths, then the response's length and row count, fail before any solve.
+    Widths, then the response's length and row count, then finiteness fail
+    before any solve.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     scalars = np.asarray(scalars, dtype=float)
@@ -291,26 +306,29 @@ def _check_inputs(params, features, scalars, y=None, ctx=None):
         raise DimensionError(
             f"scalars have shape {scalars.shape}, expected ({features.shape[0]}, {arch.num_scalar})"
         )
+    named = [("features", features), ("scalars", scalars)]
     if y is not None:
         y = np.asarray(y, dtype=float).ravel()
         if y.size != features.shape[0]:
             raise DimensionError("response length does not match inputs")
         if y.size == 0:
             raise DimensionError("the response needs at least one row")
-    return (*_prefilter(ctx, features, scalars), y)
+        named.append(("response", y))
+    for name, values in named:
+        if not np.isfinite(values).all():
+            raise DataError(f"{name} contains NaN or infinite values")
+    return _prefilter(ctx, features, scalars), y
 
 
 def _prefilter(ctx: SpatialContext | None, features, scalars):
-    """Solve [features | scalars] through the filter in one call and split it.
+    """[features | scalars] as one block, solved through the filter in one call.
 
     The filter is linear and acts before the first bias, so filtering the
     inputs equals filtering the first-layer pre-activations.  Without a
-    filter the inputs are returned as they are.
+    filter the block holds the inputs as they are.
     """
-    if ctx is None:
-        return features, scalars
-    filtered = ctx.solve(np.hstack([features, scalars]))
-    return [np.ascontiguousarray(part) for part in np.hsplit(filtered, [features.shape[1]])]
+    inputs = np.hstack([features, scalars])
+    return inputs if ctx is None else ctx.solve(inputs)
 
 
 def _check_finite(predictions):
@@ -328,8 +346,12 @@ class _LayerKernel:
 
     Each call overwrites the buffers of the call before, so one kernel
     serves every training step of its row count.  The caller checks the
-    rows and sets the floating-point error state.  The backward reads each
-    derivative from its layer's output, so no activation is evaluated twice.
+    rows and sets the floating-point error state.  The inputs are the rows
+    of one [F | Z] block, so the first layer is one product each way.  Every
+    product is ``np.dot``, which dispatches faster than ``np.matmul`` and
+    calls the same BLAS routine, and a bias gradient is the product of a
+    row of ones with dL/d pre.  The backward reads each derivative from its
+    layer's output, so no activation is evaluated twice.
     """
 
     def __init__(self, arch, rows):
@@ -338,43 +360,42 @@ class _LayerKernel:
             act, deriv = ACTIVATIONS[tag]
             pre = np.empty((rows, width))
             post = pre if act is None else np.empty_like(pre)
-            grad = np.empty_like(pre)  # the first layer's also holds Z B' in the forward pass
+            grad = np.empty_like(pre)
             slope = None if deriv is None else np.empty_like(pre)
             self.layers.append(_Layer(act, deriv, pre, post, grad, slope))
         self.out = np.empty((rows, 1))
         self.predictions = self.out.reshape(rows)
         self.residual = np.empty(rows)
+        self.ones = np.ones(rows)
 
-    def forward(self, params, features, scalars):
+    def forward(self, params, inputs):
         """Predictions for the rows: a view of the kernel's output buffer."""
-        first = self.layers[0]
-        pre = np.matmul(features, params.func_weights.T, out=first.pre)
-        pre += np.matmul(scalars, params.scalar_weights.T, out=first.grad)
-        for r, (act, _, pre, post, _, _) in enumerate(self.layers):
-            if r > 0:
-                np.matmul(h, params.hidden_weights[r - 1].T, out=pre)
-            pre += params.biases[r]
+        weights = [params._input_weights, *params.hidden_weights]
+        h = inputs
+        for (act, _, pre, post, _, _), w, b in zip(self.layers, weights, params.biases):
+            np.dot(h, w.T, out=pre)
+            pre += b
             if act is not None:
                 act(pre, out=post)
             h = post
-        np.matmul(h, params.hidden_weights[-1].T, out=self.out)
+        np.dot(h, weights[-1].T, out=self.out)
         self.out += params.biases[-1]
         return self.predictions
 
-    def squared_error(self, params, features, scalars, y):
+    def squared_error(self, params, inputs, y):
         """Forward the rows and return the sum of their squared residuals.
 
         A non-finite prediction makes the sum non-finite, so the predictions
         are checked only then, and raise NumericOverflowError if they are.
         """
-        self.forward(params, features, scalars)
+        self.forward(params, inputs)
         residual = np.subtract(self.predictions, y, out=self.residual)
-        total = float(residual @ residual)
+        total = float(np.dot(residual, residual))
         if not math.isfinite(total):
             _check_finite(self.predictions)
         return total
 
-    def backward(self, params, features, scalars, grads):
+    def backward(self, params, inputs, grads):
         """Write the exact gradients of the mean squared residual into ``grads``.
 
         It reads the buffers of the last :meth:`squared_error` call on the
@@ -382,18 +403,17 @@ class _LayerKernel:
         """
         g = self.residual[:, None]
         g *= 2.0 / g.shape[0]  # dL/d out
-        np.matmul(g.T, self.layers[-1].post, out=grads.hidden_weights[-1])
-        np.add.reduce(g, axis=0, out=grads.biases[-1])
+        np.dot(g.T, self.layers[-1].post, out=grads.hidden_weights[-1])
+        np.dot(self.ones, g, out=grads.biases[-1])
         for r in range(len(self.layers) - 1, -1, -1):
             _, deriv, _, post, grad, slope = self.layers[r]
-            g = np.matmul(g, params.hidden_weights[r], out=grad)  # dL/d h_r
+            g = np.dot(g, params.hidden_weights[r], out=grad)  # dL/d h_r
             if deriv is not None:
                 g *= deriv(post, out=slope)  # dL/d pre_r
-            np.add.reduce(g, axis=0, out=grads.biases[r])
+            np.dot(self.ones, g, out=grads.biases[r])
             if r > 0:
-                np.matmul(g.T, self.layers[r - 1].post, out=grads.hidden_weights[r - 1])
-        np.matmul(g.T, features, out=grads.func_weights)
-        np.matmul(g.T, scalars, out=grads.scalar_weights)
+                np.dot(g.T, self.layers[r - 1].post, out=grads.hidden_weights[r - 1])
+        np.dot(g.T, inputs, out=grads._input_weights)
 
 
 @dataclass
@@ -407,10 +427,10 @@ def forward(params: NetworkParameters, features, scalars, ctx: SpatialContext | 
 
     With a spatial context the inputs are pre-filtered first.
     """
-    features, scalars, _ = _check_inputs(params, features, scalars, ctx=ctx)
-    kernel = _LayerKernel(params.arch, features.shape[0])
+    inputs, _ = _check_inputs(params, features, scalars, ctx=ctx)
+    kernel = _LayerKernel(params.arch, inputs.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions = kernel.forward(params, features, scalars)
+        predictions = kernel.forward(params, inputs)
     _check_finite(predictions)
     layers = kernel.layers
     return predictions, ForwardCache([l.pre for l in layers], [l.post for l in layers])
@@ -427,17 +447,19 @@ def loss(predictions, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if predictions.size != y.size:
         raise DimensionError("predictions and responses have different lengths")
+    if y.size == 0:
+        raise DimensionError("the response needs at least one row")
     return float(np.mean((predictions - y) ** 2))
 
 
 def gradients(params: NetworkParameters, features, scalars, y, ctx: SpatialContext | None = None):
     """Exact reverse-mode gradients of the mean-squared loss over all rows."""
-    features, scalars, y = _check_inputs(params, features, scalars, y, ctx)
+    inputs, y = _check_inputs(params, features, scalars, y, ctx)
     kernel = _LayerKernel(params.arch, y.size)
     grads = NetworkParameters.zeros_like(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.squared_error(params, features, scalars, y)
-        kernel.backward(params, features, scalars, grads)
+        kernel.squared_error(params, inputs, y)
+        kernel.backward(params, inputs, grads)
     return grads
 
 
@@ -478,7 +500,7 @@ def train(
     restored at the end.
     """
     params = init_parameters(arch, config.seed)
-    features, scalars, y = _check_inputs(params, features, scalars, y, ctx)
+    inputs, y = _check_inputs(params, features, scalars, y, ctx)
     n = y.size
 
     shuffle_rng = np.random.default_rng([config.seed, 1])
@@ -489,7 +511,7 @@ def train(
     perm = split_rng.permutation(n)
     val_rows = np.sort(perm[:n_val])
     train_rows = np.sort(perm[n_val:])
-    val_set = features[val_rows], scalars[val_rows], y[val_rows]
+    val_set = inputs[val_rows], y[val_rows]
     # one kernel per row count: the full batches, a shorter last one and the validation
     # rows, which may share a step's kernel, as ``backward`` reads only its own step's buffers
     full = min(config.batch_size, train_rows.size)
@@ -497,11 +519,14 @@ def train(
 
     grads = NetworkParameters.zeros_like(params)
     g = grads.flat
+    # Adam's moments rescaled, m / (1 - b1) and v / (1 - b2), so each update
+    # is a scaling and one sum; the rescaling folds into the step's scalars
     moment_m = np.zeros_like(params.flat)
     moment_v = np.zeros_like(params.flat)
     scratch = np.empty_like(params.flat)
     update = np.empty_like(params.flat)
     decayed = slice(0, params.num_weights)
+    decay = config.learning_rate * config.weight_decay
     step = 0
     trace = TrainingTrace()
     best_params = None
@@ -513,33 +538,32 @@ def train(
             for epoch in range(config.max_epochs):
                 # each epoch gathers its shuffled rows once; a batch is a slice of them
                 order = shuffle_rng.permutation(train_rows)
-                epoch_f, epoch_z, epoch_y = features[order], scalars[order], y[order]
+                epoch_x, epoch_y = inputs[order], y[order]
                 epoch_sq = 0.0
                 for start in range(0, order.size, config.batch_size):
                     batch = slice(start, start + config.batch_size)
-                    batch_f, batch_z, batch_y = epoch_f[batch], epoch_z[batch], epoch_y[batch]
+                    batch_x, batch_y = epoch_x[batch], epoch_y[batch]
                     kernel = kernels[batch_y.size]
-                    batch_sq = kernel.squared_error(params, batch_f, batch_z, batch_y)
+                    batch_sq = kernel.squared_error(params, batch_x, batch_y)
                     if not math.isfinite(batch_sq):
                         raise TrainingDivergedError("batch loss became non-finite", trace=trace)
                     epoch_sq += batch_sq
-                    kernel.backward(params, batch_f, batch_z, grads)
+                    kernel.backward(params, batch_x, grads)
                     step += 1
-                    # in place, in the order of m = b1 m + (1 - b1) g,
-                    # v = b2 v + (1 - b2) g g and (m / c1) / (sqrt(v / c2) + eps)
+                    # with M = m / (1 - b1) and V = v / (1 - b2), Kingma & Ba's
+                    # lr (m / c1) / (sqrt(v / c2) + eps) is
+                    # lr (1 - b1) / c1 sqrt(k) M / (sqrt(V) + eps sqrt(k)), k = c2 / (1 - b2)
                     moment_m *= ADAM_BETA1
-                    moment_m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+                    moment_m += g
                     moment_v *= ADAM_BETA2
-                    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
-                    moment_v += np.multiply(scratch, g, out=scratch)
-                    np.sqrt(np.divide(moment_v, 1.0 - ADAM_BETA2**step, out=scratch), out=scratch)
-                    scratch += ADAM_EPS
-                    np.divide(np.divide(moment_m, 1.0 - ADAM_BETA1**step, out=update), scratch, out=update)
-                    if config.weight_decay > 0.0:
-                        update[decayed] += np.multiply(
-                            params.flat[decayed], config.weight_decay, out=scratch[decayed]
-                        )
-                    update *= config.learning_rate
+                    moment_v += np.multiply(g, g, out=scratch)
+                    root_k = math.sqrt((1.0 - ADAM_BETA2**step) / (1.0 - ADAM_BETA2))
+                    np.sqrt(moment_v, out=scratch)
+                    scratch += ADAM_EPS * root_k
+                    np.divide(moment_m, scratch, out=update)
+                    update *= config.learning_rate * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**step) * root_k
+                    if decay > 0.0:
+                        update[decayed] += np.multiply(params.flat[decayed], decay, out=scratch[decayed])
                     params.flat -= update
 
                 epoch_loss = epoch_sq / order.size

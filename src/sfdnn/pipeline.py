@@ -241,7 +241,7 @@ def _fit_network(data, arch, config, basis_degree, ctx, **extra) -> FittedModel:
     features = _spline_features(data.functional, data.grid, bases)
     standardization = Standardization.fit(features, data.scalars, data.response)
     f_std, s_std, y_std = standardization.apply(features, data.scalars, data.response)
-    f_std, s_std = _prefilter(ctx, f_std, s_std)
+    f_std, s_std = np.hsplit(_prefilter(ctx, f_std, s_std), [arch.feature_width])
     params, trace = train(arch, config, f_std, s_std, y_std)
     fitted = standardization.invert_y(predict(params, f_std, s_std))
     return FittedModel(

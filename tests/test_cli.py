@@ -1011,6 +1011,19 @@ def run_python(code):
     return proc.stdout.strip()
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # a source checkout has no console script; ``python -m sfdnn`` is the CLI there
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    cfg = write(tmp_path / "bad.cfg", "rho = 2.0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfdnn", "fit", "--config", str(cfg)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    err = json.loads(proc.stderr)
+    assert (err["code"], err["context"]["error_type"]) == (EXIT_CONFIG, "ConfigError")
+
+
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
     lazy = ["scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.spatial", "scipy.special"]
     assert run_python(f"import sys, sfdnn.cli; print([m for m in {lazy!r} if m in sys.modules])") == "[]"

@@ -7,6 +7,7 @@ import pytest
 
 from sfdnn import fdnn
 from sfdnn.errors import (
+    DataError,
     DimensionError,
     InvalidArchitectureError,
     NumericOverflowError,
@@ -94,16 +95,27 @@ REFERENCE_ACTIVATIONS = {
 }
 
 
-def reference_backprop(params, features, scalars, y):
+def column_sums(g, split):
+    return np.add.reduce(g, axis=0) if split else np.ones(g.shape[0]) @ g
+
+
+def reference_backprop(params, features, scalars, y, split=False):
     """(sum of squared residuals, exact gradients of their mean) with every array fresh.
 
     An oracle written apart from the package's layer kernel: each layer
     keeps its own pre-activation and output, and each derivative is taken
-    from the pre-activation.
+    from the pre-activation.  The first layer is one product of [F | Z]
+    with [A | B], and a bias gradient is a row of ones times dL/d pre.
+    With ``split`` it keeps the earlier arithmetic instead: F A' + Z B' in
+    two products, and each bias gradient a column sum by ``np.add.reduce``.
     """
     arch = params.arch
-    pre = features @ params.func_weights.T
-    pre += scalars @ params.scalar_weights.T
+    if split:
+        pre = features @ params.func_weights.T
+        pre += scalars @ params.scalar_weights.T
+    else:
+        inputs = np.hstack([features, scalars])
+        pre = inputs @ np.hstack([params.func_weights, params.scalar_weights]).T
     pres, posts = [], []
     for r, tag in enumerate(arch.activations):
         if r > 0:
@@ -120,31 +132,42 @@ def reference_backprop(params, features, scalars, y):
     grads = NetworkParameters.zeros_like(params)
     g = residual[:, None] * (2.0 / residual.size)  # dL/d out
     grads.hidden_weights[-1][...] = g.T @ posts[-1]
-    grads.biases[-1][...] = np.add.reduce(g, axis=0)
+    grads.biases[-1][...] = column_sums(g, split)
     g = g @ params.hidden_weights[-1]  # dL/d h_R
     for r in range(len(arch.hidden_sizes) - 1, -1, -1):
         g = g * REFERENCE_ACTIVATIONS[arch.activations[r]][1](pres[r])  # dL/d pre_r
-        grads.biases[r][...] = np.add.reduce(g, axis=0)
+        grads.biases[r][...] = column_sums(g, split)
         if r > 0:
             grads.hidden_weights[r - 1][...] = g.T @ posts[r - 1]
             g = g @ params.hidden_weights[r - 1]
-    grads.func_weights[...] = g.T @ features
-    grads.scalar_weights[...] = g.T @ scalars
+    if split:
+        grads.func_weights[...] = g.T @ features
+        grads.scalar_weights[...] = g.T @ scalars
+    else:
+        first = g.T @ inputs
+        grads.func_weights[...] = first[:, : arch.feature_width]
+        grads.scalar_weights[...] = first[:, arch.feature_width :]
     return total, grads
 
 
-def reference_train(arch, config, features, scalars, y, ctx=None):
+def reference_train(arch, config, features, scalars, y, ctx=None, split=False):
     """The per-step-allocating training loop that ``train`` must reproduce bit for bit.
 
     Each step takes a fresh gradient container and runs Adam out of place
-    on whole-vector temporaries.  An epoch's loss is the sum of its steps'
-    squared residuals over its number of training rows.
+    on whole-vector temporaries, on the moments rescaled by 1 / (1 - beta):
+    M = b1 M + g and V = b2 V + g g.  An epoch's loss is the sum of its
+    steps' squared residuals over its number of training rows.  With
+    ``split`` it keeps the earlier arithmetic, which equals this one up to
+    rounding: :func:`reference_backprop`'s split products and Adam's
+    textbook moments m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g.  Both
+    take the validation losses with the public forward.
     """
     params = init_parameters(arch, config.seed)
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
     if ctx is not None:
-        features, scalars = _prefilter(ctx, features, scalars)
+        filtered = ctx.solve(np.hstack([features, scalars]))
+        features, scalars = filtered[:, : arch.feature_width], filtered[:, arch.feature_width :]
     shuffle_rng = np.random.default_rng([config.seed, 1])
     split_rng = np.random.default_rng([config.seed, 2])
     if config.validation_fraction > 0.0:
@@ -156,6 +179,8 @@ def reference_train(arch, config, features, scalars, y, ctx=None):
 
     moment_m = np.zeros_like(params.flat)
     moment_v = np.zeros_like(params.flat)
+    weights = slice(0, params.num_weights)
+    lr, wd = config.learning_rate, config.weight_decay
     step = 0
     trace = TrainingTrace()
     best_params, best_val, prev_loss = None, np.inf, None
@@ -164,18 +189,30 @@ def reference_train(arch, config, features, scalars, y, ctx=None):
         epoch_sq = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_sq, grads = reference_backprop(params, features[batch], scalars[batch], y[batch])
+            batch_sq, grads = reference_backprop(
+                params, features[batch], scalars[batch], y[batch], split
+            )
             epoch_sq += batch_sq
             step += 1
             g = grads.flat
-            moment_m = ADAM_BETA1 * moment_m + (1.0 - ADAM_BETA1) * g
-            moment_v = ADAM_BETA2 * moment_v + (1.0 - ADAM_BETA2) * g * g
-            update = (moment_m / (1.0 - ADAM_BETA1**step)) / (
-                np.sqrt(moment_v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS
-            )
-            if config.weight_decay > 0.0:
-                update[: params.num_weights] += config.weight_decay * params.flat[: params.num_weights]
-            params.flat -= config.learning_rate * update
+            if split:
+                moment_m = ADAM_BETA1 * moment_m + (1.0 - ADAM_BETA1) * g
+                moment_v = ADAM_BETA2 * moment_v + (1.0 - ADAM_BETA2) * g * g
+                update = (moment_m / (1.0 - ADAM_BETA1**step)) / (
+                    np.sqrt(moment_v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS
+                )
+                if wd > 0.0:
+                    update[weights] += wd * params.flat[weights]
+                params.flat -= lr * update
+            else:
+                moment_m = ADAM_BETA1 * moment_m + g
+                moment_v = ADAM_BETA2 * moment_v + g * g
+                root_k = np.sqrt((1.0 - ADAM_BETA2**step) / (1.0 - ADAM_BETA2))
+                scale = lr * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**step) * root_k
+                update = (moment_m / (np.sqrt(moment_v) + ADAM_EPS * root_k)) * scale
+                if wd > 0.0:
+                    update[weights] += (lr * wd) * params.flat[weights]
+                params.flat -= update
         epoch_loss = epoch_sq / train_rows.size
         trace.epoch_losses.append(epoch_loss)
         if val_rows.size:
@@ -190,6 +227,37 @@ def reference_train(arch, config, features, scalars, y, ctx=None):
             trace.stopped_early = True
             break
     return (best_params if best_params is not None else params), trace
+
+
+# (architecture, TrainConfig changes, spatial) for the training oracles
+TRAIN_CASES = [
+    (toy_arch("relu"), {}, False),
+    (toy_arch("tanh"), {}, False),
+    (toy_arch("sigmoid"), {}, False),
+    (toy_arch("tanh"), {"weight_decay": 3e-2}, False),
+    (toy_arch("relu"), {"validation_fraction": 0.25}, False),
+    (toy_arch("sigmoid"), {"early_stop_threshold": 3e-3}, False),
+    (toy_arch("relu"), {"weight_decay": 1e-2, "validation_fraction": 0.2}, True),
+    (toy_arch("identity"), {}, False),
+    (NetworkArchitecture(2, (4, 4), 2, (5, 3), ("relu", "tanh")), {}, False),
+    (NetworkArchitecture.uniform(2, 2, 4, (6,), "tanh"), {}, False),
+    (toy_arch("relu"), {"batch_size": 40}, False),
+    (toy_arch("tanh"), {"batch_size": 10}, False),
+    (NetworkArchitecture.uniform(2, 0, 4, (5, 3), "relu"), {}, True),
+]
+TRAIN_CASE_IDS = [
+    "relu", "tanh", "sigmoid", "weight-decay", "validation", "early-stop", "spatial",
+    "identity", "mixed-activations", "one-hidden-layer", "one-batch-per-epoch",
+    "no-short-batch", "no-scalars",
+]
+
+
+def train_case(arch, changes, spatial):
+    """(config, features, scalars, y, ctx) of one training-oracle case."""
+    features, scalars, y = toy_inputs(30, arch, 191)
+    ctx = SpatialContext(build_inverse_distance_weights(30), 0.7) if spatial else None
+    config = replace(TrainConfig(learning_rate=0.03, batch_size=7, max_epochs=15, seed=23), **changes)
+    return config, features, scalars, y, ctx
 
 
 def test_sigmoid_forward_is_bit_identical_to_expit():
@@ -359,6 +427,10 @@ class TestLoss:
         with pytest.raises(DimensionError):
             loss(np.ones(3), np.ones(4))
 
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionError, match="^the response needs at least one row$"):
+            loss([], [])
+
 
 class TestGradients:
     def test_matches_finite_differences_smooth(self):
@@ -492,6 +564,39 @@ class TestTrain:
             else:
                 gradients(init_parameters(arch, 0), features, scalars, y)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            ("forward", "features"),
+            ("forward", "scalars"),
+            ("gradients", "features"),
+            ("gradients", "scalars"),
+            ("gradients", "response"),
+            ("train", "features"),
+            ("train", "scalars"),
+            ("train", "response"),
+        ],
+    )
+    def test_non_finite_inputs_refused_before_any_solve(self, call, name, value, monkeypatch):
+        # not a numeric failure of the network: the input is named at the gate
+        arch = toy_arch()
+        features, scalars, y = toy_inputs(12, arch, 73)
+        {"features": features, "scalars": scalars, "response": y}[name][3] = value
+        ctx = SpatialContext(build_inverse_distance_weights(12), 0.5)
+
+        def refuse(*_):
+            raise AssertionError("the filter was solved")
+
+        monkeypatch.setattr(SpatialContext, "solve", refuse)
+        with pytest.raises(DataError, match=f"^{name} contains NaN or infinite values$"):
+            if call == "forward":
+                forward(init_parameters(arch, 0), features, scalars, ctx)
+            elif call == "gradients":
+                gradients(init_parameters(arch, 0), features, scalars, y, ctx)
+            else:
+                train(arch, TrainConfig(max_epochs=2), features, scalars, y, ctx)
+
     def test_huge_threshold_stops_after_one_epoch(self):
         arch = toy_arch()
         features, scalars, y = toy_inputs(20, arch, 73)
@@ -537,50 +642,40 @@ class TestTrain:
                 batch = order[start : start + config.batch_size]
                 grads = gradients(ref, features[batch], scalars[batch], y[batch])
                 step += 1
-                corr1, corr2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+                root_k = np.sqrt((1.0 - ADAM_BETA2**step) / (1.0 - ADAM_BETA2))
+                scale = config.learning_rate * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**step) * root_k
                 for (_, p, is_w), (_, g, _), (_, m, _), (_, v, _) in zip(
                     ref.tensors(), grads.tensors(), moments_m.tensors(), moments_v.tensors()
                 ):
-                    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-                    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-                    update = (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+                    # the moments rescaled by 1 / (1 - beta)
+                    m[...] = ADAM_BETA1 * m + g
+                    v[...] = ADAM_BETA2 * v + g * g
+                    update = (m / (np.sqrt(v) + ADAM_EPS * root_k)) * scale
                     if is_w:
-                        update = update + config.weight_decay * p
-                    p -= config.learning_rate * update
+                        update = update + (config.learning_rate * config.weight_decay) * p
+                    p -= update
         for (_, a, _), (_, b, _) in zip(params.tensors(), ref.tensors()):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "arch, changes, spatial",
-        [
-            (toy_arch("relu"), {}, False),
-            (toy_arch("tanh"), {}, False),
-            (toy_arch("sigmoid"), {}, False),
-            (toy_arch("tanh"), {"weight_decay": 3e-2}, False),
-            (toy_arch("relu"), {"validation_fraction": 0.25}, False),
-            (toy_arch("sigmoid"), {"early_stop_threshold": 3e-3}, False),
-            (toy_arch("relu"), {"weight_decay": 1e-2, "validation_fraction": 0.2}, True),
-            (toy_arch("identity"), {}, False),
-            (NetworkArchitecture(2, (4, 4), 2, (5, 3), ("relu", "tanh")), {}, False),
-            (NetworkArchitecture.uniform(2, 2, 4, (6,), "tanh"), {}, False),
-            (toy_arch("relu"), {"batch_size": 40}, False),
-            (toy_arch("tanh"), {"batch_size": 10}, False),
-            (NetworkArchitecture.uniform(2, 0, 4, (5, 3), "relu"), {}, True),
-        ],
-        ids=[
-            "relu", "tanh", "sigmoid", "weight-decay", "validation", "early-stop", "spatial",
-            "identity", "mixed-activations", "one-hidden-layer", "one-batch-per-epoch",
-            "no-short-batch", "no-scalars",
-        ],
-    )
+    @pytest.mark.parametrize("arch, changes, spatial", TRAIN_CASES, ids=TRAIN_CASE_IDS)
     def test_matches_per_step_allocating_reference(self, arch, changes, spatial):
-        features, scalars, y = toy_inputs(30, arch, 191)
-        ctx = SpatialContext(build_inverse_distance_weights(30), 0.7) if spatial else None
-        config = replace(TrainConfig(learning_rate=0.03, batch_size=7, max_epochs=15, seed=23), **changes)
-        params, trace = train(arch, config, features, scalars, y, ctx)
-        ref_params, ref_trace = reference_train(arch, config, features, scalars, y, ctx)
+        config, *data = train_case(arch, changes, spatial)
+        params, trace = train(arch, config, *data)
+        ref_params, ref_trace = reference_train(arch, config, *data)
         np.testing.assert_array_equal(params.flat, ref_params.flat)
         assert trace == ref_trace
+
+    @pytest.mark.parametrize("arch, changes, spatial", TRAIN_CASES, ids=TRAIN_CASE_IDS)
+    def test_agrees_with_the_split_arithmetic_to_rounding(self, arch, changes, spatial):
+        # two first-layer products, column-sum bias gradients and textbook
+        # Adam moments are the same math in another rounding
+        config, *data = train_case(arch, changes, spatial)
+        params, trace = train(arch, config, *data)
+        ref_params, ref_trace = reference_train(arch, config, *data, split=True)
+        np.testing.assert_allclose(params.flat, ref_params.flat, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(trace.epoch_losses, ref_trace.epoch_losses, rtol=1e-14)
+        np.testing.assert_allclose(trace.validation_losses, ref_trace.validation_losses, rtol=1e-14)
+        assert (trace.best_epoch, trace.stopped_early) == (ref_trace.best_epoch, ref_trace.stopped_early)
 
     def test_small_learning_rate_near_monotone_loss(self):
         arch = toy_arch("tanh")
@@ -709,6 +804,23 @@ class TestParameterStorage:
         assert params.flat[-1] == -7.0
         assert params.num_weights == params.flat.size - sum(b.size for b in params.biases)
 
+    def test_first_layer_is_one_block_of_flat(self):
+        # func_weights and scalar_weights are the column views [A | B] of one
+        # row-major block at the head of flat
+        arch = toy_arch()
+        params = NetworkParameters(arch, np.arange(float(arch.num_parameters)))
+        n1, width = arch.hidden_sizes[0], arch.feature_width + arch.num_scalar
+        block = params.flat[: n1 * width].reshape(n1, width)
+        for view, columns in [
+            (params.func_weights, block[:, : arch.feature_width]),
+            (params.scalar_weights, block[:, arch.feature_width :]),
+        ]:
+            assert np.shares_memory(view, params.flat)
+            assert view.strides == columns.strides
+            np.testing.assert_array_equal(view, columns)
+        params.scalar_weights[2, 1] = -5.0
+        assert block[2, -1] == -5.0
+
     def test_copy_and_zeros_like_do_not_alias_source(self):
         params = init_parameters(toy_arch(), 197)
         snapshot = params.flat.copy()
@@ -767,8 +879,9 @@ class TestPrefilterIdentity:
         ctx = SpatialContext(W, 0.6)
         rows = np.array([1, 4, 5, 10])
 
-        filtered_f, filtered_z = _prefilter(ctx, features, scalars)
-        _, grads = reference_backprop(params, filtered_f[rows], filtered_z[rows], y[rows])
+        filtered = _prefilter(ctx, features, scalars)
+        width = arch.feature_width
+        _, grads = reference_backprop(params, filtered[rows, :width], filtered[rows, width:], y[rows])
         analytic = [(n, g) for n, g, _ in grads.tensors()]
 
         def masked_loss():
@@ -825,6 +938,35 @@ class TestSerialization:
         assert back.arch == arch
         for (_, a, _), (_, b, _) in zip(params.tensors(), back.tensors()):
             np.testing.assert_array_equal(a, b)
+
+    def test_text_of_hand_set_tensors(self, tmp_path):
+        # the text format lists A and B whole, whatever the storage order
+        arch = NetworkArchitecture(2, (2, 1), 2, (2, 1), ("relu", "tanh"))
+        params = NetworkParameters(arch, np.zeros(arch.num_parameters))
+        start = 0
+        for _, tensor, _ in params.tensors():
+            tensor[...] = np.arange(start, start + tensor.size).reshape(tensor.shape) + 0.25
+            start += tensor.size
+        params.func_weights[0, 0] = 0.1
+        params.scalar_weights[1, 1] = -1e-300
+        path = tmp_path / "net.txt"
+        save_parameters(params, path)
+        assert path.read_bytes() == (
+            b"SFDNN-NET 1\n"
+            b"functional 2 2 1\n"
+            b"scalars 2\n"
+            b"hidden 2 1\n"
+            b"activations relu tanh\n"
+            b"tensor func_weights 2 2 3 0.10000000000000001 1.25 2.25 3.25 4.25 5.25\n"
+            b"tensor scalar_weights 2 2 2 6.25 7.25 8.25 -1e-300\n"
+            b"tensor hidden_weights_0 2 1 2 10.25 11.25\n"
+            b"tensor hidden_weights_1 2 1 1 12.25\n"
+            b"tensor bias_0 1 2 13.25 14.25\n"
+            b"tensor bias_1 1 1 15.25\n"
+            b"tensor bias_2 1 1 16.25\n"
+        )
+        back = load_parameters(path)
+        np.testing.assert_array_equal(back.flat, params.flat)
 
     def test_tensor_shapes_must_match_header(self, tmp_path):
         params = init_parameters(toy_arch("tanh"), 181)
