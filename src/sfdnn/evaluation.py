@@ -3,8 +3,12 @@
 The study driver runs paired replications: within a replication every
 estimator kind sees bit-identical data, generated from a seed derived as
 ``base_seed XOR r`` so replications are order-independent and can run on
-worker threads.  Failed replications are recorded per kind, never silently
-dropped.
+worker threads.  A replication fits ``ml`` first and then trains its
+network kinds, which share an architecture, a config and a seed, as the
+members of one stack: each reports bit for bit what it reports alone.
+Failures are recorded per replication and kind, never silently dropped;
+a network kind whose filter cannot be prepared fails alone, and the other
+trains by itself.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ from .errors import (
 )
 from .fdnn import NetworkArchitecture, TrainConfig
 from .pipeline import (
+    KINDS,
     RegressionDataset,
+    _fit_network,
+    _network_filter,
     _train_metrics,
     fit_fdnn_model,
     fit_ml_baseline,
@@ -299,10 +306,28 @@ def _run_replication(scenario, kinds, rep_seed, arch, config, variance_threshold
     cfg = replace(scenario, replication_seed=rep_seed)
     train, test, _ = generate_scenario_dataset(cfg)
     config = replace(config, seed=rep_seed)
-    out = {}
+    # ml fits and each network kind gets its filter; the network kinds then train as one stack
+    fits, setups = {}, {}
     for kind in kinds:
         try:
-            model = fit_kind(kind, train, arch, config, basis_degree, variance_threshold)
+            if kind == "ml":
+                fits[kind] = fit_ml_baseline(train, variance_threshold)
+            else:
+                setups[kind] = _network_filter(kind, train, variance_threshold)
+        except (SfdnnError, np.linalg.LinAlgError) as exc:
+            fits[kind] = exc
+    if setups:
+        try:
+            fits.update(_fit_network(train, arch, config, basis_degree, setups))
+        except (SfdnnError, np.linalg.LinAlgError) as exc:
+            fits.update(dict.fromkeys(setups, exc))
+    out = {}
+    for kind in kinds:
+        model = fits[kind]
+        if isinstance(model, Exception):
+            out[kind] = model
+            continue
+        try:
             # each fit's train_metrics are those of its own fitted values, which
             # predict_model(model, train) returns bit for bit
             train_m = model.train_metrics
@@ -369,7 +394,18 @@ def monte_carlo_study(
     basis_degree: int = 3,
     jobs: int = 1,
 ) -> StudyTable:
-    """Paired Monte Carlo comparison of estimator kinds over scenarios."""
+    """Paired Monte Carlo comparison of estimator kinds over scenarios.
+
+    ``kinds`` names distinct estimator kinds, at least one.
+    """
+    kinds = tuple(kinds)
+    if not kinds:
+        raise InvalidSizeError("need at least one estimator kind")
+    for kind in kinds:
+        if kind not in KINDS:
+            raise InvalidSizeError(f"unknown estimator kind '{kind}'")
+    if len(set(kinds)) < len(kinds):
+        raise InvalidSizeError(f"estimator kinds must be distinct, got {', '.join(kinds)}")
     check_integers(InvalidSizeError, num_replications=num_replications, jobs=jobs, base_seed=base_seed)
     if num_replications < 1:
         raise InvalidSizeError("need at least one replication")

@@ -13,7 +13,12 @@ their own mini-batch rows.
 Training uses Adam (beta1=0.9, beta2=0.999, eps=1e-8) over shuffled
 mini-batches, an epoch-loss improvement stopping rule, and an optional
 validation split with best-epoch restoration.  Everything is deterministic
-given the seed.  Each epoch gathers its shuffled rows of X once, and every
+given the seed.  Several networks of one architecture and config, the
+members of a stack, train at once on input blocks of their own and one
+response: they share their initial parameters, the validation split and
+one shuffle per epoch, each step runs every member in one set of numpy
+calls, and each member ends bit for bit as it would alone.  Each epoch
+gathers its shuffled rows of X once, for every member, and every
 mini-batch is a contiguous slice of that copy.  An epoch's loss is the mean
 of the squared residuals its steps computed, each before its update, so no
 extra pass over the training rows computes it.  One layer kernel per row
@@ -46,6 +51,7 @@ from .errors import (
     DimensionError,
     InvalidArchitectureError,
     NumericOverflowError,
+    SfdnnError,
     TrainingDivergedError,
     at_least,
     broken_rules,
@@ -220,6 +226,33 @@ def _layout(arch):
     return tuple(spans), spans[len(arch.hidden_sizes)][1]
 
 
+# the stored blocks of one parameter vector, or of several laid end to end:
+# the weights ([A | B] first), their transposes, the biases, and each
+# member's (1, n_R) output weights
+_Views = namedtuple("_Views", "weights transposed biases outputs")
+
+
+def _views(arch, flat, members=1):
+    """Views of the stored blocks of ``flat``, which holds ``members`` parameter vectors end to end.
+
+    With more than one member each view carries a leading member axis, and a
+    bias is a (members, 1, width) row that broadcasts over a batch's rows.
+    """
+    spans, _ = _layout(arch)
+    if members == 1:
+        blocks = [flat[start:stop].reshape(shape) for start, stop, shape in spans]
+    else:
+        rows = flat.reshape(members, -1)
+        blocks = [
+            rows[:, start:stop].reshape(members, *shape if len(shape) == 2 else (1, *shape))
+            for start, stop, shape in spans
+        ]
+    k = len(arch.hidden_sizes)
+    weights = blocks[: 1 + k]
+    outputs = [weights[-1]] if members == 1 else list(weights[-1])
+    return _Views(weights, [np.swapaxes(w, -1, -2) for w in weights], blocks[1 + k :], outputs)
+
+
 class NetworkParameters:
     """All learnable tensors; gradient containers reuse this layout.
 
@@ -242,13 +275,12 @@ class NetworkParameters:
             raise DimensionError(
                 f"parameter vector has shape {flat.shape}, architecture expects ({arch.num_parameters},)"
             )
-        spans, self.num_weights = _layout(arch)
+        self.num_weights = _layout(arch)[1]
         self.arch, self.flat = arch, flat
-        views = [flat[start:stop].reshape(shape) for start, stop, shape in spans]
-        k = len(arch.hidden_sizes)
+        views = _views(arch, flat)
         # [A | B], multiplied by the inputs [F | Z] in one product
-        self._input_weights, *self.hidden_weights = views[: 1 + k]
-        self.biases = views[1 + k :]
+        self._input_weights, *self.hidden_weights = views.weights
+        self.biases = views.biases
         self.func_weights = self._input_weights[:, : arch.feature_width]
         self.scalar_weights = self._input_weights[:, arch.feature_width :]
 
@@ -285,7 +317,7 @@ def init_parameters(arch: NetworkArchitecture, seed: int) -> NetworkParameters:
     return params
 
 
-def _check_inputs(params, features, scalars, y=None, ctx=None):
+def _check_inputs(arch, features, scalars, y=None, ctx=None):
     """(inputs, y): [features | scalars] as one float block filtered through ``ctx``.
 
     Widths, then the response's length and row count, then finiteness fail
@@ -293,7 +325,6 @@ def _check_inputs(params, features, scalars, y=None, ctx=None):
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     scalars = np.asarray(scalars, dtype=float)
-    arch = params.arch
     if scalars.ndim == 1 and scalars.size == features.shape[0] * arch.num_scalar:
         # 1-D scalars hold their rows one after another; any other length
         # keeps its shape and fails the shape check below
@@ -331,14 +362,17 @@ def _prefilter(ctx: SpatialContext | None, features, scalars):
     return inputs if ctx is None else ctx.solve(inputs)
 
 
+_NON_FINITE = "network produced non-finite predictions"
+
+
 def _check_finite(predictions):
     if not np.isfinite(predictions).all():
-        raise NumericOverflowError("network produced non-finite predictions")
+        raise NumericOverflowError(_NON_FINITE)
 
 
 # one hidden layer of a kernel: its activation pair, pre-activation and
-# output buffers, dL/d pre, and the derivative's values
-_Layer = namedtuple("_Layer", "act deriv pre post grad slope")
+# output buffers, dL/d pre and its transpose, and the derivative's values
+_Layer = namedtuple("_Layer", "act deriv pre post grad grad_t slope")
 
 
 class _LayerKernel:
@@ -347,73 +381,95 @@ class _LayerKernel:
     Each call overwrites the buffers of the call before, so one kernel
     serves every training step of its row count.  The caller checks the
     rows and sets the floating-point error state.  The inputs are the rows
-    of one [F | Z] block, so the first layer is one product each way.  Every
-    product is ``np.dot``, which dispatches faster than ``np.matmul`` and
-    calls the same BLAS routine, and a bias gradient is the product of a
-    row of ones with dL/d pre.  The backward reads each derivative from its
-    layer's output, so no activation is evaluated twice.
+    of one [F | Z] block, so the first layer is one product each way, and a
+    bias gradient is the product of a row of ones with dL/d pre.  The
+    backward reads each derivative from its layer's output, so no
+    activation is evaluated twice.
+
+    A kernel of several members runs that many networks of one
+    architecture at once.  Its buffers, its inputs and the parameter views
+    carry a leading member axis, and each product is one ``np.matmul``,
+    which calls on every member's matrices the BLAS routine that ``np.dot``
+    calls on one member's, so a member's values are bit for bit those of a
+    kernel of its own.  One member has no member axis, and its products are
+    ``np.dot``, which dispatches faster.
     """
 
-    def __init__(self, arch, rows):
+    def __init__(self, arch, rows, members=1):
+        lead = () if members == 1 else (members,)
+        self.product = np.dot if members == 1 else np.matmul
         self.layers = []
         for width, tag in zip(arch.hidden_sizes, arch.activations):
             act, deriv = ACTIVATIONS[tag]
-            pre = np.empty((rows, width))
+            pre = np.empty(lead + (rows, width))
             post = pre if act is None else np.empty_like(pre)
             grad = np.empty_like(pre)
             slope = None if deriv is None else np.empty_like(pre)
-            self.layers.append(_Layer(act, deriv, pre, post, grad, slope))
-        self.out = np.empty((rows, 1))
-        self.predictions = self.out.reshape(rows)
-        self.residual = np.empty(rows)
-        self.ones = np.ones(rows)
+            self.layers.append(_Layer(act, deriv, pre, post, grad, np.swapaxes(grad, -1, -2), slope))
+        self.out = np.empty(lead + (rows, 1))
+        self.predictions = self.out.reshape(lead + (rows,))
+        self.member_predictions = [self.predictions] if members == 1 else list(self.predictions)
+        self.residual = np.empty(lead + (rows,))
+        self.dout = self.residual[..., None]
+        self.dout_t = np.swapaxes(self.dout, -1, -2)
+        # per member: dL/d out and the last hidden layer's dL/d h, their outer product
+        last_grad = self.layers[-1].grad
+        self.outer_pairs = [(self.dout, last_grad)] if members == 1 else list(zip(self.dout, last_grad))
+        self.ones = np.ones(rows) if members == 1 else np.ones((1, rows))
+        if members > 1:
+            # a member's sum of squared residuals is its residual row times its column
+            self.sums = np.empty((members, 1, 1))
+            self.sum_pair = self.residual[:, None, :], self.residual[:, :, None]
 
     def forward(self, params, inputs):
-        """Predictions for the rows: a view of the kernel's output buffer."""
-        weights = [params._input_weights, *params.hidden_weights]
+        """Predictions for the rows, given ``_views`` of the parameters: a view of the output buffer."""
+        product = self.product
         h = inputs
-        for (act, _, pre, post, _, _), w, b in zip(self.layers, weights, params.biases):
-            np.dot(h, w.T, out=pre)
+        for (act, _, pre, post, _, _, _), w_t, b in zip(self.layers, params.transposed, params.biases):
+            product(h, w_t, out=pre)
             pre += b
             if act is not None:
                 act(pre, out=post)
             h = post
-        np.dot(h, weights[-1].T, out=self.out)
+        product(h, params.transposed[-1], out=self.out)
         self.out += params.biases[-1]
         return self.predictions
 
-    def squared_error(self, params, inputs, y):
-        """Forward the rows and return the sum of their squared residuals.
-
-        A non-finite prediction makes the sum non-finite, so the predictions
-        are checked only then, and raise NumericOverflowError if they are.
-        """
+    def squared_errors(self, params, inputs, y):
+        """Forward the rows and return each member's sum of squared residuals, in a list."""
         self.forward(params, inputs)
         residual = np.subtract(self.predictions, y, out=self.residual)
-        total = float(np.dot(residual, residual))
-        if not math.isfinite(total):
-            _check_finite(self.predictions)
-        return total
+        if self.product is np.dot:
+            return [float(np.dot(residual, residual))]
+        np.matmul(*self.sum_pair, out=self.sums)
+        return self.sums.ravel().tolist()
 
     def backward(self, params, inputs, grads):
-        """Write the exact gradients of the mean squared residual into ``grads``.
+        """Write the exact gradients of each member's mean squared residual into the views ``grads``.
 
-        It reads the buffers of the last :meth:`squared_error` call on the
-        same rows and overwrites every tensor of ``grads``.
+        It reads the buffers of the last :meth:`squared_errors` call on the
+        same rows and overwrites every block of ``grads``.
         """
-        g = self.residual[:, None]
-        g *= 2.0 / g.shape[0]  # dL/d out
-        np.dot(g.T, self.layers[-1].post, out=grads.hidden_weights[-1])
-        np.dot(self.ones, g, out=grads.biases[-1])
-        for r in range(len(self.layers) - 1, -1, -1):
-            _, deriv, _, post, grad, slope = self.layers[r]
-            g = np.dot(g, params.hidden_weights[r], out=grad)  # dL/d h_r
+        product, ones, layers = self.product, self.ones, self.layers
+        g = self.dout
+        g *= 2.0 / g.shape[-2]  # dL/d out
+        product(self.dout_t, layers[-1].post, out=grads.weights[-1])
+        product(ones, g, out=grads.biases[-1])
+        # one output unit makes the last layer's dL/d h an outer product, which
+        # np.matmul takes outside BLAS one element at a time; np.dot takes it per member
+        for (dout, out), w in zip(self.outer_pairs, params.outputs):
+            np.dot(dout, w, out=out)
+        g = layers[-1].grad
+        for r in range(len(layers) - 1, -1, -1):
+            _, deriv, _, post, _, grad_t, slope = layers[r]
             if deriv is not None:
                 g *= deriv(post, out=slope)  # dL/d pre_r
-            np.dot(self.ones, g, out=grads.biases[r])
-            if r > 0:
-                np.dot(g.T, self.layers[r - 1].post, out=grads.hidden_weights[r - 1])
-        np.dot(g.T, inputs, out=grads._input_weights)
+            product(ones, g, out=grads.biases[r])
+            if r == 0:
+                product(grad_t, inputs, out=grads.weights[0])
+            else:
+                product(grad_t, layers[r - 1].post, out=grads.weights[r])
+                g = product(g, params.weights[r], out=layers[r - 1].grad)  # dL/d h_{r-1}
 
 
 @dataclass
@@ -427,10 +483,10 @@ def forward(params: NetworkParameters, features, scalars, ctx: SpatialContext | 
 
     With a spatial context the inputs are pre-filtered first.
     """
-    inputs, _ = _check_inputs(params, features, scalars, ctx=ctx)
+    inputs, _ = _check_inputs(params.arch, features, scalars, ctx=ctx)
     kernel = _LayerKernel(params.arch, inputs.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions = kernel.forward(params, inputs)
+        predictions = kernel.forward(_views(params.arch, params.flat), inputs)
     _check_finite(predictions)
     layers = kernel.layers
     return predictions, ForwardCache([l.pre for l in layers], [l.post for l in layers])
@@ -454,12 +510,16 @@ def loss(predictions, y) -> float:
 
 def gradients(params: NetworkParameters, features, scalars, y, ctx: SpatialContext | None = None):
     """Exact reverse-mode gradients of the mean-squared loss over all rows."""
-    inputs, y = _check_inputs(params, features, scalars, y, ctx)
-    kernel = _LayerKernel(params.arch, y.size)
+    arch = params.arch
+    inputs, y = _check_inputs(arch, features, scalars, y, ctx)
+    kernel = _LayerKernel(arch, y.size)
     grads = NetworkParameters.zeros_like(params)
+    views = _views(arch, params.flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.squared_error(params, inputs, y)
-        kernel.backward(params, inputs, grads)
+        # non-finite predictions make the sum non-finite, so only then are they checked
+        if not math.isfinite(kernel.squared_errors(views, inputs, y)[0]):
+            _check_finite(kernel.predictions)
+        kernel.backward(views, inputs, _views(arch, grads.flat))
     return grads
 
 
@@ -497,11 +557,61 @@ def train(
     absolute change in epoch loss drops below the early-stop threshold (the
     first epoch's delta is the loss itself), or at ``max_epochs``.  With a
     validation split, the parameters from the best validation epoch are
-    restored at the end.
+    restored at the end.  This is the one-member case of the stack that
+    trains several networks of one architecture and config at once, each
+    bit for bit as it trains here alone.
     """
-    params = init_parameters(arch, config.seed)
-    inputs, y = _check_inputs(params, features, scalars, y, ctx)
+    inputs, y = _check_inputs(arch, features, scalars, y, ctx)
+    (outcome,) = _train_stack(arch, config, [inputs], y)
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome
+
+
+def _train_members(arch, config, members, y):
+    """Per member, a (features, scalars) pair: (parameters, trace), or the error :func:`train` raises for it.
+
+    Every member trains on the response ``y``.  One member trains through
+    :func:`train`; more members that pass the input checks train as one stack.
+    """
+    if len(members) == 1:
+        try:
+            return [train(arch, config, *members[0], y)]
+        except SfdnnError as exc:
+            return [exc]
+    blocks, refused = [], []
+    for features, scalars in members:
+        try:
+            block, checked_y = _check_inputs(arch, features, scalars, y)
+        except SfdnnError as exc:
+            refused.append(exc)
+            continue
+        blocks.append(block)
+        refused.append(None)
+    trained = iter(_train_stack(arch, config, blocks, checked_y) if blocks else ())
+    return [next(trained) if exc is None else exc for exc in refused]
+
+
+def _train_stack(arch, config, blocks, y):
+    """Train one network per checked [F | Z] block, all on ``y``, a step's members in one set of calls.
+
+    Returns, per member, (parameters, trace) or the TrainingDivergedError
+    :func:`train` raises for it alone.  The members share ``config``, so
+    they share their initial parameters, the validation split and every
+    epoch's shuffle, which gathers every member's rows in one call.  Their
+    parameters lie end to end in one vector, so Adam updates all of them in
+    its ten calls.  Each member keeps its own losses, best epoch, stopping
+    rule and finiteness checks.  A member that stops or diverges is set
+    aside as it stands, and what the stack later computes in its slices is
+    never read.
+    """
+    members = len(blocks)
     n = y.size
+    flat = np.tile(init_parameters(arch, config.seed).flat, members)
+    params = _views(arch, flat, members)
+    by_member = flat.reshape(members, -1)
+    inputs = blocks[0] if members == 1 else np.stack(blocks)
+    lead = () if members == 1 else (slice(None),)  # indexes rows under the member axis
 
     shuffle_rng = np.random.default_rng([config.seed, 1])
     split_rng = np.random.default_rng([config.seed, 2])
@@ -511,85 +621,113 @@ def train(
     perm = split_rng.permutation(n)
     val_rows = np.sort(perm[:n_val])
     train_rows = np.sort(perm[n_val:])
-    val_set = inputs[val_rows], y[val_rows]
+    val_set = inputs[lead + (val_rows,)], y[val_rows]
     # one kernel per row count: the full batches, a shorter last one and the validation
     # rows, which may share a step's kernel, as ``backward`` reads only its own step's buffers
     full = min(config.batch_size, train_rows.size)
-    kernels = {rows: _LayerKernel(arch, rows) for rows in {full, train_rows.size % full or full, n_val}}
+    row_counts = {full, train_rows.size % full or full, n_val}
+    kernels = {rows: _LayerKernel(arch, rows, members) for rows in row_counts}
+    # every epoch's batches are the same slices of its shuffled rows
+    batches = []
+    for start in range(0, train_rows.size, config.batch_size):
+        rows = slice(start, start + config.batch_size)
+        batches.append((lead + (rows,), rows, kernels[min(config.batch_size, train_rows.size - start)]))
 
-    grads = NetworkParameters.zeros_like(params)
-    g = grads.flat
+    g = np.zeros_like(flat)
+    grads = _views(arch, g, members)
     # Adam's moments rescaled, m / (1 - b1) and v / (1 - b2), so each update
     # is a scaling and one sum; the rescaling folds into the step's scalars
-    moment_m = np.zeros_like(params.flat)
-    moment_v = np.zeros_like(params.flat)
-    scratch = np.empty_like(params.flat)
-    update = np.empty_like(params.flat)
-    decayed = slice(0, params.num_weights)
+    moment_m = np.zeros_like(flat)
+    moment_v = np.zeros_like(flat)
+    scratch = np.empty_like(flat)
+    update = np.empty_like(flat)
+    # each member's weights, the entries weight decay acts on
+    num_weights = _layout(arch)[1]
+    flat_w, scratch_w, update_w = (a.reshape(members, -1)[:, :num_weights] for a in (flat, scratch, update))
     decay = config.learning_rate * config.weight_decay
     step = 0
-    trace = TrainingTrace()
-    best_params = None
-    best_val = np.inf
-    prev_loss = 0.0
+    traces = [TrainingTrace() for _ in range(members)]
+    outcomes = [None] * members
+    live = list(range(members))
+    best = [None] * members
+    best_val = [np.inf] * members
+    prev_loss = [0.0] * members
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(config.max_epochs):
-                # each epoch gathers its shuffled rows once; a batch is a slice of them
-                order = shuffle_rng.permutation(train_rows)
-                epoch_x, epoch_y = inputs[order], y[order]
-                epoch_sq = 0.0
-                for start in range(0, order.size, config.batch_size):
-                    batch = slice(start, start + config.batch_size)
-                    batch_x, batch_y = epoch_x[batch], epoch_y[batch]
-                    kernel = kernels[batch_y.size]
-                    batch_sq = kernel.squared_error(params, batch_x, batch_y)
-                    if not math.isfinite(batch_sq):
-                        raise TrainingDivergedError("batch loss became non-finite", trace=trace)
-                    epoch_sq += batch_sq
-                    kernel.backward(params, batch_x, grads)
-                    step += 1
-                    # with M = m / (1 - b1) and V = v / (1 - b2), Kingma & Ba's
-                    # lr (m / c1) / (sqrt(v / c2) + eps) is
-                    # lr (1 - b1) / c1 sqrt(k) M / (sqrt(V) + eps sqrt(k)), k = c2 / (1 - b2)
-                    moment_m *= ADAM_BETA1
-                    moment_m += g
-                    moment_v *= ADAM_BETA2
-                    moment_v += np.multiply(g, g, out=scratch)
-                    root_k = math.sqrt((1.0 - ADAM_BETA2**step) / (1.0 - ADAM_BETA2))
-                    np.sqrt(moment_v, out=scratch)
-                    scratch += ADAM_EPS * root_k
-                    np.divide(moment_m, scratch, out=update)
-                    update *= config.learning_rate * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**step) * root_k
-                    if decay > 0.0:
-                        update[decayed] += np.multiply(params.flat[decayed], decay, out=scratch[decayed])
-                    params.flat -= update
+    def set_aside(k, outcome):
+        outcomes[k] = outcome
+        live.remove(k)
 
-                epoch_loss = epoch_sq / order.size
+    def finish(k):
+        kept = best[k] if best[k] is not None else by_member[k].copy()
+        set_aside(k, (NetworkParameters(arch, kept), traces[k]))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            # each epoch gathers its shuffled rows once; a batch is a slice of them
+            order = shuffle_rng.permutation(train_rows)
+            epoch_x, epoch_y = inputs[lead + (order,)], y[order]
+            epoch_sq = [0.0] * members
+            for x_rows, rows, kernel in batches:
+                batch_x = epoch_x[x_rows]
+                batch_sq = kernel.squared_errors(params, batch_x, epoch_y[rows])
+                if not math.isfinite(sum(batch_sq)):
+                    for k in live[:]:
+                        if not math.isfinite(batch_sq[k]):
+                            finite = np.isfinite(kernel.member_predictions[k]).all()
+                            message = "batch loss became non-finite" if finite else _NON_FINITE
+                            set_aside(k, TrainingDivergedError(message, trace=traces[k]))
+                    if not live:
+                        return outcomes
+                epoch_sq = [total + sq for total, sq in zip(epoch_sq, batch_sq)]
+                kernel.backward(params, batch_x, grads)
+                step += 1
+                # with M = m / (1 - b1) and V = v / (1 - b2), Kingma & Ba's
+                # lr (m / c1) / (sqrt(v / c2) + eps) is
+                # lr (1 - b1) / c1 sqrt(k) M / (sqrt(V) + eps sqrt(k)), k = c2 / (1 - b2)
+                moment_m *= ADAM_BETA1
+                moment_m += g
+                moment_v *= ADAM_BETA2
+                moment_v += np.multiply(g, g, out=scratch)
+                root_k = math.sqrt((1.0 - ADAM_BETA2**step) / (1.0 - ADAM_BETA2))
+                np.sqrt(moment_v, out=scratch)
+                scratch += ADAM_EPS * root_k
+                np.divide(moment_m, scratch, out=update)
+                update *= config.learning_rate * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**step) * root_k
+                if decay > 0.0:
+                    update_w += np.multiply(flat_w, decay, out=scratch_w)
+                flat -= update
+
+            if n_val:
+                val_kernel = kernels[n_val]
+                val_sq = val_kernel.squared_errors(params, *val_set)
+            for k in live[:]:
+                trace = traces[k]
+                epoch_loss = epoch_sq[k] / order.size
                 if not math.isfinite(epoch_loss):
-                    raise TrainingDivergedError("epoch loss became non-finite", trace=trace)
+                    set_aside(k, TrainingDivergedError("epoch loss became non-finite", trace=trace))
+                    continue
                 trace.epoch_losses.append(epoch_loss)
-
-                if val_rows.size:
-                    val_loss = kernels[n_val].squared_error(params, *val_set) / n_val
+                if n_val:
+                    predictions = val_kernel.member_predictions[k]
+                    if not math.isfinite(val_sq[k]) and not np.isfinite(predictions).all():
+                        set_aside(k, TrainingDivergedError(_NON_FINITE, trace=trace))
+                        continue
+                    val_loss = val_sq[k] / n_val
                     trace.validation_losses.append(val_loss)
-                    if val_loss < best_val:
-                        best_val = val_loss
-                        best_params = params.copy()
+                    if val_loss < best_val[k]:
+                        best_val[k] = val_loss
+                        best[k] = by_member[k].copy()
                         trace.best_epoch = epoch
-
-                delta = abs(prev_loss - epoch_loss)
-                prev_loss = epoch_loss
+                delta = abs(prev_loss[k] - epoch_loss)
+                prev_loss[k] = epoch_loss
                 if delta < config.early_stop_threshold:
                     trace.stopped_early = True
-                    break
-    except NumericOverflowError as exc:
-        raise TrainingDivergedError(str(exc), trace=trace) from exc
-
-    if best_params is not None:
-        params = best_params
-    return params, trace
+                    finish(k)
+            if not live:
+                return outcomes
+    for k in live[:]:
+        finish(k)
+    return outcomes
 
 
 _FORMAT_TAG = "SFDNN-NET 1"

@@ -20,12 +20,12 @@ dependence estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .basis import Grid, functional_inner_products, make_bspline_basis
-from .errors import DataError, DimensionError, MissingWeightsError, SfdnnError
+from .errors import DataError, DimensionError, MissingWeightsError, NumericOverflowError, SfdnnError
 from .fdnn import (
     NetworkArchitecture,
     NetworkParameters,
@@ -33,10 +33,10 @@ from .fdnn import (
     TrainConfig,
     TrainingTrace,
     _prefilter,
+    _train_members,
     dump_parameters,
     parameters_from_lines,
     predict,
-    train,
 )
 from .fpca import FpcaModel, fit_fpca, project_scores
 from .spatial import RhoEstimate, SpatialWeightMatrix, estimate_rho_ml
@@ -194,12 +194,23 @@ def _weights(data: RegressionDataset) -> SpatialWeightMatrix:
     return data.weights
 
 
+def _retained(model: FpcaModel) -> FpcaModel:
+    """``model`` with only its retained eigenpairs, the arrays a model file holds."""
+    k = model.k_retained
+    return replace(
+        model, eigenvalues=model.eigenvalues[:k].copy(), eigenfunctions=model.eigenfunctions[:k].copy()
+    )
+
+
 def _stage_one(data: RegressionDataset, variance_threshold: float) -> tuple[list, np.ndarray, RhoEstimate]:
-    """(FPCA models, ML design, rho estimate) of ``data``, computed once per threshold."""
+    """(FPCA models, ML design, rho estimate) of ``data``, computed once per threshold.
+
+    Each FPCA model keeps only its retained eigenpairs.
+    """
     memo = data._stage_one_memo
     if variance_threshold not in memo:
         weights = _weights(data)
-        models = [fit_fpca(c, data.grid, variance_threshold) for c in data.functional]
+        models = [_retained(fit_fpca(c, data.grid, variance_threshold)) for c in data.functional]
         design = _ml_design(models, data)
         memo[variance_threshold] = models, design, estimate_rho_ml(data.response, design, weights)
     return memo[variance_threshold]
@@ -235,24 +246,71 @@ def _check_widths(data, num_functional, num_scalar, owner):
             raise DimensionError(f"{owner} expects {expected} {what}, the data has {actual}")
 
 
-def _fit_network(data, arch, config, basis_degree, ctx, **extra) -> FittedModel:
+def _network_filter(kind, data, variance_threshold=0.95, rho_override=None):
+    """(filter, model fields) of network ``kind``: ``fdnn`` filters nothing.
+
+    ``sfdnn`` filters at the first-stage estimate, shared with
+    :func:`fit_ml_baseline`, or at ``rho_override``.
+    """
+    if kind == "fdnn":
+        return None, {}
+    if rho_override is None:
+        est = _stage_one(data, variance_threshold)[2]
+        rho_hat, at_boundary = est.rho_hat, est.at_boundary
+    else:
+        rho_hat, at_boundary = float(rho_override), False
+    fields = dict(rho_hat=rho_hat, at_boundary=at_boundary, variance_threshold=variance_threshold)
+    return SpatialContext(_weights(data), rho_hat), fields
+
+
+def _fit_network(data, arch, config, basis_degree, setups) -> dict:
+    """{kind: fitted model, or the error its fit alone raises} for each entry
+    (filter, model fields) of ``setups``, all networks trained at once.
+
+    The spline features and their standardization are computed once.  Each
+    kind's inputs pass through its own filter, and the networks train as
+    the members of one stack (``fdnn._train_members``).  A failure of the
+    inputs shared by every kind raises.
+    """
     _check_widths(data, arch.num_functional, arch.num_scalar, "the architecture")
     bases = [make_bspline_basis(basis_degree, m) for m in arch.basis_sizes]
     features = _spline_features(data.functional, data.grid, bases)
     standardization = Standardization.fit(features, data.scalars, data.response)
     f_std, s_std, y_std = standardization.apply(features, data.scalars, data.response)
-    f_std, s_std = np.hsplit(_prefilter(ctx, f_std, s_std), [arch.feature_width])
-    params, trace = train(arch, config, f_std, s_std, y_std)
-    fitted = standardization.invert_y(predict(params, f_std, s_std))
-    return FittedModel(
-        grid=data.grid,
-        train_metrics=_train_metrics(data.response, fitted),
-        bases=bases,
-        parameters=params,
-        standardization=standardization,
-        trace=trace,
-        **extra,
-    )
+    models, inputs = {}, {}
+    for kind, (ctx, _) in setups.items():
+        try:
+            inputs[kind] = np.hsplit(_prefilter(ctx, f_std, s_std), [arch.feature_width])
+        except (SfdnnError, np.linalg.LinAlgError) as exc:
+            models[kind] = exc
+    for kind, trained in zip(inputs, _train_members(arch, config, list(inputs.values()), y_std)):
+        if isinstance(trained, SfdnnError):
+            models[kind] = trained
+            continue
+        params, trace = trained
+        try:
+            fitted = standardization.invert_y(predict(params, *inputs[kind]))
+        except NumericOverflowError as exc:
+            models[kind] = exc
+            continue
+        models[kind] = FittedModel(
+            kind=kind,
+            grid=data.grid,
+            train_metrics=_train_metrics(data.response, fitted),
+            bases=bases,
+            parameters=params,
+            standardization=standardization,
+            trace=trace,
+            **setups[kind][1],
+        )
+    return models
+
+
+def _fit_one(kind, data, arch, config, basis_degree, setup) -> FittedModel:
+    model = _fit_network(data, arch, config, basis_degree, {kind: setup})[kind]
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def fit_fdnn_model(
@@ -262,7 +320,7 @@ def fit_fdnn_model(
     basis_degree: int = 3,
 ) -> FittedModel:
     """Plain functional network: no spatial filtering anywhere."""
-    return _fit_network(data, arch, config, basis_degree, None, kind="fdnn")
+    return _fit_one("fdnn", data, arch, config, basis_degree, _network_filter("fdnn", data))
 
 
 def fit_sfdnn(
@@ -278,15 +336,8 @@ def fit_sfdnn(
     The first-stage estimate, shared with :func:`fit_ml_baseline`, is held fixed
     while the network trains; ``rho_override`` substitutes a caller's value.
     """
-    if rho_override is None:
-        est = _stage_one(data, variance_threshold)[2]
-        rho_hat, at_boundary = est.rho_hat, est.at_boundary
-    else:
-        rho_hat, at_boundary = float(rho_override), False
-    return _fit_network(
-        data, arch, config, basis_degree, SpatialContext(_weights(data), rho_hat), kind="sfdnn",
-        rho_hat=rho_hat, at_boundary=at_boundary, variance_threshold=variance_threshold,
-    )
+    setup = _network_filter("sfdnn", data, variance_threshold, rho_override)
+    return _fit_one("sfdnn", data, arch, config, basis_degree, setup)
 
 
 def predict_model(model: FittedModel, newdata: RegressionDataset) -> np.ndarray:

@@ -349,7 +349,12 @@ class TestMonteCarloStudy:
         assert report.sd("mspe") == 0.0
 
     @pytest.mark.parametrize(
-        "kinds", [("ml", "fdnn"), ("ml", "sfdnn"), ("sfdnn", "ml")], ids="-".join
+        "kinds",
+        [
+            ("ml", "fdnn"), ("ml", "sfdnn"), ("sfdnn", "ml"),
+            ("fdnn", "sfdnn"), ("sfdnn", "fdnn"), ("ml", "fdnn", "sfdnn"),
+        ],
+        ids="-".join,
     )
     def test_kinds_paired_and_order_invariant(self, kinds):
         # kinds that share a replication's stage one report what each reports alone
@@ -399,7 +404,8 @@ class TestMonteCarloStudy:
         def singular_fit(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(evaluation, "fit_fdnn_model", singular_fit)
+        # the study fits its network kinds through one call
+        monkeypatch.setattr(evaluation, "_fit_network", singular_fit)
         scenario = small_scenarios()[0]
         table = monte_carlo_study([scenario], ("ml", "fdnn"), num_replications=1, base_seed=3)
         failed = table.report(scenario, "fdnn")
@@ -408,6 +414,40 @@ class TestMonteCarloStudy:
         assert table.report(scenario, "ml").num_ok == 1
         fdnn_rows = [line for line in table.to_csv_lines() if ",fdnn," in line]
         assert all(line.split(",")[-2] == "1" for line in fdnn_rows)  # n_failed
+
+    def test_a_failing_sfdnn_stage_one_leaves_fdnn_to_report(self, monkeypatch):
+        scenario = small_scenarios()[0]
+        alone = monte_carlo_study([scenario], ("fdnn",), 1, 3, config=quick_config())
+
+        def singular_stage_one(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(pipeline, "_stage_one", singular_stage_one)
+        table = monte_carlo_study([scenario], ("fdnn", "sfdnn"), 1, 3, config=quick_config())
+        failed = table.report(scenario, "sfdnn")
+        assert failed.num_ok == 0
+        assert failed.failures == [(0, "LinAlgError: Singular matrix")]
+        kept = table.report(scenario, "fdnn")
+        assert kept.failures == []
+        for name in ("mse", "r2", "mspe", "r2_test"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(alone.report(scenario, "fdnn"), name))
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            (["mll"], "^unknown estimator kind 'mll'$"),
+            (["ml", "ml"], "^estimator kinds must be distinct, got ml, ml$"),
+            ([], "^need at least one estimator kind$"),
+        ],
+        ids=["unknown", "repeated", "none"],
+    )
+    def test_kinds_checked_before_any_replication(self, kinds, message, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(evaluation, "_run_replication", refuse)
+        with pytest.raises(InvalidSizeError, match=message):
+            monte_carlo_study(small_scenarios(), kinds, num_replications=1, base_seed=1)
 
     @pytest.mark.parametrize(
         "kind,validation_fraction", [("ml", 0.0), ("fdnn", 0.0), ("sfdnn", 0.0), ("sfdnn", 0.2)]

@@ -793,6 +793,134 @@ class TestTrain:
         assert trace.epoch_losses[-1] < trace.epoch_losses[0]
 
 
+def alone(arch, config, features, scalars, y):
+    """What ``train`` returns for one member, or the error it raises."""
+    try:
+        return train(arch, config, features, scalars, y)
+    except TrainingDivergedError as exc:
+        return exc
+
+
+def assert_same_outcome(stacked, single):
+    if isinstance(single, Exception):
+        assert type(stacked) is type(single) and str(stacked) == str(single)
+        assert stacked.trace == single.trace
+        return
+    (params, trace), (ref_params, ref_trace) = stacked, single
+    assert params.flat.tobytes() == ref_params.flat.tobytes()
+    assert trace == ref_trace
+
+
+class TestMemberStack:
+    """Members trained as one stack end bit for bit where ``train`` leaves each alone."""
+
+    @pytest.mark.parametrize("arch, changes, spatial", TRAIN_CASES, ids=TRAIN_CASE_IDS)
+    def test_two_members_equal_two_train_calls(self, arch, changes, spatial):
+        config, features, scalars, y, ctx = train_case(arch, changes, spatial)
+        if ctx is not None:
+            # the member of a spatial fit trains on its filtered block, as sfdnn does
+            features, scalars = np.hsplit(_prefilter(ctx, features, scalars), [arch.feature_width])
+        other_features, other_scalars, _ = toy_inputs(30, arch, 7)
+        members = [(features, scalars), (other_features, other_scalars)]
+        stacked = fdnn._train_members(arch, config, members, y)
+        assert len(stacked) == 2
+        for member, outcome in zip(members, stacked):
+            assert_same_outcome(outcome, alone(arch, config, *member, y))
+
+    def test_three_members_with_a_validation_split(self):
+        arch = toy_arch("relu")
+        config, *_ = train_case(arch, {"validation_fraction": 0.25, "weight_decay": 1e-2}, False)
+        y = toy_inputs(30, arch, 191)[2]
+        members = [toy_inputs(30, arch, seed)[:2] for seed in (191, 7, 41)]
+        for member, outcome in zip(members, fdnn._train_members(arch, config, members, y)):
+            assert_same_outcome(outcome, alone(arch, config, *member, y))
+            assert outcome[1].best_epoch is not None
+
+    def test_members_stop_early_at_different_epochs(self):
+        arch = toy_arch("sigmoid")
+        config, *_ = train_case(arch, {"early_stop_threshold": 1e-3, "max_epochs": 40}, False)
+        y = toy_inputs(30, arch, 191)[2]
+        members = [toy_inputs(30, arch, seed)[:2] for seed in (191, 7)]
+        stacked = fdnn._train_members(arch, config, members, y)
+        for member, outcome in zip(members, stacked):
+            assert_same_outcome(outcome, alone(arch, config, *member, y))
+            assert outcome[1].stopped_early
+        assert [len(trace.epoch_losses) for _, trace in stacked] == [3, 5]
+
+    # (poisoned row, value, validation fraction, message): the second member's inputs
+    # overflow in a step, in its epoch loss, or in its validation pass
+    @pytest.mark.parametrize(
+        "row, value, fraction, message",
+        [
+            (5, 1e200, 0.0, "batch loss became non-finite"),
+            (5, 1e308, 0.0, "network produced non-finite predictions"),
+            (None, 2e153, 0.0, "epoch loss became non-finite"),
+            ("validation", 1e308, 0.2, "network produced non-finite predictions"),
+        ],
+        ids=["batch-loss", "step-predictions", "epoch-loss", "validation"],
+    )
+    def test_a_diverging_member_leaves_the_other_to_finish(self, row, value, fraction, message):
+        arch = NetworkArchitecture.uniform(1, 1, 4, (3,), "identity")
+        features, scalars, y = toy_inputs(20, arch, 107)
+        config = TrainConfig(
+            learning_rate=0.5, max_epochs=4, batch_size=5, validation_fraction=fraction, seed=0
+        )
+        poisoned = features.copy()
+        if row is None:
+            poisoned *= value
+        else:
+            if row == "validation":
+                # a row of the validation split that the stack draws for this seed
+                row = np.random.default_rng([config.seed, 2]).permutation(20)[0]
+            poisoned[row] = value
+        members = [(features, scalars), (poisoned, scalars)]
+        kept, diverged = fdnn._train_members(arch, config, members, y)
+        assert isinstance(diverged, TrainingDivergedError) and str(diverged) == message
+        assert_same_outcome(diverged, alone(arch, config, poisoned, scalars, y))
+        assert_same_outcome(kept, alone(arch, config, features, scalars, y))
+        assert len(kept[1].epoch_losses) == 4
+
+    def test_a_member_with_bad_inputs_gets_its_own_error(self):
+        arch = toy_arch("tanh")
+        config, features, scalars, y, _ = train_case(arch, {}, False)
+        bad = features.copy()
+        bad[3, 1] = np.nan
+        kept, refused = fdnn._train_members(arch, config, [(features, scalars), (bad, scalars)], y)
+        assert isinstance(refused, DataError) and str(refused) == "features contains NaN or infinite values"
+        assert_same_outcome(kept, alone(arch, config, features, scalars, y))
+
+    def test_one_member_trains_through_train(self, monkeypatch):
+        arch = toy_arch("tanh")
+        config, features, scalars, y, _ = train_case(arch, {}, False)
+        calls = []
+        public = fdnn.train
+
+        def counted(*args):
+            calls.append(args)
+            return public(*args)
+
+        monkeypatch.setattr(fdnn, "train", counted)
+        (outcome,) = fdnn._train_members(arch, config, [(features, scalars)], y)
+        assert len(calls) == 1
+        assert_same_outcome(outcome, public(arch, config, features, scalars, y))
+
+    def test_stacked_views_alias_one_vector(self):
+        arch = NetworkArchitecture(2, (4, 4), 2, (5, 3), ("relu", "tanh"))
+        size = arch.num_parameters
+        flat = np.arange(3.0 * size)
+        views = fdnn._views(arch, flat, 3)
+        for k in range(3):
+            member = NetworkParameters(arch, flat[k * size : (k + 1) * size])
+            blocks = [member._input_weights, *member.hidden_weights]
+            for stacked, single in zip(views.weights, blocks):
+                assert np.shares_memory(stacked, flat)
+                np.testing.assert_array_equal(stacked[k], single)
+            for stacked, single in zip(views.biases, member.biases):
+                assert stacked.shape == (3, 1, single.size)
+                np.testing.assert_array_equal(stacked[k, 0], single)
+            np.testing.assert_array_equal(views.outputs[k], member.hidden_weights[-1])
+
+
 class TestParameterStorage:
     def test_tensor_views_alias_flat(self):
         params = init_parameters(toy_arch(), 193)

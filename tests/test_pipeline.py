@@ -304,6 +304,22 @@ class TestModelSerialization:
         assert back.train_metrics == model.train_metrics
         np.testing.assert_array_equal(predict_model(back, test), predict_model(model, test))
 
+    def test_ml_fit_holds_what_its_file_holds(self, gaussian_data, tmp_path):
+        # stage one keeps each FPCA model's retained eigenpairs only
+        train, test = gaussian_data
+        model = fit_ml_baseline(train)
+        path = tmp_path / "ml.model"
+        save_model(model, path)
+        back = load_model(path)
+        np.testing.assert_array_equal(back.theta, model.theta)
+        for fitted, read in zip(model.fpca_models, back.fpca_models, strict=True):
+            k = fitted.k_retained
+            assert fitted.eigenvalues.shape == (k,)
+            assert fitted.eigenfunctions.shape == (k, train.grid.num_points)
+            for name in ("mean_curve", "eigenvalues", "eigenfunctions"):
+                np.testing.assert_array_equal(getattr(read, name), getattr(fitted, name))
+        assert predict_model(back, test).tobytes() == predict_model(model, test).tobytes()
+
     def test_ml_file_refuses_lines_after_the_last_eigenfunction(self, gaussian_data, tmp_path):
         path = tmp_path / "ml.model"
         save_model(fit_ml_baseline(gaussian_data[0]), path)
