@@ -18,8 +18,8 @@ bound (-1/r, 1/r) otherwise.  So every rho a W without a spectrum admits is
 dominant, |rho| r below 1, and a sparse I - rho W, strictly diagonally
 dominant, is factored for its solves without pivoting in one reverse
 Cuthill-McKee ordering computed once per W.  Every log-determinant comes
-from the filter factor: from W's spectrum when it has one, from LUs of
-dense blocks for any other dense W, and for a sparse W by strongly
+from the filter factor: from W's spectrum when it has one, from one LU of
+I - rho W for any other dense W, and for a sparse W by strongly
 connected component, which splits I - rho W into the diagonal blocks of a
 block triangular form: batched dense determinants of the small components
 and one sparse LU of the larger ones, both found once per W.  The rho
@@ -34,13 +34,14 @@ neighbors.  An inverse-distance W depends only on n, so it is
 built once per size and shared read-only: every replication of a study cell
 reuses one matrix, and with it the spectrum and eigenvectors cached on it.
 Its rows are divided by sums taken symmetrically, so it equals its mirror
-exactly, and like every dense W that does, its spectrum and its filter come
-from two folded blocks of half its size.  Such a W with a spectrum keeps
-the eigenvectors of both blocks from its first filter solve, and every
-solve after it is two matrix products per block; a mirrored W without a
-spectrum solves each filter by two half-size LUs.  Every pass over a dense
-W after its construction, the symmetrizability check included, works in
-row blocks or folded half blocks, so none holds a second n x n array.
+exactly, and like every dense W that does and has a spectrum, its spectrum
+and its filter come from two folded blocks of half its size: it keeps the
+eigenvectors of both blocks from its first filter solve, and every solve
+after it is two matrix products per block.  Any other dense W solves each
+filter by one LU of I - rho W.  Every pass over a dense W after its
+construction, the symmetrizability check included, works in row blocks or
+folded half blocks, so only the LU route's I - rho W is a second n x n
+array.
 
 Dense routes run on numpy alone: scipy is imported only on the sparse and
 KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
@@ -224,10 +225,15 @@ class SpatialWeightMatrix:
         """The folded half B + sign CJ of D^{1/2} W D^{-1/2}, symmetric.
 
         An odd n's middle site borders B + CJ, its row and column scaled by
-        1/sqrt(2).
+        1/sqrt(2).  The half is folded from row blocks, with no n x n array.
         """
-        half = _fold(self.n, self._symmetric_rows, sign)
-        if half.shape[0] > self.n // 2:
+        n = self.n
+        size, combine = (n - n // 2, np.add) if sign > 0 else (n // 2, np.subtract)
+        half = np.empty((size, size))
+        for start, stop in _row_blocks(size, n):
+            block = self._symmetric_rows(start, stop)
+            combine(block[:, :size], block[:, ::-1][:, :size], out=half[start:stop])
+        if size > n // 2:
             half[-1] *= math.sqrt(0.5)
             half[:, -1] *= math.sqrt(0.5)
         return half
@@ -359,22 +365,6 @@ def _row_blocks(rows: int, width: int):
     return ((start, min(start + step, rows)) for start in range(0, rows, step))
 
 
-def _fold(n: int, rows, sign: float) -> np.ndarray:
-    """X[lo, lo] + sign X[lo, J lo] for an n x n X, J reversing site order.
-
-    lo is the first m = n // 2 sites, plus the middle one for an odd n when
-    sign is positive; the middle row and column are left for the caller to
-    scale.  ``rows(start, stop)`` returns a fresh block of X's rows, which is
-    folded in place of a whole X.
-    """
-    size, combine = (n - n // 2, np.add) if sign > 0 else (n // 2, np.subtract)
-    out = np.empty((size, size))
-    for start, stop in _row_blocks(size, n):
-        block = rows(start, stop)
-        combine(block[:, :size], block[:, ::-1][:, :size], out=out[start:stop])
-    return out
-
-
 def _symmetrizing_scale(a: np.ndarray):
     """Diagonal d with diag(d) W symmetric, or None.
 
@@ -434,7 +424,7 @@ def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     Row i and its mirror n - 1 - i are both divided by the mean of their two
     sums, which can differ in the last bit, so W equals its mirror J W J (J
     reversing site order) exactly and ``SpatialFilterFactor`` solves its
-    filter in two half-size blocks.
+    filter through the eigenvectors of two half-size blocks.
     The matrix depends only on n, so it is built once per size and shared:
     the same n returns the same object, its weights are read-only, and the
     spectrum and interval cached on it are computed once per process.  The
@@ -582,11 +572,23 @@ def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
     return SpatialWeightMatrix(weights, row_normalized=True)
 
 
+def _refuse_non_finite(name: str, values: np.ndarray) -> None:
+    """Raise a DataError naming the first site (row) where ``values`` is NaN or infinite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        site = int(np.argwhere(~finite)[0, 0])
+        raise DataError(f"{name} at site {site} is NaN or infinite")
+
+
 def local_morans_i(W: SpatialWeightMatrix, y: np.ndarray) -> np.ndarray:
-    """Per-site local Moran's I; sites with empty neighborhoods get 0."""
+    """Per-site local Moran's I; sites with empty neighborhoods get 0.
+
+    A NaN or infinite response raises a DataError naming its first site.
+    """
     y = np.asarray(y, dtype=float).ravel()
     if y.size != W.n:
         raise DimensionError(f"response has {y.size} entries but W has {W.n} rows")
+    _refuse_non_finite("response", y)
     dev = y - y.mean()
     denom = float(dev @ dev)
     if denom <= 0.0:
@@ -607,29 +609,19 @@ class SpatialFilterFactor:
     log-determinant factors only its strongly connected components (see
     ``log_det``).
 
-    A dense W equal to its mirror J W J (J reversing site order; every
-    inverse-distance W) makes A = I - rho W centrosymmetric, and A splits
-    exactly into two half-size blocks (Cantoni & Butler 1976).  With lo the
-    first m = n // 2 sites and hi their mirrors n - 1 - lo, A x = b holds
-    when P u = b[lo] + b[hi] and M v = b[lo] - b[hi], x[lo] = (u + v) / 2
-    and x[hi] = (u - v) / 2, for P = A[lo, lo] + A[lo, hi] and
-    M = A[lo, lo] - A[lo, hi].  An odd n borders P with the middle site c,
-    as [[P, 2 A[lo, c]], [A[c, lo], A[c, c]]], its right-hand side taking
-    b[c] and its solution x[c].  det A = det P det M.  P and M are folded
-    from rows of -rho W by row blocks, with no n x n temporary.  Any other
-    dense W keeps A whole.
-
-    Which route a solve takes depends on W alone.  A mirrored W with a
-    spectrum (every inverse-distance W) solves from the eigenpairs of the
-    two folded halves of D^{1/2} W D^{-1/2}, computed by W's first solve at
-    any rho and kept on W: each later solve costs two matrix products per
-    half, whatever rho.  Any other dense W solves by one ``np.linalg.solve``
-    per block (an LU and its triangular solves), so a factor that serves
-    one solve, as every one in the package does, costs one LU per block.
-    Building a factor factors nothing: the sparse LU and the dense blocks
-    are built by the first solve or LU log-determinant that needs them.
-    The log-determinant is computed when first read, from W's spectrum when
-    it has one, and a non-finite one raises there.
+    Which route a solve takes depends on W alone.  A dense W equal to its
+    mirror J W J (J reversing site order) with a spectrum, as every
+    inverse-distance W is, solves from the eigenpairs of the two folded
+    halves of D^{1/2} W D^{-1/2} (Cantoni & Butler 1976), computed by W's
+    first solve at any rho and kept on W: each later solve costs two matrix
+    products per half, whatever rho.  Any other dense W solves by one
+    ``np.linalg.solve`` of I - rho W (an LU and its triangular solves), so
+    a factor that serves one solve costs one LU.  Building a factor factors
+    nothing: the sparse LU and the dense I - rho W are built by the first
+    solve or LU log-determinant that needs them.  The log-determinant is
+    computed when first read, from W's spectrum when it has one, and a
+    non-finite one raises there.  A right-hand side is a vector or a
+    matrix of n rows on every route.
     """
 
     def __init__(self, W: SpatialWeightMatrix, rho: float):
@@ -645,36 +637,24 @@ class SpatialFilterFactor:
         return _dominant_lu(self.W._ordered[1], self.rho)
 
     @functools.cached_property
-    def _blocks(self) -> tuple:
-        """The matrices whose LUs solve a dense filter: (P, M) for a mirrored W, else (A,).
+    def _dense(self) -> np.ndarray:
+        """The dense I - rho W whose LU solves the filter of a W without ``_half_eigh``.
 
-        A W with ``_half_eigh`` solves without them.  Each is 0 - rho W, whole or folded, plus one on its diagonal: -rho w + 1
-        rounds exactly like 1 - rho w, so no identity matrix is built.
+        It is 0 - rho W plus one on its diagonal: -rho w + 1 rounds exactly
+        like 1 - rho w, so no identity matrix is built.
         """
-        W = self.W
-
-        def scaled(start, stop):
-            # 0 - rho w, not -(rho w), keeps a zero weight's +0 of I - rho W
-            block = W.weights[start:stop] * self.rho
-            return np.subtract(0.0, block, out=block)
-
-        if not W._mirrored:
-            blocks = (scaled(0, W.n),)
-        else:
-            p, q = _fold(W.n, scaled, 1.0), _fold(W.n, scaled, -1.0)
-            if p.shape[0] > q.shape[0]:
-                p[-1] *= 0.5  # the border row of an odd n, folded twice: A[c, lo], A[c, c]
-            blocks = (p, q)
-        for block in blocks:
-            block.flat[:: block.shape[0] + 1] += 1.0
-        return blocks
+        # 0 - rho w, not -(rho w), keeps a zero weight's +0 of I - rho W
+        a = self.W.weights * self.rho
+        np.subtract(0.0, a, out=a)
+        a.flat[:: a.shape[0] + 1] += 1.0
+        return a
 
     @functools.cached_property
     def log_det(self) -> float:
         """ln det(I - rho W); raises if I - rho W is singular to working precision.
 
         From W's spectrum when it has one, sum ln(1 - rho lambda) (Ord 1975),
-        and from ``slogdet`` per dense block for any other dense W.  A
+        and from one ``slogdet`` of I - rho W for any other dense W.  A
         sparse W sums ln det(I - rho W_CC) over its strongly connected
         components C (``SpatialWeightMatrix._components``): one batched
         ``slogdet`` per component size up to ``_SMALL_COMPONENT`` sites, and
@@ -697,7 +677,7 @@ class SpatialFilterFactor:
             if large is not None:
                 value += float(np.sum(np.log(_dominant_lu(large, self.rho).U.diagonal())))
         else:
-            value = float(sum(np.linalg.slogdet(block)[1] for block in self._blocks))
+            value = float(np.linalg.slogdet(self._dense)[1])
         if not np.isfinite(value):
             raise AdmissibilityError(f"I - rho W is singular to working precision for rho={self.rho}")
         return value
@@ -710,8 +690,10 @@ class SpatialFilterFactor:
 
     def _solve(self, b: np.ndarray, transpose: bool) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if b.shape[:1] != (self.W.n,):
-            raise DimensionError(f"right-hand side has shape {b.shape} but W has {self.W.n} rows")
+        if b.shape[:1] != (self.W.n,) or b.ndim > 2:
+            raise DimensionError(
+                f"right-hand side has shape {b.shape}, not a vector or matrix of n rows: W has {self.W.n} rows"
+            )
         if self.rho == 0.0:
             return np.array(b)
         if self.W.is_sparse:
@@ -721,37 +703,19 @@ class SpatialFilterFactor:
             return x
         if self.W._half_eigh is not None:
             return self._spectral_solve(b, transpose)
-        if len(self._blocks) == 1:
-            a = self._blocks[0]
-            return np.linalg.solve(a.T if transpose else a, b)
-        n, m = self.W.n, self.W.n // 2
-        p, q = self._blocks
-        mirror = b[::-1]
-        folded = b[: n - m] + mirror[: n - m]  # b[c] twice
-        if transpose:
-            # A' is centrosymmetric too; its bordered block is D^-1 P' D, D
-            # doubling the middle site
-            u = np.linalg.solve(p.T, folded)
-            u[m:] *= 0.5
-        else:
-            folded[m:] *= 0.5
-            u = np.linalg.solve(p, folded)
-        v = np.linalg.solve(q.T if transpose else q, b[:m] - mirror[:m])
-        x = np.empty_like(b)
-        x[:m] = (u[:m] + v) / 2
-        x[::-1][:m] = (u[:m] - v) / 2
-        x[m : n - m] = u[m:]
-        return x
+        a = self._dense
+        return np.linalg.solve(a.T if transpose else a, b)
 
     def _spectral_solve(self, b: np.ndarray, transpose: bool) -> np.ndarray:
         """Solve through the eigenvectors of W's folded halves, two products each.
 
         I - rho W = D^{-1/2} (I - rho S') D^{1/2} with S' = D^{1/2} W D^{-1/2},
         so x = D^{-1/2} (I - rho S')^{-1} D^{1/2} b, and the transposed solve
-        swaps the two scalings.  Folding D^{1/2} b into its halves, as
-        ``_solve`` folds b for P and M, turns (I - rho S')^{-1} into
-        Q diag(1 / (1 - rho lambda)) Q' for each half's eigenpairs; the
-        middle site of an odd n is scaled by sqrt(2) into its half and back.
+        swaps the two scalings.  Folding D^{1/2} b into the halves' sums
+        and differences, y[lo] + y[J lo] and y[lo] - y[J lo], turns
+        (I - rho S')^{-1} into Q diag(1 / (1 - rho lambda)) Q' for each
+        half's eigenpairs; the middle site of an odd n is scaled by sqrt(2)
+        into its half and back.
         """
         n, m = self.W.n, self.W.n // 2
         root = self.W._root[:, None]
@@ -884,12 +848,15 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     cannot hold the maximum, and the bracket's points are made exact for
     Brent.  The scan's best point, the bracket and every value Brent reads
     are those of a full scan, so the estimate is bit-identical to one.
-    ``Xc`` must have full column rank with a leading column of ones.
+    ``Xc`` must be finite with full column rank and a leading column of
+    ones, and ``y`` finite.
     """
     y = np.asarray(y, dtype=float).ravel()
     Xc = np.asarray(Xc, dtype=float)
     if Xc.ndim != 2 or Xc.shape[0] != y.size or y.size != W.n:
         raise DimensionError("y, Xc, and W dimensions are inconsistent")
+    _refuse_non_finite("response", y)
+    _refuse_non_finite("design", Xc)
     n, k = Xc.shape
     if not np.all(Xc[:, 0] == 1.0):
         raise DesignRankError("first column of the design must be all ones")

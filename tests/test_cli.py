@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -322,6 +323,23 @@ class TestSubcommands:
         lines = (out / "moran.csv").read_text().splitlines()
         values = [float(line.split(",")[1]) for line in lines[1:]]
         np.testing.assert_allclose(values, [-1.0, -1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_moran_rejects_a_non_finite_response(self, tmp_path, capsys, bad):
+        out = tmp_path / "m"
+        scalars = write(tmp_path / "scalars.csv", f"location_id,z1,y\n0,0.0,1\n1,0.0,{bad}\n")
+        weights = write(tmp_path / "w.txt", "n 2 row_normalized 1\n0 1 1\n1 0 1\n")
+        cfg = write(
+            tmp_path / "m.cfg",
+            f"train_scalars = {scalars}\ntrain_weights = {weights}\nout_dir = {out}\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["moran", "--config", cfg]) == EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error_type"] == "DataError"
+        assert err["message"] == "response at site 1 is NaN or infinite"
+        assert not (out / "moran.csv").exists()
 
     def test_moran_log_transform_rejects_nonpositive_response(self, tmp_path, capsys):
         scalars = write(tmp_path / "scalars.csv", "location_id,z1,y\n0,0.0,1\n1,0.0,-1\n")

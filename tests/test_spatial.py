@@ -394,6 +394,14 @@ class TestLocalMoran:
         with pytest.raises(DegenerateVarianceError):
             local_morans_i(W, np.full(4, 2.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_rejected(self, bad):
+        W = build_inverse_distance_weights(5)
+        y = np.arange(5.0)
+        y[2] = y[4] = bad
+        with pytest.raises(DataError, match="response at site 2 is NaN or infinite"):
+            local_morans_i(W, y)
+
 
 class TestLogDet:
     def test_rho_zero_exact(self):
@@ -682,7 +690,7 @@ class TestDenseFactor:
         for W in weights:
             for rho in (-0.5, 0.5):
                 factor = SpatialFilterFactor(W, rho)
-                assert not {"_lu", "_blocks", "log_det"} & vars(factor).keys()
+                assert not {"_lu", "_dense", "log_det"} & vars(factor).keys()
 
     def test_right_hand_side_of_the_wrong_length_raises_on_every_route(self):
         nonsymmetric = random_row_normalized(6, np.random.default_rng(27))
@@ -690,26 +698,30 @@ class TestDenseFactor:
         lopsided[0, 3] = lopsided[5, 2] = 0.0
 
         def spectral(f):
-            # a solve of the right length takes the spectral route and builds no block
+            # a solve of the right length takes the spectral route and builds no matrix
             f.solve(np.ones(f.W.n))
-            return f.W._half_eigh is not None and "_blocks" not in vars(f)
+            return f.W._half_eigh is not None and "_dense" not in vars(f)
+
+        def dense(f):
+            # a solve of the right length factors the whole I - rho W
+            f.solve(np.ones(f.W.n))
+            return f.W._half_eigh is None and "_dense" in vars(f) and f._dense.shape == (f.W.n, f.W.n)
 
         routes = {
             "sparse": (knn_80(), 0.5, lambda f: f._lu is not None),
             "mirrored even": (build_inverse_distance_weights(4), 0.5, spectral),
             "mirrored odd": (build_inverse_distance_weights(5), 0.5, spectral),
-            "mirrored, no spectrum": (
-                SpatialWeightMatrix(lopsided, row_normalized=False), 0.5, lambda f: len(f._blocks) == 2
-            ),
-            "whole": (nonsymmetric, 0.5, lambda f: len(f._blocks) == 1),
+            "mirrored, no spectrum": (SpatialWeightMatrix(lopsided, row_normalized=False), 0.5, dense),
+            "whole": (nonsymmetric, 0.5, dense),
             "rho zero": (
-                build_inverse_distance_weights(4), 0.0, lambda f: not {"_lu", "_blocks"} & vars(f).keys()
+                build_inverse_distance_weights(4), 0.0, lambda f: not {"_lu", "_dense"} & vars(f).keys()
             ),
         }
         for name, (W, rho, takes_route) in routes.items():
             factor = SpatialFilterFactor(W, rho)
             assert takes_route(factor), name
-            for b in (np.ones(W.n + 1), np.ones(W.n - 1), np.ones((W.n + 1, 2)), np.float64(1.0)):
+            wrong = (np.ones(W.n + 1), np.ones(W.n - 1), np.ones((W.n + 1, 2)), np.ones((W.n, 2, 2)), np.float64(1.0))
+            for b in wrong:
                 for solve in (factor.solve, factor.solve_transpose):
                     with pytest.raises(DimensionError, match=f"W has {W.n} rows"):
                         solve(b)
@@ -1026,6 +1038,25 @@ class TestEstimateRho:
         with pytest.raises(DesignRankError):
             estimate_rho_ml(y, X_bad, W)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_rejected(self, bad):
+        # a NaN once returned rho at the boundary with NaN coefficients
+        rng = np.random.default_rng(42)
+        y, X, W = simulate_lagged(40, 0.3, rng)
+        y[7] = y[12] = bad
+        with pytest.raises(DataError, match="response at site 7 is NaN or infinite"):
+            estimate_rho_ml(y, X, W)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_design_rejected_before_its_rank(self, bad, column):
+        # an infinite entry once read as a rank-deficient design
+        rng = np.random.default_rng(44)
+        y, X, W = simulate_lagged(40, 0.3, rng)
+        X[9, column] = bad
+        with pytest.raises(DataError, match="design at site 9 is NaN or infinite"):
+            estimate_rho_ml(y, X, W)
+
     def test_missing_intercept_rejected(self):
         rng = np.random.default_rng(43)
         y, X, W = simulate_lagged(40, 0.3, rng)
@@ -1228,16 +1259,9 @@ def symmetrizing_scale_reference(a):
     return d if np.all(gap <= m) else None
 
 
-def filter_blocks_reference(a, rho):
-    """``SpatialFilterFactor._blocks`` built from an identity and a mirrored copy."""
-    n, m = a.shape[0], a.shape[0] // 2
-    if not np.array_equal(a, a[::-1, ::-1]):
-        return (np.eye(n) - rho * a,)
-    near = np.eye(n - m) - rho * a[: n - m, : n - m]
-    far = rho * a[: n - m, ::-1][:, : n - m]
-    p = near - far
-    p[m:] = near[m:]
-    return (p, near[:m, :m] + far[:m, :m])
+def filter_dense_reference(a, rho):
+    """``SpatialFilterFactor._dense`` built from an identity."""
+    return np.eye(a.shape[0]) - rho * a
 
 
 def numpy_peak(work, n):
@@ -1300,17 +1324,15 @@ class TestDensePasses:
                     ):
                         assert got.shape == b.shape, name
                         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (name, rho)
-                assert "_blocks" not in vars(factor), name
+                assert "_dense" not in vars(factor), name
 
     def test_passes_after_construction_hold_no_whole_temporary(self):
         n = 1200
         a = spatial._inverse_distance_array(n)
-        # the whole-matrix forms took 2.13, 2.13 and 1.00 of an n x n array
+        # the whole-matrix forms took 2.13 and 2.13 of an n x n array
         assert numpy_peak(lambda: spatial._symmetrizing_scale(a), n) <= 0.25
         W = SpatialWeightMatrix(a, row_normalized=True)
         assert numpy_peak(W.eigenvalues, n) <= 0.5
-        factor = SpatialFilterFactor(W, 0.9)
-        assert numpy_peak(lambda: factor._blocks, n) <= 0.75
 
     def test_first_spectral_solve_keeps_two_half_size_eigenvector_blocks(self):
         n = 1200
@@ -1319,7 +1341,7 @@ class TestDensePasses:
         # the kept eigenvectors of one half, the other half and its
         # eigenvectors: measured 0.752 of an n x n array
         assert numpy_peak(lambda: factor.solve(np.ones(n)), n) <= 0.76
-        assert "_blocks" not in vars(factor)
+        assert "_dense" not in vars(factor)
         vectors = [q for _, q in W._half_eigh]
         assert [q.shape for q in vectors] == [(n // 2, n // 2)] * 2
         assert sum(q.size for q in vectors) == n * n // 2
@@ -1343,11 +1365,10 @@ class TestDensePasses:
             W = SpatialWeightMatrix(a, row_normalized=False)
             assert W._mirrored == np.array_equal(a, a[::-1, ::-1])
             for rho in (-0.5, 0.3, 0.9):
-                # the blocks do not depend on admissibility: build them for every rho
+                # the matrix does not depend on admissibility: build it for every rho
                 factor = SpatialFilterFactor.__new__(SpatialFilterFactor)
                 factor.W, factor.rho = W, rho
-                ref = filter_blocks_reference(a, rho)
-                assert [b.tobytes() for b in factor._blocks] == [b.tobytes() for b in ref]
+                assert factor._dense.tobytes() == filter_dense_reference(a, rho).tobytes()
 
 
 class TestProperties:
@@ -1497,7 +1518,7 @@ class TestProperties:
             assert x.shape == xt.shape == b.shape
             assert np.max(np.abs(filt @ x - b)) <= 1e-12
             assert np.max(np.abs(filt.T @ xt - b)) <= 1e-12
-        assert "_blocks" not in vars(factor)
+        assert "_dense" not in vars(factor)
         spectral = float(np.sum(np.log(1.0 - rho * W.eigenvalues())))
         assert abs(factor.log_det - spectral) <= 1e-10
 
@@ -1537,7 +1558,7 @@ class TestProperties:
     )
     @example(n=3, entry=(0, 0), frac=0.9)
     @example(n=4, entry=(1, 1), frac=0.1)
-    def test_mirrored_weights_without_a_spectrum_take_half_size_log_dets(self, n, entry, frac):
+    def test_mirrored_weights_without_a_spectrum_take_the_whole_lu(self, n, entry, frac):
         # the generator's weights with one mirrored pair zeroed: W equals its
         # mirror, but a zero off-diagonal weight leaves it no spectrum
         a = spatial._inverse_distance_array(n)
@@ -1550,9 +1571,13 @@ class TestProperties:
         rho = lo + frac * (hi - lo)
         assume(rho != 0.0)
         factor = SpatialFilterFactor(W, rho)
-        assert len(factor._blocks) == 2
-        oracle = np.linalg.slogdet(np.eye(n) - rho * a)[1]
-        assert abs(factor.log_det - oracle) <= 1e-10 * max(1.0, abs(oracle))
+        filt = np.eye(n) - rho * a
+        assert factor.log_det == np.linalg.slogdet(filt)[1]
+        assert factor._dense.tobytes() == filt.tobytes()
+        rng = np.random.default_rng(n)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            assert factor.solve(b).tobytes() == np.linalg.solve(filt, b).tobytes()
+            assert factor.solve_transpose(b).tobytes() == np.linalg.solve(filt.T, b).tobytes()
 
 
 def assert_solves_invert_filter(a, rho, cols, seed):
@@ -1572,3 +1597,66 @@ def assert_solves_invert_filter(a, rho, cols, seed):
         ):
             assert got.shape == b.shape
             assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+class TestWorkflowRoutes:
+    def test_generator_filters_solve_spectrally_and_build_no_dense_matrix(self, tmp_path, monkeypatch):
+        # every workflow in the package solves its filters on generator W:
+        # a Monte Carlo replication of all three kinds, and a CLI round trip
+        from sfdnn.cli import main
+        from sfdnn.evaluation import monte_carlo_study
+        from sfdnn.fdnn import TrainConfig
+        from sfdnn.simgen import ScenarioConfig
+
+        events = []
+        solve, spectral, dense = (
+            SpatialFilterFactor._solve, SpatialFilterFactor._spectral_solve, SpatialFilterFactor._dense
+        )
+
+        def spy_solve(factor, b, transpose):
+            events.append(("solve", factor.W, factor.rho))
+            return solve(factor, b, transpose)
+
+        def spy_spectral(factor, b, transpose):
+            events.append(("spectral", factor.W, factor.rho))
+            return spectral(factor, b, transpose)
+
+        def spy_dense(factor):
+            events.append(("dense", factor.W, factor.rho))
+            return dense.func(factor)
+
+        monkeypatch.setattr(SpatialFilterFactor, "_solve", spy_solve)
+        monkeypatch.setattr(SpatialFilterFactor, "_spectral_solve", spy_spectral)
+        monkeypatch.setattr(SpatialFilterFactor, "_dense", property(spy_dense))
+
+        kinds = ("ml", "fdnn", "sfdnn")
+        scenario = ScenarioConfig(n_train=60, n_test=50, rho=0.7, error_dist="gaussian")
+        config = TrainConfig(learning_rate=0.02, batch_size=32, max_epochs=5, seed=0)
+        table = monte_carlo_study([scenario], kinds, 1, base_seed=5, config=config)
+        assert [table.report(scenario, kind).num_ok for kind in kinds] == [1, 1, 1]
+        study_events = len(events)
+
+        out = tmp_path / "run"
+        settings = (
+            f"n_train = 80\nn_test = 60\nrho = 0.4\nreplication_seed = 7\nseed = 3\n"
+            f"hidden_sizes = 8\nbasis_size = 6\nmax_epochs = 5\nout_dir = {out}\n"
+            f"train_functional = {out / 'train_functional.csv'}\ntrain_scalars = {out / 'train_scalars.csv'}\n"
+            f"train_weights = {out / 'train_weights.txt'}\nmodel_file = {out / 'model.txt'}\n"
+            f"test_functional = {out / 'test_functional.csv'}\ntest_scalars = {out / 'test_scalars.csv'}\n"
+            f"test_weights = {out / 'test_weights.txt'}\n"
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(settings, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        for kind in kinds:
+            for command in ("fit", "predict"):
+                assert main([command, "--config", str(cfg), "--kind", kind]) == 0, (command, kind)
+
+        solves = [(W, rho) for name, W, rho in events if name == "solve"]
+        assert study_events > 0 and len(events) > study_events
+        assert not [e for e in events if e[0] == "dense"]
+        # each solve on a nonzero rho goes straight to the spectral route
+        assert all(spatial._is_inverse_distance(W) for W, _ in solves)
+        for (name, W, rho), after in zip(events, events[1:] + [None]):
+            if name == "solve" and rho != 0.0:
+                assert after == ("spectral", W, rho)
