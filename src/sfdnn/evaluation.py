@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateVarianceError,
     DimensionError,
     FoldSizeError,
@@ -70,13 +71,16 @@ class Metrics:
 
 
 def _paired(y, yhat):
-    """``y`` and ``yhat`` as flat float arrays of one length, at least 2."""
+    """``y`` and ``yhat`` as flat finite float arrays of one length, at least 2."""
     y = np.asarray(y, dtype=float).ravel()
     yhat = np.asarray(yhat, dtype=float).ravel()
     if y.size != yhat.size:
         raise DimensionError("observed and predicted lengths differ")
     if y.size < 2:
         raise DimensionError("need at least 2 observations")
+    for name, values in (("observations", y), ("predictions", yhat)):
+        if not np.isfinite(values).all():
+            raise DataError(f"{name} contain NaN or infinite values")
     return y, yhat
 
 

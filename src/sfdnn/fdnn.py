@@ -227,9 +227,8 @@ def _layout(arch):
 
 
 # the stored blocks of one parameter vector, or of several laid end to end:
-# the weights ([A | B] first), their transposes, the biases, and each
-# member's (1, n_R) output weights
-_Views = namedtuple("_Views", "weights transposed biases outputs")
+# the weights ([A | B] first), their transposes and the biases
+_Views = namedtuple("_Views", "weights transposed biases")
 
 
 def _views(arch, flat, members=1):
@@ -249,8 +248,7 @@ def _views(arch, flat, members=1):
         ]
     k = len(arch.hidden_sizes)
     weights = blocks[: 1 + k]
-    outputs = [weights[-1]] if members == 1 else list(weights[-1])
-    return _Views(weights, [np.swapaxes(w, -1, -2) for w in weights], blocks[1 + k :], outputs)
+    return _Views(weights, [np.swapaxes(w, -1, -2) for w in weights], blocks[1 + k :])
 
 
 class NetworkParameters:
@@ -412,9 +410,6 @@ class _LayerKernel:
         self.residual = np.empty(lead + (rows,))
         self.dout = self.residual[..., None]
         self.dout_t = np.swapaxes(self.dout, -1, -2)
-        # per member: dL/d out and the last hidden layer's dL/d h, their outer product
-        last_grad = self.layers[-1].grad
-        self.outer_pairs = [(self.dout, last_grad)] if members == 1 else list(zip(self.dout, last_grad))
         self.ones = np.ones(rows) if members == 1 else np.ones((1, rows))
         if members > 1:
             # a member's sum of squared residuals is its residual row times its column
@@ -455,11 +450,9 @@ class _LayerKernel:
         g *= 2.0 / g.shape[-2]  # dL/d out
         product(self.dout_t, layers[-1].post, out=grads.weights[-1])
         product(ones, g, out=grads.biases[-1])
-        # one output unit makes the last layer's dL/d h an outer product, which
-        # np.matmul takes outside BLAS one element at a time; np.dot takes it per member
-        for (dout, out), w in zip(self.outer_pairs, params.outputs):
-            np.dot(dout, w, out=out)
-        g = layers[-1].grad
+        # one output unit makes the last layer's dL/d h an outer product, each
+        # entry one exact product, so a broadcast multiply gives a product's bits
+        g = np.multiply(g, params.weights[-1], out=layers[-1].grad)
         for r in range(len(layers) - 1, -1, -1):
             _, deriv, _, post, _, grad_t, slope = layers[r]
             if deriv is not None:

@@ -13,12 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Grid, trapezoid_weights
-from .errors import DimensionError, InsufficientDataError, InvalidSizeError, broken_rules
+from .errors import DataError, DimensionError, InsufficientDataError, InvalidSizeError, broken_rules
 
 __all__ = ["FpcaModel", "fit_fpca", "project_scores", "reconstruct"]
 
 # the rule each FPCA setting obeys, by its configuration key
 RULES = {"variance_threshold": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")}
+
+
+def _refuse_non_finite_curves(curves: np.ndarray, derived: np.ndarray) -> None:
+    """Raise a DataError naming the first curve holding a NaN or infinite value.
+
+    ``derived`` is an array already computed from every curve, non-finite
+    whenever one of them is, so finite curves are not searched.
+    """
+    if not np.isfinite(derived).all():
+        bad = ~np.isfinite(curves).all(axis=1)
+        if bad.any():
+            raise DataError(f"curve {int(np.argmax(bad))} contains NaN or infinite values")
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,7 @@ def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = 0.95) -
     """Fit FPCA to curves sampled on a shared grid.
 
     ``curves`` is (n, G) with n >= 2.  The covariance uses divisor n - 1.
+    A curve holding a NaN or infinite value raises a DataError naming it.
     """
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     n, g = curves.shape
@@ -53,7 +66,9 @@ def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = 0.95) -
     for name, phrase in broken_rules(RULES, {"variance_threshold": variance_threshold}):
         raise InvalidSizeError(f"{name} {phrase}")
 
-    mean_curve = curves.mean(axis=0)
+    with np.errstate(invalid="ignore"):  # opposite infinities in a column: refused below
+        mean_curve = curves.mean(axis=0)
+    _refuse_non_finite_curves(curves, mean_curve)
     centered = curves - mean_curve
     cov = (centered.T @ centered) / (n - 1)
 
@@ -96,7 +111,10 @@ def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = 0.95) -
 
 
 def project_scores(model: FpcaModel, curves: np.ndarray, grid: Grid) -> np.ndarray:
-    """Project curves onto the retained eigenfunctions, returning (n, K) scores."""
+    """Project curves onto the retained eigenfunctions, returning (n, K) scores.
+
+    A curve holding a NaN or infinite value raises a DataError naming it.
+    """
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     if curves.shape[1] != model.mean_curve.size:
         raise DimensionError("curve width does not match the fitted grid")
@@ -108,7 +126,9 @@ def project_scores(model: FpcaModel, curves: np.ndarray, grid: Grid) -> np.ndarr
     # one (n, G) temporary, weighted in place: curves - mean is a new array
     centered = curves - model.mean_curve
     centered *= w
-    return centered @ model.eigenfunctions[: model.k_retained].T
+    scores = centered @ model.eigenfunctions[: model.k_retained].T
+    _refuse_non_finite_curves(curves, scores)
+    return scores
 
 
 def reconstruct(model: FpcaModel, scores: np.ndarray) -> np.ndarray:

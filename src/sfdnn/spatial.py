@@ -35,13 +35,13 @@ built once per size and shared read-only: every replication of a study cell
 reuses one matrix, and with it the spectrum and eigenvectors cached on it.
 Its rows are divided by sums taken symmetrically, so it equals its mirror
 exactly, and like every dense W that does and has a spectrum, its spectrum
-and its filter come from two folded blocks of half its size: it keeps the
-eigenvectors of both blocks from its first filter solve, and every solve
-after it is two matrix products per block.  Any other dense W solves each
-filter by one LU of I - rho W.  Every pass over a dense W after its
-construction, the symmetrizability check included, works in row blocks or
-folded half blocks, so only the LU route's I - rho W is a second n x n
-array.
+and its filter come from one eigendecomposition of each of two folded
+blocks of half its size, made by the rho search or the first filter solve,
+whichever comes first: every solve is then two matrix products per block.
+Any other dense W solves each filter by one LU of I - rho W.  Every pass
+over a dense W after its construction, the symmetrizability check
+included, works in row blocks or folded half blocks, so only the LU
+route's I - rho W is a second n x n array.
 
 Dense routes run on numpy alone: scipy is imported only on the sparse and
 KNN routes (``scipy.sparse``, its LU and graph routines, and the KD-tree),
@@ -179,31 +179,28 @@ class SpatialWeightMatrix:
         folded halves B + CJ and B - CJ, B = S'[lo, lo] and CJ = S'[lo, J lo]
         over the first n // 2 sites lo (Cantoni & Butler 1976).  An odd n
         borders B + CJ with the middle site, its row and column scaled by
-        1/sqrt(2) to keep the block symmetric.  Each half is built by row
-        blocks and decomposed in turn, at about a quarter of the whole
-        eigensolve's flops; any other such W takes the whole ``eigvalsh``.
+        1/sqrt(2) to keep the block symmetric.  The halves' eigenvalues come
+        from ``_half_eigh``, whose eigenvectors every filter solve reuses;
+        any other such W takes the whole ``eigvalsh``.
         """
         return self._eigenvalues
 
     @functools.cached_property
     def _eigenvalues(self):
-        if self._root is None:
-            return None
-        if not self._mirrored:
-            return np.linalg.eigvalsh(self._symmetric_rows(0, self.n))
-        # one half at a time, so only one is ever held
-        plus = np.linalg.eigvalsh(self._symmetric_half(1.0))
-        return np.sort(np.concatenate([plus, np.linalg.eigvalsh(self._symmetric_half(-1.0))]))
+        if self._half_eigh is not None:
+            return np.sort(np.concatenate([values for values, _ in self._half_eigh]))
+        return None if self._root is None else np.linalg.eigvalsh(self._symmetric_rows(0, self.n))
 
     @functools.cached_property
     def _half_eigh(self):
         """``np.linalg.eigh`` of the folded halves B + CJ and B - CJ, or None.
 
         Only a mirrored W with a spectrum has them: they diagonalize
-        D^{1/2} W D^{-1/2} (see ``eigenvalues``), and ``SpatialFilterFactor``
-        solves every filter of such a W from them.  Each half is built and
-        decomposed in turn, so its eigenvectors, n^2 / 4 values, are the
-        only half-size block kept from the first.
+        D^{1/2} W D^{-1/2}, so they give its spectrum (``eigenvalues``) and
+        every filter ``SpatialFilterFactor`` solves on it.  Each half is
+        built by row blocks and decomposed in turn, at about a quarter of
+        the whole eigensolve's flops, so its eigenvectors, n^2 / 4 values,
+        are the only half-size block kept from the first.
         """
         if not self._mirrored or self._root is None:
             return None
@@ -612,16 +609,16 @@ class SpatialFilterFactor:
     Which route a solve takes depends on W alone.  A dense W equal to its
     mirror J W J (J reversing site order) with a spectrum, as every
     inverse-distance W is, solves from the eigenpairs of the two folded
-    halves of D^{1/2} W D^{-1/2} (Cantoni & Butler 1976), computed by W's
-    first solve at any rho and kept on W: each later solve costs two matrix
-    products per half, whatever rho.  Any other dense W solves by one
-    ``np.linalg.solve`` of I - rho W (an LU and its triangular solves), so
-    a factor that serves one solve costs one LU.  Building a factor factors
-    nothing: the sparse LU and the dense I - rho W are built by the first
-    solve or LU log-determinant that needs them.  The log-determinant is
-    computed when first read, from W's spectrum when it has one, and a
-    non-finite one raises there.  A right-hand side is a vector or a
-    matrix of n rows on every route.
+    halves of D^{1/2} W D^{-1/2} (Cantoni & Butler 1976), computed once
+    per W, by its spectrum or its first solve, and kept on W: each solve
+    costs two matrix products per half, whatever rho.  Any other dense W
+    solves by one ``np.linalg.solve`` of I - rho W (an LU and its
+    triangular solves), so a factor that serves one solve costs one LU.
+    Building a factor factors nothing: the sparse LU and the dense
+    I - rho W are built by the first solve or LU log-determinant that needs
+    them.  The log-determinant is computed when first read, from W's
+    spectrum when it has one, and a non-finite one raises there.  A
+    right-hand side is a vector or a matrix of n rows on every route.
     """
 
     def __init__(self, W: SpatialWeightMatrix, rho: float):
@@ -839,6 +836,8 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     profile can be multimodal), and Brent's method on the profile refines
     inside the scan bracket.  Every log-determinant comes from
     ``log_det_filter``, once per rho, whatever W's storage or spectrum.
+    One thin SVD Xc = U S V' gives the rank check (``matrix_rank``'s
+    tolerance), the projections off Xc and theta = V S^{-1} U'(y - rho W y).
 
     The scan skips log-determinants that cannot win.  Hadamard's
     inequality, W's diagonal being zero, bounds ln det(I - rho W) by
@@ -860,17 +859,15 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     n, k = Xc.shape
     if not np.all(Xc[:, 0] == 1.0):
         raise DesignRankError("first column of the design must be all ones")
-    if np.linalg.matrix_rank(Xc) < k:
+    u, s, vt = np.linalg.svd(Xc, full_matrices=False)
+    if s.size < k or s[-1] <= s[0] * max(n, k) * np.finfo(float).eps:
         raise DesignRankError("design matrix is rank deficient")
 
-    q, _ = np.linalg.qr(Xc, mode="reduced")
     ylag = W.matvec(y)
-    e0 = y - q @ (q.T @ y)
-    e1 = ylag - q @ (q.T @ ylag)
+    e0 = y - u @ (u.T @ y)
+    e1 = ylag - u @ (u.T @ ylag)
     # SSR(rho) is an exact quadratic
-    ss00 = float(e0 @ e0)
-    ss01 = float(e0 @ e1)
-    ss11 = float(e1 @ e1)
+    ss00, ss01, ss11 = float(e0 @ e0), float(e0 @ e1), float(e1 @ e1)
 
     lo, hi = W.admissible_interval()
     margin = 1e-6 * (hi - lo)
@@ -907,9 +904,9 @@ def estimate_rho_ml(y: np.ndarray, Xc: np.ndarray, W: SpatialWeightMatrix) -> Rh
     # Brent starts from exact values: a bracket end may hold only its bound
     rho_hat = _brent_max(concentrated, near, [concentrated(r) for r in near], 1e-10)
 
-    target = y - rho_hat * ylag
-    theta_hat, *_ = np.linalg.lstsq(Xc, target, rcond=None)
-    resid = target - Xc @ theta_hat
+    # the residual of theta = V S^{-1} U' (y - rho W y) is e0 - rho e1
+    theta_hat = vt.T @ ((u.T @ (y - rho_hat * ylag)) / s)
+    resid = e0 - rho_hat * e1
     sigma2_hat = float(resid @ resid) / n
     if sigma2_hat <= 0.0:
         raise DegenerateVarianceError("residual variance collapsed to zero")

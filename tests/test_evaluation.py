@@ -1,5 +1,6 @@
 """Tests for metrics, Taylor statistics, tuning, and the study driver."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from sfdnn import evaluation, pipeline, spatial
 from sfdnn.basis import make_bspline_basis
 from sfdnn.errors import (
+    DataError,
     DegenerateVarianceError,
     FoldSizeError,
     InvalidArchitectureError,
@@ -85,6 +87,18 @@ class TestTaylorStats:
     def test_degenerate_variance_rejected(self):
         with pytest.raises(DegenerateVarianceError):
             taylor_stats(np.ones(4), np.arange(4.0))
+
+
+@pytest.mark.parametrize("metric", [compute_metrics, taylor_stats])
+@pytest.mark.parametrize("side", ["observations", "predictions"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pairs_are_refused(metric, side, bad):
+    y, yhat = np.array([0.5, 1.5, -2.0, 0.25]), np.array([0.4, 1.0, -1.0, 0.5])
+    (y if side == "observations" else yhat)[2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^{side} contain NaN or infinite values"):
+            metric(y, yhat)
 
 
 def tiny_dataset(seed, n=60):
@@ -530,14 +544,14 @@ class TestMonteCarloStudy:
 class TestSharedInverseDistanceWeights:
     def test_one_spectrum_per_size(self, monkeypatch):
         build_inverse_distance_weights.cache_clear()
-        eigvalsh = np.linalg.eigvalsh
+        eigh = np.linalg.eigh
         shapes = []  # per replication
 
         def spy(a, *args, **kwargs):
             shapes[-1].append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
         for seed in (1, 2):
             shapes.append([])
             cfg = ScenarioConfig(
@@ -546,8 +560,40 @@ class TestSharedInverseDistanceWeights:
             train, test, _ = generate_scenario_dataset(cfg)
             predict_model(fit_ml_baseline(train), test)
         # the generator's W equals its mirror, so its one spectrum is two
-        # folded halves, and the second replication reuses it
-        assert shapes == [[(35, 35), (35, 35)], []]
+        # folded halves, and the second replication reuses it; FPCA's
+        # covariances are the grid's size
+        grid = (train.grid.num_points,) * 2
+        assert [sorted(s for s in rep if s != grid) for rep in shapes] == [
+            [(25, 25), (25, 25), (35, 35), (35, 35)], []
+        ]
+
+    def test_stage_one_factors_each_matrix_once(self, monkeypatch):
+        # one eigh per half of each generator W serves its spectrum and its
+        # solves, and one thin SVD of the design serves the rank check, the
+        # projections and the coefficients
+        build_inverse_distance_weights.cache_clear()
+        calls = {name: [] for name in ("eigh", "eigvalsh", "svd", "qr", "lstsq", "matrix_rank")}
+
+        def spied(name):
+            original = getattr(np.linalg, name)
+
+            def spy(a, *args, **kwargs):
+                calls[name].append(a.shape)
+                return original(a, *args, **kwargs)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, spied(name))
+        cfg = ScenarioConfig(n_train=70, n_test=51, rho=0.5, error_dist="gaussian", replication_seed=3)
+        train, test, _ = generate_scenario_dataset(cfg)
+        model = fit_ml_baseline(train)
+        predict_model(model, test)
+        grid = (train.grid.num_points,) * 2
+        assert sorted(s for s in calls["eigh"] if s != grid) == [(25, 25), (26, 26), (35, 35), (35, 35)]
+        assert calls["eigvalsh"] == []
+        assert calls["svd"] == [(70, model.theta.size)]
+        assert calls["qr"] == calls["lstsq"] == calls["matrix_rank"] == []
 
     def test_study_table_independent_of_the_cache(self, monkeypatch):
         scenarios = [

@@ -918,7 +918,6 @@ class TestMemberStack:
             for stacked, single in zip(views.biases, member.biases):
                 assert stacked.shape == (3, 1, single.size)
                 np.testing.assert_array_equal(stacked[k, 0], single)
-            np.testing.assert_array_equal(views.outputs[k], member.hidden_weights[-1])
 
 
 class TestParameterStorage:

@@ -1,12 +1,13 @@
 """Tests for functional principal component analysis."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from sfdnn.basis import Grid, trapezoid_weights
-from sfdnn.errors import DimensionError, InsufficientDataError
+from sfdnn.errors import DataError, DimensionError, InsufficientDataError
 from sfdnn.fpca import fit_fpca, project_scores, reconstruct
 
 
@@ -83,6 +84,23 @@ class TestFitFpca:
         with pytest.raises(InsufficientDataError):
             fit_fpca(np.ones((1, grid.num_points)), grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_curve_names_the_first_bad_row(self, grid, bad):
+        curves = kl_curves(12, grid, np.random.default_rng(13))
+        curves[7, 40] = bad
+        curves[4, 90] = bad
+        with pytest.raises(DataError, match="^curve 4 contains NaN or infinite values"):
+            fit_fpca(curves, grid)
+
+    def test_opposite_infinities_in_one_column_are_refused_without_a_warning(self, grid):
+        # their column mean is NaN, not infinite
+        curves = kl_curves(12, grid, np.random.default_rng(14))
+        curves[9, 3], curves[2, 3] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^curve 2 "):
+                fit_fpca(curves, grid)
+
 
 class TestProjectScores:
     def test_mean_curve_projects_to_zero(self, grid):
@@ -128,6 +146,15 @@ class TestProjectScores:
         model = fit_fpca(kl_curves(10, grid, np.random.default_rng(1)), grid)
         with pytest.raises(DimensionError):
             project_scores(model, np.ones((2, 51)), Grid.uniform(51))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_curve_names_the_first_bad_row(self, grid, bad):
+        model = fit_fpca(kl_curves(20, grid, np.random.default_rng(15)), grid)
+        curves = kl_curves(6, grid, np.random.default_rng(16))
+        curves[5, 0] = bad
+        curves[3, 100] = bad
+        with pytest.raises(DataError, match="^curve 3 contains NaN or infinite values"):
+            project_scores(model, curves, grid)
 
 
 class TestReconstruct:

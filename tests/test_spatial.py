@@ -312,6 +312,7 @@ def refuse_spectra(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
 
 
 class TestKnnBisquare:
@@ -798,10 +799,10 @@ def full_scan_rho(y, X, W):
     Returns (rho_hat, loglik, at_boundary, index of the best scan point).
     """
     n = y.size
-    q, _ = np.linalg.qr(X, mode="reduced")
+    u, _, _ = np.linalg.svd(X, full_matrices=False)
     ylag = W.matvec(y)
-    e0 = y - q @ (q.T @ y)
-    e1 = ylag - q @ (q.T @ ylag)
+    e0 = y - u @ (u.T @ y)
+    e1 = ylag - u @ (u.T @ ylag)
     ss00, ss01, ss11 = float(e0 @ e0), float(e0 @ e1), float(e1 @ e1)
     lo, hi = W.admissible_interval()
     margin = 1e-6 * (hi - lo)
@@ -816,9 +817,7 @@ def full_scan_rho(y, X, W):
     best = int(np.argmax(vals))
     near = slice(max(best - 1, 0), best + 2)
     rho_hat = spatial._brent_max(conc, scan[near].tolist(), vals[near].tolist(), 1e-10)
-    target = y - rho_hat * ylag
-    theta, *_ = np.linalg.lstsq(X, target, rcond=None)
-    resid = target - X @ theta
+    resid = e0 - rho_hat * e1
     sigma2 = float(resid @ resid) / n
     loglik = -0.5 * n * (math.log(2.0 * math.pi * sigma2) + 1.0) + log_det_filter(W, rho_hat)
     at_boundary = min(rho_hat - lo_s, hi_s - rho_hat) < 1e-3 * (hi_s - lo_s)
@@ -1283,7 +1282,11 @@ class TestDensePasses:
             "doubled": 2.0 * spatial._inverse_distance_array(n),
             "d-inverse-s": mirrored_d_inverse_s(n),
         }
-        eigvalsh = np.linalg.eigvalsh
+        eigh = np.linalg.eigh
+
+        def refuse_whole(*_args, **_kwargs):
+            raise AssertionError("eigvalsh was called on a mirrored W")
+
         for name, a in cases.items():
             W = SpatialWeightMatrix(a, row_normalized=name == "generator")
             whole = whole_spectrum(W)
@@ -1291,11 +1294,14 @@ class TestDensePasses:
 
             def spy(b, *args, **kwargs):
                 shapes.append(b.shape)
-                return eigvalsh(b, *args, **kwargs)
+                return eigh(b, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-            eigs = W.eigenvalues()
-            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            # the spectrum is the eigenvalues of the halves' eigh, which solves reuse
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", spy)
+                m.setattr(np.linalg, "eigvalsh", refuse_whole)
+                eigs = W.eigenvalues()
+                SpatialFilterFactor(W, 0.5 * W.admissible_interval()[1]).solve(np.ones(n))
             assert W._mirrored and shapes == [(n - n // 2,) * 2, (n // 2,) * 2], name
             assert np.all(np.diff(eigs) >= 0.0), name
             np.testing.assert_allclose(eigs, whole, rtol=0, atol=1e-12, err_msg=name)
@@ -1332,7 +1338,12 @@ class TestDensePasses:
         # the whole-matrix forms took 2.13 and 2.13 of an n x n array
         assert numpy_peak(lambda: spatial._symmetrizing_scale(a), n) <= 0.25
         W = SpatialWeightMatrix(a, row_normalized=True)
-        assert numpy_peak(W.eigenvalues, n) <= 0.5
+        # the spectrum comes with the eigenvectors every solve keeps, within
+        # the first solve's budget of 0.76 (below), and the solve after it
+        # builds no half of n^2 / 4 values
+        assert numpy_peak(W.eigenvalues, n) <= 0.76
+        factor = SpatialFilterFactor(W, 0.9)
+        assert numpy_peak(lambda: factor.solve(np.ones(n)), n) < 0.25
 
     def test_first_spectral_solve_keeps_two_half_size_eigenvector_blocks(self):
         n = 1200
