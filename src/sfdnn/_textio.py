@@ -35,10 +35,11 @@ def read_rows(fh, path, kinds: str, delimiter, count_error: str, parse_error: st
     """Parse the rest of an open file, after a one-line header, into columns.
 
     ``kinds`` has one letter per column, ``i`` (integer) or ``f`` (float);
-    ``delimiter`` is ``","``, or ``None`` for whitespace; blank lines are
-    skipped.  ``check`` is an optional (predicate, message): the predicate
-    maps the columns, or one row's values, to True where a row is valid.  A
-    failure raises a DataError naming the first bad line.
+    ``delimiter`` is ``","``, or ``None`` for whitespace; empty lines are
+    skipped, and for whitespace columns so are lines of spaces.  ``check``
+    is an optional (predicate, message): the predicate maps the columns, or
+    one row's values, to True where a row is valid.  A failure raises a
+    DataError naming the first bad line.
     """
     start = fh.tell()
     dtype = [(f"c{k}", _KINDS[kind][0]) for k, kind in enumerate(kinds)]
@@ -57,17 +58,19 @@ def read_rows(fh, path, kinds: str, delimiter, count_error: str, parse_error: st
     parsers = [_KINDS[kind][1] for kind in kinds]
     for lineno, line in enumerate(fh, start=2):
         text = line.strip()
-        if not text:
+        # numpy skips an empty line, and a line of spaces only between whitespace columns
+        if not (text if delimiter is None else line.rstrip("\r\n")):
             continue
         parts = text.split(delimiter)
         if len(parts) != len(kinds):
             raise DataError(f"{path}:{lineno}: {count_error}")
+        if "_" in text:  # int() and float() read "1_000"; numpy does not
+            raise DataError(f"{path}:{lineno}: {parse_error}")
         try:
             values = [parse(part) for parse, part in zip(parsers, parts)]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {parse_error}") from exc
         if check is not None and not check[0](*values):
             raise DataError(f"{path}:{lineno}: {check[1]}")
-    # numpy is stricter than int()/float() on a few inputs, e.g. "1_000" or
-    # a line of spaces in a CSV file
+    # a row numpy refuses that int()/float() still read
     raise DataError(f"{path}: {failure}") from failure

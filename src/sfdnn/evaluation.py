@@ -3,12 +3,12 @@
 The study driver runs paired replications: within a replication every
 estimator kind sees bit-identical data, generated from a seed derived as
 ``base_seed XOR r`` so replications are order-independent and can run on
-worker threads.  A replication fits ``ml`` first and then trains its
-network kinds, which share an architecture, a config and a seed, as the
-members of one stack: each reports bit for bit what it reports alone.
-Failures are recorded per replication and kind, never silently dropped;
-a network kind whose filter cannot be prepared fails alone, and the other
-trains by itself.
+worker threads.  A replication fits ``ml`` first and then, in one pipeline
+call, trains its network kinds, which share an architecture, a config and
+a seed, as the members of one stack: each reports bit for bit what it
+reports alone.  Failures are recorded per replication and kind, never
+silently dropped; a network kind whose filter cannot be prepared fails
+alone, and the other trains by itself.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .pipeline import (
     KINDS,
     RegressionDataset,
     _fit_network,
-    _network_filter,
     _train_metrics,
     fit_fdnn_model,
     fit_ml_baseline,
@@ -310,21 +309,19 @@ def _run_replication(scenario, kinds, rep_seed, arch, config, variance_threshold
     cfg = replace(scenario, replication_seed=rep_seed)
     train, test, _ = generate_scenario_dataset(cfg)
     config = replace(config, seed=rep_seed)
-    # ml fits and each network kind gets its filter; the network kinds then train as one stack
-    fits, setups = {}, {}
-    for kind in kinds:
+    # ml fits first; the network kinds then train as one stack
+    fits = {}
+    if "ml" in kinds:
         try:
-            if kind == "ml":
-                fits[kind] = fit_ml_baseline(train, variance_threshold)
-            else:
-                setups[kind] = _network_filter(kind, train, variance_threshold)
+            fits["ml"] = fit_ml_baseline(train, variance_threshold)
         except (SfdnnError, np.linalg.LinAlgError) as exc:
-            fits[kind] = exc
-    if setups:
+            fits["ml"] = exc
+    networks = [kind for kind in kinds if kind != "ml"]
+    if networks:
         try:
-            fits.update(_fit_network(train, arch, config, basis_degree, setups))
+            fits.update(_fit_network(train, arch, config, basis_degree, networks, variance_threshold))
         except (SfdnnError, np.linalg.LinAlgError) as exc:
-            fits.update(dict.fromkeys(setups, exc))
+            fits.update(dict.fromkeys(networks, exc))
     out = {}
     for kind in kinds:
         model = fits[kind]

@@ -14,9 +14,9 @@ Training uses Adam (beta1=0.9, beta2=0.999, eps=1e-8) over shuffled
 mini-batches, an epoch-loss improvement stopping rule, and an optional
 validation split with best-epoch restoration.  Everything is deterministic
 given the seed.  Several networks of one architecture and config, the
-members of a stack, train at once on input blocks of their own and one
-response: they share their initial parameters, the validation split and
-one shuffle per epoch, each step runs every member in one set of numpy
+members of a stack, train at once on checked input blocks of their own and
+one response: they share their initial parameters, the validation split
+and one shuffle per epoch, each step runs every member in one set of numpy
 calls, and each member ends bit for bit as it would alone.  Each epoch
 gathers its shuffled rows of X once, for every member, and every
 mini-batch is a contiguous slice of that copy.  An epoch's loss is the mean
@@ -51,7 +51,6 @@ from .errors import (
     DimensionError,
     InvalidArchitectureError,
     NumericOverflowError,
-    SfdnnError,
     TrainingDivergedError,
     at_least,
     broken_rules,
@@ -319,7 +318,9 @@ def _check_inputs(arch, features, scalars, y=None, ctx=None):
     """(inputs, y): [features | scalars] as one float block filtered through ``ctx``.
 
     Widths, then the response's length and row count, then finiteness fail
-    before any solve.
+    before any solve.  The filter is linear and acts before the first bias,
+    so one solve of the block equals filtering the first-layer
+    pre-activations.  Without a filter the block holds the inputs as they are.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     scalars = np.asarray(scalars, dtype=float)
@@ -346,18 +347,8 @@ def _check_inputs(arch, features, scalars, y=None, ctx=None):
     for name, values in named:
         if not np.isfinite(values).all():
             raise DataError(f"{name} contains NaN or infinite values")
-    return _prefilter(ctx, features, scalars), y
-
-
-def _prefilter(ctx: SpatialContext | None, features, scalars):
-    """[features | scalars] as one block, solved through the filter in one call.
-
-    The filter is linear and acts before the first bias, so filtering the
-    inputs equals filtering the first-layer pre-activations.  Without a
-    filter the block holds the inputs as they are.
-    """
     inputs = np.hstack([features, scalars])
-    return inputs if ctx is None else ctx.solve(inputs)
+    return (inputs if ctx is None else ctx.solve(inputs)), y
 
 
 _NON_FINITE = "network produced non-finite predictions"
@@ -559,30 +550,6 @@ def train(
     if isinstance(outcome, TrainingDivergedError):
         raise outcome
     return outcome
-
-
-def _train_members(arch, config, members, y):
-    """Per member, a (features, scalars) pair: (parameters, trace), or the error :func:`train` raises for it.
-
-    Every member trains on the response ``y``.  One member trains through
-    :func:`train`; more members that pass the input checks train as one stack.
-    """
-    if len(members) == 1:
-        try:
-            return [train(arch, config, *members[0], y)]
-        except SfdnnError as exc:
-            return [exc]
-    blocks, refused = [], []
-    for features, scalars in members:
-        try:
-            block, checked_y = _check_inputs(arch, features, scalars, y)
-        except SfdnnError as exc:
-            refused.append(exc)
-            continue
-        blocks.append(block)
-        refused.append(None)
-    trained = iter(_train_stack(arch, config, blocks, checked_y) if blocks else ())
-    return [next(trained) if exc is None else exc for exc in refused]
 
 
 def _train_stack(arch, config, blocks, y):

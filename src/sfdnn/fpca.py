@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Grid, trapezoid_weights
-from .errors import DataError, DimensionError, InsufficientDataError, InvalidSizeError, broken_rules
+from .errors import DataError, DimensionError, InsufficientDataError, InvalidSizeError, NumericOverflowError, broken_rules
 
 __all__ = ["FpcaModel", "fit_fpca", "project_scores", "reconstruct"]
 
@@ -55,7 +55,8 @@ def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = 0.95) -
     """Fit FPCA to curves sampled on a shared grid.
 
     ``curves`` is (n, G) with n >= 2.  The covariance uses divisor n - 1.
-    A curve holding a NaN or infinite value raises a DataError naming it.
+    A curve holding a NaN or infinite value raises a DataError naming it,
+    and finite curves whose covariance overflows a NumericOverflowError.
     """
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     n, g = curves.shape
@@ -66,11 +67,14 @@ def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = 0.95) -
     for name, phrase in broken_rules(RULES, {"variance_threshold": variance_threshold}):
         raise InvalidSizeError(f"{name} {phrase}")
 
-    with np.errstate(invalid="ignore"):  # opposite infinities in a column: refused below
+    # opposite infinities in a column, or finite curves too large to square: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         mean_curve = curves.mean(axis=0)
-    _refuse_non_finite_curves(curves, mean_curve)
-    centered = curves - mean_curve
-    cov = (centered.T @ centered) / (n - 1)
+        _refuse_non_finite_curves(curves, mean_curve)
+        centered = curves - mean_curve
+        cov = (centered.T @ centered) / (n - 1)
+    if not np.isfinite(cov).all():
+        raise NumericOverflowError("the curves' covariance overflows; rescale the curves")
 
     w = trapezoid_weights(grid.points)
     sqrt_w = np.sqrt(w)
@@ -113,7 +117,8 @@ def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = 0.95) -
 def project_scores(model: FpcaModel, curves: np.ndarray, grid: Grid) -> np.ndarray:
     """Project curves onto the retained eigenfunctions, returning (n, K) scores.
 
-    A curve holding a NaN or infinite value raises a DataError naming it.
+    A curve holding a NaN or infinite value raises a DataError naming it,
+    and finite curves whose covariance overflows a NumericOverflowError.
     """
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     if curves.shape[1] != model.mean_curve.size:

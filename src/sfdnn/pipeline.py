@@ -10,7 +10,9 @@ filtered pre-activations.  The ML baseline and the two-stage variant share
 that first stage (FPCA and the estimate), computed once per dataset and
 variance threshold.  With the estimate fixed the filter is a constant linear
 map ahead of the first bias, so it is applied once to the network inputs,
-which then serve both training and the fitted values.
+which then serve both training and the fitted values.  One call fits every
+network kind asked for: each kind's inputs are checked and then filtered,
+a single kind trains through ``fdnn.train`` and several train as one stack.
 
 Network features, scalar covariates, and the response are standardized with
 training-set statistics; predictions are mapped back to the original scale.
@@ -32,11 +34,12 @@ from .fdnn import (
     SpatialContext,
     TrainConfig,
     TrainingTrace,
-    _prefilter,
-    _train_members,
+    _check_inputs,
+    _train_stack,
     dump_parameters,
     parameters_from_lines,
     predict,
+    train,
 )
 from .fpca import FpcaModel, fit_fpca, project_scores
 from .spatial import RhoEstimate, SpatialWeightMatrix, estimate_rho_ml
@@ -263,33 +266,43 @@ def _network_filter(kind, data, variance_threshold=0.95, rho_override=None):
     return SpatialContext(_weights(data), rho_hat), fields
 
 
-def _fit_network(data, arch, config, basis_degree, setups) -> dict:
-    """{kind: fitted model, or the error its fit alone raises} for each entry
-    (filter, model fields) of ``setups``, all networks trained at once.
+def _fit_network(data, arch, config, basis_degree, kinds, variance_threshold=0.95, rho_override=None) -> dict:
+    """{kind: fitted model, or the error its fit alone raises} for each network kind.
 
     The spline features and their standardization are computed once.  Each
-    kind's inputs pass through its own filter, and the networks train as
-    the members of one stack (``fdnn._train_members``).  A failure of the
-    inputs shared by every kind raises.
+    kind's standardized [F | Z] block is checked and then passed through
+    its own filter; several blocks train as the members of one stack, and a
+    single block trains through :func:`train`.  A failure of the inputs
+    shared by every kind raises.
     """
     _check_widths(data, arch.num_functional, arch.num_scalar, "the architecture")
     bases = [make_bspline_basis(basis_degree, m) for m in arch.basis_sizes]
     features = _spline_features(data.functional, data.grid, bases)
     standardization = Standardization.fit(features, data.scalars, data.response)
     f_std, s_std, y_std = standardization.apply(features, data.scalars, data.response)
-    models, inputs = {}, {}
-    for kind, (ctx, _) in setups.items():
+    models, blocks, fields = {}, {}, {}
+    for kind in kinds:
         try:
-            inputs[kind] = np.hsplit(_prefilter(ctx, f_std, s_std), [arch.feature_width])
+            ctx, fields[kind] = _network_filter(kind, data, variance_threshold, rho_override)
+            blocks[kind] = _check_inputs(arch, f_std, s_std, y_std, ctx)[0]
         except (SfdnnError, np.linalg.LinAlgError) as exc:
             models[kind] = exc
-    for kind, trained in zip(inputs, _train_members(arch, config, list(inputs.values()), y_std)):
-        if isinstance(trained, SfdnnError):
-            models[kind] = trained
-            continue
-        params, trace = trained
+    halves = {kind: np.hsplit(block, [arch.feature_width]) for kind, block in blocks.items()}
+    if len(blocks) == 1:
+        (kind,) = blocks
         try:
-            fitted = standardization.invert_y(predict(params, *inputs[kind]))
+            trained = [train(arch, config, *halves[kind], y_std)]
+        except SfdnnError as exc:
+            trained = [exc]
+    else:
+        trained = _train_stack(arch, config, list(blocks.values()), y_std) if blocks else []
+    for kind, outcome in zip(blocks, trained):
+        if isinstance(outcome, SfdnnError):
+            models[kind] = outcome
+            continue
+        params, trace = outcome
+        try:
+            fitted = standardization.invert_y(predict(params, *halves[kind]))
         except NumericOverflowError as exc:
             models[kind] = exc
             continue
@@ -301,13 +314,13 @@ def _fit_network(data, arch, config, basis_degree, setups) -> dict:
             parameters=params,
             standardization=standardization,
             trace=trace,
-            **setups[kind][1],
+            **fields[kind],
         )
     return models
 
 
-def _fit_one(kind, data, arch, config, basis_degree, setup) -> FittedModel:
-    model = _fit_network(data, arch, config, basis_degree, {kind: setup})[kind]
+def _fit_one(kind, data, arch, config, basis_degree, *filter_args) -> FittedModel:
+    model = _fit_network(data, arch, config, basis_degree, (kind,), *filter_args)[kind]
     if isinstance(model, Exception):
         raise model
     return model
@@ -320,7 +333,7 @@ def fit_fdnn_model(
     basis_degree: int = 3,
 ) -> FittedModel:
     """Plain functional network: no spatial filtering anywhere."""
-    return _fit_one("fdnn", data, arch, config, basis_degree, _network_filter("fdnn", data))
+    return _fit_one("fdnn", data, arch, config, basis_degree)
 
 
 def fit_sfdnn(
@@ -336,8 +349,7 @@ def fit_sfdnn(
     The first-stage estimate, shared with :func:`fit_ml_baseline`, is held fixed
     while the network trains; ``rho_override`` substitutes a caller's value.
     """
-    setup = _network_filter("sfdnn", data, variance_threshold, rho_override)
-    return _fit_one("sfdnn", data, arch, config, basis_degree, setup)
+    return _fit_one("sfdnn", data, arch, config, basis_degree, variance_threshold, rho_override)
 
 
 def predict_model(model: FittedModel, newdata: RegressionDataset) -> np.ndarray:

@@ -144,6 +144,32 @@ class TestParseConfig:
         ]
 
 
+class TestConfigProblemReports:
+    """Each problem of a config file reaches the JSON ``problems`` list, and the run exits 2."""
+
+    def problems(self, capsys, path):
+        assert main(["fit", "--config", path]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert (err["code"], err["context"]["error_type"]) == (EXIT_CONFIG, "ConfigError")
+        return err["context"]["problems"]
+
+    def test_every_line_problem_with_its_line_number(self, tmp_path, capsys):
+        text = "n_train = 50\nrho 0.5\nn_train = 60\ndouble_filter_errors = maybe\n"
+        assert self.problems(capsys, write(tmp_path / "bad.cfg", text)) == [
+            "line 2: expected 'key = value', got 'rho 0.5'",
+            "line 3: duplicate key 'n_train'",
+            "line 4: key 'double_filter_errors': expected a boolean, got 'maybe'",
+        ]
+
+    @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+    def test_unreadable_config_path(self, tmp_path, capsys, directory):
+        path = tmp_path / "run.cfg"
+        if directory:
+            path.mkdir()
+        (problem,) = self.problems(capsys, str(path))
+        assert problem.startswith("cannot read config file: ") and problem.endswith(f"'{path}'")
+
+
 # (owner, field, bad value, its key, its list key): every rule a library class declares
 LIBRARY_RULES = [
     (TrainConfig, "learning_rate", 0.0, "learning_rate", "tune_learning_rates"),
@@ -753,6 +779,9 @@ MALFORMED_INPUTS = [
     ("scalars", "id,z1,y\n0,0.5,1\n", ": expected header 'location_id,z1..zJ,y'"),
     ("scalars", "location_id,z1,y\n0,0.5,1\n1,-0.5\n", ":3: expected 3 fields"),
     ("scalars", "location_id,z1,y\n0,0.5,1\n1,abc,2\n", ":3: malformed row"),
+    # rows numpy refuses that int() and float() read: spaces on a CSV line, a digit separator
+    ("scalars", "location_id,z1,y\n0,0.5,1\n   \n1,-0.5,2\n", ":3: expected 3 fields"),
+    ("scalars", "location_id,z1,y\n0,1_000,1\n", ":2: malformed row"),
     ("scalars", "location_id,z1,y\n", ": no data rows"),
     ("scalars", "location_id,z1,y\n0,0.5,1\n2,-0.5,2\n", ": location ids differ from the functional file's"),
     ("coords", "location_id,lon,lat\n0,0.0,0.0\n", ": expected header 'location_id,lat,lon'"),
@@ -765,6 +794,7 @@ MALFORMED_INPUTS = [
     ("weights", "n 2 normalized 1\n0 1 1\n", ": malformed weight-matrix header"),
     ("weights", "n 2 row_normalized 1\n0 1\n1 0 1\n", ":2: expected 'i j w' triple"),
     ("weights", "n 2 row_normalized 1\n0 1 one\n1 0 1\n", ":2: expected 'i j w' triple"),
+    ("weights", "n 2 row_normalized 1\n0 1 1_0\n1 0 1\n", ":2: expected 'i j w' triple"),
     ("weights", "n 2 row_normalized 1\n0 1 1\n\n1 2 1\n", ":4: index outside [0, 2)"),
 ]
 

@@ -429,6 +429,20 @@ class TestMonteCarloStudy:
         fdnn_rows = [line for line in table.to_csv_lines() if ",fdnn," in line]
         assert all(line.split(",")[-2] == "1" for line in fdnn_rows)  # n_failed
 
+    def test_diverging_networks_are_recorded_in_every_replication(self):
+        # a learning rate of 1e200 overflows the first step of both networks
+        scenario = ScenarioConfig(n_train=60, n_test=40, rho=0.5, error_dist="gaussian")
+        config = TrainConfig(learning_rate=1e200, batch_size=16, max_epochs=5, seed=3)
+        table = monte_carlo_study([scenario], ("ml", "fdnn", "sfdnn"), 2, 3, config=config)
+        for kind in ("fdnn", "sfdnn"):
+            failed = table.report(scenario, kind)
+            assert failed.num_ok == 0
+            assert failed.failures == [
+                (r, "TrainingDivergedError: network produced non-finite predictions") for r in (0, 1)
+            ]
+        ml = table.report(scenario, "ml")
+        assert (ml.num_ok, ml.failures) == (2, [])
+
     def test_a_failing_sfdnn_stage_one_leaves_fdnn_to_report(self, monkeypatch):
         scenario = small_scenarios()[0]
         alone = monte_carlo_study([scenario], ("fdnn",), 1, 3, config=quick_config())

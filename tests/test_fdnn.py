@@ -22,7 +22,7 @@ from sfdnn.fdnn import (
     SpatialContext,
     TrainConfig,
     TrainingTrace,
-    _prefilter,
+    _check_inputs,
     forward,
     gradients,
     init_parameters,
@@ -811,6 +811,12 @@ def assert_same_outcome(stacked, single):
     assert trace == ref_trace
 
 
+def stack(arch, config, members, y):
+    """What ``_train_stack`` returns for the checked [F | Z] block of each (features, scalars) member."""
+    checked = [_check_inputs(arch, *member, y) for member in members]
+    return fdnn._train_stack(arch, config, [block for block, _ in checked], checked[0][1])
+
+
 class TestMemberStack:
     """Members trained as one stack end bit for bit where ``train`` leaves each alone."""
 
@@ -819,10 +825,11 @@ class TestMemberStack:
         config, features, scalars, y, ctx = train_case(arch, changes, spatial)
         if ctx is not None:
             # the member of a spatial fit trains on its filtered block, as sfdnn does
-            features, scalars = np.hsplit(_prefilter(ctx, features, scalars), [arch.feature_width])
+            block = _check_inputs(arch, features, scalars, ctx=ctx)[0]
+            features, scalars = np.hsplit(block, [arch.feature_width])
         other_features, other_scalars, _ = toy_inputs(30, arch, 7)
         members = [(features, scalars), (other_features, other_scalars)]
-        stacked = fdnn._train_members(arch, config, members, y)
+        stacked = stack(arch, config, members, y)
         assert len(stacked) == 2
         for member, outcome in zip(members, stacked):
             assert_same_outcome(outcome, alone(arch, config, *member, y))
@@ -832,7 +839,7 @@ class TestMemberStack:
         config, *_ = train_case(arch, {"validation_fraction": 0.25, "weight_decay": 1e-2}, False)
         y = toy_inputs(30, arch, 191)[2]
         members = [toy_inputs(30, arch, seed)[:2] for seed in (191, 7, 41)]
-        for member, outcome in zip(members, fdnn._train_members(arch, config, members, y)):
+        for member, outcome in zip(members, stack(arch, config, members, y)):
             assert_same_outcome(outcome, alone(arch, config, *member, y))
             assert outcome[1].best_epoch is not None
 
@@ -841,7 +848,7 @@ class TestMemberStack:
         config, *_ = train_case(arch, {"early_stop_threshold": 1e-3, "max_epochs": 40}, False)
         y = toy_inputs(30, arch, 191)[2]
         members = [toy_inputs(30, arch, seed)[:2] for seed in (191, 7)]
-        stacked = fdnn._train_members(arch, config, members, y)
+        stacked = stack(arch, config, members, y)
         for member, outcome in zip(members, stacked):
             assert_same_outcome(outcome, alone(arch, config, *member, y))
             assert outcome[1].stopped_early
@@ -874,35 +881,11 @@ class TestMemberStack:
                 row = np.random.default_rng([config.seed, 2]).permutation(20)[0]
             poisoned[row] = value
         members = [(features, scalars), (poisoned, scalars)]
-        kept, diverged = fdnn._train_members(arch, config, members, y)
+        kept, diverged = stack(arch, config, members, y)
         assert isinstance(diverged, TrainingDivergedError) and str(diverged) == message
         assert_same_outcome(diverged, alone(arch, config, poisoned, scalars, y))
         assert_same_outcome(kept, alone(arch, config, features, scalars, y))
         assert len(kept[1].epoch_losses) == 4
-
-    def test_a_member_with_bad_inputs_gets_its_own_error(self):
-        arch = toy_arch("tanh")
-        config, features, scalars, y, _ = train_case(arch, {}, False)
-        bad = features.copy()
-        bad[3, 1] = np.nan
-        kept, refused = fdnn._train_members(arch, config, [(features, scalars), (bad, scalars)], y)
-        assert isinstance(refused, DataError) and str(refused) == "features contains NaN or infinite values"
-        assert_same_outcome(kept, alone(arch, config, features, scalars, y))
-
-    def test_one_member_trains_through_train(self, monkeypatch):
-        arch = toy_arch("tanh")
-        config, features, scalars, y, _ = train_case(arch, {}, False)
-        calls = []
-        public = fdnn.train
-
-        def counted(*args):
-            calls.append(args)
-            return public(*args)
-
-        monkeypatch.setattr(fdnn, "train", counted)
-        (outcome,) = fdnn._train_members(arch, config, [(features, scalars)], y)
-        assert len(calls) == 1
-        assert_same_outcome(outcome, public(arch, config, features, scalars, y))
 
     def test_stacked_views_alias_one_vector(self):
         arch = NetworkArchitecture(2, (4, 4), 2, (5, 3), ("relu", "tanh"))
@@ -1006,7 +989,7 @@ class TestPrefilterIdentity:
         ctx = SpatialContext(W, 0.6)
         rows = np.array([1, 4, 5, 10])
 
-        filtered = _prefilter(ctx, features, scalars)
+        filtered = _check_inputs(arch, features, scalars, ctx=ctx)[0]
         width = arch.feature_width
         _, grads = reference_backprop(params, filtered[rows, :width], filtered[rows, width:], y[rows])
         analytic = [(n, g) for n, g, _ in grads.tensors()]

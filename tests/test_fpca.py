@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sfdnn.basis import Grid, trapezoid_weights
-from sfdnn.errors import DataError, DimensionError, InsufficientDataError
+from sfdnn.errors import DataError, DimensionError, InsufficientDataError, NumericOverflowError
 from sfdnn.fpca import fit_fpca, project_scores, reconstruct
 
 
@@ -99,6 +99,15 @@ class TestFitFpca:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="^curve 2 "):
+                fit_fpca(curves, grid)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_finite_curves_whose_covariance_overflows_are_refused_without_a_warning(self, scale):
+        grid = Grid.uniform(11)
+        curves = np.random.default_rng(15).standard_normal((5, 11)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="covariance overflows"):
                 fit_fpca(curves, grid)
 
 

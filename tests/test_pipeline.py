@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfdnn import pipeline
-from sfdnn.errors import DataError, DimensionError, MissingWeightsError
+from sfdnn.errors import DataError, DimensionError, MissingWeightsError, TrainingDivergedError
+from sfdnn.evaluation import default_architecture
 from sfdnn.fdnn import NetworkArchitecture, TrainConfig
 from sfdnn.fpca import fit_fpca, project_scores
 from sfdnn.pipeline import (
@@ -163,6 +164,43 @@ class TestNetworkFits:
         a = fit_fdnn_model(train, arch, config)
         b = fit_fdnn_model(train, arch, config)
         assert a.train_metrics == b.train_metrics
+
+    def test_a_kind_without_its_filter_fails_alone(self, gaussian_data):
+        stripped = replace(gaussian_data[0], weights=None)
+        arch, config = small_arch(), small_config(max_epochs=15)
+        fits = pipeline._fit_network(stripped, arch, config, 3, ("fdnn", "sfdnn"))
+        assert isinstance(fits["sfdnn"], MissingWeightsError)
+        alone = fit_fdnn_model(stripped, arch, config)
+        assert fits["fdnn"].parameters.flat.tobytes() == alone.parameters.flat.tobytes()
+        assert (fits["fdnn"].trace, fits["fdnn"].train_metrics) == (alone.trace, alone.train_metrics)
+
+    @pytest.mark.parametrize("fit", [fit_fdnn_model, fit_sfdnn], ids=["fdnn", "sfdnn"])
+    def test_a_single_fit_trains_through_train(self, gaussian_data, monkeypatch, fit):
+        # the public ``train`` is the call a tracer sees; the stack is for several kinds
+        calls = []
+        public = pipeline.train
+
+        def counted(*args):
+            calls.append(args)
+            return public(*args)
+
+        def refused(*args):
+            raise AssertionError("a single fit reached the stack directly")
+
+        monkeypatch.setattr(pipeline, "train", counted)
+        monkeypatch.setattr(pipeline, "_train_stack", refused)
+        model = fit(gaussian_data[0], small_arch(), small_config(max_epochs=5))
+        assert len(calls) == 1 and model.trace.epoch_losses
+
+
+    @pytest.mark.parametrize("fit", [fit_fdnn_model, fit_sfdnn], ids=["fdnn", "sfdnn"])
+    def test_a_diverging_fit_raises(self, fit):
+        # a learning rate of 1e200 overflows the first step
+        cfg = ScenarioConfig(n_train=60, n_test=40, rho=0.5, error_dist="gaussian", replication_seed=3)
+        train, _, _ = generate_scenario_dataset(cfg)
+        config = TrainConfig(learning_rate=1e200, batch_size=16, max_epochs=5, seed=3)
+        with pytest.raises(TrainingDivergedError, match="^network produced non-finite predictions$"):
+            fit(train, default_architecture(), config)
 
 
 def fresh_copy(data):
