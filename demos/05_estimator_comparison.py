@@ -8,7 +8,6 @@ filters that coupling out before the nonlinear layers see the data.
 import numpy as np
 
 from sfdnn import (
-    NetworkArchitecture,
     ScenarioConfig,
     TrainConfig,
     compute_metrics,
@@ -18,15 +17,14 @@ from sfdnn import (
     generate_scenario_dataset,
     predict_model,
 )
+from sfdnn.evaluation import default_architecture
 
 cfg = ScenarioConfig(n_train=300, n_test=400, rho=0.9, error_dist="gaussian", replication_seed=12)
 train, test, _ = generate_scenario_dataset(cfg)
 
-arch = NetworkArchitecture(
-    num_functional=3, basis_sizes=(7, 7, 7), num_scalar=3,
-    hidden_sizes=(32, 16), activations=("relu", "relu"),
-)
-tc = TrainConfig(learning_rate=0.01, batch_size=64, max_epochs=150, seed=5)
+# the default network, trained for 150 epochs where the default is 200
+arch = default_architecture(3, 3)
+tc = TrainConfig(max_epochs=150, seed=5)
 
 models = {
     "ml": fit_ml_baseline(train),

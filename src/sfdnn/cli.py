@@ -34,7 +34,9 @@ from .errors import (
     broken_rules,
     one_of,
 )
+from .evaluation import CandidateConfig
 from .fdnn import NetworkArchitecture, TrainConfig
+from .simgen import BENCHMARK_RHOS, ScenarioConfig
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run", "main"]
 
@@ -46,7 +48,7 @@ EXIT_NUMERIC = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration with defaults for every field."""
+    """Validated configuration; a library setting's default is read from the class that owns it."""
 
     seed: int = 0
     out_dir: str = "."
@@ -54,44 +56,44 @@ class RunConfig:
     jobs: int = 1
     log_transform: str = "none"
     # scenario
-    n_train: int = 500
-    n_test: int = 1000
-    rho: float = 0.5
-    error_dist: str = "gaussian"
-    grid_points: int = 101
-    beta0: float = 0.0
-    double_filter_errors: bool = False
-    replication_seed: int = 0
+    n_train: int = ScenarioConfig.n_train
+    n_test: int = ScenarioConfig.n_test
+    rho: float = ScenarioConfig.rho
+    error_dist: str = ScenarioConfig.error_dist
+    grid_points: int = ScenarioConfig.num_grid_points
+    beta0: float = ScenarioConfig.beta0
+    double_filter_errors: bool = ScenarioConfig.double_filter_errors
+    replication_seed: int = ScenarioConfig.replication_seed
     # architecture
-    hidden_sizes: tuple[int, ...] = (32, 16)
-    activations: tuple[str, ...] = ("relu",)
-    basis_size: int = 7
+    hidden_sizes: tuple[int, ...] = CandidateConfig.hidden_sizes
+    activations: tuple[str, ...] = (CandidateConfig.activation,)
+    basis_size: int = CandidateConfig.basis_size
     basis_degree: int = 3
     # training
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    max_epochs: int = 200
-    early_stop_threshold: float = 0.0
-    weight_decay: float = 0.0
-    validation_fraction: float = 0.0
+    learning_rate: float = CandidateConfig.learning_rate
+    batch_size: int = CandidateConfig.batch_size
+    max_epochs: int = CandidateConfig.max_epochs
+    early_stop_threshold: float = TrainConfig.early_stop_threshold
+    weight_decay: float = CandidateConfig.weight_decay
+    validation_fraction: float = TrainConfig.validation_fraction
     variance_threshold: float = 0.95
     # spatial
     neighbor_count: int = 4
     n_sites: int = 0
-    # tuning grid
-    tune_hidden_sizes: tuple[tuple[int, ...], ...] = ((32, 16),)
-    tune_activations: tuple[str, ...] = ("relu",)
-    tune_learning_rates: tuple[float, ...] = (0.01,)
-    tune_batch_sizes: tuple[int, ...] = (32,)
-    tune_basis_sizes: tuple[int, ...] = (7,)
-    tune_weight_decays: tuple[float, ...] = (0.0,)
-    tune_max_epochs: tuple[int, ...] = (200,)
-    tune_neighbor_counts: tuple[int | None, ...] = (None,)
+    # tuning grid: the fit network alone
+    tune_hidden_sizes: tuple[tuple[int, ...], ...] = (CandidateConfig.hidden_sizes,)
+    tune_activations: tuple[str, ...] = (CandidateConfig.activation,)
+    tune_learning_rates: tuple[float, ...] = (CandidateConfig.learning_rate,)
+    tune_batch_sizes: tuple[int, ...] = (CandidateConfig.batch_size,)
+    tune_basis_sizes: tuple[int, ...] = (CandidateConfig.basis_size,)
+    tune_weight_decays: tuple[float, ...] = (CandidateConfig.weight_decay,)
+    tune_max_epochs: tuple[int, ...] = (CandidateConfig.max_epochs,)
+    tune_neighbor_counts: tuple[int | None, ...] = (CandidateConfig.neighbor_count,)
     tune_folds: int = 5
     # benchmark
-    mc_n_trains: tuple[int, ...] = (500,)
-    mc_rhos: tuple[float, ...] = (0.1, 0.5, 0.9)
-    mc_error_dists: tuple[str, ...] = ("gaussian",)
+    mc_n_trains: tuple[int, ...] = (ScenarioConfig.n_train,)
+    mc_rhos: tuple[float, ...] = BENCHMARK_RHOS
+    mc_error_dists: tuple[str, ...] = (ScenarioConfig.error_dist,)
     mc_replications: int = 25
     # file paths (unset when empty)
     train_functional: str = ""
@@ -147,7 +149,7 @@ _KEY_OF = {"num_grid_points": "grid_points", "basis_sizes": "basis_size"}
 _SCALAR_RULES = {
     **{
         _KEY_OF.get(name, name): rule
-        for owner in (simgen.ScenarioConfig, NetworkArchitecture, TrainConfig, basis, fpca)
+        for owner in (ScenarioConfig, NetworkArchitecture, TrainConfig, basis, fpca)
         for name, rule in owner.RULES.items()
     },
     "kind": one_of(pipeline.KINDS),
@@ -403,9 +405,9 @@ def _log_transform_dataset(data: pipeline.RegressionDataset, mode: str, label: s
     return replace(data, functional=functional, scalars=scalars, response=response)
 
 
-def _scenario_from_config(config: RunConfig) -> simgen.ScenarioConfig:
-    return simgen.ScenarioConfig(
-        **{f.name: getattr(config, _KEY_OF.get(f.name, f.name)) for f in fields(simgen.ScenarioConfig)}
+def _scenario_from_config(config: RunConfig) -> ScenarioConfig:
+    return ScenarioConfig(
+        **{f.name: getattr(config, _KEY_OF.get(f.name, f.name)) for f in fields(ScenarioConfig)}
     )
 
 

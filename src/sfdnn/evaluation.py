@@ -55,7 +55,6 @@ __all__ = [
     "kfold_tune",
     "monte_carlo_study",
     "default_architecture",
-    "default_train_config",
 ]
 
 METRIC_NAMES = ("mse", "r2", "mspe", "r2_test")
@@ -120,15 +119,15 @@ def taylor_stats(y, yhat) -> TaylorStats:
 
 @dataclass(frozen=True)
 class CandidateConfig:
-    """One point of the hyperparameter grid."""
+    """One point of the hyperparameter grid; the defaults are the default estimator."""
 
-    hidden_sizes: tuple
-    activation: str
-    learning_rate: float
-    batch_size: int
-    basis_size: int
-    weight_decay: float
-    max_epochs: int
+    hidden_sizes: tuple = (32, 16)
+    activation: str = "relu"
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    basis_size: int = 7
+    weight_decay: float = TrainConfig.weight_decay
+    max_epochs: int = TrainConfig.max_epochs
     neighbor_count: int | None = None
 
     def architecture(self, num_functional: int, num_scalar: int) -> NetworkArchitecture:
@@ -152,21 +151,25 @@ class CandidateConfig:
 
 @dataclass
 class TuneGrid:
-    """Candidate lists; the grid is their full cartesian product."""
+    """Candidate lists, one per :class:`CandidateConfig` field in its order, each
+    defaulting to that field's default alone; the grid is their full cartesian product."""
 
-    hidden_sizes: list = field(default_factory=lambda: [(32, 16)])
-    activations: list = field(default_factory=lambda: ["relu"])
-    learning_rates: list = field(default_factory=lambda: [1e-2])
-    batch_sizes: list = field(default_factory=lambda: [32])
-    basis_sizes: list = field(default_factory=lambda: [7])
-    weight_decays: list = field(default_factory=lambda: [0.0])
-    max_epochs: list = field(default_factory=lambda: [200])
-    neighbor_counts: list = field(default_factory=lambda: [None])
+    hidden_sizes: list = field(default_factory=lambda: [CandidateConfig.hidden_sizes])
+    activations: list = field(default_factory=lambda: [CandidateConfig.activation])
+    learning_rates: list = field(default_factory=lambda: [CandidateConfig.learning_rate])
+    batch_sizes: list = field(default_factory=lambda: [CandidateConfig.batch_size])
+    basis_sizes: list = field(default_factory=lambda: [CandidateConfig.basis_size])
+    weight_decays: list = field(default_factory=lambda: [CandidateConfig.weight_decay])
+    max_epochs: list = field(default_factory=lambda: [CandidateConfig.max_epochs])
+    neighbor_counts: list = field(default_factory=lambda: [CandidateConfig.neighbor_count])
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name):
-                raise InvalidSizeError(f"tuning grid field '{f.name}' must be nonempty")
+            values = getattr(self, f.name)
+            if not isinstance(values, list) or not values:
+                raise InvalidSizeError(f"tuning grid field '{f.name}' must be a nonempty list, got {values!r}")
+        if not all(isinstance(hidden, (tuple, list)) for hidden in self.hidden_sizes):
+            raise InvalidSizeError(f"tuning grid hidden_sizes must list sequences of widths, got {self.hidden_sizes!r}")
 
     def candidates(self) -> list:
         # one CandidateConfig field per grid list, in the same order
@@ -218,6 +221,7 @@ def kfold_tune(
     differ only in settings ``kind`` ignores share one cross-validation.
     Fits take ``variance_threshold`` and ``basis_degree`` as in :func:`monte_carlo_study`
     and train as ``config`` says, with the candidate's settings and ``seed``.
+    Every candidate's settings, and its need for ``coords``, fail before the first fit.
     """
     n = data.n
     check_integers(FoldSizeError, num_folds=num_folds)
@@ -226,6 +230,12 @@ def kfold_tune(
     if n < 2 * num_folds:
         raise FoldSizeError(f"{num_folds} folds over {n} rows would leave folds below 2 rows")
     base = replace(config or TrainConfig(), seed=seed)
+    if coords is None and any(count is not None for count in grid.neighbor_counts):
+        raise InvalidSizeError("tuning neighbor_count requires site coordinates")
+    candidates = [
+        (cand, cand.architecture(data.num_functional, data.num_scalar), cand.train_config(base))
+        for cand in grid.candidates()
+    ]
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, num_folds)
 
@@ -235,10 +245,8 @@ def kfold_tune(
     splits = {}
     scores = {}
     table = []
-    for index, cand in enumerate(grid.candidates()):
+    for index, (cand, arch, train_config) in enumerate(candidates):
         count = cand.neighbor_count
-        if count is not None and coords is None:
-            raise InvalidSizeError("tuning neighbor_count requires site coordinates")
         effective = _effective_candidate(kind, cand)
         if effective not in scores:
             if count not in splits:
@@ -249,17 +257,13 @@ def kfold_tune(
                     (count_data.subset(np.setdiff1d(perm, fold)), count_data.subset(np.sort(fold)))
                     for fold in folds
                 ]
-            arch = cand.architecture(data.num_functional, data.num_scalar)
-            train_config = cand.train_config(base)
             total_sq = 0.0
             for train, held in splits[count]:
                 fit = fit_kind(kind, train, arch, train_config, basis_degree, variance_threshold)
                 preds = predict_model(fit, held)
                 total_sq += float(np.sum((preds - held.response) ** 2))
             scores[effective] = total_sq / n
-        cv_mspe = scores[effective]
-        size = cand.num_parameters(data.num_functional, data.num_scalar)
-        table.append({"index": index, "candidate": cand, "cv_mspe": cv_mspe, "size": size})
+        table.append({"index": index, "candidate": cand, "cv_mspe": scores[effective], "size": arch.num_parameters})
     best = min(table, key=lambda row: (row["cv_mspe"], row["size"], row["index"]))
     return best["candidate"], table
 
@@ -298,11 +302,7 @@ class MetricReport:
 
 
 def default_architecture(num_functional: int = 3, num_scalar: int = 3) -> NetworkArchitecture:
-    return NetworkArchitecture.uniform(num_functional, num_scalar, 7, (32, 16), "relu")
-
-
-def default_train_config(seed: int = 0) -> TrainConfig:
-    return TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=200, seed=seed)
+    return CandidateConfig().architecture(num_functional, num_scalar)
 
 
 def _run_replication(scenario, kinds, rep_seed, arch, config, variance_threshold, basis_degree):
@@ -415,10 +415,8 @@ def monte_carlo_study(
     if base_seed < 0:
         # each replication's seed, base_seed ^ r, seeds its TrainConfig too
         raise InvalidSizeError("base_seed must be nonnegative")
-    if arch is None:
-        arch = default_architecture()
-    if config is None:
-        config = default_train_config()
+    arch = arch or default_architecture()
+    config = config or TrainConfig()
 
     reports = []
     for scenario in scenarios:

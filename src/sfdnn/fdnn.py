@@ -177,11 +177,11 @@ class NetworkArchitecture:
 
 @dataclass
 class TrainConfig:
-    """Optimization hyperparameters; all runs are deterministic per seed."""
+    """Optimization hyperparameters, deterministic per seed; the defaults are the default estimator's."""
 
     learning_rate: float = 1e-2
-    batch_size: int = 32
-    max_epochs: int = 300
+    batch_size: int = 64
+    max_epochs: int = 200
     early_stop_threshold: float = 0.0
     weight_decay: float = 0.0
     validation_fraction: float = 0.0

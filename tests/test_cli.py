@@ -22,16 +22,17 @@ from sfdnn.cli import (
     EXIT_NUMERIC,
     RunConfig,
     _format_value,
+    _scenario_from_config,
     main,
     parse_config,
     read_scalars_csv,
     serialize_config,
 )
 from sfdnn.errors import ConfigError, DimensionError, SfdnnError
-from sfdnn.evaluation import compute_metrics
+from sfdnn.evaluation import CandidateConfig, TuneGrid, compute_metrics, default_architecture
 from sfdnn.fdnn import NetworkArchitecture, TrainConfig, load_parameters, parameters_from_lines
 from sfdnn.pipeline import fit_sfdnn, predict_model
-from sfdnn.simgen import ScenarioConfig, generate_scenario_dataset
+from sfdnn.simgen import BENCHMARK_RHOS, ScenarioConfig, generate_scenario_dataset
 
 
 def write(path, text):
@@ -216,6 +217,33 @@ def test_library_and_cli_report_a_rule_alike(tmp_path, owner, name, bad, key, li
             with pytest.raises(ConfigError) as err:
                 parse_config(write(tmp_path / "bad.cfg", f"{cli_key} = {text}\n"))
             assert f"key '{cli_key}': {phrase}" in err.value.problems
+
+
+# the candidate settings TrainConfig also holds, and the network settings RunConfig names alike
+TRAINING_KEYS = ("learning_rate", "batch_size", "weight_decay", "max_epochs")
+NETWORK_KEYS = ("hidden_sizes", "basis_size")
+
+
+def test_every_default_reads_the_one_default_estimator():
+    default = CandidateConfig()
+    # the paper's second stage
+    assert default == CandidateConfig((32, 16), "relu", 1e-2, 64, 7, 0.0, 200, None)
+    train = TrainConfig()
+    assert [getattr(train, key) for key in TRAINING_KEYS] == [getattr(default, key) for key in TRAINING_KEYS]
+    assert default_architecture() == default.architecture(3, 3)
+    assert TuneGrid().candidates() == [default]
+    run = RunConfig()
+    for key in TRAINING_KEYS + NETWORK_KEYS:
+        assert getattr(run, key) == getattr(default, key)
+    assert run.activations == (default.activation,)
+    # the CLI's tune grid, built as ``tune`` builds it
+    grid = TuneGrid(**{f.name: list(getattr(run, "tune_" + f.name)) for f in fields(TuneGrid)})
+    assert grid.candidates() == [default]
+    scenario = ScenarioConfig()
+    assert _scenario_from_config(run) == scenario
+    assert (run.mc_n_trains, run.mc_rhos, run.mc_error_dists) == (
+        (scenario.n_train,), BENCHMARK_RHOS, (scenario.error_dist,),
+    )
 
 
 # one strategy per tuple annotation of RunConfig; items the text form can carry
@@ -562,6 +590,23 @@ class TestSubcommands:
             (8,), ("relu",), 0.01, 16,
         )
         assert (best.basis_size, best.weight_decay, best.max_epochs) == (5, 0.0, 15)
+
+    def test_default_tune_grid_is_the_fit_network(self, tmp_path):
+        out = tmp_path / "t"
+        sim_cfg = write(tmp_path / "sim.cfg", base_config_text(out, n_train=60, n_test=20))
+        assert main(["simulate", "--config", sim_cfg]) == 0
+        tune_cfg = write(
+            tmp_path / "tune.cfg",
+            f"out_dir = {out}\ntune_folds = 3\n"
+            f"train_functional = {out / 'train_functional.csv'}\n"
+            f"train_scalars = {out / 'train_scalars.csv'}\n"
+            f"train_weights = {out / 'train_weights.txt'}\n",
+        )
+        assert main(["tune", "--config", tune_cfg]) == 0
+        assert len((out / "cv_table.csv").read_text().splitlines()) == 2  # header + one candidate
+        best, default = parse_config(str(out / "best_config.txt")), RunConfig()
+        for key in TRAINING_KEYS + NETWORK_KEYS + ("activations",):
+            assert getattr(best, key) == getattr(default, key)
 
     def test_tune_reads_coords_by_location_id(self, tmp_path):
         out = tmp_path / "t"

@@ -101,6 +101,19 @@ def test_non_finite_pairs_are_refused(metric, side, bad):
             metric(y, yhat)
 
 
+def count_fits(monkeypatch):
+    """The list to which each later ``evaluation.fit_kind`` call appends its architecture."""
+    fits = []
+    fit_kind = evaluation.fit_kind
+
+    def counted(*args):
+        fits.append(args[2])
+        return fit_kind(*args)
+
+    monkeypatch.setattr(evaluation, "fit_kind", counted)
+    return fits
+
+
 def tiny_dataset(seed, n=60):
     cfg = ScenarioConfig(n_train=n, n_test=10, rho=0.0, error_dist="gaussian", replication_seed=seed)
     train, _, _ = generate_scenario_dataset(cfg)
@@ -200,12 +213,41 @@ class TestKfoldTune:
         with pytest.raises(InvalidSizeError):
             kfold_tune(data, "sfdnn", grid, num_folds=3, seed=0)
 
-    @pytest.mark.parametrize("kind", ["ml", "fdnn"])
-    def test_neighbor_count_requires_coords_for_every_kind(self, kind):
+    @pytest.mark.parametrize("kind", ["ml", "fdnn", "sfdnn"])
+    def test_neighbor_count_requires_coords_for_every_kind(self, monkeypatch, kind):
         data = tiny_dataset(5)
         grid = TuneGrid(hidden_sizes=[(2,)], max_epochs=[5], neighbor_counts=[None, 3])
+        fits = count_fits(monkeypatch)
         with pytest.raises(InvalidSizeError, match="requires site coordinates"):
             kfold_tune(data, kind, grid, num_folds=3, seed=0)
+        assert fits == []
+
+    @pytest.mark.parametrize("kind", ["ml", "fdnn", "sfdnn"])
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"learning_rates": [0.01, -1.0]},
+            {"batch_sizes": [16, 0]},
+            {"hidden_sizes": [(4,), (0,)]},
+            {"activations": ["relu", "swish"]},
+        ],
+        ids=["learning_rate", "batch_size", "hidden_width", "activation"],
+    )
+    def test_a_bad_later_candidate_fails_before_the_first_fit(self, monkeypatch, kind, changes):
+        grid = TuneGrid(**{"hidden_sizes": [(4,)], "max_epochs": [3], **changes})
+        fits = count_fits(monkeypatch)
+        with pytest.raises(InvalidArchitectureError):
+            kfold_tune(tiny_dataset(5), kind, grid, num_folds=3, seed=0)
+        assert fits == []
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"hidden_sizes": (4, 8)}, {"hidden_sizes": [4]}, {"max_epochs": 5}, {"batch_sizes": []}],
+        ids=["tuple_field", "width_not_a_sequence", "scalar_field", "empty_field"],
+    )
+    def test_a_malformed_grid_is_a_typed_error(self, changes):
+        with pytest.raises(InvalidSizeError, match="^tuning grid "):
+            TuneGrid(**changes)
 
     @pytest.mark.parametrize(
         "kind, neighbor_counts, distinct",
@@ -227,14 +269,7 @@ class TestKfoldTune:
             basis_sizes=[5], max_epochs=[4], neighbor_counts=neighbor_counts,
         )
         expected = brute_force_tune(data, kind, grid, 3, 2, coords)
-        fits = []
-        fit_kind = evaluation.fit_kind
-
-        def counted(*args):
-            fits.append(args[2])
-            return fit_kind(*args)
-
-        monkeypatch.setattr(evaluation, "fit_kind", counted)
+        fits = count_fits(monkeypatch)
         best, table = kfold_tune(data, kind, grid, num_folds=3, seed=2, coords=coords)
         assert len(fits) == 3 * distinct
         assert (best, table) == expected
