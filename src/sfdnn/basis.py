@@ -25,6 +25,8 @@ __all__ = [
 
 # the rule each basis setting obeys, by its configuration key
 RULES = {"basis_degree": at_least(1)}
+# the degree of the network's input splines, unless a caller sets it: cubic
+BASIS_DEGREE = 3
 
 
 def basis_size_rule(degree: int):

@@ -68,7 +68,7 @@ class RunConfig:
     hidden_sizes: tuple[int, ...] = CandidateConfig.hidden_sizes
     activations: tuple[str, ...] = (CandidateConfig.activation,)
     basis_size: int = CandidateConfig.basis_size
-    basis_degree: int = 3
+    basis_degree: int = basis.BASIS_DEGREE
     # training
     learning_rate: float = CandidateConfig.learning_rate
     batch_size: int = CandidateConfig.batch_size
@@ -76,9 +76,9 @@ class RunConfig:
     early_stop_threshold: float = TrainConfig.early_stop_threshold
     weight_decay: float = CandidateConfig.weight_decay
     validation_fraction: float = TrainConfig.validation_fraction
-    variance_threshold: float = 0.95
+    variance_threshold: float = fpca.VARIANCE_THRESHOLD
     # spatial
-    neighbor_count: int = 4
+    neighbor_count: int = spatial.KNN_NEIGHBORS
     n_sites: int = 0
     # tuning grid: the fit network alone
     tune_hidden_sizes: tuple[tuple[int, ...], ...] = (CandidateConfig.hidden_sizes,)

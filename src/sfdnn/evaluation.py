@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .basis import BASIS_DEGREE
 from .errors import (
     DataError,
     DegenerateVarianceError,
@@ -29,6 +30,7 @@ from .errors import (
     check_integers,
 )
 from .fdnn import NetworkArchitecture, TrainConfig
+from .fpca import VARIANCE_THRESHOLD
 from .pipeline import (
     KINDS,
     RegressionDataset,
@@ -121,7 +123,7 @@ def taylor_stats(y, yhat) -> TaylorStats:
 class CandidateConfig:
     """One point of the hyperparameter grid; the defaults are the default estimator."""
 
-    hidden_sizes: tuple = (32, 16)
+    hidden_sizes: tuple = (4,)
     activation: str = "relu"
     learning_rate: float = TrainConfig.learning_rate
     batch_size: int = TrainConfig.batch_size
@@ -208,8 +210,8 @@ def kfold_tune(
     num_folds: int,
     seed: int,
     coords=None,
-    variance_threshold: float = 0.95,
-    basis_degree: int = 3,
+    variance_threshold: float = VARIANCE_THRESHOLD,
+    basis_degree: int = BASIS_DEGREE,
     config: TrainConfig | None = None,
 ):
     """Exhaustive grid search by K-fold cross-validated prediction error.
@@ -319,7 +321,7 @@ def _run_replication(scenario, kinds, rep_seed, arch, config, variance_threshold
     networks = [kind for kind in kinds if kind != "ml"]
     if networks:
         try:
-            fits.update(_fit_network(train, arch, config, basis_degree, networks, variance_threshold))
+            fits.update(_fit_network(train, arch, config, basis_degree, networks, variance_threshold, None))
         except (SfdnnError, np.linalg.LinAlgError) as exc:
             fits.update(dict.fromkeys(networks, exc))
     out = {}
@@ -391,8 +393,8 @@ def monte_carlo_study(
     base_seed: int,
     arch: NetworkArchitecture | None = None,
     config: TrainConfig | None = None,
-    variance_threshold: float = 0.95,
-    basis_degree: int = 3,
+    variance_threshold: float = VARIANCE_THRESHOLD,
+    basis_degree: int = BASIS_DEGREE,
     jobs: int = 1,
 ) -> StudyTable:
     """Paired Monte Carlo comparison of estimator kinds over scenarios.

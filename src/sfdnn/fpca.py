@@ -19,6 +19,8 @@ __all__ = ["FpcaModel", "fit_fpca", "project_scores", "reconstruct"]
 
 # the rule each FPCA setting obeys, by its configuration key
 RULES = {"variance_threshold": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")}
+# the share of variance the retained components explain, unless a caller sets it
+VARIANCE_THRESHOLD = 0.95
 
 
 def _refuse_non_finite_curves(curves: np.ndarray, derived: np.ndarray) -> None:
@@ -51,7 +53,7 @@ class FpcaModel:
     grid: Grid
 
 
-def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = 0.95) -> FpcaModel:
+def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = VARIANCE_THRESHOLD) -> FpcaModel:
     """Fit FPCA to curves sampled on a shared grid.
 
     ``curves`` is (n, G) with n >= 2.  The covariance uses divisor n - 1.

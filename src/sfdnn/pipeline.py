@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import Grid, functional_inner_products, make_bspline_basis
+from .basis import BASIS_DEGREE, Grid, functional_inner_products, make_bspline_basis
 from .errors import DataError, DimensionError, MissingWeightsError, NumericOverflowError, SfdnnError
 from .fdnn import (
     NetworkArchitecture,
@@ -41,7 +41,7 @@ from .fdnn import (
     predict,
     train,
 )
-from .fpca import FpcaModel, fit_fpca, project_scores
+from .fpca import VARIANCE_THRESHOLD, FpcaModel, fit_fpca, project_scores
 from .spatial import RhoEstimate, SpatialWeightMatrix, estimate_rho_ml
 
 __all__ = [
@@ -219,7 +219,7 @@ def _stage_one(data: RegressionDataset, variance_threshold: float) -> tuple[list
     return memo[variance_threshold]
 
 
-def fit_ml_baseline(data: RegressionDataset, variance_threshold: float = 0.95) -> FittedModel:
+def fit_ml_baseline(data: RegressionDataset, variance_threshold: float = VARIANCE_THRESHOLD) -> FittedModel:
     """Maximum-likelihood linear fit on FPCA scores with a spatial lag."""
     models, design, est = _stage_one(data, variance_threshold)
     fitted = SpatialContext(_weights(data), est.rho_hat).solve(design @ est.theta_hat)
@@ -249,7 +249,7 @@ def _check_widths(data, num_functional, num_scalar, owner):
             raise DimensionError(f"{owner} expects {expected} {what}, the data has {actual}")
 
 
-def _network_filter(kind, data, variance_threshold=0.95, rho_override=None):
+def _network_filter(kind, data, variance_threshold, rho_override):
     """(filter, model fields) of network ``kind``: ``fdnn`` filters nothing.
 
     ``sfdnn`` filters at the first-stage estimate, shared with
@@ -266,7 +266,7 @@ def _network_filter(kind, data, variance_threshold=0.95, rho_override=None):
     return SpatialContext(_weights(data), rho_hat), fields
 
 
-def _fit_network(data, arch, config, basis_degree, kinds, variance_threshold=0.95, rho_override=None) -> dict:
+def _fit_network(data, arch, config, basis_degree, kinds, variance_threshold, rho_override) -> dict:
     """{kind: fitted model, or the error its fit alone raises} for each network kind.
 
     The spline features and their standardization are computed once.  Each
@@ -319,8 +319,8 @@ def _fit_network(data, arch, config, basis_degree, kinds, variance_threshold=0.9
     return models
 
 
-def _fit_one(kind, data, arch, config, basis_degree, *filter_args) -> FittedModel:
-    model = _fit_network(data, arch, config, basis_degree, (kind,), *filter_args)[kind]
+def _fit_one(kind, data, arch, config, basis_degree, variance_threshold, rho_override) -> FittedModel:
+    model = _fit_network(data, arch, config, basis_degree, (kind,), variance_threshold, rho_override)[kind]
     if isinstance(model, Exception):
         raise model
     return model
@@ -330,18 +330,19 @@ def fit_fdnn_model(
     data: RegressionDataset,
     arch: NetworkArchitecture,
     config: TrainConfig,
-    basis_degree: int = 3,
+    basis_degree: int = BASIS_DEGREE,
 ) -> FittedModel:
     """Plain functional network: no spatial filtering anywhere."""
-    return _fit_one("fdnn", data, arch, config, basis_degree)
+    # fdnn filters nothing, so it reads no threshold and no rho
+    return _fit_one("fdnn", data, arch, config, basis_degree, None, None)
 
 
 def fit_sfdnn(
     data: RegressionDataset,
     arch: NetworkArchitecture,
     config: TrainConfig,
-    basis_degree: int = 3,
-    variance_threshold: float = 0.95,
+    basis_degree: int = BASIS_DEGREE,
+    variance_threshold: float = VARIANCE_THRESHOLD,
     rho_override: float | None = None,
 ) -> FittedModel:
     """Two-stage fit: dependence by maximum likelihood, then the network.

@@ -462,7 +462,11 @@ def _coords_array(coords) -> np.ndarray:
     return arr
 
 
-def build_knn_bisquare_weights(coords, h: int = 4) -> SpatialWeightMatrix:
+# the neighbor count h of a KNN weight matrix, unless a caller sets it
+KNN_NEIGHBORS = 4
+
+
+def build_knn_bisquare_weights(coords, h: int = KNN_NEIGHBORS) -> SpatialWeightMatrix:
     """KNN weights under a bi-square kernel with adaptive bandwidth.
 
     For each site the bandwidth is the great-circle distance to its h-th

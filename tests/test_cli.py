@@ -1,5 +1,6 @@
 """Tests for the command-line interface: config, subcommands, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfdnn import spatial
+from sfdnn import basis, evaluation, fpca, pipeline, spatial
 from sfdnn.cli import (
     _PARSERS,
     EXIT_CONFIG,
@@ -226,8 +227,8 @@ NETWORK_KEYS = ("hidden_sizes", "basis_size")
 
 def test_every_default_reads_the_one_default_estimator():
     default = CandidateConfig()
-    # the paper's second stage
-    assert default == CandidateConfig((32, 16), "relu", 1e-2, 64, 7, 0.0, 200, None)
+    # one ReLU layer of 4 units, chosen on the benchmark grid (README)
+    assert default == CandidateConfig((4,), "relu", 1e-2, 64, 7, 0.0, 200, None)
     train = TrainConfig()
     assert [getattr(train, key) for key in TRAINING_KEYS] == [getattr(default, key) for key in TRAINING_KEYS]
     assert default_architecture() == default.architecture(3, 3)
@@ -244,6 +245,24 @@ def test_every_default_reads_the_one_default_estimator():
     assert (run.mc_n_trains, run.mc_rhos, run.mc_error_dists) == (
         (scenario.n_train,), BENCHMARK_RHOS, (scenario.error_dist,),
     )
+    # the defaults function signatures take: each declared once, beside its rule
+    declared = {"variance_threshold": fpca.VARIANCE_THRESHOLD, "basis_degree": basis.BASIS_DEGREE}
+    assert (*declared.values(), spatial.KNN_NEIGHBORS) == (0.95, 3, 4)
+    readers = {
+        "variance_threshold": (
+            fpca.fit_fpca, pipeline.fit_ml_baseline, pipeline.fit_sfdnn,
+            evaluation.kfold_tune, evaluation.monte_carlo_study,
+        ),
+        "basis_degree": (
+            pipeline.fit_fdnn_model, pipeline.fit_sfdnn, evaluation.kfold_tune, evaluation.monte_carlo_study,
+        ),
+    }
+    for key, functions in readers.items():
+        assert getattr(run, key) == declared[key]
+        for function in functions:
+            assert inspect.signature(function).parameters[key].default == declared[key]
+    knn_default = inspect.signature(spatial.build_knn_bisquare_weights).parameters["h"].default
+    assert run.neighbor_count == knn_default == spatial.KNN_NEIGHBORS
 
 
 # one strategy per tuple annotation of RunConfig; items the text form can carry

@@ -244,11 +244,14 @@ TRAIN_CASES = [
     (toy_arch("relu"), {"batch_size": 40}, False),
     (toy_arch("tanh"), {"batch_size": 10}, False),
     (NetworkArchitecture.uniform(2, 0, 4, (5, 3), "relu"), {}, True),
+    # the default estimator's shape: one narrow ReLU layer
+    (NetworkArchitecture.uniform(2, 2, 4, (4,), "relu"), {"validation_fraction": 0.25}, False),
+    (NetworkArchitecture.uniform(2, 2, 4, (4,), "relu"), {"validation_fraction": 0.25}, True),
 ]
 TRAIN_CASE_IDS = [
     "relu", "tanh", "sigmoid", "weight-decay", "validation", "early-stop", "spatial",
     "identity", "mixed-activations", "one-hidden-layer", "one-batch-per-epoch",
-    "no-short-batch", "no-scalars",
+    "no-short-batch", "no-scalars", "one-relu-layer-validation", "one-relu-layer-spatial-validation",
 ]
 
 

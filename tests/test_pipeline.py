@@ -168,7 +168,7 @@ class TestNetworkFits:
     def test_a_kind_without_its_filter_fails_alone(self, gaussian_data):
         stripped = replace(gaussian_data[0], weights=None)
         arch, config = small_arch(), small_config(max_epochs=15)
-        fits = pipeline._fit_network(stripped, arch, config, 3, ("fdnn", "sfdnn"))
+        fits = pipeline._fit_network(stripped, arch, config, 3, ("fdnn", "sfdnn"), 0.95, None)
         assert isinstance(fits["sfdnn"], MissingWeightsError)
         alone = fit_fdnn_model(stripped, arch, config)
         assert fits["fdnn"].parameters.flat.tobytes() == alone.parameters.flat.tobytes()
