@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidArchitectureError, InvalidSizeError, at_least, broken_rules
+from .errors import DimensionError, InvalidArchitectureError, InvalidSizeError, at_least, check_rules
 
 __all__ = [
     "Grid",
@@ -88,8 +88,7 @@ def make_bspline_basis(degree: int, num_basis: int) -> BSplineBasis:
     knots is ``num_basis - degree - 1``.
     """
     rules = {**RULES, "basis_size": basis_size_rule(degree)}
-    for name, phrase in broken_rules(rules, {"basis_degree": degree, "basis_size": num_basis}):
-        raise InvalidArchitectureError(f"{name} {phrase}")
+    check_rules(InvalidArchitectureError, rules, basis_degree=degree, basis_size=num_basis)
     n_interior = num_basis - degree - 1
     interior = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
     knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])

@@ -30,9 +30,7 @@ from .errors import (
     InvalidSizeError,
     MissingWeightsError,
     SfdnnError,
-    at_least,
     broken_rules,
-    one_of,
 )
 from .evaluation import CandidateConfig
 from .fdnn import NetworkArchitecture, TrainConfig
@@ -143,21 +141,17 @@ _PARSERS_BY_TYPE = {
 _PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(RunConfig)}
 
 
-# library fields whose key has another name
-_KEY_OF = {"num_grid_points": "grid_points", "basis_sizes": "basis_size"}
+# library fields and arguments whose key has another name
+_KEY_OF = {"num_grid_points": "grid_points", "basis_sizes": "basis_size", "num_folds": "tune_folds",
+           "num_replications": "mc_replications", "h": "neighbor_count"}
 # each scalar key's rule: the one its library class or module declares, or the CLI's own
 _SCALAR_RULES = {
     **{
         _KEY_OF.get(name, name): rule
-        for owner in (ScenarioConfig, NetworkArchitecture, TrainConfig, basis, fpca)
+        for owner in (ScenarioConfig, NetworkArchitecture, TrainConfig, basis, fpca, pipeline, evaluation, spatial)
         for name, rule in owner.RULES.items()
     },
-    "kind": one_of(pipeline.KINDS),
-    "jobs": at_least(1),
     "log_transform": (lambda v: v in ("none", "response", "all"), "must be none, response, or all"),
-    "neighbor_count": at_least(1),
-    "tune_folds": at_least(2),
-    "mc_replications": at_least(1),
 }
 
 
@@ -544,7 +538,7 @@ def _cmd_mc_bench(config: RunConfig, out):
         for n_train in config.mc_n_trains
         for rho in config.mc_rhos
     ]
-    arch = _architecture_from_config(config, 3, 3)
+    arch = _architecture_from_config(config, simgen.NUM_FUNCTIONAL, simgen.NUM_SCALAR)
     table = evaluation.monte_carlo_study(
         scenarios,
         pipeline.KINDS,

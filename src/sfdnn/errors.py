@@ -3,7 +3,9 @@
 Every failure mode raised by the library derives from :class:`SfdnnError`,
 so callers (including the CLI) can map errors onto exit codes without
 string matching.  A rule is a (predicate that must hold, phrase) pair,
-declared once by the class that owns the setting.
+declared once in the ``RULES`` of the class or module that owns the setting;
+:func:`broken_rules` lists the rules values break (the CLI reports them all)
+and :func:`check_rules` raises on the first (the library's checks).
 """
 
 import math
@@ -28,14 +30,6 @@ INTEGER = (
 )
 
 
-def check_integers(error, **counts):
-    """Raise ``error`` naming the first of ``counts`` that is not an integer."""
-    holds, phrase = INTEGER
-    for name, value in counts.items():
-        if not holds(value):
-            raise error(f"{name} {phrase.format(value)}")
-
-
 def _items(value):
     if isinstance(value, tuple):
         return [v for item in value for v in _items(item)]
@@ -58,6 +52,13 @@ def broken_rules(rules, values) -> list:
                 broken.append((name, phrase.format(bad[0])))
                 break
     return broken
+
+
+def check_rules(error, rules, **values):
+    """Raise ``error("<name> <phrase>")`` for the first of ``values`` that breaks its
+    rule in ``rules``; a name without a rule passes, so a record can pass ``**vars(self)``."""
+    for name, phrase in broken_rules({name: rules[name] for name in values if name in rules}, values):
+        raise error(f"{name} {phrase}")
 
 
 class SfdnnError(Exception):

@@ -19,20 +19,22 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import pipeline, spatial
 from .basis import BASIS_DEGREE
 from .errors import (
+    INTEGER,
     DataError,
     DegenerateVarianceError,
     DimensionError,
     FoldSizeError,
     InvalidSizeError,
     SfdnnError,
-    check_integers,
+    at_least,
+    check_rules,
 )
 from .fdnn import NetworkArchitecture, TrainConfig
 from .fpca import VARIANCE_THRESHOLD
 from .pipeline import (
-    KINDS,
     RegressionDataset,
     _fit_network,
     _train_metrics,
@@ -41,7 +43,7 @@ from .pipeline import (
     fit_sfdnn,
     predict_model,
 )
-from .simgen import ScenarioConfig, generate_scenario_dataset
+from .simgen import NUM_FUNCTIONAL, NUM_SCALAR, ScenarioConfig, generate_scenario_dataset
 from .spatial import build_knn_bisquare_weights
 
 __all__ = [
@@ -60,6 +62,16 @@ __all__ = [
 ]
 
 METRIC_NAMES = ("mse", "r2", "mspe", "r2_test")
+
+# the rule each tuning and study argument obeys; a replication's seed,
+# base_seed ^ r, seeds its TrainConfig, so base_seed follows the seed's rule
+RULES = {
+    "num_folds": [INTEGER, at_least(2)],
+    "num_replications": [INTEGER, at_least(1)],
+    "jobs": [INTEGER, at_least(1)],
+    "base_seed": TrainConfig.RULES["seed"],
+    "kinds": pipeline.RULES["kind"],
+}
 
 
 @dataclass(frozen=True)
@@ -181,13 +193,12 @@ class TuneGrid:
 
 def fit_kind(kind, data, arch, config, basis_degree, variance_threshold):
     """Fit estimator ``kind`` to ``data``; ``ml`` reads neither ``arch`` nor ``config``."""
+    check_rules(InvalidSizeError, pipeline.RULES, kind=kind)
     if kind == "ml":
         return fit_ml_baseline(data, variance_threshold)
     if kind == "fdnn":
         return fit_fdnn_model(data, arch, config, basis_degree)
-    if kind == "sfdnn":
-        return fit_sfdnn(data, arch, config, basis_degree, variance_threshold)
-    raise InvalidSizeError(f"unknown estimator kind '{kind}'")
+    return fit_sfdnn(data, arch, config, basis_degree, variance_threshold)
 
 
 def _effective_candidate(kind, candidate):
@@ -217,18 +228,18 @@ def kfold_tune(
     """Exhaustive grid search by K-fold cross-validated prediction error.
 
     Returns the winning candidate and the full table (one dict per
-    candidate).  Ties break toward the smaller model, then grid order.
+    candidate).  Ties break toward the smaller network, then grid order;
+    ``ml`` trains no network, so its ties break by grid order alone.
     Candidates with a ``neighbor_count`` rebuild the weight matrix from
     ``coords`` before splitting, once per neighbor count.  Candidates that
     differ only in settings ``kind`` ignores share one cross-validation.
     Fits take ``variance_threshold`` and ``basis_degree`` as in :func:`monte_carlo_study`
     and train as ``config`` says, with the candidate's settings and ``seed``.
-    Every candidate's settings, and its need for ``coords``, fail before the first fit.
+    ``kind``, every candidate's settings, and its need for ``coords``, fail before the first fit.
     """
+    check_rules(InvalidSizeError, pipeline.RULES, kind=kind)
+    check_rules(FoldSizeError, RULES, num_folds=num_folds)
     n = data.n
-    check_integers(FoldSizeError, num_folds=num_folds)
-    if num_folds < 2:
-        raise FoldSizeError("need at least 2 folds")
     if n < 2 * num_folds:
         raise FoldSizeError(f"{num_folds} folds over {n} rows would leave folds below 2 rows")
     base = replace(config or TrainConfig(), seed=seed)
@@ -241,32 +252,28 @@ def kfold_tune(
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, num_folds)
 
-    # per neighbor count, each fold's (training, held-out) datasets, shared by
-    # every candidate, so each fold's weight matrix computes its spectrum once
-    # and each training set runs its stage one (FPCA and the rho search) once
+    # every count is checked, since dict.fromkeys below merges 4.0 into an earlier 4
+    check_rules(InvalidSizeError, spatial.RULES, h=tuple(grid.neighbor_counts))
+    # per neighbor count, built before the first fit, each fold's (training, held-out)
+    # datasets, shared by every candidate, so each fold's weight matrix computes its
+    # spectrum once and each training set runs its stage one (FPCA and the rho search) once
     splits = {}
+    for count in dict.fromkeys(grid.neighbor_counts):
+        count_data = data if count is None else replace(data, weights=build_knn_bisquare_weights(coords, count))
+        splits[count] = [(count_data.subset(np.setdiff1d(perm, f)), count_data.subset(np.sort(f))) for f in folds]
     scores = {}
     table = []
     for index, (cand, arch, train_config) in enumerate(candidates):
-        count = cand.neighbor_count
         effective = _effective_candidate(kind, cand)
         if effective not in scores:
-            if count not in splits:
-                count_data = data if count is None else replace(
-                    data, weights=build_knn_bisquare_weights(coords, count)
-                )
-                splits[count] = [
-                    (count_data.subset(np.setdiff1d(perm, fold)), count_data.subset(np.sort(fold)))
-                    for fold in folds
-                ]
             total_sq = 0.0
-            for train, held in splits[count]:
+            for train, held in splits[cand.neighbor_count]:
                 fit = fit_kind(kind, train, arch, train_config, basis_degree, variance_threshold)
                 preds = predict_model(fit, held)
                 total_sq += float(np.sum((preds - held.response) ** 2))
             scores[effective] = total_sq / n
         table.append({"index": index, "candidate": cand, "cv_mspe": scores[effective], "size": arch.num_parameters})
-    best = min(table, key=lambda row: (row["cv_mspe"], row["size"], row["index"]))
+    best = min(table, key=lambda row: (row["cv_mspe"], 0 if kind == "ml" else row["size"]))
     return best["candidate"], table
 
 
@@ -303,7 +310,7 @@ class MetricReport:
         return int(self.mse.size)
 
 
-def default_architecture(num_functional: int = 3, num_scalar: int = 3) -> NetworkArchitecture:
+def default_architecture(num_functional: int = NUM_FUNCTIONAL, num_scalar: int = NUM_SCALAR) -> NetworkArchitecture:
     return CandidateConfig().architecture(num_functional, num_scalar)
 
 
@@ -404,20 +411,14 @@ def monte_carlo_study(
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidSizeError("need at least one estimator kind")
-    for kind in kinds:
-        if kind not in KINDS:
-            raise InvalidSizeError(f"unknown estimator kind '{kind}'")
+    check_rules(InvalidSizeError, RULES, kinds=kinds)
     if len(set(kinds)) < len(kinds):
         raise InvalidSizeError(f"estimator kinds must be distinct, got {', '.join(kinds)}")
-    check_integers(InvalidSizeError, num_replications=num_replications, jobs=jobs, base_seed=base_seed)
-    if num_replications < 1:
-        raise InvalidSizeError("need at least one replication")
-    if jobs < 1:
-        raise InvalidSizeError("jobs must be at least 1")
-    if base_seed < 0:
-        # each replication's seed, base_seed ^ r, seeds its TrainConfig too
-        raise InvalidSizeError("base_seed must be nonnegative")
+    check_rules(InvalidSizeError, RULES, num_replications=num_replications, jobs=jobs, base_seed=base_seed)
     arch = arch or default_architecture()
+    if (arch.num_functional, arch.num_scalar) != (NUM_FUNCTIONAL, NUM_SCALAR):
+        widths = f"{NUM_FUNCTIONAL} functional and {NUM_SCALAR} scalar predictors"
+        raise DimensionError(f"the simulator draws {widths}, arch expects {arch.num_functional} and {arch.num_scalar}")
     config = config or TrainConfig()
 
     reports = []

@@ -53,7 +53,7 @@ from .errors import (
     NumericOverflowError,
     TrainingDivergedError,
     at_least,
-    broken_rules,
+    check_rules,
 )
 from .spatial import SpatialFilterFactor
 
@@ -139,8 +139,7 @@ class NetworkArchitecture:
     def __post_init__(self):
         for name in ("basis_sizes", "hidden_sizes", "activations"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name, phrase in broken_rules(self.RULES, vars(self)):
-            raise InvalidArchitectureError(f"{name} {phrase}")
+        check_rules(InvalidArchitectureError, self.RULES, **vars(self))
         if len(self.basis_sizes) != self.num_functional:
             raise InvalidArchitectureError("need one basis size per functional predictor")
         if self.num_functional + self.num_scalar == 0:
@@ -198,8 +197,7 @@ class TrainConfig:
     }
 
     def __post_init__(self):
-        for name, phrase in broken_rules(self.RULES, vars(self)):
-            raise InvalidArchitectureError(f"{name} {phrase}")
+        check_rules(InvalidArchitectureError, self.RULES, **vars(self))
 
 
 # the fixed spatial filter (I - rho W)^{-1} applied to the network inputs

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Grid, trapezoid_weights
-from .errors import DataError, DimensionError, InsufficientDataError, InvalidSizeError, NumericOverflowError, broken_rules
+from .errors import DataError, DimensionError, InsufficientDataError, InvalidSizeError, NumericOverflowError, check_rules
 
 __all__ = ["FpcaModel", "fit_fpca", "project_scores", "reconstruct"]
 
@@ -66,8 +66,7 @@ def fit_fpca(curves: np.ndarray, grid: Grid, variance_threshold: float = VARIANC
         raise DimensionError(f"curves have {g} columns but grid has {grid.num_points} points")
     if n < 2:
         raise InsufficientDataError("FPCA needs at least 2 curves")
-    for name, phrase in broken_rules(RULES, {"variance_threshold": variance_threshold}):
-        raise InvalidSizeError(f"{name} {phrase}")
+    check_rules(InvalidSizeError, RULES, variance_threshold=variance_threshold)
 
     # opposite infinities in a column, or finite curves too large to square: refused below
     with np.errstate(over="ignore", invalid="ignore"):

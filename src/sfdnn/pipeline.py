@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import BASIS_DEGREE, Grid, functional_inner_products, make_bspline_basis
-from .errors import DataError, DimensionError, MissingWeightsError, NumericOverflowError, SfdnnError
+from .errors import DataError, DimensionError, MissingWeightsError, NumericOverflowError, SfdnnError, one_of
 from .fdnn import (
     NetworkArchitecture,
     NetworkParameters,
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 KINDS = ("ml", "fdnn", "sfdnn")
+# the rule each pipeline setting obeys, by its configuration key
+RULES = {"kind": one_of(KINDS)}
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Grid, trapezoid_weights
-from .errors import FINITE, INTEGER, InvalidSizeError, at_least, broken_rules, one_of
+from .errors import FINITE, INTEGER, InvalidSizeError, at_least, check_rules, one_of
 from .pipeline import RegressionDataset
 from .spatial import apply_spatial_filter, build_inverse_distance_weights
 
@@ -45,6 +45,9 @@ BENCHMARK_RHOS = (0.1, 0.5, 0.9)
 BENCHMARK_TRAIN_SIZES = (100, 250, 500)
 _NUM_KL_TERMS = 5
 _GAMMA = (1.25, -2.0, 2.15)
+# the predictors of every simulated dataset: three curves, one scalar per coefficient
+NUM_FUNCTIONAL = 3
+NUM_SCALAR = len(_GAMMA)
 
 _ROLE_TRAIN = 0
 _ROLE_TEST = 1
@@ -81,8 +84,7 @@ class ScenarioConfig:
     }
 
     def __post_init__(self):
-        for name, phrase in broken_rules(self.RULES, vars(self)):
-            raise InvalidSizeError(f"{name} {phrase}")
+        check_rules(InvalidSizeError, self.RULES, **vars(self))
 
     def is_benchmark_cell(self) -> bool:
         return (
@@ -154,12 +156,12 @@ def _simulate_role(cfg: ScenarioConfig, role: int, n: int, grid: Grid) -> Regres
 
     signal = np.full(n, float(cfg.beta0))
     curves = []
-    for p in range(3):
+    for p in range(NUM_FUNCTIONAL):
         scores = rng.standard_normal((n, _NUM_KL_TERMS)) * sd
         x = scores @ expansion
         curves.append(x)
         signal += (x * w_quad) @ betas[p]
-    scalars = rng.standard_normal((n, 3))
+    scalars = rng.standard_normal((n, NUM_SCALAR))
     signal += scalars @ np.asarray(_GAMMA)
     errors = _draw_errors(rng, cfg.error_dist, n)
 

@@ -60,6 +60,7 @@ import numpy as np
 
 from ._textio import read_rows, write_table
 from .errors import (
+    INTEGER,
     AdmissibilityError,
     DataError,
     DegenerateBandwidthError,
@@ -67,7 +68,8 @@ from .errors import (
     DesignRankError,
     DimensionError,
     InvalidSizeError,
-    check_integers,
+    at_least,
+    check_rules,
 )
 
 __all__ = [
@@ -88,6 +90,9 @@ __all__ = [
 ]
 
 EARTH_RADIUS_KM = 6371.0088
+
+# the rule each weight-matrix argument obeys: n sites, h neighbors
+RULES = {"n": [INTEGER, at_least(2)], "h": [INTEGER, at_least(1)]}
 
 # (name, bound): each coordinate lies in [-bound, bound] degrees
 _COORD_RANGES = (("latitude", 90.0), ("longitude", 180.0))
@@ -430,9 +435,7 @@ def build_inverse_distance_weights(n: int) -> SpatialWeightMatrix:
     equal to a cached size still reaches the check and is refused; a numpy
     integer gets an entry, and a matrix, of its own.
     """
-    check_integers(InvalidSizeError, n=n)
-    if n < 2:
-        raise InvalidSizeError("need at least 2 sites")
+    check_rules(InvalidSizeError, RULES, n=n)
     raw = _inverse_distance_array(n)
     raw.flags.writeable = False
     return SpatialWeightMatrix(raw, row_normalized=True)
@@ -493,9 +496,7 @@ def build_knn_bisquare_weights(coords, h: int = KNN_NEIGHBORS) -> SpatialWeightM
     from scipy.spatial import cKDTree
     pts = _coords_array(coords)
     n = pts.shape[0]
-    check_integers(InvalidSizeError, h=h)
-    if h < 1:
-        raise InvalidSizeError("h must be >= 1")
+    check_rules(InvalidSizeError, RULES, h=h)
     if n < h + 1:
         raise InvalidSizeError(f"need at least h+1={h + 1} sites, got {n}")
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfdnn import basis, evaluation, fpca, pipeline, spatial
+from sfdnn import basis, cli, evaluation, fpca, pipeline, spatial
 from sfdnn.cli import (
     _PARSERS,
     EXIT_CONFIG,
@@ -218,6 +218,48 @@ def test_library_and_cli_report_a_rule_alike(tmp_path, owner, name, bad, key, li
             with pytest.raises(ConfigError) as err:
                 parse_config(write(tmp_path / "bad.cfg", f"{cli_key} = {text}\n"))
             assert f"key '{cli_key}': {phrase}" in err.value.problems
+
+
+# (owner module, argument, the library call given a bad value, bad value, its key): every
+# rule a function argument obeys, each checked before the call reads anything else
+ARGUMENT_RULES = [
+    (pipeline, "kind", lambda bad: evaluation.fit_kind(bad, None, None, None, 3, 0.95), "mll", "kind"),
+    (evaluation, "kinds", lambda bad: evaluation.monte_carlo_study([], bad, 1, 0), ("mll",), "kind"),
+    (evaluation, "jobs", lambda bad: evaluation.monte_carlo_study([], ("ml",), 1, 0, jobs=bad), 0, "jobs"),
+    (evaluation, "num_replications", lambda bad: evaluation.monte_carlo_study([], ("ml",), bad, 0), 0,
+     "mc_replications"),
+    (evaluation, "base_seed", lambda bad: evaluation.monte_carlo_study([], ("ml",), 1, bad), -1, "seed"),
+    (evaluation, "num_folds", lambda bad: evaluation.kfold_tune(None, "ml", TuneGrid(), bad, 0), 1, "tune_folds"),
+    (spatial, "h", lambda bad: spatial.build_knn_bisquare_weights([(0.0, 0.0), (0.0, 1.0)], bad), 0,
+     "neighbor_count"),
+    (spatial, "n", spatial.build_inverse_distance_weights, 1, None),
+]
+
+
+def test_argument_rule_table_covers_every_declared_rule():
+    declared = {(owner, name) for owner in (pipeline, evaluation, spatial) for name in owner.RULES}
+    assert {(owner, name) for owner, name, *_ in ARGUMENT_RULES} == declared
+
+
+@pytest.mark.parametrize(
+    "owner,name,call,bad,key", ARGUMENT_RULES, ids=[name for _, name, *_ in ARGUMENT_RULES]
+)
+def test_an_argument_rule_is_declared_once(tmp_path, owner, name, call, bad, key):
+    with pytest.raises(SfdnnError) as err:
+        call(bad)
+    message = str(err.value)
+    assert message.startswith(name + " ")
+    phrase = message[len(name) + 1:]
+    rule = owner.RULES[name]
+    # each bad value breaks the owner's last rule for it
+    assert phrase == (rule[-1] if isinstance(rule, list) else rule)[1]
+    if key is not None:
+        # the CLI checks its key by the owner's rule object, not a copy of it
+        assert cli._SCALAR_RULES[key] is owner.RULES[name]
+        text = ",".join(bad) if isinstance(bad, tuple) else str(bad)
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path / "bad.cfg", f"{key} = {text}\n"))
+        assert f"key '{key}': {phrase}" in err.value.problems
 
 
 # the candidate settings TrainConfig also holds, and the network settings RunConfig names alike

@@ -10,7 +10,9 @@ from sfdnn import evaluation, pipeline, spatial
 from sfdnn.basis import make_bspline_basis
 from sfdnn.errors import (
     DataError,
+    DegenerateBandwidthError,
     DegenerateVarianceError,
+    DimensionError,
     FoldSizeError,
     InvalidArchitectureError,
     InvalidSizeError,
@@ -120,6 +122,10 @@ def tiny_dataset(seed, n=60):
     return train
 
 
+# (lat, lon) of each of tiny_dataset's 60 sites
+SITES = [tuple(site) for site in np.random.default_rng(5).uniform(-10.0, 10.0, (60, 2))]
+
+
 class TestKfoldTune:
     def test_negative_seed_is_a_typed_error(self):
         with pytest.raises(InvalidArchitectureError, match="seed must be nonnegative"):
@@ -142,18 +148,27 @@ class TestKfoldTune:
         assert [r["cv_mspe"] for r in table_a] == [r["cv_mspe"] for r in table_b]
 
     @pytest.mark.parametrize(
-        "hidden_sizes, learning_rates, winner",
-        [([(8,), (4,)], [0.01], 1), ([(4,)], [0.02, 0.01], 0)],
+        "kind, hidden_sizes, learning_rates, winner",
+        [
+            # ml trains no network, so its ties break by grid order alone
+            ("ml", [(8,), (4,)], [0.01], 0),
+            ("ml", [(4,)], [0.02, 0.01], 0),
+            ("fdnn", [(8,), (4,)], [0.01], 1),
+            ("fdnn", [(4,)], [0.02, 0.01], 0),
+        ],
     )
     def test_ties_go_to_the_smaller_model_then_grid_order(
-        self, hidden_sizes, learning_rates, winner
+        self, monkeypatch, kind, hidden_sizes, learning_rates, winner
     ):
-        # ml reads no network setting, so every candidate shares one score
-        grid = TuneGrid(hidden_sizes=hidden_sizes, learning_rates=learning_rates, basis_sizes=[5])
-        best, table = kfold_tune(tiny_dataset(9), "ml", grid, num_folds=3, seed=0)
+        # ml reads no network setting, so every candidate shares one score;
+        # fdnn candidates share one when every prediction is zero
+        if kind == "fdnn":
+            monkeypatch.setattr(evaluation, "predict_model", lambda fit, held: np.zeros(held.n))
+        grid = TuneGrid(hidden_sizes=hidden_sizes, learning_rates=learning_rates, basis_sizes=[5], max_epochs=[2])
+        best, table = kfold_tune(tiny_dataset(9), kind, grid, num_folds=3, seed=0)
         assert len({row["cv_mspe"] for row in table}) == 1
         sizes = [row["size"] for row in table]
-        assert (sizes[0] > sizes[1]) == (winner == 1)
+        assert sizes[0] >= sizes[1]
         assert best is table[winner]["candidate"]
 
     def test_planted_candidate_wins_most_seeds(self):
@@ -222,22 +237,41 @@ class TestKfoldTune:
             kfold_tune(data, kind, grid, num_folds=3, seed=0)
         assert fits == []
 
+    def test_an_unknown_kind_fails_before_any_weight_matrix_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a weight matrix was built")
+
+        monkeypatch.setattr(evaluation, "build_knn_bisquare_weights", refuse)
+        grid = TuneGrid(hidden_sizes=[(4,)], max_epochs=[3], neighbor_counts=[4])
+        with pytest.raises(InvalidSizeError, match="^kind must be one of ml/fdnn/sfdnn$"):
+            kfold_tune(tiny_dataset(5), "mll", grid, num_folds=3, seed=0, coords=SITES)
+
     @pytest.mark.parametrize("kind", ["ml", "fdnn", "sfdnn"])
     @pytest.mark.parametrize(
-        "changes",
+        "changes, coords, error",
         [
-            {"learning_rates": [0.01, -1.0]},
-            {"batch_sizes": [16, 0]},
-            {"hidden_sizes": [(4,), (0,)]},
-            {"activations": ["relu", "swish"]},
+            pytest.param({"learning_rates": [0.01, -1.0]}, None, InvalidArchitectureError, id="learning_rate"),
+            pytest.param({"batch_sizes": [16, 0]}, None, InvalidArchitectureError, id="batch_size"),
+            pytest.param({"hidden_sizes": [(4,), (0,)]}, None, InvalidArchitectureError, id="hidden_width"),
+            pytest.param({"activations": ["relu", "swish"]}, None, InvalidArchitectureError, id="activation"),
+            pytest.param({"neighbor_counts": [None, 0]}, SITES, InvalidSizeError, id="zero_neighbors"),
+            pytest.param({"neighbor_counts": [4, 0]}, SITES, InvalidSizeError, id="zero_after_four_neighbors"),
+            pytest.param({"neighbor_counts": [None, 1.5]}, SITES, InvalidSizeError, id="fractional_neighbors"),
+            pytest.param({"neighbor_counts": [None, True]}, SITES, InvalidSizeError, id="bool_neighbors"),
+            pytest.param({"neighbor_counts": [4, 4.0]}, SITES, InvalidSizeError, id="float_equal_to_a_count"),
+            pytest.param({"neighbor_counts": [1, True]}, SITES, InvalidSizeError, id="bool_equal_to_a_count"),
+            pytest.param({"neighbor_counts": [None, 4]}, SITES[:-1], DimensionError, id="coords_too_short"),
+            pytest.param({"neighbor_counts": [None, 4]}, [(0.0, 197.0)] + SITES[1:], DataError, id="longitude_197"),
+            pytest.param(
+                {"neighbor_counts": [None, 4]}, SITES[:1] * 5 + SITES[5:], DegenerateBandwidthError, id="repeated_site"
+            ),
         ],
-        ids=["learning_rate", "batch_size", "hidden_width", "activation"],
     )
-    def test_a_bad_later_candidate_fails_before_the_first_fit(self, monkeypatch, kind, changes):
+    def test_a_bad_later_candidate_fails_before_the_first_fit(self, monkeypatch, kind, changes, coords, error):
         grid = TuneGrid(**{"hidden_sizes": [(4,)], "max_epochs": [3], **changes})
         fits = count_fits(monkeypatch)
-        with pytest.raises(InvalidArchitectureError):
-            kfold_tune(tiny_dataset(5), kind, grid, num_folds=3, seed=0)
+        with pytest.raises(error):
+            kfold_tune(tiny_dataset(5), kind, grid, num_folds=3, seed=0, coords=coords)
         assert fits == []
 
     @pytest.mark.parametrize(
@@ -372,8 +406,10 @@ def brute_force_tune(data, kind, grid, num_folds, seed, coords, config=None):
         cv_mspe = total_sq / data.n
         size = cand.num_parameters(data.num_functional, data.num_scalar)
         table.append({"index": index, "candidate": cand, "cv_mspe": cv_mspe, "size": size})
-        if best_key is None or (cv_mspe, size, index) < best_key:
-            best_key, best = (cv_mspe, size, index), cand
+        # ml trains no network, so its ties break by grid order alone
+        key = (cv_mspe, 0 if kind == "ml" else size, index)
+        if best_key is None or key < best_key:
+            best_key, best = key, cand
     return best, table
 
 
@@ -498,7 +534,7 @@ class TestMonteCarloStudy:
     @pytest.mark.parametrize(
         "kinds, message",
         [
-            (["mll"], "^unknown estimator kind 'mll'$"),
+            (["mll"], "^kinds must be one of ml/fdnn/sfdnn$"),
             (["ml", "ml"], "^estimator kinds must be distinct, got ml, ml$"),
             ([], "^need at least one estimator kind$"),
         ],
@@ -511,6 +547,16 @@ class TestMonteCarloStudy:
         monkeypatch.setattr(evaluation, "_run_replication", refuse)
         with pytest.raises(InvalidSizeError, match=message):
             monte_carlo_study(small_scenarios(), kinds, num_replications=1, base_seed=1)
+
+    def test_an_architecture_the_simulator_cannot_fill_fails_before_any_replication(self, monkeypatch):
+        generated = []
+        monkeypatch.setattr(evaluation, "generate_scenario_dataset", generated.append)
+        message = "^the simulator draws 3 functional and 3 scalar predictors, arch expects 2 and 3$"
+        with pytest.raises(DimensionError, match=message):
+            monte_carlo_study(
+                small_scenarios(), ("ml", "fdnn", "sfdnn"), 1, 1, arch=evaluation.default_architecture(2, 3)
+            )
+        assert generated == []
 
     @pytest.mark.parametrize(
         "kind,validation_fraction", [("ml", 0.0), ("fdnn", 0.0), ("sfdnn", 0.0), ("sfdnn", 0.2)]
