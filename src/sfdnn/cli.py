@@ -150,6 +150,7 @@ _SCALAR_RULES = {
         _KEY_OF.get(name, name): rule
         for owner in (ScenarioConfig, NetworkArchitecture, TrainConfig, basis, fpca, pipeline, evaluation, spatial)
         for name, rule in owner.RULES.items()
+        if _KEY_OF.get(name, name) in _PARSERS
     },
     "log_transform": (lambda v: v in ("none", "response", "all"), "must be none, response, or all"),
 }

@@ -36,6 +36,13 @@ def _items(value):
     return [] if value is None else [value]
 
 
+def _broken(rule, items):
+    # the phrase of the first part of ``rule`` that an item breaks (None breaks every part), or None
+    for holds, phrase in rule if isinstance(rule, list) else [rule]:
+        if bad := [v for v in items if v is None or not holds(v)]:
+            return phrase.format(bad[0])
+
+
 def broken_rules(rules, values) -> list:
     """(name, phrase) for each setting in ``rules`` that ``values[name]`` breaks.
 
@@ -44,21 +51,15 @@ def broken_rules(rules, values) -> list:
     (``None`` items pass); a phrase may name the first such item as "{}".
     NaN breaks every comparison rule.
     """
-    broken = []
-    for name, rule in rules.items():
-        for holds, phrase in rule if isinstance(rule, list) else [rule]:
-            bad = [v for v in _items(values[name]) if not holds(v)]
-            if bad:
-                broken.append((name, phrase.format(bad[0])))
-                break
-    return broken
+    return [(name, phrase) for name, rule in rules.items() if (phrase := _broken(rule, _items(values[name])))]
 
 
 def check_rules(error, rules, **values):
-    """Raise ``error("<name> <phrase>")`` for the first of ``values`` that breaks its
-    rule in ``rules``; a name without a rule passes, so a record can pass ``**vars(self)``."""
-    for name, phrase in broken_rules({name: rules[name] for name in values if name in rules}, values):
-        raise error(f"{name} {phrase}")
+    """Raise ``error("<name> <phrase>")`` for the first of ``values`` that breaks its rule in ``rules``, each checked
+    as itself (``None`` or a tuple breaks a scalar's rule); a name without a rule passes, as ``**vars(self)`` may."""
+    for name, value in values.items():
+        if phrase := _broken(rules.get(name, []), [value]):
+            raise error(f"{name} {phrase}")
 
 
 class SfdnnError(Exception):

@@ -70,7 +70,6 @@ RULES = {
     "num_replications": [INTEGER, at_least(1)],
     "jobs": [INTEGER, at_least(1)],
     "base_seed": TrainConfig.RULES["seed"],
-    "kinds": pipeline.RULES["kind"],
 }
 
 
@@ -243,8 +242,11 @@ def kfold_tune(
     if n < 2 * num_folds:
         raise FoldSizeError(f"{num_folds} folds over {n} rows would leave folds below 2 rows")
     base = replace(config or TrainConfig(), seed=seed)
-    if coords is None and any(count is not None for count in grid.neighbor_counts):
-        raise InvalidSizeError("tuning neighbor_count requires site coordinates")
+    # every count is checked, though below fdnn reads only the first and dict.fromkeys merges 4.0 into 4
+    for count in filter(lambda count: count is not None, grid.neighbor_counts):
+        check_rules(InvalidSizeError, spatial.RULES, h=count)
+        if coords is None:
+            raise InvalidSizeError("tuning neighbor_count requires site coordinates")
     candidates = [
         (cand, cand.architecture(data.num_functional, data.num_scalar), cand.train_config(base))
         for cand in grid.candidates()
@@ -252,13 +254,10 @@ def kfold_tune(
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, num_folds)
 
-    # every count is checked, since dict.fromkeys below merges 4.0 into an earlier 4
-    check_rules(InvalidSizeError, spatial.RULES, h=tuple(grid.neighbor_counts))
-    # per neighbor count, built before the first fit, each fold's (training, held-out)
-    # datasets, shared by every candidate, so each fold's weight matrix computes its
-    # spectrum once and each training set runs its stage one (FPCA and the rho search) once
+    # per count a fit reads (fdnn reads no W: the first's), before the first fit, each fold's (training, held-out)
+    # datasets, shared by every candidate: each W computes its spectrum, each training set its stage one, once
     splits = {}
-    for count in dict.fromkeys(grid.neighbor_counts):
+    for count in dict.fromkeys(grid.neighbor_counts[:1] if kind == "fdnn" else grid.neighbor_counts):
         count_data = data if count is None else replace(data, weights=build_knn_bisquare_weights(coords, count))
         splits[count] = [(count_data.subset(np.setdiff1d(perm, f)), count_data.subset(np.sort(f))) for f in folds]
     scores = {}
@@ -269,8 +268,7 @@ def kfold_tune(
             total_sq = 0.0
             for train, held in splits[cand.neighbor_count]:
                 fit = fit_kind(kind, train, arch, train_config, basis_degree, variance_threshold)
-                preds = predict_model(fit, held)
-                total_sq += float(np.sum((preds - held.response) ** 2))
+                total_sq += float(np.sum((predict_model(fit, held) - held.response) ** 2))
             scores[effective] = total_sq / n
         table.append({"index": index, "candidate": cand, "cv_mspe": scores[effective], "size": arch.num_parameters})
     best = min(table, key=lambda row: (row["cv_mspe"], 0 if kind == "ml" else row["size"]))
@@ -406,17 +404,18 @@ def monte_carlo_study(
 ) -> StudyTable:
     """Paired Monte Carlo comparison of estimator kinds over scenarios.
 
-    ``kinds`` names distinct estimator kinds, at least one.
+    ``kinds`` names distinct estimator kinds, at least one; ``arch``, which ``ml`` ignores, fits the simulator.
     """
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidSizeError("need at least one estimator kind")
-    check_rules(InvalidSizeError, RULES, kinds=kinds)
+    for kind in kinds:
+        check_rules(InvalidSizeError, pipeline.RULES, kind=kind)
     if len(set(kinds)) < len(kinds):
         raise InvalidSizeError(f"estimator kinds must be distinct, got {', '.join(kinds)}")
     check_rules(InvalidSizeError, RULES, num_replications=num_replications, jobs=jobs, base_seed=base_seed)
     arch = arch or default_architecture()
-    if (arch.num_functional, arch.num_scalar) != (NUM_FUNCTIONAL, NUM_SCALAR):
+    if set(kinds) != {"ml"} and (arch.num_functional, arch.num_scalar) != (NUM_FUNCTIONAL, NUM_SCALAR):
         widths = f"{NUM_FUNCTIONAL} functional and {NUM_SCALAR} scalar predictors"
         raise DimensionError(f"the simulator draws {widths}, arch expects {arch.num_functional} and {arch.num_scalar}")
     config = config or TrainConfig()

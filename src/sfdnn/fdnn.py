@@ -127,7 +127,7 @@ class NetworkArchitecture:
     activations: tuple
 
     # (predicate that must hold, phrase), or a list of them checked in order,
-    # per field; a tuple is checked item by item
+    # per field; a tuple field is checked item by item
     RULES = {
         "num_functional": [INTEGER, NONNEGATIVE],
         "basis_sizes": [INTEGER, at_least(1)],
@@ -137,9 +137,11 @@ class NetworkArchitecture:
     }
 
     def __post_init__(self):
-        for name in ("basis_sizes", "hidden_sizes", "activations"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        check_rules(InvalidArchitectureError, self.RULES, **vars(self))
+        for name, value in vars(self).items():
+            if name in ("basis_sizes", "hidden_sizes", "activations"):
+                object.__setattr__(self, name, value := tuple(value))
+            for item in value if isinstance(value, tuple) else [value]:
+                check_rules(InvalidArchitectureError, self.RULES, **{name: item})
         if len(self.basis_sizes) != self.num_functional:
             raise InvalidArchitectureError("need one basis size per functional predictor")
         if self.num_functional + self.num_scalar == 0:

@@ -45,8 +45,7 @@ BENCHMARK_RHOS = (0.1, 0.5, 0.9)
 BENCHMARK_TRAIN_SIZES = (100, 250, 500)
 _NUM_KL_TERMS = 5
 _GAMMA = (1.25, -2.0, 2.15)
-# the predictors of every simulated dataset: three curves, one scalar per coefficient
-NUM_FUNCTIONAL = 3
+NUM_FUNCTIONAL = 3  # the predictors of every simulated dataset: three curves, one scalar per coefficient
 NUM_SCALAR = len(_GAMMA)
 
 _ROLE_TRAIN = 0

@@ -220,46 +220,62 @@ def test_library_and_cli_report_a_rule_alike(tmp_path, owner, name, bad, key, li
             assert f"key '{cli_key}': {phrase}" in err.value.problems
 
 
-# (owner module, argument, the library call given a bad value, bad value, its key): every
-# rule a function argument obeys, each checked before the call reads anything else
+# (owner module, argument, the library call given a bad value, bad value, its CLI key or
+# None): every rule a function argument obeys, each checked before the call reads anything
+# else; None and a tuple break a scalar's rule too
+_FIT_KIND = lambda bad: evaluation.fit_kind(bad, None, None, None, 3, 0.95)  # noqa: E731
+_STUDY_KIND = lambda bad: evaluation.monte_carlo_study([], (bad,), 1, 0)  # noqa: E731
+_KNN = lambda bad: spatial.build_knn_bisquare_weights([(0.0, 0.0), (0.0, 1.0)], bad)  # noqa: E731
 ARGUMENT_RULES = [
-    (pipeline, "kind", lambda bad: evaluation.fit_kind(bad, None, None, None, 3, 0.95), "mll", "kind"),
-    (evaluation, "kinds", lambda bad: evaluation.monte_carlo_study([], bad, 1, 0), ("mll",), "kind"),
-    (evaluation, "jobs", lambda bad: evaluation.monte_carlo_study([], ("ml",), 1, 0, jobs=bad), 0, "jobs"),
-    (evaluation, "num_replications", lambda bad: evaluation.monte_carlo_study([], ("ml",), bad, 0), 0,
-     "mc_replications"),
-    (evaluation, "base_seed", lambda bad: evaluation.monte_carlo_study([], ("ml",), 1, bad), -1, "seed"),
-    (evaluation, "num_folds", lambda bad: evaluation.kfold_tune(None, "ml", TuneGrid(), bad, 0), 1, "tune_folds"),
-    (spatial, "h", lambda bad: spatial.build_knn_bisquare_weights([(0.0, 0.0), (0.0, 1.0)], bad), 0,
-     "neighbor_count"),
-    (spatial, "n", spatial.build_inverse_distance_weights, 1, None),
+    pytest.param(pipeline, "kind", _FIT_KIND, "mll", "kind", id="kind"),
+    pytest.param(pipeline, "kind", _FIT_KIND, None, None, id="kind_none"),
+    pytest.param(pipeline, "kind", lambda bad: evaluation.kfold_tune(None, bad, TuneGrid(), 3, 0), ("ml",), None,
+                 id="kind_tuple"),
+    pytest.param(pipeline, "kind", _STUDY_KIND, "mll", "kind", id="kinds"),
+    pytest.param(pipeline, "kind", _STUDY_KIND, ("ml",), None, id="kinds_tuple_item"),
+    pytest.param(evaluation, "jobs", lambda bad: evaluation.monte_carlo_study([], ("ml",), 1, 0, jobs=bad), 0,
+                 "jobs", id="jobs"),
+    pytest.param(evaluation, "jobs", lambda bad: evaluation.monte_carlo_study([], ("ml",), 1, 0, jobs=bad), None,
+                 None, id="jobs_none"),
+    pytest.param(evaluation, "num_replications", lambda bad: evaluation.monte_carlo_study([], ("ml",), bad, 0), 0,
+                 "mc_replications", id="num_replications"),
+    pytest.param(evaluation, "num_replications", lambda bad: evaluation.monte_carlo_study([], ("ml",), bad, 0),
+                 None, None, id="num_replications_none"),
+    pytest.param(evaluation, "base_seed", lambda bad: evaluation.monte_carlo_study([], ("ml",), 1, bad), -1, "seed",
+                 id="base_seed"),
+    pytest.param(evaluation, "base_seed", lambda bad: evaluation.monte_carlo_study([], ("ml",), 1, bad), None, None,
+                 id="base_seed_none"),
+    pytest.param(evaluation, "num_folds", lambda bad: evaluation.kfold_tune(None, "ml", TuneGrid(), bad, 0), 1,
+                 "tune_folds", id="num_folds"),
+    pytest.param(evaluation, "num_folds", lambda bad: evaluation.kfold_tune(None, "ml", TuneGrid(), bad, 0), None,
+                 None, id="num_folds_none"),
+    pytest.param(spatial, "h", _KNN, 0, "neighbor_count", id="h"),
+    pytest.param(spatial, "h", _KNN, None, None, id="h_none"),
+    pytest.param(spatial, "h", _KNN, (1,), None, id="h_tuple"),
+    pytest.param(spatial, "n", spatial.build_inverse_distance_weights, 1, None, id="n"),
+    pytest.param(spatial, "n", spatial.build_inverse_distance_weights, None, None, id="n_none"),
 ]
 
 
 def test_argument_rule_table_covers_every_declared_rule():
     declared = {(owner, name) for owner in (pipeline, evaluation, spatial) for name in owner.RULES}
-    assert {(owner, name) for owner, name, *_ in ARGUMENT_RULES} == declared
+    assert {tuple(row.values[:2]) for row in ARGUMENT_RULES} == declared
 
 
-@pytest.mark.parametrize(
-    "owner,name,call,bad,key", ARGUMENT_RULES, ids=[name for _, name, *_ in ARGUMENT_RULES]
-)
+@pytest.mark.parametrize("owner,name,call,bad,key", ARGUMENT_RULES)
 def test_an_argument_rule_is_declared_once(tmp_path, owner, name, call, bad, key):
     with pytest.raises(SfdnnError) as err:
         call(bad)
-    message = str(err.value)
-    assert message.startswith(name + " ")
-    phrase = message[len(name) + 1:]
     rule = owner.RULES[name]
-    # each bad value breaks the owner's last rule for it
-    assert phrase == (rule[-1] if isinstance(rule, list) else rule)[1]
+    # the library reports the first of the owner's rules the value breaks
+    phrase = next(phrase for holds, phrase in (rule if isinstance(rule, list) else [rule]) if not holds(bad))
+    assert str(err.value) == f"{name} {phrase.format(bad)}"
     if key is not None:
         # the CLI checks its key by the owner's rule object, not a copy of it
         assert cli._SCALAR_RULES[key] is owner.RULES[name]
-        text = ",".join(bad) if isinstance(bad, tuple) else str(bad)
         with pytest.raises(ConfigError) as err:
-            parse_config(write(tmp_path / "bad.cfg", f"{key} = {text}\n"))
-        assert f"key '{key}': {phrase}" in err.value.problems
+            parse_config(write(tmp_path / "bad.cfg", f"{key} = {bad}\n"))
+        assert f"key '{key}': {phrase.format(bad)}" in err.value.problems
 
 
 # the candidate settings TrainConfig also holds, and the network settings RunConfig names alike

@@ -260,11 +260,7 @@ class TestKfoldTune:
             pytest.param({"neighbor_counts": [None, True]}, SITES, InvalidSizeError, id="bool_neighbors"),
             pytest.param({"neighbor_counts": [4, 4.0]}, SITES, InvalidSizeError, id="float_equal_to_a_count"),
             pytest.param({"neighbor_counts": [1, True]}, SITES, InvalidSizeError, id="bool_equal_to_a_count"),
-            pytest.param({"neighbor_counts": [None, 4]}, SITES[:-1], DimensionError, id="coords_too_short"),
-            pytest.param({"neighbor_counts": [None, 4]}, [(0.0, 197.0)] + SITES[1:], DataError, id="longitude_197"),
-            pytest.param(
-                {"neighbor_counts": [None, 4]}, SITES[:1] * 5 + SITES[5:], DegenerateBandwidthError, id="repeated_site"
-            ),
+            pytest.param({"neighbor_counts": [None, (4,)]}, SITES, InvalidSizeError, id="tuple_neighbors"),
         ],
     )
     def test_a_bad_later_candidate_fails_before_the_first_fit(self, monkeypatch, kind, changes, coords, error):
@@ -273,6 +269,42 @@ class TestKfoldTune:
         with pytest.raises(error):
             kfold_tune(tiny_dataset(5), kind, grid, num_folds=3, seed=0, coords=coords)
         assert fits == []
+
+    # coordinates a later count's weight matrix cannot be built from; fdnn reads none
+    BAD_COORDS = [
+        pytest.param(SITES[:-1], DimensionError, id="coords_too_short"),
+        pytest.param([(0.0, 197.0)] + SITES[1:], DataError, id="longitude_197"),
+        pytest.param(SITES[:1] * 5 + SITES[5:], DegenerateBandwidthError, id="repeated_site"),
+    ]
+
+    @pytest.mark.parametrize("kind", ["ml", "sfdnn"])
+    @pytest.mark.parametrize("coords, error", BAD_COORDS)
+    def test_bad_coords_fail_before_the_first_fit(self, monkeypatch, kind, coords, error):
+        grid = TuneGrid(hidden_sizes=[(4,)], max_epochs=[3], neighbor_counts=[None, 4])
+        fits = count_fits(monkeypatch)
+        with pytest.raises(error):
+            kfold_tune(tiny_dataset(5), kind, grid, num_folds=3, seed=0, coords=coords)
+        assert fits == []
+
+    @pytest.mark.parametrize("coords", [pytest.param(p.values[0], id=p.id) for p in BAD_COORDS])
+    def test_fdnn_tunes_without_reading_coords_its_fits_ignore(self, coords):
+        grid = TuneGrid(hidden_sizes=[(4,)], max_epochs=[3], neighbor_counts=[None, 4])
+        best, table = kfold_tune(tiny_dataset(5), "fdnn", grid, num_folds=3, seed=0, coords=coords)
+        assert table[0]["cv_mspe"] == table[1]["cv_mspe"]
+
+    @pytest.mark.parametrize("kind, built", [("ml", [4, 8]), ("fdnn", [4]), ("sfdnn", [4, 8])])
+    def test_weight_matrices_are_built_only_for_counts_a_fit_reads(self, monkeypatch, kind, built):
+        counts = []
+        build = evaluation.build_knn_bisquare_weights
+
+        def counted(coords, h):
+            counts.append(h)
+            return build(coords, h)
+
+        monkeypatch.setattr(evaluation, "build_knn_bisquare_weights", counted)
+        grid = TuneGrid(hidden_sizes=[(4,)], max_epochs=[3], neighbor_counts=[4, 8, 4])
+        kfold_tune(tiny_dataset(5), kind, grid, num_folds=3, seed=0, coords=SITES)
+        assert counts == built
 
     @pytest.mark.parametrize(
         "changes",
@@ -534,11 +566,13 @@ class TestMonteCarloStudy:
     @pytest.mark.parametrize(
         "kinds, message",
         [
-            (["mll"], "^kinds must be one of ml/fdnn/sfdnn$"),
+            (["mll"], "^kind must be one of ml/fdnn/sfdnn$"),
+            ([None], "^kind must be one of ml/fdnn/sfdnn$"),
+            ([("ml",)], "^kind must be one of ml/fdnn/sfdnn$"),
             (["ml", "ml"], "^estimator kinds must be distinct, got ml, ml$"),
             ([], "^need at least one estimator kind$"),
         ],
-        ids=["unknown", "repeated", "none"],
+        ids=["unknown", "none_kind", "tuple_kind", "repeated", "none"],
     )
     def test_kinds_checked_before_any_replication(self, kinds, message, monkeypatch):
         def refuse(*args):
@@ -557,6 +591,13 @@ class TestMonteCarloStudy:
                 small_scenarios(), ("ml", "fdnn", "sfdnn"), 1, 1, arch=evaluation.default_architecture(2, 3)
             )
         assert generated == []
+
+    def test_ml_alone_runs_with_any_architecture(self):
+        # ml reads no architecture, so the simulator's widths are not checked against it
+        scenarios = small_scenarios()[:1]
+        table = monte_carlo_study(scenarios, ("ml",), 2, 1, arch=evaluation.default_architecture(2, 3))
+        alone = monte_carlo_study(scenarios, ("ml",), 2, 1)
+        np.testing.assert_array_equal(table.report(scenarios[0], "ml").mspe, alone.report(scenarios[0], "ml").mspe)
 
     @pytest.mark.parametrize(
         "kind,validation_fraction", [("ml", 0.0), ("fdnn", 0.0), ("sfdnn", 0.0), ("sfdnn", 0.2)]
